@@ -8,12 +8,14 @@ the entry for (e1,...,en) sits at index e1*m^(n-1) + ... + en.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping
 
 from .errors import AlphabetMismatchError
-from .trees import RankedAlphabet, Term, TermBody, Tree, Var
+from .trees import Letter, RankedAlphabet, Term, TermBody, Tree, Var
 
 
 @dataclass(frozen=True)
@@ -95,34 +97,59 @@ def complement(dbta: Dbta) -> Dbta:
 
 
 def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
-    """Componentwise product; (x, y) is encoded as x * b.size + y."""
+    """Componentwise product; (x, y) is encoded as x * b.size + y.
+
+    A row's arguments ((x1, y1), ..., (xk, yk)) index a's table at (x1..xk)
+    and b's at (y1..yk).  Both indices are built one argument position at a
+    time, and the last position pairs a slice of a's table with a slice of
+    b's, so no argument is decoded and no op() call is made per row.
+    """
     _require_same_alphabet(a.alphabet, b.alphabet)
-    size = a.size * b.size
+    n1, n2 = a.size, b.size
+    x_digits = [x for x in range(n1) for _ in range(n2)]
+    y_digits = list(range(n2)) * n1
     tables: dict[str, tuple[int, ...]] = {}
     for letter in a.alphabet.letters:
-        rows = []
-        for args in itertools.product(range(size), repeat=letter.arity):
-            xs = tuple(arg // b.size for arg in args)
-            ys = tuple(arg % b.size for arg in args)
-            rows.append(a.op(letter.name, xs) * b.size + b.op(letter.name, ys))
-        tables[letter.name] = tuple(rows)
-    return FiniteAlgebra(a.alphabet, size, tables)
+        scaled = [value * n2 for value in a.tables[letter.name]]
+        other = b.tables[letter.name]
+        if letter.arity == 0:
+            tables[letter.name] = (scaled[0] + other[0],)
+            continue
+        xs, ys = [0], [0]  # table indices of the argument prefixes, row-aligned
+        for _ in range(letter.arity - 1):
+            xs = [i * n1 + x for i in xs for x in x_digits]
+            ys = [j * n2 + y for j in ys for y in y_digits]
+        tables[letter.name] = tuple(
+            u + v
+            for i, j in zip(xs, ys)
+            for u in scaled[i * n1 : i * n1 + n1]
+            for v in other[j * n2 : j * n2 + n2]
+        )
+    return FiniteAlgebra(a.alphabet, n1 * n2, tables)
+
+
+# Boolean combinations as predicates on (in first language, in second language).
+_KINDS: dict[str, Callable[[bool, bool], bool]] = {
+    "union": operator.or_,
+    "intersection": operator.and_,
+    "difference": lambda p, q: p and not q,
+}
 
 
 def boolean_combine(kind: str, d1: Dbta, d2: Dbta) -> Dbta:
     """Product automaton for union / intersection / difference."""
+    accept = _KINDS.get(kind)
+    if accept is None:
+        raise ValueError(f"unknown kind {kind!r}")
     algebra = product_algebra(d1.algebra, d2.algebra)
     m2 = d2.algebra.size
-    pairs = [(x, y) for x in range(d1.algebra.size) for y in range(m2)]
-    if kind == "union":
-        accepting = {x * m2 + y for x, y in pairs if x in d1.accepting or y in d2.accepting}
-    elif kind == "intersection":
-        accepting = {x * m2 + y for x, y in pairs if x in d1.accepting and y in d2.accepting}
-    elif kind == "difference":
-        accepting = {x * m2 + y for x, y in pairs if x in d1.accepting and y not in d2.accepting}
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return Dbta(algebra, frozenset(accepting))
+    accepting = frozenset(
+        x * m2 + y
+        for x in range(d1.algebra.size)
+        for y in range(m2)
+        if accept(x in d1.accepting, y in d2.accepting)
+    )
+    return Dbta(algebra, accepting)
 
 
 def reachable_elements(algebra: FiniteAlgebra) -> frozenset[int]:
@@ -140,58 +167,144 @@ def reachable_elements(algebra: FiniteAlgebra) -> frozenset[int]:
     return frozenset(known)
 
 
+def _settle(
+    alphabet: RankedAlphabet,
+    step: Callable[[str, tuple], Hashable],
+    goal: Callable[[Hashable], bool],
+) -> tuple[Tree | None, dict[Hashable, Tree]]:
+    """Knuth's generalization of Dijkstra over the values that trees reach.
+
+    ``step(name, args)`` is the value of a letter applied to argument values.
+    Values are settled in increasing (node count, rendering) order of their
+    least tree, using a heap; an argument tuple is stepped once, when the last
+    of its arguments settles (semi-naive).  Returns the tree of the first
+    settled value that meets ``goal`` (None when no reached value does), and
+    the tree of every value settled up to that point.
+
+    A least tree is built from least trees of its argument values, because
+    renderings compose: a smaller child rendering gives a smaller parent one.
+    That fails only when one letter name begins with another name followed by
+    ``'`` (as ``a`` and ``a'``): ``f(a',b)`` renders below ``f(a,b)`` though
+    ``a`` renders below ``a'``.  With such names a returned tree still has
+    least node count, but may not have the least rendering.
+    """
+    heap: list[tuple[int, str, Hashable]] = []
+    # value -> (size, rendering, letter, args) of its best candidate so far
+    pending: dict[Hashable, tuple[int, str, Letter, tuple]] = {}
+    sizes: dict[Hashable, int] = {}  # settled value -> node count of its least tree
+    renderings: dict[Hashable, str] = {}
+    trees: dict[Hashable, Tree] = {}
+    order: list[Hashable] = []  # settled values, in settle order
+    operators = [letter for letter in alphabet.letters if letter.arity]
+    batch = [(letter, [()]) for letter in alphabet.constants]
+    while True:
+        for letter, tuples in batch:
+            name = letter.name
+            for args in tuples:
+                value = step(name, args)
+                if value in sizes:
+                    continue
+                size = 1 + sum(map(sizes.__getitem__, args))
+                best = pending.get(value)
+                if best is not None and best[0] < size:
+                    continue
+                rendering = name
+                if args:
+                    rendering += f"({','.join(map(renderings.__getitem__, args))})"
+                if best is None or (size, rendering) < best[:2]:
+                    pending[value] = (size, rendering, letter, args)
+                    # Equal (size, rendering) means the same tree, hence the
+                    # same value, never pushed twice: values are never compared.
+                    heapq.heappush(heap, (size, rendering, value))
+        while heap:
+            size, rendering, new = heapq.heappop(heap)
+            if new not in sizes:  # else a stale, worse candidate
+                break
+        else:
+            return None, trees
+        _, _, letter, args = pending.pop(new)
+        sizes[new], renderings[new] = size, rendering
+        trees[new] = Tree(letter, tuple(map(trees.__getitem__, args)))
+        if goal(new):
+            return trees[new], trees
+        earlier = tuple(order)
+        order.append(new)
+        batch = [(letter, _tuples_with(new, earlier, order, letter.arity)) for letter in operators]
+
+
+def _tuples_with(new, earlier: tuple, settled: list, arity: int) -> Iterator[tuple]:
+    """Each arity-tuple over ``settled`` that contains ``new``, once: grouped by
+    the position i of its first ``new``, with ``earlier`` (``settled`` without
+    ``new``) before i and all of ``settled`` after it."""
+    return itertools.chain.from_iterable(
+        itertools.product(*[earlier] * i, (new,), *[settled] * (arity - 1 - i))
+        for i in range(arity)
+    )
+
+
 def smallest_trees(algebra: FiniteAlgebra) -> dict[int, Tree]:
-    """A minimal-node-count witness tree per reachable element (deterministic)."""
-    cost: dict[int, int] = {}
-    best: dict[int, Tree] = {}
-    changed = True
-    while changed:
-        changed = False
-        for letter in algebra.alphabet.letters:
-            known = sorted(cost)
-            for args in itertools.product(known, repeat=letter.arity):
-                total = 1 + sum(cost[arg] for arg in args)
-                value = algebra.op(letter.name, args)
-                if value not in cost or total < cost[value]:
-                    cost[value] = total
-                    best[value] = Tree(algebra.alphabet[letter.name], tuple(best[a] for a in args))
-                    changed = True
-    return best
+    """The (node count, rendering)-least tree of every reachable element.
+
+    Only reachable elements are explored.  See ``_settle`` for the one naming
+    corner where the rendering is not least.
+    """
+    return _settle(algebra.alphabet, algebra.op, lambda element: False)[1]
 
 
 def is_empty(dbta: Dbta) -> Tree | None:
-    """None iff the language is empty; otherwise a minimal accepted tree.
+    """None iff the language is empty; otherwise its least accepted tree.
 
-    Ties among minimal trees break on the canonical rendering, so the result
-    is deterministic.
+    Least means fewest nodes, ties broken on the canonical rendering, so the
+    result is deterministic.  Elements are explored in that order, only as
+    far as they are reached, and the search stops at the first accepting one.
+    See ``_settle`` for the one naming corner where the rendering is not least.
     """
-    best = smallest_trees(dbta.algebra)
-    witnesses = [best[e] for e in sorted(dbta.accepting) if e in best]
-    if not witnesses:
-        return None
-    from .trees import render_tree
+    return _settle(dbta.alphabet, dbta.algebra.op, dbta.accepting.__contains__)[0]
 
-    return min(witnesses, key=lambda t: (t.size(), render_tree(t)))
+
+def product_witness(d1: Dbta, d2: Dbta, accept: Callable[[bool, bool], bool]) -> Tree | None:
+    """The least tree t with accept(t in L(d1), t in L(d2)), or None.
+
+    Least means fewest nodes, then least rendering (see ``_settle``).  Pairs
+    (x, y) are stepped through both tables directly and explored only as far
+    as they are reached; no product table is built.
+    """
+    _require_same_alphabet(d1.alphabet, d2.alphabet)
+    tables1, tables2 = d1.algebra.tables, d2.algebra.tables
+    n1, n2 = d1.algebra.size, d2.algebra.size
+    acc1, acc2 = d1.accepting, d2.accepting
+
+    def step(name: str, args: tuple) -> tuple[int, int]:
+        i = j = 0
+        for x, y in args:
+            i = i * n1 + x
+            j = j * n2 + y
+        return (tables1[name][i], tables2[name][j])
+
+    return _settle(d1.alphabet, step, lambda pair: accept(pair[0] in acc1, pair[1] in acc2))[0]
 
 
 def are_equivalent(d1: Dbta, d2: Dbta) -> tuple[bool, Tree | None]:
-    """Language equality; on False, a smallest-by-node-count distinguishing tree."""
-    _require_same_alphabet(d1.alphabet, d2.alphabet)
-    algebra = product_algebra(d1.algebra, d2.algebra)
-    m2 = d2.algebra.size
-    symdiff = frozenset(
-        x * m2 + y
-        for x in range(d1.algebra.size)
-        for y in range(m2)
-        if (x in d1.accepting) != (y in d2.accepting)
-    )
-    witness = is_empty(Dbta(algebra, symdiff))
+    """Language equality; on False, the least distinguishing tree.
+
+    Least means fewest nodes, ties broken on the rendering, except in the one
+    naming corner described at ``_settle``.  Only the product pairs reached by
+    trees are explored, and the search stops at the first distinguishing one;
+    see ``product_witness``.
+    """
+    witness = product_witness(d1, d2, operator.ne)
     return (witness is None, witness)
 
 
 def subset_counterexample(d1: Dbta, d2: Dbta) -> Tree | None:
-    """A minimal tree in L(d1) \\ L(d2), or None if L(d1) is included in L(d2)."""
-    return is_empty(boolean_combine("difference", d1, d2))
+    """The least tree in L(d1) \\ L(d2), or None if L(d1) is included in L(d2).
+
+    Least means fewest nodes, ties broken on the rendering, except in the one
+    naming corner described at ``_settle``.  Only the product pairs reached by
+    trees are explored, and the search stops at the first such tree; see
+    ``product_witness``.
+    """
+    return product_witness(d1, d2, _KINDS["difference"])
 
 
 @dataclass(frozen=True)

@@ -807,6 +807,17 @@ def _cmd_structure_orpair_separation(ws: Workspace, args, report: Report) -> Non
 # --- oracle verify -----------------------------------------------------------------
 
 
+class _Mismatch(Exception):
+    """An oracle suite disagreed with the construction it checks."""
+
+
+def _check(ok: bool, suite: str, *detail) -> None:
+    """Raise _Mismatch unless ok; the detail parts are rendered only on failure."""
+    if not ok:
+        parts = (render_tree(p) if isinstance(p, Tree) else str(p) for p in detail)
+        raise _Mismatch(f"{suite}: {' '.join(parts)}")
+
+
 def _paths_oracle_word_in_language(dbta: Dbta, word) -> bool:
     """Definitional check: some member tree realizes the path word.
 
@@ -843,17 +854,18 @@ def _oracle_universal_path(report: Report, max_nodes: int) -> int:
             if all(_paths_oracle_word_in_language(dbta, w) for w in path_words(tree))
         ]
         oracle = all(accepts(dbta, tree) for tree in mix_members)
-        assert verdict == oracle, f"universal-path disagrees on {name}"
+        _check(verdict == oracle, "universal-path-oracle", "verdict disagrees on", name)
         checks += len(trees)
     return checks
 
 
 def _oracle_suites(report: Report, max_nodes: int, count: int) -> None:
     checks = 0
+    suite = "trees-roundtrip-paths"
     for name, dbta in fixtures.CORPUS:
         for tree in enumerate_trees(dbta.alphabet, max_nodes):
-            assert parse_tree(render_tree(tree), dbta.alphabet) == tree
-            assert len(path_words(tree)) == tree.leaf_count()
+            _check(parse_tree(render_tree(tree), dbta.alphabet) == tree, suite, name, tree)
+            _check(len(path_words(tree)) == tree.leaf_count(), suite, name, tree)
             checks += 1
     report.line("suite", "trees-roundtrip-paths:", checks, "checks")
 
@@ -865,25 +877,28 @@ def _oracle_suites(report: Report, max_nodes: int, count: int) -> None:
         diff = boolean_combine("difference", d1, d2)
         for tree in enumerate_trees(d1.alphabet, max_nodes):
             a, b = accepts(d1, tree), accepts(d2, tree)
-            assert accepts(union, tree) == (a or b)
-            assert accepts(inter, tree) == (a and b)
-            assert accepts(diff, tree) == (a and not b)
+            case = (left, right, tree)
+            _check(accepts(union, tree) == (a or b), "boolean-ops", "union", *case)
+            _check(accepts(inter, tree) == (a and b), "boolean-ops", "intersection", *case)
+            _check(accepts(diff, tree) == (a and not b), "boolean-ops", "difference", *case)
             checks += 3
     report.line("suite", "boolean-ops:", checks, "checks")
 
     checks = 0
     pre = preimage_tree_hom(fixtures.K_POTT, fixtures.HOM_DUP)
     for tree in enumerate_trees(fixtures.SIG_LINE, max_nodes):
-        assert accepts(pre, tree) == accepts(fixtures.K_POTT, hom_apply(fixtures.HOM_DUP, tree))
+        image = hom_apply(fixtures.HOM_DUP, tree)
+        _check(accepts(pre, tree) == accepts(fixtures.K_POTT, image), "hom-preimage", tree)
         checks += 1
     report.line("suite", "hom-preimage:", checks, "checks")
 
     checks = 0
+    suite = "mixes-closure-laws"
     for name, dbta in fixtures.CORPUS:
         closure = mixes(dbta)
-        assert subset_counterexample(dbta, closure) is None, f"L not within mixes({name})"
-        assert are_equivalent(mixes(closure), closure)[0], f"mixes not idempotent on {name}"
-        assert is_universal_path(closure)[0], f"mixes({name}) not universal-path"
+        _check(subset_counterexample(dbta, closure) is None, suite, f"L not within mixes({name})")
+        _check(are_equivalent(mixes(closure), closure)[0], suite, f"mixes({name}) not idempotent")
+        _check(is_universal_path(closure)[0], suite, f"mixes({name}) not universal-path")
         checks += 3
     report.line("suite", "mixes-closure-laws:", checks, "checks")
 
@@ -896,8 +911,10 @@ def _oracle_suites(report: Report, max_nodes: int, count: int) -> None:
         trees = enumerate_trees(alphabet, max_nodes)
         for formula in random_formula_corpus(seed, alphabet, count):
             flat = cascade_flatten(ctl_compile(formula, alphabet))
+            text = ctl_render(formula)
             for tree in trees:
-                assert accepts(flat, tree) == ctl_eval(formula, tree), ctl_render(formula)
+                ok = accepts(flat, tree) == ctl_eval(formula, tree)
+                _check(ok, "ctl-compile-vs-eval", text, tree)
                 checks += 1
     report.line("suite", "ctl-compile-vs-eval:", checks, "checks")
 
@@ -914,7 +931,8 @@ def _oracle_suites(report: Report, max_nodes: int, count: int) -> None:
     top = Dbta(FiniteAlgebra(annotated, 2, tables), frozenset({1}))
     nested = nest(langs, top)
     for tree in enumerate_trees(fixtures.SIG_AND, max_nodes):
-        assert accepts(nested, tree) == accepts(top, annotate(tree, langs))
+        ok = accepts(nested, tree) == accepts(top, annotate(tree, langs))
+        _check(ok, "nest-adjunction", tree)
         checks += 1
     report.line("suite", "nest-adjunction:", checks, "checks")
 
@@ -1082,6 +1100,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except _Mismatch as exc:
+        print(f"mismatch {exc}", file=sys.stderr)
+        return 1
     except (ParseError, TreelabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,15 +11,15 @@ separation, mix elements) is built from that closure.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 from .automata import (
     Dbta,
     FiniteAlgebra,
-    boolean_combine,
     complement,
-    is_empty,
+    product_witness,
     reachable_elements,
     subset_counterexample,
 )
@@ -280,10 +280,10 @@ def separate_topdown(
     if d0.alphabet != d1.alphabet:
         raise AlphabetMismatchError("separation requires a common alphabet")
     mix0 = mixes(d0, max_states, max_carrier)
-    if is_empty(boolean_combine("intersection", mix0, d1)) is None:
+    if product_witness(mix0, d1, operator.and_) is None:
         return Separator(determinize(path_nfa(d0), max_states), 0)
     mix1 = mixes(d1, max_states, max_carrier)
-    if is_empty(boolean_combine("intersection", mix1, d0)) is None:
+    if product_witness(mix1, d0, operator.and_) is None:
         return Separator(determinize(path_nfa(d1), max_states), 1)
     return None
 

@@ -1,4 +1,6 @@
 import itertools
+import operator
+import random
 
 import pytest
 
@@ -12,7 +14,11 @@ from treelab.automata import (
     evaluate,
     is_empty,
     preimage_tree_hom,
+    product_algebra,
+    product_witness,
     reachable,
+    reachable_elements,
+    smallest_trees,
     subset_counterexample,
 )
 from treelab.errors import AlphabetMismatchError
@@ -28,7 +34,14 @@ from treelab.fixtures import (
     SIG_LINE,
     SIG_POTT,
 )
-from treelab.trees import TreeHom, enumerate_trees, hom_apply, parse_tree, render_tree
+from treelab.trees import (
+    RankedAlphabet,
+    TreeHom,
+    enumerate_trees,
+    hom_apply,
+    parse_tree,
+    render_tree,
+)
 
 
 def leaf_depths(tree, depth=0):
@@ -196,3 +209,138 @@ def test_table_row_major_convention():
     for letter in SIG_GCD.letters:
         for i, args in enumerate(itertools.product(range(4), repeat=letter.arity)):
             assert L_PAIR.algebra.tables[letter.name][i] == L_PAIR.algebra.op(letter.name, args)
+
+
+# --- witness order and agreement with brute force ----------------------------------
+
+SIG_GAB = RankedAlphabet.of(("g", 1), ("a", 0), ("b", 0))
+# a -> 1, b -> 0, g -> 2: g(a) and g(b) tie on node count, and g(a) renders first.
+ALG_GAB = FiniteAlgebra(SIG_GAB, 3, {"g": (2, 2, 2), "a": (1,), "b": (0,)})
+
+
+def test_is_empty_ties_break_on_rendering():
+    witness = is_empty(Dbta(ALG_GAB, frozenset({2})))
+    assert render_tree(witness) == "g(a)"
+
+
+def test_are_equivalent_ties_break_on_rendering():
+    equal, witness = are_equivalent(
+        Dbta(ALG_GAB, frozenset({2})), Dbta(ALG_GAB, frozenset())
+    )
+    assert not equal and render_tree(witness) == "g(a)"
+
+
+# Alphabet order differs from rendering order in each; the third has a name
+# that is a proper prefix of another.
+RANDOM_ALPHABETS = (
+    RankedAlphabet.of(("g", 1), ("f", 2), ("b", 0), ("a", 0)),
+    RankedAlphabet.of(("h", 3), ("g", 1), ("d", 0), ("c", 0)),
+    RankedAlphabet.of(("f", 2), ("ab", 0), ("a", 0), ("g", 1)),
+)
+BRUTE_NODES = 7
+
+
+def random_algebra(rng, alphabet, size):
+    tables = {
+        letter.name: tuple(rng.randrange(size) for _ in range(size**letter.arity))
+        for letter in alphabet.letters
+    }
+    return FiniteAlgebra(alphabet, size, tables)
+
+
+def random_dbta(rng, alphabet):
+    size = rng.randint(1, 7)
+    accepting = frozenset(e for e in range(size) if rng.random() < 0.4)
+    return Dbta(random_algebra(rng, alphabet, size), accepting)
+
+
+def permuted_copy(rng, dbta):
+    """An isomorphic copy under a random renumbering, with one acceptance bit
+    flipped half of the time."""
+    algebra = dbta.algebra
+    perm = list(range(algebra.size))
+    rng.shuffle(perm)
+    inverse = {new: old for old, new in enumerate(perm)}
+    tables = {
+        letter.name: tuple(
+            perm[algebra.op(letter.name, [inverse[y] for y in args])]
+            for args in algebra.arg_tuples(letter.arity)
+        )
+        for letter in algebra.alphabet.letters
+    }
+    accepting = {perm[e] for e in dbta.accepting}
+    if rng.random() < 0.5:
+        accepting ^= {rng.randrange(algebra.size)}
+    return Dbta(FiniteAlgebra(algebra.alphabet, algebra.size, tables), frozenset(accepting))
+
+
+def values_of(algebra, trees):
+    """The value of every tree; children come before parents in ``trees``."""
+    value: dict[int, int] = {}
+    for tree in trees:
+        value[id(tree)] = algebra.op(tree.label.name, [value[id(c)] for c in tree.children])
+    return [value[id(tree)] for tree in trees]
+
+
+def assert_least(found, ranked, holds, tree_holds):
+    """``found`` is the first tree of ``ranked`` that ``holds``; when none up to
+    BRUTE_NODES nodes does, it is None or a larger tree that holds."""
+    expected = next((tree for index, tree in ranked if holds(index)), None)
+    if expected is not None:
+        assert found == expected, (render_tree(found) if found else None, render_tree(expected))
+    else:
+        assert found is None or (found.size() > BRUTE_NODES and tree_holds(found))
+
+
+def test_witnesses_are_least_against_brute_force():
+    rng = random.Random(20171)
+    pairs = 0
+    for alphabet in RANDOM_ALPHABETS:
+        trees = enumerate_trees(alphabet, BRUTE_NODES)
+        ranked = sorted(enumerate(trees), key=lambda item: (item[1].size(), render_tree(item[1])))
+        for _ in range(110):
+            d1 = random_dbta(rng, alphabet)
+            d2 = permuted_copy(rng, d1) if rng.random() < 0.3 else random_dbta(rng, alphabet)
+            v1, v2 = values_of(d1.algebra, trees), values_of(d2.algebra, trees)
+            in1 = [v in d1.accepting for v in v1]
+            in2 = [v in d2.accepting for v in v2]
+
+            equal, witness = are_equivalent(d1, d2)
+            assert equal == (witness is None)
+            assert_least(
+                witness, ranked, lambda i: in1[i] != in2[i],
+                lambda t: accepts(d1, t) != accepts(d2, t),
+            )
+            assert_least(
+                subset_counterexample(d1, d2), ranked, lambda i: in1[i] and not in2[i],
+                lambda t: accepts(d1, t) and not accepts(d2, t),
+            )
+            assert_least(
+                product_witness(d1, d2, operator.and_), ranked, lambda i: in1[i] and in2[i],
+                lambda t: accepts(d1, t) and accepts(d2, t),
+            )
+            assert_least(is_empty(d1), ranked, lambda i: in1[i], lambda t: accepts(d1, t))
+            least = smallest_trees(d1.algebra)
+            for element, tree in least.items():
+                assert evaluate(d1.algebra, tree) == element
+                assert_least(tree, ranked, lambda i: v1[i] == element, lambda t: True)
+            assert set(least) == reachable_elements(d1.algebra)
+            pairs += 1
+    assert pairs >= 300
+
+
+def test_product_algebra_matches_reference_fill():
+    rng = random.Random(1703)
+    alphabet = RankedAlphabet.of(("k", 3), ("f", 2), ("g", 1), ("a", 0))
+    for _ in range(40):
+        n1, n2 = rng.sample(range(1, 5), 2)
+        a, b = random_algebra(rng, alphabet, n1), random_algebra(rng, alphabet, n2)
+        product = product_algebra(a, b)
+        assert product.size == n1 * n2
+        for letter in alphabet.letters:
+            reference = tuple(
+                a.op(letter.name, [p // n2 for p in args]) * n2
+                + b.op(letter.name, [p % n2 for p in args])
+                for args in product.arg_tuples(letter.arity)
+            )
+            assert product.tables[letter.name] == reference

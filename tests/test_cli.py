@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from treelab import cli
+from treelab.automata import Dbta, FiniteAlgebra
 from treelab.cli import (
     Workspace,
     load_alphabet,
@@ -20,6 +22,7 @@ from treelab.fixtures import DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_AND, SIG
 from treelab.paths import determinize, path_nfa
 from treelab.syntactic import dbta_isomorphic
 from treelab.transduce import Dtop, dtop_to_matrix_hom
+from treelab.trees import RankedAlphabet
 
 
 def run(capsys, *argv):
@@ -108,6 +111,20 @@ def test_equiv_and_bool(capsys, tmp_path):
     assert code == 0
     combined = load_dbta(out)
     assert combined.algebra.size == 16
+
+
+def test_equiv_witness_ties_break_on_rendering(capsys, tmp_path):
+    # a -> 1, b -> 0, g -> 2: g(a) and g(b) both reach the accepting 2.
+    algebra = FiniteAlgebra(
+        RankedAlphabet.of(("g", 1), ("a", 0), ("b", 0)),
+        3,
+        {"g": (2, 2, 2), "a": (1,), "b": (0,)},
+    )
+    lang, empty = tmp_path / "g.dbta", tmp_path / "empty.dbta"
+    lang.write_text(save_dbta(Dbta(algebra, frozenset({2}))))
+    empty.write_text(save_dbta(Dbta(algebra, frozenset())))
+    code, out, _ = run(capsys, "equiv", "--lang", str(lang), "--other", str(empty))
+    assert code == 0 and out == "different g(a)\n"
 
 
 def test_separate(capsys):
@@ -231,6 +248,15 @@ def test_oracle_verify(capsys):
     assert code == 0
     assert out.rstrip().endswith("ok")
     assert out.count("suite ") >= 6
+
+
+def test_oracle_verify_reports_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "are_equivalent", lambda d1, d2: (False, None))
+    code, out, err = run(capsys, "oracle", "verify", "--max-nodes", "3", "--count", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mismatch mixes-closure-laws: ")
+    assert "Traceback" not in err
 
 
 def test_workspace_bindings(tmp_path):

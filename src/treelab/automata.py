@@ -12,10 +12,13 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
-from .errors import AlphabetMismatchError
+from .errors import AlphabetMismatchError, CapExceededError
 from .trees import Letter, RankedAlphabet, Term, TermBody, Tree, Var
+
+# Default bound on the carriers and state sets that constructions build.
+DEFAULT_CARRIER_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -154,17 +157,67 @@ def boolean_combine(kind: str, d1: Dbta, d2: Dbta) -> Dbta:
 
 def reachable_elements(algebra: FiniteAlgebra) -> frozenset[int]:
     """Elements that are values of some tree (least fixpoint)."""
-    known: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for letter in algebra.alphabet.letters:
-            for args in itertools.product(sorted(known), repeat=letter.arity):
-                value = algebra.op(letter.name, args)
+    return frozenset(build(algebra.alphabet, algebra.op, algebra.size, "reachable carrier")[0])
+
+
+def build(
+    alphabet: RankedAlphabet,
+    step: Callable[[str, tuple], Hashable],
+    cap: int,
+    what: str,
+    name: Callable[[Hashable], str] | None = None,
+) -> tuple[tuple, FiniteAlgebra]:
+    """The values that trees reach under ``step``, and the algebra they form.
+
+    ``step(letter, args)`` is the value of a letter applied to argument values.
+    Values are reached from the constants by a semi-naive worklist: each
+    argument tuple over the reached values is stepped exactly once, when the
+    last-found of its values is taken from the worklist, and its result is
+    kept for the tables.  Elements are numbered in the sorted order of their
+    values (so values must be mutually comparable); the returned tuple lists
+    the values in that order.  ``name`` gives element names for display.
+    Reaching more than ``cap`` values raises CapExceededError("<what> exceeds
+    <cap>").  Over an alphabet without constants no tree exists: the result
+    is no values and a one-element dead algebra.
+    """
+    results: dict[str, dict[tuple, Hashable]] = {letter.name: {} for letter in alphabet.letters}
+    found: list[Hashable] = []  # reached values, in the order they are found
+    known: set[Hashable] = set()
+    operators = [letter for letter in alphabet.letters if letter.arity]
+    batch = [(letter, [()]) for letter in alphabet.constants]
+    at = 0
+    while True:
+        for letter, tuples in batch:
+            rows = results[letter.name]
+            for args in tuples:
+                value = rows[args] = step(letter.name, args)
                 if value not in known:
+                    if len(found) >= cap:
+                        raise CapExceededError(f"{what} exceeds {cap}")
                     known.add(value)
-                    changed = True
-    return frozenset(known)
+                    found.append(value)
+        if at == len(found):
+            break
+        new, earlier = found[at], tuple(found[:at])
+        at += 1
+        settled = earlier + (new,)
+        batch = [
+            (letter, _tuples_with(new, earlier, settled, letter.arity)) for letter in operators
+        ]
+    if not found:
+        tables = {letter.name: (0,) for letter in alphabet.letters}
+        return (), FiniteAlgebra(alphabet, 1, tables)
+    values = tuple(sorted(found))
+    index = {value: i for i, value in enumerate(values)}
+    tables = {
+        letter.name: tuple(
+            index[results[letter.name][args]]
+            for args in itertools.product(values, repeat=letter.arity)
+        )
+        for letter in alphabet.letters
+    }
+    names = None if name is None else tuple(map(name, values))
+    return values, FiniteAlgebra(alphabet, len(values), tables, names)
 
 
 def _settle(
@@ -232,7 +285,7 @@ def _settle(
         batch = [(letter, _tuples_with(new, earlier, order, letter.arity)) for letter in operators]
 
 
-def _tuples_with(new, earlier: tuple, settled: list, arity: int) -> Iterator[tuple]:
+def _tuples_with(new, earlier: tuple, settled: Sequence, arity: int) -> Iterator[tuple]:
     """Each arity-tuple over ``settled`` that contains ``new``, once: grouped by
     the position i of its first ``new``, with ``earlier`` (``settled`` without
     ``new``) before i and all of ``settled`` after it."""
@@ -314,41 +367,17 @@ class ReachableResult:
     old_to_new: Mapping[int, int]
 
 
-def restrict_algebra(
-    algebra: FiniteAlgebra, elements: frozenset[int]
-) -> tuple[FiniteAlgebra, dict[int, int]]:
-    """Restrict the carrier to a table-closed subset; elements are renumbered."""
-    order = sorted(elements)
-    old_to_new = {old: new for new, old in enumerate(order)}
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in algebra.alphabet.letters:
-        rows = []
-        for args in itertools.product(order, repeat=letter.arity):
-            value = algebra.op(letter.name, args)
-            if value not in elements:
-                raise ValueError("subset is not closed under the tables")
-            rows.append(old_to_new[value])
-        tables[letter.name] = tuple(rows)
-    names = None
-    if algebra.element_names is not None:
-        names = tuple(algebra.element_names[old] for old in order)
-    return FiniteAlgebra(algebra.alphabet, len(order), tables, names), old_to_new
-
-
 def reachable(dbta: Dbta) -> ReachableResult:
-    """The tree-reachable elements and the DBTA restricted to them."""
-    elements = reachable_elements(dbta.algebra)
-    if not elements:
-        # No constants: no trees; keep a single dead element so the algebra is nonempty.
-        dead_tables = {
-            letter.name: tuple(0 for _ in range(1**letter.arity))
-            for letter in dbta.alphabet.letters
-        }
-        algebra = FiniteAlgebra(dbta.alphabet, 1, dead_tables)
-        return ReachableResult(frozenset(), Dbta(algebra, frozenset()), {})
-    algebra, old_to_new = restrict_algebra(dbta.algebra, elements)
-    accepting = frozenset(old_to_new[e] for e in dbta.accepting if e in elements)
-    return ReachableResult(elements, Dbta(algebra, accepting), old_to_new)
+    """The tree-reachable elements and the DBTA restricted to them, renumbered
+    in increasing order of the old elements."""
+    algebra = dbta.algebra
+    name = None if algebra.element_names is None else algebra.element_names.__getitem__
+    elements, restricted = build(
+        algebra.alphabet, algebra.op, algebra.size, "reachable carrier", name
+    )
+    old_to_new = {old: new for new, old in enumerate(elements)}
+    accepting = frozenset(old_to_new[e] for e in dbta.accepting if e in old_to_new)
+    return ReachableResult(frozenset(elements), Dbta(restricted, accepting), old_to_new)
 
 
 def eval_term_in_algebra(algebra: FiniteAlgebra, body: TermBody, env: tuple[int, ...]) -> int:

@@ -13,18 +13,18 @@ coordinate c of child j (children 0-based).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
-from .automata import Dbta, FiniteAlgebra
+from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
 from .trees import Letter, RankedAlphabet, Tree
 
 DEFAULT_WIDTH_CAP = 16
-DEFAULT_CARRIER_CAP = 4096
 
 
 # --- annotated alphabets ------------------------------------------------------
@@ -71,27 +71,18 @@ def annotate(tree: Tree, langs: list[Dbta] | tuple[Dbta, ...]) -> Tree:
     return annotated
 
 
-def _mixed_radix_encode(values: list[int], sizes: list[int]) -> int:
-    index = 0
-    for value, size in zip(values, sizes):
-        index = index * size + value
-    return index
-
-
-def _mixed_radix_decode(index: int, sizes: list[int]) -> list[int]:
-    out = [0] * len(sizes)
-    for i in range(len(sizes) - 1, -1, -1):
-        out[i] = index % sizes[i]
-        index //= sizes[i]
-    return out
-
-
 def nest(
     langs: list[Dbta] | tuple[Dbta, ...],
     top: Dbta,
     max_carrier: int = DEFAULT_CARRIER_CAP,
 ) -> Dbta:
-    """The language { t : annotate(t, langs) in top }, as a product automaton."""
+    """The language { t : annotate(t, langs) in top }, as a product automaton.
+
+    A tree's value is the tuple of its values in each of ``langs`` and then in
+    ``top``.  Only tuples reached by trees are built, numbered in their
+    lexicographic order (the order of the full product, restricted), and the
+    cap bounds that reached carrier.
+    """
     if langs:
         base = langs[0].alphabet
         for lang in langs:
@@ -103,31 +94,16 @@ def nest(
     expected = annotated_alphabet(base, len(langs))
     if top.alphabet != expected:
         raise AlphabetMismatchError("top language must read the annotated alphabet")
-    sizes = [lang.algebra.size for lang in langs] + [top.algebra.size]
-    total = 1
-    for size in sizes:
-        total *= size
-    if total > max_carrier:
-        raise CapExceededError(f"nesting carrier {total} exceeds {max_carrier}")
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in base.letters:
-        rows = []
-        for combo in itertools.product(range(total), repeat=letter.arity):
-            decoded = [_mixed_radix_decode(arg, sizes) for arg in combo]
-            inner = [
-                lang.algebra.op(letter.name, [d[i] for d in decoded])
-                for i, lang in enumerate(langs)
-            ]
-            bits = tuple(int(inner[i] in lang.accepting) for i, lang in enumerate(langs))
-            top_value = top.algebra.op(ann_name(letter.name, bits), [d[-1] for d in decoded])
-            rows.append(_mixed_radix_encode(inner + [top_value], sizes))
-        tables[letter.name] = tuple(rows)
-    algebra = FiniteAlgebra(base, total, tables)
-    accepting = frozenset(
-        index
-        for index in range(total)
-        if _mixed_radix_decode(index, sizes)[-1] in top.accepting
-    )
+
+    def step(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        inner = [
+            lang.algebra.op(name, [arg[i] for arg in args]) for i, lang in enumerate(langs)
+        ]
+        bits = tuple(int(inner[i] in lang.accepting) for i, lang in enumerate(langs))
+        return (*inner, top.algebra.op(ann_name(name, bits), [arg[-1] for arg in args]))
+
+    values, algebra = build(base, step, max_carrier, "nesting carrier")
+    accepting = frozenset(i for i, value in enumerate(values) if value[-1] in top.accepting)
     return Dbta(algebra, accepting)
 
 
@@ -311,13 +287,14 @@ class Cascade:
         return sum(self.widths[:layer_index]) + coord
 
 
-def _cascade_step(cascade: Cascade, letter: Letter, child_bits: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _cascade_step(
+    cascade: Cascade, letter: str, child_bits: Sequence[tuple[int, ...]]
+) -> tuple[int, ...]:
     """Bits of a node from its letter and its children's full bit vectors."""
     bits: list[int] = []
     offset = 0
     for layer in cascade.layers:
-        name = ann_name(letter.name, tuple(bits))
-        polys = layer.polys[name]
+        polys = layer.polys[ann_name(letter, tuple(bits))]
         args = [child[offset + c] for child in child_bits for c in range(layer.width)]
         bits.extend(poly.eval(args) for poly in polys)
         offset += layer.width
@@ -329,7 +306,7 @@ def cascade_eval(cascade: Cascade, tree: Tree) -> tuple[int, ...]:
     if tree.label not in cascade.base_alphabet:
         raise AlphabetMismatchError(f"letter {tree.label.name} not in the cascade alphabet")
     child_bits = [cascade_eval(cascade, child) for child in tree.children]
-    return _cascade_step(cascade, tree.label, child_bits)
+    return _cascade_step(cascade, tree.label.name, child_bits)
 
 
 def cascade_accepts(cascade: Cascade, tree: Tree) -> bool:
@@ -343,44 +320,15 @@ def cascade_flatten(cascade: Cascade, max_carrier: int = DEFAULT_CARRIER_CAP) ->
     closed under the step function), so the carrier stays small; acceptance
     reads the designated output bit.
     """
-    base = cascade.base_alphabet
-    reached: set[tuple[int, ...]] = set()
-    for letter in base.constants:
-        reached.add(_cascade_step(cascade, letter, []))
-    changed = True
-    while changed:
-        changed = False
-        pool = sorted(reached)
-        for letter in base.letters:
-            if letter.arity == 0:
-                continue
-            for combo in itertools.product(pool, repeat=letter.arity):
-                value = _cascade_step(cascade, letter, list(combo))
-                if value not in reached:
-                    if len(reached) >= max_carrier:
-                        raise CapExceededError(f"cascade carrier exceeds {max_carrier}")
-                    reached.add(value)
-                    changed = True
-    order = sorted(reached)
-    if not order:
-        # alphabet without constants: the tree set is empty, any algebra will do
-        dead = {letter.name: tuple(0 for _ in range(1**letter.arity)) for letter in base.letters}
-        return Dbta(FiniteAlgebra(base, 1, dead), frozenset())
-    index = {value: i for i, value in enumerate(order)}
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in base.letters:
-        if letter.arity == 0:
-            tables[letter.name] = (index[_cascade_step(cascade, letter, [])],)
-        else:
-            tables[letter.name] = tuple(
-                index[_cascade_step(cascade, letter, list(combo))]
-                for combo in itertools.product(order, repeat=letter.arity)
-            )
-    names = tuple("".join(map(str, value)) for value in order)
-    algebra = FiniteAlgebra(base, len(order), tables, names)
+    values, algebra = build(
+        cascade.base_alphabet,
+        functools.partial(_cascade_step, cascade),
+        max_carrier,
+        "cascade carrier",
+        lambda value: "".join(map(str, value)),
+    )
     flat = cascade.output_flat()
-    accepting = frozenset(index[value] for value in order if value[flat] == 1)
-    return Dbta(algebra, accepting)
+    return Dbta(algebra, frozenset(i for i, value in enumerate(values) if value[flat] == 1))
 
 
 # --- CTL ------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from . import fixtures
 from .automata import (
+    DEFAULT_CARRIER_CAP,
     Dbta,
     FiniteAlgebra,
     accepts,
@@ -678,6 +679,10 @@ def _cmd_matrix_flatten(ws: Workspace, args, report: Report) -> None:
                 raise ParseError(f"bad accepting tuple {chunk!r}")
             if len(row) != mh.width:
                 raise ParseError(f"accepting tuple {chunk!r} must have width {mh.width}")
+            if any(not 0 <= e < mh.base.size for e in row):
+                raise ParseError(
+                    f"accepting tuple {chunk!r} has an entry outside 0..{mh.base.size - 1}"
+                )
             accepting.add(row)
     report.blob(save_dbta(matrix_power_language(mh, accepting, args.max_states)))
 
@@ -990,12 +995,12 @@ def _build_parser() -> _Parser:
     ):
         p = add(name, fn, help=f"{name} decision")
         p.add_argument("--lang", required=True)
-        p.add_argument("--max-states", type=int, default=4096)
+        p.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
 
     p = add("separate", _cmd_separate, help="deterministic top-down separator")
     p.add_argument("--lang", required=True)
     p.add_argument("--other", required=True)
-    p.add_argument("--max-states", type=int, default=4096)
+    p.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
 
     p = add("dtop", None, help="transducer operations")
     dtop_sub = p.add_subparsers(dest="subcommand", required=True)
@@ -1007,7 +1012,7 @@ def _build_parser() -> _Parser:
     q.set_defaults(fn=_cmd_dtop_preimage)
     q.add_argument("--dtop", required=True)
     q.add_argument("--lang", required=True)
-    q.add_argument("--max-states", type=int, default=4096)
+    q.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
 
     p = add("matrix", None, help="matrix-power homomorphisms")
     matrix_sub = p.add_subparsers(dest="subcommand", required=True)
@@ -1022,12 +1027,12 @@ def _build_parser() -> _Parser:
     q.set_defaults(fn=_cmd_matrix_flatten)
     q.add_argument("--matrix", required=True)
     q.add_argument("--accept", default="")
-    q.add_argument("--max-states", type=int, default=4096)
+    q.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
 
     p = add("nest", _cmd_nest, help="nesting: annotate then run the top language")
     p.add_argument("--top", required=True)
     p.add_argument("--langs", default="")
-    p.add_argument("--max-states", type=int, default=4096)
+    p.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
 
     p = add("wreath", None, help="wreath products")
     wreath_sub = p.add_subparsers(dest="subcommand", required=True)

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .automata import (
+    DEFAULT_CARRIER_CAP,
     Dbta,
     FiniteAlgebra,
+    build,
     complement,
     product_witness,
     reachable_elements,
@@ -26,8 +28,7 @@ from .automata import (
 from .errors import AlphabetMismatchError, CapExceededError
 from .trees import Letter, PathWord, RankedAlphabet, Tree
 
-DEFAULT_STATE_CAP = 4096
-DEFAULT_CARRIER_CAP = 4096
+DEFAULT_STATE_CAP = DEFAULT_CARRIER_CAP
 
 
 @dataclass(frozen=True)
@@ -171,52 +172,26 @@ def dtta_to_dbta(dtta: Dtta, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
     """Bottom-up automaton equivalent to the all-paths semantics.
 
     The value of a tree is the set of states from which every path word of the
-    tree is accepted.  Only tree-reachable state sets are materialized (they
-    are closed under the tables); the cap bounds that realized carrier.
+    tree is accepted, kept as a sorted tuple; elements are numbered in the
+    order of those tuples.  Only tree-reachable state sets are materialized
+    (they are closed under the tables); the cap bounds that realized carrier.
     """
-    constants = [letter for letter in dtta.alphabet.letters if letter.arity == 0]
-    inner = [letter for letter in dtta.alphabet.letters if letter.arity >= 1]
+    states = range(dtta.n_states)
 
-    def leaf_value(name: str) -> frozenset[int]:
-        return frozenset(
-            state for state in range(dtta.n_states) if (state, name) in dtta.leaf_ok
+    def step(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        if not args:
+            return tuple(state for state in states if (state, name) in dtta.leaf_ok)
+        return tuple(
+            state
+            for state in states
+            if all(successor in arg for successor, arg in zip(dtta.delta[(state, name)], args))
         )
 
-    def combine(letter: Letter, args: tuple[frozenset[int], ...]) -> frozenset[int]:
-        result = []
-        for state in range(dtta.n_states):
-            successors = dtta.delta[(state, letter.name)]
-            if all(successors[i] in args[i] for i in range(letter.arity)):
-                result.append(state)
-        return frozenset(result)
-
-    reached: set[frozenset[int]] = {leaf_value(letter.name) for letter in constants}
-    changed = True
-    while changed:
-        changed = False
-        pool = sorted(reached, key=sorted)
-        for letter in inner:
-            for args in itertools.product(pool, repeat=letter.arity):
-                value = combine(letter, args)
-                if value not in reached:
-                    if len(reached) >= max_carrier:
-                        raise CapExceededError(f"subset carrier exceeds {max_carrier}")
-                    reached.add(value)
-                    changed = True
-    order = sorted(reached, key=sorted)
-    index = {subset: i for i, subset in enumerate(order)}
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in dtta.alphabet.letters:
-        if letter.arity == 0:
-            tables[letter.name] = (index[leaf_value(letter.name)],)
-        else:
-            tables[letter.name] = tuple(
-                index[combine(letter, args)]
-                for args in itertools.product(order, repeat=letter.arity)
-            )
-    names = tuple("{" + ",".join(map(str, sorted(subset))) + "}" for subset in order)
-    algebra = FiniteAlgebra(dtta.alphabet, len(order), tables, names)
-    accepting = frozenset(index[subset] for subset in order if dtta.initial in subset)
+    values, algebra = build(
+        dtta.alphabet, step, max_carrier, "subset carrier",
+        lambda subset: "{" + ",".join(map(str, subset)) + "}",
+    )
+    accepting = frozenset(i for i, subset in enumerate(values) if dtta.initial in subset)
     return Dbta(algebra, accepting)
 
 
@@ -298,17 +273,9 @@ def mix_elements(
     trees with values in B."""
     closure = mixes(Dbta(algebra, frozenset(elements)), max_states, max_carrier)
     other = closure.algebra
-    pairs: set[tuple[int, int]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for letter in algebra.alphabet.letters:
-            for args in itertools.product(sorted(pairs), repeat=letter.arity):
-                value = (
-                    algebra.op(letter.name, [p[0] for p in args]),
-                    other.op(letter.name, [p[1] for p in args]),
-                )
-                if value not in pairs:
-                    pairs.add(value)
-                    changed = True
+
+    def step(name: str, args: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+        return (algebra.op(name, [x for x, _ in args]), other.op(name, [y for _, y in args]))
+
+    pairs = build(algebra.alphabet, step, algebra.size * other.size, "mix pairs")[0]
     return frozenset(e for e, s in pairs if s in closure.accepting)

@@ -13,12 +13,11 @@ homomorphism into the n-th matrix power of a base algebra.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .automata import Dbta, FiniteAlgebra
-from .errors import AlphabetMismatchError, CapExceededError
+from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, eval_term_in_algebra
+from .errors import AlphabetMismatchError
 from .trees import Letter, RankedAlphabet, Term, TermBody, TermNode, Tree, Var, substitute
 
 
@@ -63,61 +62,50 @@ class Dtop:
 
 
 def dtop_apply(dtop: Dtop, tree: Tree) -> Tree:
-    """The transduction from the initial state; total on input trees."""
+    """The transduction from the initial state; total on input trees.
 
-    def run(state: int, node: Tree) -> Tree:
+    Each node is transduced once, from every state, out of the outputs of its
+    children from every state; so the work is linear in the tree, not
+    exponential in its depth.
+    """
+    states = range(1, dtop.n_states + 1)
+
+    def run(node: Tree) -> list[Tree]:  # the outputs from states 1..n
         if node.label not in dtop.input_alphabet:
             raise AlphabetMismatchError(f"letter {node.label.name} not in the input alphabet")
-        rule = dtop.rules[(node.label.name, state)]
-        args = []
-        for index in range(1, rule.nvars + 1):
-            p, j = dtop.var_pair(index)
-            args.append(run(p, node.children[j - 1]))
-        return substitute(rule, args)
+        # variable (p, j) has the flat index n*(j-1)+p: entry p-1 of child j-1's outputs
+        env: list[Tree] = []
+        for child in node.children:
+            env += run(child)
+        return [substitute(dtop.rules[(node.label.name, q)], env) for q in states]
 
-    return run(dtop.initial, tree)
+    return run(tree)[dtop.initial - 1]
 
 
-def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = 4096) -> Dbta:
+def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
     """DBTA for the inverse image of a recognized language under a DTOP.
 
-    The carrier is all maps states -> carrier of the given automaton; the
-    value of a tree at q is the evaluation of the q-output.  Accepting maps
-    send the initial state into the accepting set.
+    The value of a tree is the map states -> carrier of the given automaton,
+    kept as a tuple (index q-1), whose entry at q is the evaluation of the
+    q-output.  Only the maps reached by trees are built, numbered in their
+    lexicographic order (the order of the full carrier of all maps,
+    restricted), and the cap bounds that reached carrier.  Accepting maps send
+    the initial state into the accepting set.
     """
     if dtop.output_alphabet != dbta.alphabet:
         raise AlphabetMismatchError("automaton must read the transducer's output alphabet")
     base = dbta.algebra
     n = dtop.n_states
-    size = base.size**n
-    if size > max_carrier:
-        raise CapExceededError(f"preimage carrier {size} exceeds {max_carrier}")
-    maps = list(itertools.product(range(base.size), repeat=n))  # index q-1 -> value
-    index = {m: i for i, m in enumerate(maps)}
 
-    def eval_rule(body: TermBody, child_maps: tuple[tuple[int, ...], ...]) -> int:
-        if isinstance(body, Var):
-            p = (body.index - 1) % n + 1
-            j = (body.index - 1) // n + 1
-            return child_maps[j - 1][p - 1]
-        return base.op(
-            body.label.name, [eval_rule(child, child_maps) for child in body.children]
+    def step(name: str, child_maps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        # variable (p, j) has the flat index n*(j-1)+p: entry p-1 of child j-1's map
+        env = tuple(value for m in child_maps for value in m)
+        return tuple(
+            eval_term_in_algebra(base, dtop.rules[(name, q)].body, env) for q in range(1, n + 1)
         )
 
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in dtop.input_alphabet.letters:
-        rows = []
-        for combo in itertools.product(maps, repeat=letter.arity):
-            value = tuple(
-                eval_rule(dtop.rules[(letter.name, q)].body, combo)
-                for q in range(1, n + 1)
-            )
-            rows.append(index[value])
-        tables[letter.name] = tuple(rows)
-    algebra = FiniteAlgebra(dtop.input_alphabet, size, tables)
-    accepting = frozenset(
-        i for m, i in index.items() if m[dtop.initial - 1] in dbta.accepting
-    )
+    maps, algebra = build(dtop.input_alphabet, step, max_carrier, "preimage carrier")
+    accepting = frozenset(i for i, m in enumerate(maps) if m[dtop.initial - 1] in dbta.accepting)
     return Dbta(algebra, accepting)
 
 
@@ -272,24 +260,22 @@ def matrix_hom_to_dtops(mh: MatrixHom) -> tuple[Dtop, FiniteAlgebra]:
 
 def matrix_power_language(
     mh: MatrixHom, accepting: frozenset[tuple[int, ...]] | set[tuple[int, ...]],
-    max_carrier: int = 4096,
+    max_carrier: int = DEFAULT_CARRIER_CAP,
 ) -> Dbta:
-    """Flatten the matrix-power homomorphism into an ordinary DBTA."""
-    size = mh.base.size**mh.width
-    if size > max_carrier:
-        raise CapExceededError(f"flattened carrier {size} exceeds {max_carrier}")
-    values = list(itertools.product(range(mh.base.size), repeat=mh.width))
-    index = {value: i for i, value in enumerate(values)}
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in mh.alphabet.letters:
-        rows = []
-        for combo in itertools.product(values, repeat=letter.arity):
-            flat = tuple(v for value in combo for v in value)
-            result = tuple(eval_polyterm(mh.base, pt, flat) for pt in mh.tuples[letter.name])
-            rows.append(index[result])
-        tables[letter.name] = tuple(rows)
-    algebra = FiniteAlgebra(mh.alphabet, size, tables)
-    bad = [t for t in accepting if t not in index]
-    if bad:
-        raise ValueError(f"accepting tuple {bad[0]} outside the carrier")
-    return Dbta(algebra, frozenset(index[t] for t in accepting))
+    """Flatten the matrix-power homomorphism into an ordinary DBTA.
+
+    Only the tuples reached by trees are built, numbered in their
+    lexicographic order (the order of the full width-th power, restricted),
+    and the cap bounds that reached carrier.  An accepting tuple must lie in
+    the width-th power of the base; one that no tree reaches accepts nothing.
+    """
+    for t in accepting:
+        if len(t) != mh.width or any(not 0 <= e < mh.base.size for e in t):
+            raise ValueError(f"accepting tuple {t} outside the base's width-{mh.width} power")
+
+    def step(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        flat = tuple(v for value in args for v in value)
+        return tuple(eval_polyterm(mh.base, pt, flat) for pt in mh.tuples[name])
+
+    values, algebra = build(mh.alphabet, step, max_carrier, "flattened carrier")
+    return Dbta(algebra, frozenset(i for i, value in enumerate(values) if value in accepting))

@@ -141,6 +141,22 @@ def test_mixes_output_loads(capsys):
     load_dbta(out)
 
 
+def test_path_commands_without_constants(capsys, tmp_path):
+    # over g/1, f/2 there are no trees: every decision holds vacuously
+    algebra = FiniteAlgebra(
+        RankedAlphabet.of(("g", 1), ("f", 2)), 2, {"g": (1, 0), "f": (0, 1, 1, 0)}
+    )
+    path = tmp_path / "noconst.dbta"
+    path.write_text(save_dbta(Dbta(algebra, frozenset({1}))))
+    for command in ("universal-path", "doubly-det"):
+        code, out, err = run(capsys, command, "--lang", str(path))
+        assert (code, out, err) == (0, "yes\n", "")
+    code, out, _ = run(capsys, "mixes", "--lang", str(path))
+    assert code == 0
+    closure = load_dbta(out)
+    assert closure.algebra.size == 1 and not closure.accepting
+
+
 def test_dtop_apply_file(capsys, tmp_path):
     path = tmp_path / "dup.dtop"
     path.write_text(save_dtop(Dtop.from_hom(HOM_DUP)))
@@ -172,6 +188,14 @@ def test_matrix_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "matrix", "to-dtops", "--matrix", str(matrix_path))
     assert code == 0
     assert "rule" in out
+
+
+def test_matrix_flatten_accept_outside_base(capsys, tmp_path):
+    matrix_path = tmp_path / "dup.matrix"
+    matrix_path.write_text(save_matrix(dtop_to_matrix_hom(Dtop.from_hom(HOM_DUP), K_POTT.algebra)))
+    code, out, err = run(capsys, "matrix", "flatten", "--matrix", str(matrix_path), "--accept", "7")
+    assert code == 2 and out == ""
+    assert "outside 0..2" in err and "Traceback" not in err
 
 
 def test_ctl_eval_and_verify(capsys):

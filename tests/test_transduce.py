@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -51,6 +52,7 @@ from treelab.trees import (
     enumerate_trees,
     parse_tree,
     render_tree,
+    substitute,
 )
 
 DUP_DTOP = Dtop.from_hom(HOM_DUP)
@@ -95,6 +97,52 @@ def test_alternating_relabel_matches_hand_recursion():
         assert dtop_apply(ALTERNATE, tree) == hand(1, tree)
 
 
+SIG_FGA = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0))
+
+
+def fga(name, *vars_):
+    return TermNode(SIG_FGA[name], tuple(Var(v) for v in vars_))
+
+
+# Two states; every rule declares both (state, child) variables per child but
+# uses at most one per child, so the output is linear in the input.
+SWAP_DTOP = Dtop(
+    SIG_FGA,
+    SIG_FGA,
+    2,
+    1,
+    {
+        ("f", 1): Term(4, fga("f", Dtop.flat_var(2, 2, 2), Dtop.flat_var(1, 1, 2))),
+        ("f", 2): Term(4, fga("g", Dtop.flat_var(1, 2, 2))),
+        ("g", 1): Term(2, fga("g", Dtop.flat_var(2, 1, 2))),
+        ("g", 2): Term(2, fga("g", Dtop.flat_var(1, 1, 2))),
+        ("a", 1): Term(0, fga("a")),
+        ("a", 2): Term(0, TermNode(SIG_FGA["g"], (fga("a"),))),
+    },
+)
+
+
+def test_dtop_apply_is_linear_in_depth():
+    def unshared(state, node):  # every (state, child) variable run afresh
+        rule = SWAP_DTOP.rules[(node.label.name, state)]
+        args = []
+        for index in range(1, rule.nvars + 1):
+            p, j = SWAP_DTOP.var_pair(index)
+            args.append(unshared(p, node.children[j - 1]))
+        return substitute(rule, args)
+
+    for tree in enumerate_trees(SIG_FGA, 7):
+        assert dtop_apply(SWAP_DTOP, tree) == unshared(1, tree)
+    leaf = Tree(SIG_FGA["a"])
+    deep = leaf
+    for depth in range(20):
+        deep = Tree(SIG_FGA["f"], (deep, leaf)) if depth % 2 else Tree(SIG_FGA["g"], (deep,))
+    start = time.perf_counter()
+    out = dtop_apply(SWAP_DTOP, deep)
+    assert time.perf_counter() - start < 1.0
+    assert out.size() <= 2 * deep.size()
+
+
 def test_preimage_dup_is_line_even():
     pre = dtop_preimage(K_POTT, DUP_DTOP)
     equal, _ = are_equivalent(pre, L_LINE_EVEN)
@@ -115,8 +163,10 @@ def test_preimage_pointwise():
 
 
 def test_preimage_cap():
+    # the cap bounds the reached carrier (2 maps), not all 3 maps
     with pytest.raises(CapExceededError):
-        dtop_preimage(K_POTT, DUP_DTOP, max_carrier=2)
+        dtop_preimage(K_POTT, DUP_DTOP, max_carrier=1)
+    assert dtop_preimage(K_POTT, DUP_DTOP, max_carrier=2).algebra.size == 2
 
 
 def test_eval_polyterm_basics():

@@ -6,9 +6,16 @@ matrix power of it (width w > 1), reading the base letter extended with the
 bits of all earlier layers.  Flattening a cascade yields an ordinary DBTA; CTL
 formulas compile to cascades whose flattening matches the direct semantics.
 
-Layer polynomial convention: a width-w layer on a letter of arity k maps a
-tuple of w semilattice polynomials over w*k inputs, where input j*w + c is
-coordinate c of child j (children 0-based).
+Layer polynomial convention: the bits of a cascade are numbered flat, layer
+after layer, so a layer after ``nbits`` earlier bits owns the flat coordinates
+nbits .. nbits+w-1.  A layer stores, per base letter, a table of rows; each row
+is a tuple of w semilattice polynomials over w*k inputs for a letter of arity
+k, where input j*w + c is coordinate c of child j (children 0-based).  The row
+is chosen by the node's own values of the few earlier flat coordinates the
+layer ``reads``, read as a binary number with the first read most significant.
+On the annotated letter ``name|bits`` the layer therefore acts by the row that
+``bits`` selects; a layer given by explicit polynomials for every annotated
+letter reads every earlier coordinate.
 """
 
 from __future__ import annotations
@@ -232,27 +239,105 @@ def until_language(spec: UntilSpec) -> tuple[Dbta, dict[str, SemiPoly]]:
 # --- cascades -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _split_annotated(alphabet: RankedAlphabet) -> tuple[RankedAlphabet, int]:
+    """(base, nbits) with annotated_alphabet(base, nbits) == alphabet, or
+    (alphabet, 0) when the letter names carry no annotation."""
+    first = alphabet.letters[0].name if alphabet.letters else ""
+    nbits = len(first.rpartition("|")[2]) if "|" in first else 0
+    if nbits:
+        letters = alphabet.letters[:: 1 << nbits]
+        try:
+            base = RankedAlphabet(
+                tuple(Letter(letter.name.rpartition("|")[0], letter.arity) for letter in letters)
+            )
+        except ValueError:  # repeated prefixes: not an annotated alphabet
+            return alphabet, 0
+        if annotated_alphabet(base, nbits) == alphabet:
+            return base, nbits
+    return alphabet, 0
+
+
+@dataclass(frozen=True, init=False)
 class Layer:
-    """One annotation layer: per annotated input letter, a width-tuple of
-    semilattice polynomials over width*arity inputs."""
+    """One annotation layer, stored symbolically.
 
-    alphabet: RankedAlphabet
+    The layer follows ``nbits`` earlier bits of a cascade over ``base``.  For
+    a base letter ``name``, ``table[name][row]`` is the width-tuple of
+    semilattice polynomials the layer applies, where ``row`` spells in binary
+    the node's own values of the earlier flat coordinates in ``reads`` (first
+    read most significant), so each entry has 2^len(reads) rows.
+
+    ``Layer(alphabet, width, polys)`` takes explicit polynomials for every
+    letter of an annotated alphabet (named as ``annotated_alphabet`` names
+    them, or a plain alphabet for a first layer) and reads every earlier
+    coordinate.  ``Layer.symbolic`` takes the table directly.
+    """
+
+    base: RankedAlphabet
+    nbits: int
     width: int
-    polys: Mapping[str, tuple[SemiPoly, ...]]
+    reads: tuple[int, ...]
+    table: Mapping[str, tuple[tuple[SemiPoly, ...], ...]]
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("layer width must be >= 1")
-        if len(self.polys) != len(self.alphabet.letters):
+    def __init__(
+        self,
+        alphabet: RankedAlphabet,
+        width: int,
+        polys: Mapping[str, tuple[SemiPoly, ...]],
+    ):
+        base, nbits = _split_annotated(alphabet)
+        if len(polys) != len(alphabet.letters):
             raise ValueError("layer must define polynomials for every letter")
-        for letter in self.alphabet.letters:
-            entry = self.polys.get(letter.name)
-            if entry is None or len(entry) != self.width:
-                raise ValueError(f"bad polynomial tuple for {letter.name}")
-            for poly in entry:
-                if any(i >= self.width * letter.arity for i in poly.indices):
-                    raise ValueError(f"polynomial input out of range for {letter.name}")
+        table: dict[str, tuple[tuple[SemiPoly, ...], ...]] = {}
+        for letter in base.letters:
+            rows = []
+            for bits in itertools.product((0, 1), repeat=nbits):
+                name = ann_name(letter.name, bits)
+                if name not in polys:
+                    raise ValueError(f"bad polynomial tuple for {name}")
+                rows.append(tuple(polys[name]))
+            table[letter.name] = tuple(rows)
+        self._set(base, nbits, width, tuple(range(nbits)), table)
+
+    @classmethod
+    def symbolic(
+        cls,
+        base: RankedAlphabet,
+        nbits: int,
+        width: int,
+        reads: tuple[int, ...],
+        table: Mapping[str, tuple[tuple[SemiPoly, ...], ...]],
+    ) -> "Layer":
+        layer = cls.__new__(cls)
+        layer._set(base, nbits, width, reads, table)
+        return layer
+
+    def _set(self, base, nbits, width, reads, table) -> None:
+        if width < 1:
+            raise ValueError("layer width must be >= 1")
+        if any(not 0 <= read < nbits for read in reads):
+            raise ValueError("layer reads a coordinate outside the earlier bits")
+        if len(table) != len(base.letters):
+            raise ValueError("layer must define polynomials for every letter")
+        for letter in base.letters:
+            rows = table.get(letter.name)
+            if rows is None or len(rows) != 1 << len(reads):
+                raise ValueError(f"bad polynomial table for {letter.name}")
+            for entry in rows:
+                if len(entry) != width:
+                    raise ValueError(f"bad polynomial tuple for {letter.name}")
+                for poly in entry:
+                    if any(i >= width * letter.arity for i in poly.indices):
+                        raise ValueError(f"polynomial input out of range for {letter.name}")
+        for name, value in (
+            ("base", base), ("nbits", nbits), ("width", width), ("reads", reads), ("table", table)
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def alphabet(self) -> RankedAlphabet:
+        """The annotated input alphabet, base x 2^nbits (built on each access)."""
+        return annotated_alphabet(self.base, self.nbits)
 
 
 @dataclass(frozen=True)
@@ -264,8 +349,7 @@ class Cascade:
     def __post_init__(self):
         nbits = 0
         for depth, layer in enumerate(self.layers):
-            expected = len(self.base_alphabet.letters) * (1 << nbits)
-            if len(layer.alphabet.letters) != expected:
+            if layer.base != self.base_alphabet or layer.nbits != nbits:
                 raise ValueError(f"layer {depth} alphabet does not chain")
             nbits += layer.width
         layer_index, coord = self.output
@@ -284,7 +368,7 @@ class Cascade:
 
     def output_flat(self) -> int:
         layer_index, coord = self.output
-        return sum(self.widths[:layer_index]) + coord
+        return self.layers[layer_index].nbits + coord
 
 
 def _cascade_step(
@@ -292,12 +376,13 @@ def _cascade_step(
 ) -> tuple[int, ...]:
     """Bits of a node from its letter and its children's full bit vectors."""
     bits: list[int] = []
-    offset = 0
     for layer in cascade.layers:
-        polys = layer.polys[ann_name(letter, tuple(bits))]
-        args = [child[offset + c] for child in child_bits for c in range(layer.width)]
-        bits.extend(poly.eval(args) for poly in polys)
-        offset += layer.width
+        row = 0
+        for read in layer.reads:
+            row = 2 * row + bits[read]
+        start = layer.nbits
+        args = [bit for child in child_bits for bit in child[start : start + layer.width]]
+        bits.extend(poly.eval(args) for poly in layer.table[letter][row])
     return tuple(bits)
 
 
@@ -593,30 +678,29 @@ class _Compiler:
         self.base = alphabet
         self.max_width = max_width
         self.layers: list[Layer] = []
-        self.widths: list[int] = []
         self.memo: dict[CtlFormula, _Ref] = {}
 
     @property
     def total_width(self) -> int:
-        return sum(self.widths)
+        return self.layers[-1].nbits + self.layers[-1].width if self.layers else 0
 
-    def read(self, ref: _Ref, bits: tuple[int, ...]) -> bool:
-        value = bits[sum(self.widths[: ref.layer]) + ref.coord] == 1
-        return not value if ref.neg else value
-
-    def add_layer(self, width: int, poly_fn) -> int:
-        if self.total_width + width > self.max_width:
-            raise CapExceededError(
-                f"cascade width {self.total_width + width} exceeds {self.max_width}"
-            )
+    def add_layer(self, width: int, refs: Sequence[_Ref], poly_fn) -> int:
+        """Append a layer whose polynomials depend on the letter and on the
+        values of ``refs`` at the node: ``poly_fn(letter, *values)`` returns the
+        width-tuple for each of the 2^len(refs) rows, polarity applied."""
         nbits = self.total_width
-        alphabet_in = annotated_alphabet(self.base, nbits)
-        polys: dict[str, tuple[SemiPoly, ...]] = {}
-        for letter in self.base.letters:
-            for bits in itertools.product((0, 1), repeat=nbits):
-                polys[ann_name(letter.name, bits)] = tuple(poly_fn(letter, bits))
-        self.layers.append(Layer(alphabet_in, width, polys))
-        self.widths.append(width)
+        if nbits + width > self.max_width:
+            raise CapExceededError(f"cascade width {nbits + width} exceeds {self.max_width}")
+        reads = tuple(self.layers[ref.layer].nbits + ref.coord for ref in refs)
+        rows = [
+            tuple(bool(bit) != ref.neg for bit, ref in zip(row, refs))
+            for row in itertools.product((0, 1), repeat=len(refs))
+        ]
+        table = {
+            letter.name: tuple(tuple(poly_fn(letter, *values)) for values in rows)
+            for letter in self.base.letters
+        }
+        self.layers.append(Layer.symbolic(self.base, nbits, width, reads, table))
         return len(self.layers) - 1
 
     def compile(self, formula: CtlFormula) -> _Ref:
@@ -630,7 +714,7 @@ class _Compiler:
     def _compile(self, formula: CtlFormula) -> _Ref:
         if isinstance(formula, Lbl):
             layer = self.add_layer(
-                1, lambda letter, bits: (SemiPoly.const(letter.name == formula.name),)
+                1, (), lambda letter: (SemiPoly.const(letter.name == formula.name),)
             )
             return _Ref(layer, 0)
         if isinstance(formula, Not):
@@ -641,59 +725,57 @@ class _Compiler:
             right = self.compile(formula.right)
             conj = isinstance(formula, And)
 
-            def bool_fn(letter, bits):
-                a, b = self.read(left, bits), self.read(right, bits)
+            def bool_fn(letter, a, b):
                 return (SemiPoly.const(a and b if conj else a or b),)
 
-            return _Ref(self.add_layer(1, bool_fn), 0)
+            return _Ref(self.add_layer(1, (left, right), bool_fn), 0)
         if isinstance(formula, DirUntil):
             xs, ys = formula.xs, formula.ys
 
-            def until_fn(letter, bits):
+            def until_fn(letter):
                 if letter.name in ys:
                     return (SemiPoly.const(0),)
                 selected = frozenset(i - 1 for name, i in xs if name == letter.name)
                 return (SemiPoly(False, selected),)
 
             # the layer bit is the complement (no-witness) recursion
-            return _Ref(self.add_layer(1, until_fn), 0, neg=True)
+            return _Ref(self.add_layer(1, (), until_fn), 0, neg=True)
         if isinstance(formula, EU):
             path = self.compile(formula.path)
             goal = self.compile(formula.goal)
 
-            def eu_fn(letter, bits):
+            def eu_fn(letter, goal_holds, path_holds):
                 # coord 0: no witness when the root of the subtree is also
                 # constrained; coord 1: conjunction of the children's coord 0
                 every_child = frozenset(2 * j for j in range(letter.arity))
-                if self.read(goal, bits):
+                if goal_holds:
                     s = SemiPoly.const(0)
-                elif not self.read(path, bits):
+                elif not path_holds:
                     s = SemiPoly.const(1)
                 else:
                     s = SemiPoly(False, every_child)
                 return (s, SemiPoly(False, every_child))
 
-            pair = self.add_layer(2, eu_fn)
+            pair = self.add_layer(2, (goal, path), eu_fn)
             children_clear = _Ref(pair, 1)
 
-            def eu_read(letter, bits):
-                value = self.read(goal, bits) or not self.read(children_clear, bits)
-                return (SemiPoly.const(value),)
+            def eu_read(letter, goal_holds, clear):
+                return (SemiPoly.const(goal_holds or not clear),)
 
-            return _Ref(self.add_layer(1, eu_read), 0)
+            return _Ref(self.add_layer(1, (goal, children_clear), eu_read), 0)
         if isinstance(formula, Next):
             sub = self.compile(formula.sub)
             child = formula.child
 
-            def next_fn(letter, bits):
-                own = SemiPoly.const(self.read(sub, bits))
+            def next_fn(letter, sub_holds):
+                own = SemiPoly.const(sub_holds)
                 if letter.arity >= child:
                     proj = SemiPoly(False, frozenset({2 * (child - 1)}))
                 else:
                     proj = SemiPoly.const(0)
                 return (own, proj)
 
-            return _Ref(self.add_layer(2, next_fn), 1)
+            return _Ref(self.add_layer(2, (sub,), next_fn), 1)
         raise TypeError(f"not a CTL formula: {formula!r}")
 
 
@@ -708,14 +790,15 @@ def ctl_compile(
     polarity flip, for negation); a direction-sensitive until becomes one
     width-1 semilattice layer.  EU and Next need one width-2 layer each: a
     coordinate projecting information out of the children, which a width-1
-    layer cannot see.  Shared subformulas compile once.
+    layer cannot see.  Shared subformulas compile once.  Every layer reads at
+    most two earlier coordinates, so compiling is linear in the formula.
     """
     _check_formula(formula, alphabet)
     compiler = _Compiler(alphabet, max_width)
     ref = compiler.compile(formula)
     if ref.neg:
         positive = compiler.add_layer(
-            1, lambda letter, bits: (SemiPoly.const(compiler.read(ref, bits)),)
+            1, (ref,), lambda letter, holds: (SemiPoly.const(holds),)
         )
         ref = _Ref(positive, 0)
     return Cascade(alphabet, tuple(compiler.layers), (ref.layer, ref.coord))
@@ -776,8 +859,11 @@ def random_formula_corpus(
     """Deterministic corpus of formulas that compile within the width cap.
 
     Draws are skipped (not an error) when a formula would exceed the cap, so
-    the corpus depends only on the seed.
+    the corpus depends only on the seed.  A cap below 1 admits no formula and
+    raises ``ValueError``.
     """
+    if max_width < 1:
+        raise ValueError("max_width must be >= 1")
     rng = random.Random(seed)
     corpus: list[CtlFormula] = []
     while len(corpus) < count:

@@ -41,9 +41,11 @@ from .automata import (
     is_empty,
     boolean_combine,
     preimage_tree_hom,
+    reachable_elements,
     subset_counterexample,
 )
 from .cascade import (
+    DEFAULT_WIDTH_CAP,
     annotate,
     annotated_alphabet,
     cascade_flatten,
@@ -706,17 +708,27 @@ def _cmd_ctl_eval(ws: Workspace, args, report: Report) -> None:
     report.line("yes" if ctl_eval(formula, tree) else "no")
 
 
+def _check_max_width(args) -> None:
+    if args.max_width < 1:
+        raise ParseError(f"--max-width must be >= 1, got {args.max_width}")
+
+
 def _cmd_ctl_compile(ws: Workspace, args, report: Report) -> None:
+    _check_max_width(args)
     alphabet = ws.alphabet(args.alphabet)
     cascade = ctl_compile(ctl_parse(args.formula, alphabet), alphabet, args.max_width)
     report.line("layers", len(cascade.layers))
     report.line("total-width", cascade.total_width)
     for index, layer in enumerate(cascade.layers):
-        report.line("layer", index, "width", layer.width, "letters", len(layer.alphabet.letters))
+        letters = len(layer.base.letters) << layer.nbits
+        report.line("layer", index, "width", layer.width, "letters", letters)
     report.line("output", cascade.output[0], cascade.output[1])
 
 
 def _cmd_ctl_verify(ws: Workspace, args, report: Report) -> None:
+    _check_max_width(args)
+    if args.count < 0:
+        raise ParseError(f"--count must be >= 0, got {args.count}")
     alphabet = ws.alphabet(args.alphabet)
     if args.formula:
         formulas = [ctl_parse(args.formula, alphabet)]
@@ -823,17 +835,15 @@ def _check(ok: bool, suite: str, *detail) -> None:
         raise _Mismatch(f"{suite}: {' '.join(parts)}")
 
 
-def _paths_oracle_word_in_language(dbta: Dbta, word) -> bool:
+def _paths_oracle_word_in_language(dbta: Dbta, reach: list[int], word) -> bool:
     """Definitional check: some member tree realizes the path word.
 
     Dynamic programming from the leaf symbol upwards: the set of values an
     extension tree can take while showing the remaining word on the spine,
-    with off-spine children filled by arbitrary reachable values.
+    with off-spine children filled by arbitrary values of ``reach``, the
+    sorted reachable elements of the language's algebra.
     """
-    from .automata import reachable_elements
-
     algebra = dbta.algebra
-    reach = sorted(reachable_elements(algebra))
     leaf = word[-1]
     possible = {algebra.op(leaf.name, ())}
     for symbol in reversed(word[:-1]):
@@ -847,16 +857,26 @@ def _paths_oracle_word_in_language(dbta: Dbta, word) -> bool:
     return bool(possible & set(dbta.accepting))
 
 
+def _word_key(word) -> tuple[str, ...]:
+    """A rendering of a path word: steps as name.i, then the leaf name."""
+    return tuple(f"{s[0].name}.{s[1]}" if isinstance(s, tuple) else s.name for s in word)
+
+
 def _oracle_universal_path(report: Report, max_nodes: int) -> int:
     checks = 0
     for name in ("l_true_and", "l_true_or", "l_pott", "l_pair", "l_two"):
         dbta = fixtures.corpus_dbta(name)
         verdict, _witness = is_universal_path(dbta)
         trees = enumerate_trees(dbta.alphabet, max_nodes)
+        reach = sorted(reachable_elements(dbta.algebra))
+        # a fixed word order, so the short-circuit does the same work every run
         mix_members = [
             tree
             for tree in trees
-            if all(_paths_oracle_word_in_language(dbta, w) for w in path_words(tree))
+            if all(
+                _paths_oracle_word_in_language(dbta, reach, w)
+                for w in sorted(path_words(tree), key=_word_key)
+            )
         ]
         oracle = all(accepts(dbta, tree) for tree in mix_members)
         _check(verdict == oracle, "universal-path-oracle", "verdict disagrees on", name)
@@ -1052,14 +1072,14 @@ def _build_parser() -> _Parser:
     q.set_defaults(fn=_cmd_ctl_compile)
     q.add_argument("--alphabet", required=True)
     q.add_argument("--formula", required=True)
-    q.add_argument("--max-width", type=int, default=16)
+    q.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
     q = ctl_sub.add_parser("verify")
     q.set_defaults(fn=_cmd_ctl_verify)
     q.add_argument("--alphabet", required=True)
     q.add_argument("--formula", default="")
     q.add_argument("--count", type=int, default=25)
     q.add_argument("--max-nodes", type=int, default=8)
-    q.add_argument("--max-width", type=int, default=16)
+    q.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
 
     p = add("structure", None, help="finite-algebra structure checks")
     structure_sub = p.add_subparsers(dest="subcommand", required=True)

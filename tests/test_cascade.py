@@ -32,8 +32,10 @@ from treelab.cascade import (
     until_language,
     value_annotate,
     value_annotated_alphabet,
+    _Compiler,
 )
-from treelab.errors import ParseError
+from treelab.cli import save_dbta
+from treelab.errors import CapExceededError, ParseError
 from treelab.fixtures import (
     ALG_AND,
     DBTA_POTT,
@@ -429,3 +431,99 @@ def test_shared_subformulas_compile_once():
     assert all(not accepts(flat, t) for t in enumerate_trees(SIG_POTT, 6))
     # EU compiled once: 2 letter layers + (width-2 + readout) + final And layer
     assert len(cascade.layers) == 5
+
+
+def test_explicit_layer_over_annotated_alphabet():
+    # the second layer copies the first layer's bit at the node: explicit
+    # polynomials for every annotated letter, read as a table over that bit
+    first = Layer(SIG_GCD, 1, {l.name: (SemiPoly.const(l.name == "c"),) for l in SIG_GCD.letters})
+    alphabet = annotated_alphabet(SIG_GCD, 1)
+    copy = Layer(
+        alphabet, 1, {l.name: (SemiPoly.const(l.name.endswith("|1")),) for l in alphabet.letters}
+    )
+    assert (copy.base, copy.nbits, copy.reads) == (SIG_GCD, 1, (0,))
+    assert copy.alphabet == alphabet
+    cascade = Cascade(SIG_GCD, (first, copy), (1, 0))
+    for tree in enumerate_trees(SIG_GCD, 4):
+        assert cascade_accepts(cascade, tree) == (tree.label.name == "c")
+    with pytest.raises(ValueError, match="does not chain"):
+        Cascade(SIG_GCD, (copy,), (0, 0))
+
+
+# --- the symbolic compiler against the explicit expansion ----------------------------
+
+
+def reference_add_layer(expanded: list):
+    """The compiler's explicit expansion, kept as the reference: one polynomial
+    tuple per annotated letter, each ref read (polarity applied) from the full
+    bit vector.  Appends each layer's tuples to ``expanded``."""
+
+    def add_layer(self, width, refs, poly_fn):
+        nbits = sum(layer.width for layer in self.layers)
+        if nbits + width > self.max_width:
+            raise CapExceededError(f"cascade width {nbits + width} exceeds {self.max_width}")
+
+        def read(ref, bits):
+            value = bits[sum(layer.width for layer in self.layers[: ref.layer]) + ref.coord] == 1
+            return not value if ref.neg else value
+
+        polys = {}
+        for letter in self.base.letters:
+            for bits in itertools.product((0, 1), repeat=nbits):
+                values = [read(ref, bits) for ref in refs]
+                polys[ann_name(letter.name, bits)] = tuple(poly_fn(letter, *values))
+        expanded.append(polys)
+        self.layers.append(Layer(annotated_alphabet(self.base, nbits), width, polys))
+        return len(self.layers) - 1
+
+    return add_layer
+
+
+def expand(layer: Layer) -> dict:
+    """Every annotated letter of a layer, with the polynomial tuple it applies."""
+    out = {}
+    for letter in layer.base.letters:
+        for bits in itertools.product((0, 1), repeat=layer.nbits):
+            row = int("".join(str(bits[r]) for r in layer.reads) or "0", 2)
+            out[ann_name(letter.name, bits)] = layer.table[letter.name][row]
+    return out
+
+
+def test_symbolic_compile_matches_explicit_expansion(monkeypatch):
+    compared = 0
+    for alphabet, seed in ((SIG_POTT, 41), (SIG_GCD, 43)):
+        for formula in random_formula_corpus(seed, alphabet, 100, max_depth=4, max_width=10):
+            cascade = ctl_compile(formula, alphabet)
+            expanded: list = []
+            with monkeypatch.context() as patch:
+                patch.setattr(_Compiler, "add_layer", reference_add_layer(expanded))
+                reference = ctl_compile(formula, alphabet)
+            text = ctl_render(formula)
+            assert [expand(layer) for layer in cascade.layers] == expanded, text
+            flat, ref_flat = cascade_flatten(cascade), cascade_flatten(reference)
+            assert save_dbta(flat) == save_dbta(ref_flat), text
+            compared += 1
+    assert compared == 200
+
+
+def test_wide_formulas_read_at_most_two_coordinates():
+    pinned = ctl_parse(
+        "!E[lbl(f1) U E[lbl(f2) U E[lbl(f1) U E[lbl(f2) U lbl(f0)]]]]", SIG_POTT
+    )
+    wide = [(pinned, SIG_POTT)]
+    for alphabet in (SIG_POTT, SIG_GCD):
+        corpus = random_formula_corpus(7, alphabet, 300, max_depth=5)
+        wide += [(f, alphabet) for f in corpus if ctl_compile(f, alphabet).total_width == 16]
+    assert len(wide) >= 4
+    for formula, alphabet in wide:
+        cascade = ctl_compile(formula, alphabet)
+        assert cascade.total_width == 16
+        for layer in cascade.layers:
+            assert len(layer.reads) <= 2, ctl_render(formula)
+            assert all(len(rows) == 1 << len(layer.reads) <= 4 for rows in layer.table.values())
+
+
+def test_corpus_rejects_width_cap_below_one():
+    with pytest.raises(ValueError):
+        random_formula_corpus(0, SIG_POTT, 2, max_width=0)
+    assert len(random_formula_corpus(0, SIG_POTT, 3, max_width=1)) == 3

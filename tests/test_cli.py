@@ -3,7 +3,7 @@ import os
 import pytest
 
 from treelab import cli
-from treelab.automata import Dbta, FiniteAlgebra
+from treelab.automata import Dbta, FiniteAlgebra, reachable_elements
 from treelab.cli import (
     Workspace,
     load_alphabet,
@@ -225,6 +225,47 @@ def test_ctl_compile_summary(capsys):
     assert "layers 1" in out and "total-width 1" in out
 
 
+PINNED_WIDE_FORMULA = "!E[lbl(f1) U E[lbl(f2) U E[lbl(f1) U E[lbl(f2) U lbl(f0)]]]]"
+
+# as the explicit compiler printed it: a layer after nbits bits has |Σ|·2^nbits letters
+PINNED_WIDE_REPORT = """\
+layers 12
+total-width 16
+layer 0 width 1 letters 3
+layer 1 width 1 letters 6
+layer 2 width 1 letters 12
+layer 3 width 2 letters 24
+layer 4 width 1 letters 96
+layer 5 width 2 letters 192
+layer 6 width 1 letters 768
+layer 7 width 2 letters 1536
+layer 8 width 1 letters 6144
+layer 9 width 2 letters 12288
+layer 10 width 1 letters 49152
+layer 11 width 1 letters 98304
+output 11 0
+"""
+
+
+def test_ctl_compile_wide_formula_report(capsys):
+    code, out, _ = run(
+        capsys, "ctl", "compile", "--alphabet", "@sig_pott", "--formula", PINNED_WIDE_FORMULA
+    )
+    assert code == 0 and out == PINNED_WIDE_REPORT
+
+
+def test_ctl_rejects_bad_width_and_count(capsys):
+    for argv in (
+        ("ctl", "verify", "--alphabet", "@sig_pott", "--count", "2", "--max-width", "0"),
+        ("ctl", "verify", "--alphabet", "@sig_pott", "--formula", "lbl(f0)", "--max-width", "-1"),
+        ("ctl", "compile", "--alphabet", "@sig_pott", "--formula", "lbl(f0)", "--max-width", "0"),
+        ("ctl", "verify", "--alphabet", "@sig_pott", "--count", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: --") and "Traceback" not in err
+
+
 def test_structure_commands(capsys):
     code, out, _ = run(capsys, "structure", "congruences", "--lang", "@l_true_and")
     assert code == 0 and out.startswith("congruences ")
@@ -272,6 +313,19 @@ def test_oracle_verify(capsys):
     assert code == 0
     assert out.rstrip().endswith("ok")
     assert out.count("suite ") >= 6
+
+
+def test_universal_path_oracle_reaches_once_per_language(monkeypatch):
+    calls = []
+
+    def counting(algebra):
+        calls.append(algebra)
+        return reachable_elements(algebra)
+
+    monkeypatch.setattr(cli, "reachable_elements", counting)
+    checks = cli._oracle_universal_path(cli.Report("text"), 4)
+    assert checks > 0
+    assert len(calls) == 5 and len({id(a) for a in calls}) == 5
 
 
 def test_oracle_verify_reports_mismatch(capsys, monkeypatch):

@@ -29,6 +29,7 @@ from .trees import (
     parse_term,
     parse_tree,
     path_words,
+    preorder,
     render_term,
     render_tree,
 )

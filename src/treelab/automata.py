@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, CapExceededError
-from .trees import Letter, RankedAlphabet, Term, TermBody, Tree, Var
+from .trees import Letter, RankedAlphabet, Term, TermBody, Tree, Var, preorder, require_letters
 
 # Default bound on the carriers and state sets that constructions build.
 DEFAULT_CARRIER_CAP = 4096
@@ -85,9 +85,36 @@ def _require_same_alphabet(a: RankedAlphabet, b: RankedAlphabet) -> None:
 
 def evaluate(algebra: FiniteAlgebra, tree: Tree) -> int:
     """Bottom-up fold of the tree by the letter tables."""
-    if tree.label not in algebra.alphabet:
-        raise AlphabetMismatchError(f"letter {tree.label.name} not in the algebra's alphabet")
-    return algebra.op(tree.label.name, [evaluate(algebra, child) for child in tree.children])
+    return subtree_values(algebra, preorder(tree))[0]
+
+
+def subtree_values(algebra: FiniteAlgebra, nodes: list[Tree]) -> list[int]:
+    """The value of the subtree at each of ``nodes``, a tree's preorder (see
+    ``trees.preorder``), in the same order.
+
+    One fold over the reversed preorder with a stack of values, so depth is
+    unbounded.  A letter outside the algebra's alphabet raises
+    AlphabetMismatchError, naming the first such letter in preorder.
+    """
+    size = algebra.size
+    rows = {
+        letter.name: (letter, algebra.tables[letter.name]) for letter in algebra.alphabet.letters
+    }
+    stack: list[int] = []  # a node's first child's value on top
+    values: list[int] = []
+    for node in reversed(nodes):
+        label = node.label
+        letter, table = rows.get(label.name, (None, None))
+        if letter is not label and letter != label:
+            require_letters(nodes, algebra.alphabet, "letter {} not in the algebra's alphabet")
+        index = 0
+        for _ in node.children:
+            index = index * size + stack.pop()
+        value = table[index]
+        stack.append(value)
+        values.append(value)
+    values.reverse()
+    return values
 
 
 def accepts(dbta: Dbta, tree: Tree) -> bool:

@@ -27,9 +27,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
-from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build
+from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, subtree_values
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
-from .trees import Letter, RankedAlphabet, Tree
+from .trees import Letter, RankedAlphabet, Tree, preorder, require_letters
 
 DEFAULT_WIDTH_CAP = 16
 
@@ -57,25 +57,27 @@ def annotated_alphabet(base: RankedAlphabet, nbits: int) -> RankedAlphabet:
 
 def annotate(tree: Tree, langs: list[Dbta] | tuple[Dbta, ...]) -> Tree:
     """Extend each node's label with the membership bits of its own subtree."""
+    nodes = preorder(tree)
     for lang in langs:
-        if tree.label not in lang.alphabet:
-            raise AlphabetMismatchError("annotation languages must read the tree's alphabet")
+        require_letters(nodes, lang.alphabet, "annotation languages must read the tree's alphabet")
+    members = [
+        [int(value in lang.accepting) for value in subtree_values(lang.algebra, nodes)]
+        for lang in langs
+    ]
+    rows = zip(*members) if members else itertools.repeat(())
+    labels = [
+        Letter(ann_name(node.label.name, bits), node.label.arity) for node, bits in zip(nodes, rows)
+    ]
+    return _relabel(nodes, labels)
 
-    def go(node: Tree) -> tuple[Tree, tuple[int, ...]]:
-        done = [go(child) for child in node.children]
-        values = []
-        for i, lang in enumerate(langs):
-            value = lang.algebra.op(node.label.name, [vals[i] for _, vals in done])
-            values.append(value)
-        bits = tuple(int(values[i] in lang.accepting) for i, lang in enumerate(langs))
-        new = Tree(
-            Letter(ann_name(node.label.name, bits), node.label.arity),
-            tuple(child for child, _ in done),
-        )
-        return new, tuple(values)
 
-    annotated, _ = go(tree)
-    return annotated
+def _relabel(nodes: list[Tree], labels: list[Letter]) -> Tree:
+    """The tree whose preorder is ``nodes``, with ``labels[k]`` in place of
+    the label of ``nodes[k]``."""
+    built: list[Tree] = []  # a node's first child on top
+    for node, label in zip(reversed(nodes), reversed(labels)):
+        built.append(Tree(label, tuple([built.pop() for _ in node.children])))
+    return built[0]
 
 
 def nest(
@@ -129,17 +131,11 @@ def value_annotated_alphabet(base: RankedAlphabet, size: int) -> RankedAlphabet:
 
 def value_annotate(tree: Tree, h: FiniteAlgebra) -> Tree:
     """t^h: each node labelled with (letter, value of its subtree under h)."""
-
-    def go(node: Tree) -> tuple[Tree, int]:
-        done = [go(child) for child in node.children]
-        value = h.op(node.label.name, [v for _, v in done])
-        new = Tree(
-            Letter(f"{node.label.name}|{value}", node.label.arity),
-            tuple(child for child, _ in done),
-        )
-        return new, value
-
-    return go(tree)[0]
+    nodes = preorder(tree)
+    return _relabel(nodes, [
+        Letter(f"{node.label.name}|{value}", node.label.arity)
+        for node, value in zip(nodes, subtree_values(h, nodes))
+    ])
 
 
 def sequential_compose(h: FiniteAlgebra, g: FiniteAlgebra) -> FiniteAlgebra:
@@ -388,10 +384,13 @@ def _cascade_step(
 
 def cascade_eval(cascade: Cascade, tree: Tree) -> tuple[int, ...]:
     """All layer bits at the root, concatenated in layer order."""
-    if tree.label not in cascade.base_alphabet:
-        raise AlphabetMismatchError(f"letter {tree.label.name} not in the cascade alphabet")
-    child_bits = [cascade_eval(cascade, child) for child in tree.children]
-    return _cascade_step(cascade, tree.label.name, child_bits)
+    nodes = preorder(tree)
+    require_letters(nodes, cascade.base_alphabet, "letter {} not in the cascade alphabet")
+    bits: list[tuple[int, ...]] = []  # a node's first child's bits on top
+    for node in reversed(nodes):
+        child_bits = [bits.pop() for _ in node.children]
+        bits.append(_cascade_step(cascade, node.label.name, child_bits))
+    return bits[0]
 
 
 def cascade_accepts(cascade: Cascade, tree: Tree) -> bool:

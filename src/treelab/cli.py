@@ -106,6 +106,7 @@ from .trees import (
     path_words,
     render_term,
     render_tree,
+    tokenize,
 )
 
 # --- text formats -------------------------------------------------------------
@@ -374,22 +375,24 @@ def save_dtop(dtop: Dtop) -> str:
 
 
 def _parse_polyterm(text: str, base: RankedAlphabet, nvars: int) -> PolyTerm:
-    from .trees import _TermReader  # same tokenizer; custom leaf handling
+    tokens = tokenize(text)[::-1]  # the next token last
 
-    reader = _TermReader(text, base, {})
+    def take() -> tuple[str, int]:
+        if not tokens:
+            raise ParseError("unexpected end of input", len(text))
+        return tokens.pop()
 
     def read() -> PolyBody:
-        tok = reader._peek()
-        if tok is None:
-            raise ParseError("unexpected end of polynomial term", reader.length)
-        name, pos = tok
+        if not tokens:
+            raise ParseError("unexpected end of polynomial term", len(text))
+        name, pos = tokens[-1]
         if name.startswith("@"):
-            reader._next()
+            tokens.pop()
             if not name[1:].isdigit():
                 raise ParseError(f"bad constant {name!r}", pos)
             return PConst(int(name[1:]))
         if name.startswith("x") and name[1:].isdigit():
-            reader._next()
+            tokens.pop()
             index = int(name[1:])
             if not 1 <= index <= nvars:
                 raise ParseError(f"variable {name} out of range 1..{nvars}", pos)
@@ -397,14 +400,13 @@ def _parse_polyterm(text: str, base: RankedAlphabet, nvars: int) -> PolyTerm:
         letter = base.get(name)
         if letter is None:
             raise ParseError(f"unknown base letter {name!r}", pos)
-        reader._next()
+        tokens.pop()
         args: list[PolyBody] = []
-        tok = reader._peek()
-        if tok is not None and tok[0] == "(":
-            reader._next()
+        if tokens and tokens[-1][0] == "(":
+            tokens.pop()
             args.append(read())
             while True:
-                nxt = reader._next()
+                nxt = take()
                 if nxt[0] == ")":
                     break
                 if nxt[0] != ",":
@@ -415,7 +417,8 @@ def _parse_polyterm(text: str, base: RankedAlphabet, nvars: int) -> PolyTerm:
         return PApp(name, tuple(args))
 
     body = read()
-    reader.finish()
+    if tokens:
+        raise ParseError(f"trailing input {tokens[-1][0]!r}", tokens[-1][1])
     return PolyTerm(nvars, body)
 
 

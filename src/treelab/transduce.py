@@ -18,7 +18,18 @@ from typing import Mapping, Union
 
 from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, eval_term_in_algebra
 from .errors import AlphabetMismatchError
-from .trees import Letter, RankedAlphabet, Term, TermBody, TermNode, Tree, Var, substitute
+from .trees import (
+    Letter,
+    RankedAlphabet,
+    Term,
+    TermBody,
+    TermNode,
+    Tree,
+    Var,
+    instantiate,
+    preorder,
+    require_letters,
+)
 
 
 @dataclass(frozen=True)
@@ -66,20 +77,27 @@ def dtop_apply(dtop: Dtop, tree: Tree) -> Tree:
 
     Each node is transduced once, from every state, out of the outputs of its
     children from every state; so the work is linear in the tree, not
-    exponential in its depth.
+    exponential in its depth.  Nodes are taken in reversed preorder with a
+    stack of outputs, so depth is unbounded.
     """
     states = range(1, dtop.n_states + 1)
-
-    def run(node: Tree) -> list[Tree]:  # the outputs from states 1..n
-        if node.label not in dtop.input_alphabet:
-            raise AlphabetMismatchError(f"letter {node.label.name} not in the input alphabet")
+    rows = {
+        letter.name: (letter, [dtop.rules[(letter.name, q)].body for q in states])
+        for letter in dtop.input_alphabet.letters
+    }
+    nodes = preorder(tree)
+    outputs: list[list[Tree]] = []  # per node, from states 1..n; a first child's on top
+    for node in reversed(nodes):
+        label = node.label
+        letter, bodies = rows.get(label.name, (None, None))
+        if letter is not label and letter != label:
+            require_letters(nodes, dtop.input_alphabet, "letter {} not in the input alphabet")
         # variable (p, j) has the flat index n*(j-1)+p: entry p-1 of child j-1's outputs
         env: list[Tree] = []
-        for child in node.children:
-            env += run(child)
-        return [substitute(dtop.rules[(node.label.name, q)], env) for q in states]
-
-    return run(tree)[dtop.initial - 1]
+        for _ in node.children:
+            env += outputs.pop()
+        outputs.append([instantiate(body, env) for body in bodies])
+    return outputs[0][dtop.initial - 1]
 
 
 def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
@@ -188,13 +206,14 @@ class MatrixHom:
 
 def matrix_hom_eval(mh: MatrixHom, tree: Tree) -> tuple[int, ...]:
     """Bottom-up tuple semantics."""
-    if tree.label not in mh.alphabet:
-        raise AlphabetMismatchError(f"letter {tree.label.name} not in the input alphabet")
-    child_values = [matrix_hom_eval(mh, child) for child in tree.children]
-    flat = tuple(value for child in child_values for value in child)
-    return tuple(
-        eval_polyterm(mh.base, pt, flat) for pt in mh.tuples[tree.label.name]
-    )
+    nodes = preorder(tree)
+    require_letters(nodes, mh.alphabet, "letter {} not in the input alphabet")
+    values: list[tuple[int, ...]] = []  # a node's first child's tuple on top
+    for node in reversed(nodes):
+        flat = tuple(value for _ in node.children for value in values.pop())
+        polys = mh.tuples[node.label.name]
+        values.append(tuple(eval_polyterm(mh.base, pt, flat) for pt in polys))
+    return values[0]
 
 
 def term_to_polyterm(term: Term) -> PolyTerm:

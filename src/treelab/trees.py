@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlphabetMismatchError, ParseError
 
@@ -36,22 +36,21 @@ class RankedAlphabet:
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
-        names = [letter.name for letter in self.letters]
-        if len(set(names)) != len(names):
+        # name -> letter; an attribute, not a field, so ==, hash and repr ignore it
+        by_name = {letter.name: letter for letter in self.letters}
+        if len(by_name) != len(self.letters):
             raise ValueError("duplicate letter names in alphabet")
         for letter in self.letters:
             if not 0 <= letter.arity <= MAX_ARITY:
                 raise ValueError(f"arity of {letter.name} out of range 0..{MAX_ARITY}")
+        object.__setattr__(self, "_by_name", by_name)
 
     @staticmethod
     def of(*pairs: tuple[str, int]) -> "RankedAlphabet":
         return RankedAlphabet(tuple(Letter(name, arity) for name, arity in pairs))
 
     def get(self, name: str) -> Letter | None:
-        for letter in self.letters:
-            if letter.name == name:
-                return letter
-        return None
+        return self._by_name.get(name)
 
     def __getitem__(self, name: str) -> Letter:
         letter = self.get(name)
@@ -60,17 +59,15 @@ class RankedAlphabet:
         return letter
 
     def __contains__(self, letter: Letter) -> bool:
-        return self.get(letter.name) == letter
+        found = self._by_name.get(letter.name)
+        return found is letter or found == letter
 
     @property
     def constants(self) -> tuple[Letter, ...]:
         return tuple(letter for letter in self.letters if letter.arity == 0)
 
     def index(self, name: str) -> int:
-        for i, letter in enumerate(self.letters):
-            if letter.name == name:
-                return i
-        raise KeyError(name)
+        return self.letters.index(self[name])
 
 
 @dataclass(frozen=True)
@@ -85,18 +82,35 @@ class Tree:
             )
 
     def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
+        return len(preorder(self))
 
     def leaf_count(self) -> int:
-        if not self.children:
-            return 1
-        return sum(child.leaf_count() for child in self.children)
+        return sum(not node.children for node in preorder(self))
 
     def subtrees(self) -> Iterator["Tree"]:
         """All subtrees in preorder, the tree itself first."""
-        yield self
-        for child in self.children:
-            yield from child.subtrees()
+        return iter(preorder(self))
+
+
+def preorder(tree: Tree) -> list[Tree]:
+    """Every node of the tree, each before its descendants and every subtree
+    before its right siblings' (the tree itself first), found with an explicit
+    stack, so depth is unbounded.
+
+    Read reversed, the list is a postorder: every node comes after all of its
+    descendants, with its children's subtrees from right to left.  A fold
+    that pushes each node's value on a stack in that order finds a node's
+    first child's value on top when it reaches the node, then the second's
+    below it, and so on.
+    """
+    out: list[Tree] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node.children:
+            stack += node.children[::-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,13 +183,20 @@ def substitute(term: Term, args: Sequence[Tree]) -> Tree:
     """Ground a term by substituting a tree for each variable."""
     if len(args) != term.nvars:
         raise ValueError(f"term expects {term.nvars} arguments, got {len(args)}")
+    return instantiate(term.body, args)
 
-    def go(body: TermBody) -> Tree:
-        if isinstance(body, Var):
-            return args[body.index - 1]
-        return Tree(body.label, tuple(go(child) for child in body.children))
 
-    return go(term.body)
+def instantiate(body: TermBody, args: Sequence[Tree]) -> Tree:
+    """The tree a term body denotes with variable i bound to ``args[i-1]``."""
+    if body.__class__ is Var:
+        return args[body.index - 1]
+    children = []
+    for child in body.children:  # a variable child is looked up without a call
+        if child.__class__ is Var:
+            children.append(args[child.index - 1])
+        else:
+            children.append(instantiate(child, args))
+    return Tree(body.label, tuple(children))
 
 
 def compose_term(term: Term, args: Sequence[Term]) -> TermBody:
@@ -218,14 +239,21 @@ def path_alphabet(alphabet: RankedAlphabet) -> tuple[list[tuple[Letter, int]], l
 
 def path_words(tree: Tree) -> frozenset[PathWord]:
     """One word per root-to-leaf path: (label, child index) steps, then the leaf label."""
-    if not tree.children:
-        return frozenset({(tree.label,)})
-    out: set[PathWord] = set()
-    for i, child in enumerate(tree.children, start=1):
-        step: PathSym = (tree.label, i)
-        for word in path_words(child):
-            out.add((step,) + word)
-    return frozenset(out)
+    words: set[PathWord] = set()
+    path: list[tuple[Letter, int]] = []  # the steps from the root to the current node
+    for node in preorder(tree):
+        label = node.label
+        if label.arity:
+            path.append((label, 1))
+            continue
+        words.add((*path, label))
+        # step to the next sibling of the deepest ancestor that has one
+        while path:
+            parent, i = path.pop()
+            if i < parent.arity:
+                path.append((parent, i + 1))
+                break
+    return frozenset(words)
 
 
 def enumerate_path_words(alphabet: RankedAlphabet, max_len: int) -> list[PathWord]:
@@ -282,11 +310,22 @@ def _check_letters(body: TermBody, alphabet: RankedAlphabet) -> None:
         _check_letters(child, alphabet)
 
 
+def require_letters(nodes: Sequence[Tree], alphabet: RankedAlphabet, message: str) -> None:
+    """Raise AlphabetMismatchError(message.format(name)) for the first of
+    ``nodes`` whose label is not in ``alphabet``."""
+    for node in nodes:
+        if node.label not in alphabet:
+            raise AlphabetMismatchError(message.format(node.label.name))
+
+
 def hom_apply(hom: TreeHom, tree: Tree) -> Tree:
-    if tree.label not in hom.source:
-        raise AlphabetMismatchError(f"letter {tree.label.name} not in source alphabet")
-    images = [hom_apply(hom, child) for child in tree.children]
-    return substitute(hom.rules[tree.label.name], images)
+    nodes = preorder(tree)
+    require_letters(nodes, hom.source, "letter {} not in source alphabet")
+    images: list[Tree] = []  # a node's first child's image on top
+    for node in reversed(nodes):
+        args = [images.pop() for _ in node.children]
+        images.append(instantiate(hom.rules[node.label.name].body, args))
+    return images[0]
 
 
 def hom_apply_term(hom: TreeHom, term: Term) -> Term:
@@ -303,85 +342,107 @@ def hom_apply_term(hom: TreeHom, term: Term) -> Term:
 
 # --- parsing and rendering --------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z0-9_@.|']+|[(),])")
+_NAME_CHARS = "A-Za-z0-9_@.|'"
+_TOKEN = re.compile(f"[{_NAME_CHARS}]+|[(),]")
+_BAD_CHAR = re.compile(f"[^\\s{_NAME_CHARS}(),]")
+_NOT_NAMES = frozenset(["(", ")", ",", ""])  # "" stands for the end of the input
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-            break
-        tokens.append((match.group(1), match.start(1)))
-        pos = match.end()
-    return tokens
+def tokenize(text: str) -> list[tuple[str, int]]:
+    """The tokens of ``text`` (names and the punctuation ``(),``) with their
+    positions.  A character that belongs to neither raises ParseError at the
+    start of the whitespace before it."""
+    _check_characters(text)
+    return [(match.group(), match.start()) for match in _TOKEN.finditer(text)]
 
 
-class _TermReader:
-    def __init__(self, text: str, alphabet: RankedAlphabet, var_map: Mapping[str, int]):
-        self.tokens = _tokenize(text)
-        self.alphabet = alphabet
-        self.var_map = var_map
-        self.at = 0
-        self.length = len(text)
+def _check_characters(text: str) -> None:
+    bad = _BAD_CHAR.search(text)
+    if bad is not None:
+        position = len(text[: bad.start()].rstrip())  # where the whitespace before it starts
+        raise ParseError(f"unexpected character {bad.group()!r}", position)
 
-    def _peek(self) -> tuple[str, int] | None:
-        return self.tokens[self.at] if self.at < len(self.tokens) else None
 
-    def _next(self) -> tuple[str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        self.at += 1
-        return tok
+def _read(text: str, names: Mapping[str, Letter | int], make: Callable) -> TermBody | Tree:
+    """The one reader of ``name`` and ``name(t1,...,tn)``: ``Var(i)`` where
+    ``names`` maps the name to an index i, else ``make(letter, children)``.
 
-    def read(self) -> TermBody:
-        name, pos = self._next()
-        if name in "(),":
-            raise ParseError(f"expected a name, got {name!r}", pos)
-        if name in self.var_map:
-            return Var(self.var_map[name])
-        letter = self.alphabet.get(name)
-        if letter is None:
-            raise ParseError(f"unknown letter {name!r}", pos)
-        children: list[TermBody] = []
-        tok = self._peek()
-        if tok is not None and tok[0] == "(":
-            self._next()
-            children.append(self.read())
-            while True:
-                tok = self._next()
-                if tok[0] == ")":
-                    break
-                if tok[0] != ",":
-                    raise ParseError(f"expected ',' or ')', got {tok[0]!r}", tok[1])
-                children.append(self.read())
-        if len(children) != letter.arity:
-            raise ParseError(
-                f"arity mismatch: {name} expects {letter.arity}, got {len(children)}", pos
-            )
-        return TermNode(letter, tuple(children))
+    Tokens come from one pass of the token pattern and nodes are built on an
+    explicit stack, so depth is unbounded.  A ParseError names the token it
+    stopped at by position: where the token starts, or the length of the text
+    at its end.  A character that is neither a name character, whitespace nor
+    ``(),`` is reported first, wherever it is; see ``tokenize``.
+    """
+    _check_characters(text)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of the input
+    if any(mark in names for mark in _NOT_NAMES):
+        names = {name: entry for name, entry in names.items() if name not in _NOT_NAMES}
+    # unfinished nodes: (letter, token index of its name, children read so far)
+    open_nodes: list[tuple[Letter, int, list]] = []
+    i = 0
+    while True:
+        # a term starts at token i
+        name = tokens[i]
+        entry = names.get(name)
+        if entry is None:
+            if not name:
+                raise _error(text, i, "unexpected end of input")
+            if name in _NOT_NAMES:
+                raise _error(text, i, f"expected a name, got {name!r}")
+            raise _error(text, i, f"unknown letter {name!r}")
+        i += 1
+        token = tokens[i]
+        if entry.__class__ is int:
+            node = Var(entry)
+        elif token == "(":
+            open_nodes.append((entry, i - 1, []))
+            i += 1
+            continue
+        elif entry.arity:
+            raise _error(text, i - 1, f"arity mismatch: {name} expects {entry.arity}, got 0")
+        else:
+            node = make(entry, ())
+        # the node is complete: give it to its parent, and finish every
+        # parent whose ')' follows
+        while open_nodes:
+            letter, at, children = open_nodes[-1]
+            children.append(node)
+            i += 1
+            if token == ",":
+                break
+            if token != ")":
+                if not token:
+                    raise _error(text, i - 1, "unexpected end of input")
+                raise _error(text, i - 1, f"expected ',' or ')', got {token!r}")
+            open_nodes.pop()
+            if len(children) != letter.arity:
+                raise _error(
+                    text, at,
+                    f"arity mismatch: {letter.name} expects {letter.arity}, got {len(children)}",
+                )
+            node = make(letter, tuple(children))
+            token = tokens[i]
+        else:
+            if token:
+                raise _error(text, i, f"trailing input {token!r}")
+            return node
 
-    def finish(self) -> None:
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok[0]!r}", tok[1])
+
+def _error(text: str, token: int, message: str) -> ParseError:
+    tokens = tokenize(text)
+    return ParseError(message, tokens[token][1] if token < len(tokens) else len(text))
 
 
 def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
-    """Parse ``name`` or ``name(t1,...,tn)``; whitespace is insignificant."""
-    reader = _TermReader(text, alphabet, {})
-    body = reader.read()
-    reader.finish()
+    """Parse ``name`` or ``name(t1,...,tn)``; whitespace is insignificant.
 
-    def to_tree(node: TermBody) -> Tree:
-        assert isinstance(node, TermNode)
-        return Tree(node.label, tuple(to_tree(child) for child in node.children))
-
-    return to_tree(body)
+    The tree is built without recursion, so its depth is unbounded.  A
+    ParseError gives the position of the token it stopped at (the length of
+    the text at its end); a character that may not occur in a tree is
+    reported first, at the start of the whitespace before it.
+    """
+    return _read(text, alphabet._by_name, Tree)
 
 
 def parse_term(
@@ -393,17 +454,27 @@ def parse_term(
     """Like parse_tree but variable names map to indices; default names x1..xN."""
     if var_map is None:
         var_map = {f"x{i}": i for i in range(1, nvars + 1)}
-    reader = _TermReader(text, alphabet, var_map)
-    body = reader.read()
-    reader.finish()
-    return Term(nvars, body)
+    return Term(nvars, _read(text, {**alphabet._by_name, **var_map}, TermNode))
 
 
 def render_tree(tree: Tree) -> str:
     """Canonical text; constants carry no parentheses.  parse o render = id."""
-    if not tree.children:
-        return tree.label.name
-    return f"{tree.label.name}({','.join(render_tree(child) for child in tree.children)})"
+    out: list[str] = []
+    left: list[int] = []  # children still to render, per open node
+    for node in preorder(tree):
+        out.append(node.label.name)
+        if node.children:
+            out.append("(")
+            left.append(len(node.children))
+            continue
+        while left:
+            if left[-1] > 1:
+                left[-1] -= 1
+                out.append(",")
+                break
+            left.pop()
+            out.append(")")
+    return "".join(out)
 
 
 def render_term(term: Term, var_names: Mapping[int, str] | None = None) -> str:

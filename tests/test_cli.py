@@ -22,7 +22,7 @@ from treelab.fixtures import DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_AND, SIG
 from treelab.paths import determinize, path_nfa
 from treelab.syntactic import dbta_isomorphic
 from treelab.transduce import Dtop, dtop_to_matrix_hom
-from treelab.trees import RankedAlphabet
+from treelab.trees import RankedAlphabet, parse_term
 
 
 def run(capsys, *argv):
@@ -162,6 +162,29 @@ def test_dtop_apply_file(capsys, tmp_path):
     path.write_text(save_dtop(Dtop.from_hom(HOM_DUP)))
     code, out, _ = run(capsys, "dtop", "apply", "--dtop", str(path), "--tree", "f1(f1(f0))")
     assert code == 0 and out == "f2(f2(f0,f0),f2(f0,f0))\n"
+
+
+def test_deep_trees_on_the_command_line(capsys, tmp_path):
+    depth = 10_000
+    spine = "f1(" * depth + "f0" + ")" * depth
+    tables = DBTA_POTT.algebra.tables
+    value = tables["f0"][0]
+    for _ in range(depth):
+        value = tables["f1"][value]
+    code, out, err = run(capsys, "eval", "--lang", "@l_pott", "--tree", spine)
+    assert (code, out, err) == (0, f"value {DBTA_POTT.algebra.name_of(value)}\n", "")
+    code, out, err = run(capsys, "accepts", "--lang", "@l_pott", "--tree", spine)
+    assert (code, out, err) == (0, "yes\n" if value in DBTA_POTT.accepting else "no\n", "")
+    sig = DBTA_POTT.alphabet
+    rules = {"f2": "f2(x2,x1)", "f1": "f2(x1,f0)", "f0": "f0"}
+    dtop = Dtop(sig, sig, 1, 1, {
+        (letter.name, 1): parse_term(rules[letter.name], sig, letter.arity)
+        for letter in sig.letters
+    })
+    path = tmp_path / "deep.dtop"
+    path.write_text(save_dtop(dtop))
+    code, out, err = run(capsys, "dtop", "apply", "--dtop", str(path), "--tree", spine)
+    assert (code, out, err) == (0, "f2(" * depth + "f0" + ",f0)" * depth + "\n", "")
 
 
 def test_dtop_preimage_file(capsys, tmp_path):

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from treelab.errors import ParseError
@@ -15,6 +18,7 @@ from treelab.trees import (
     enumerate_trees,
     hom_apply,
     hom_apply_term,
+    parse_term,
     parse_tree,
     path_words,
     render_tree,
@@ -197,3 +201,195 @@ def test_alphabet_invariants():
         RankedAlphabet.of(("a", 1), ("a", 0))
     with pytest.raises(ValueError, match="arity"):
         RankedAlphabet.of(("a", 9), ("c", 0))
+
+
+# --- the reader against the recursive reader it replaced ----------------------
+
+_SEED_TOKEN = re.compile(r"\s*([A-Za-z0-9_@.|']+|[(),])")
+
+
+def _seed_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _SEED_TOKEN.match(text, pos)
+        if match is None:
+            if text[pos:].strip():
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
+            break
+        tokens.append((match.group(1), match.start(1)))
+        pos = match.end()
+    return tokens
+
+
+class _SeedReader:
+    """The recursive reader that parse_tree and parse_term used before, kept
+    as the reference for their results and error messages."""
+
+    def __init__(self, text, alphabet, var_map):
+        self.tokens = _seed_tokenize(text)
+        self.alphabet = alphabet
+        self.var_map = var_map
+        self.at = 0
+        self.length = len(text)
+
+    def _peek(self):
+        return self.tokens[self.at] if self.at < len(self.tokens) else None
+
+    def _next(self):
+        tok = self._peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.length)
+        self.at += 1
+        return tok
+
+    def read(self):
+        name, pos = self._next()
+        if name in "(),":
+            raise ParseError(f"expected a name, got {name!r}", pos)
+        if name in self.var_map:
+            return Var(self.var_map[name])
+        letter = self.alphabet.get(name)
+        if letter is None:
+            raise ParseError(f"unknown letter {name!r}", pos)
+        children = []
+        tok = self._peek()
+        if tok is not None and tok[0] == "(":
+            self._next()
+            children.append(self.read())
+            while True:
+                tok = self._next()
+                if tok[0] == ")":
+                    break
+                if tok[0] != ",":
+                    raise ParseError(f"expected ',' or ')', got {tok[0]!r}", tok[1])
+                children.append(self.read())
+        if len(children) != letter.arity:
+            raise ParseError(
+                f"arity mismatch: {name} expects {letter.arity}, got {len(children)}", pos
+            )
+        return TermNode(letter, tuple(children))
+
+    def finish(self):
+        tok = self._peek()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok[0]!r}", tok[1])
+
+
+def _seed_parse_tree(text, alphabet):
+    reader = _SeedReader(text, alphabet, {})
+    body = reader.read()
+    reader.finish()
+
+    def to_tree(node):
+        return Tree(node.label, tuple(to_tree(child) for child in node.children))
+
+    return to_tree(body)
+
+
+def _seed_parse_term(text, alphabet, nvars):
+    reader = _SeedReader(text, alphabet, {f"x{i}": i for i in range(1, nvars + 1)})
+    body = reader.read()
+    reader.finish()
+    return Term(nvars, body)
+
+
+def _outcome(parse, *args):
+    try:
+        return "ok", parse(*args)
+    except ParseError as error:
+        return "error", str(error)
+
+
+def _random_text(rng, alphabet, nodes, variables=()):
+    """The rendering of a random tree of about ``nodes`` nodes, some of whose
+    leaves are variable names."""
+    constants = alphabet.constants
+    operators = [letter for letter in alphabet.letters if letter.arity]
+
+    def grow(budget):
+        if budget <= 1 or rng.random() < 0.15:
+            if variables and rng.random() < 0.3:
+                return rng.choice(variables)
+            return rng.choice(constants).name
+        letter = rng.choice(operators)
+        shares = [max(1, (budget - 1) // letter.arity)] * letter.arity
+        return f"{letter.name}({','.join(grow(share) for share in shares)})"
+
+    return grow(nodes)
+
+
+_INSERTS = list("(),#$") + list("fgcdx012") + [" ", "  ", "\t", "\n"]
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        if rng.random() < 0.4 and text:
+            at = min(at, len(text) - 1)
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice(_INSERTS) + text[at:]
+    return text
+
+
+def test_reader_matches_recursive_reader_on_mutated_text():
+    rng = random.Random(17)
+    errors = 0
+    for trial in range(5000):
+        alphabet = SIG_POTT if trial % 2 else SIG_GCD
+        variables = ("x1", "x2") if trial % 3 == 0 else ()
+        text = _random_text(rng, alphabet, rng.randint(1, 16), variables)
+        if trial % 7:
+            text = _mutate(rng, text)
+        expected = _outcome(_seed_parse_term, text, alphabet, 2)
+        assert _outcome(parse_term, text, alphabet, 2) == expected, text
+        expected = _outcome(_seed_parse_tree, text, alphabet)
+        assert _outcome(parse_tree, text, alphabet) == expected, text
+        errors += expected[0] == "error"
+    assert 2000 < errors < 4800  # both outcomes are well represented
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of input (at position 0)"),
+        ("  ", "unexpected end of input (at position 2)"),
+        ("f2(f0,", "unexpected end of input (at position 6)"),
+        ("f2(f0 ", "unexpected end of input (at position 6)"),
+        ("f2(f0,f0) #", "unexpected character '#' (at position 9)"),
+        ("f2(nope, f0 \t$)", "unexpected character '$' (at position 11)"),
+        ("f2(f0,f0) f0", "trailing input 'f0' (at position 10)"),
+        ("f2()", "expected a name, got ')' (at position 3)"),
+        ("f2(f0 f0)", "expected ',' or ')', got 'f0' (at position 6)"),
+        ("f1", "arity mismatch: f1 expects 1, got 0 (at position 0)"),
+        (" f2(f0,f1(f0,f0))", "arity mismatch: f1 expects 1, got 2 (at position 7)"),
+        ("f0(nope)", "unknown letter 'nope' (at position 3)"),
+    ],
+)
+def test_reader_error_positions(text, message):
+    assert _outcome(parse_tree, text, SIG_POTT) == ("error", message)
+    assert _outcome(_seed_parse_tree, text, SIG_POTT) == ("error", message)
+
+
+def test_reader_variables_end_a_term():
+    for text in ("x1(f0)", "f2(x1(f0),f0)"):
+        assert _outcome(parse_term, text, SIG_POTT, 1) == _outcome(
+            _seed_parse_term, text, SIG_POTT, 1
+        )
+        assert _outcome(parse_term, text, SIG_POTT, 1)[0] == "error"
+    assert parse_term("f2(x2,x1)", SIG_POTT, 2) == Term(
+        2, TermNode(SIG_POTT["f2"], (Var(2), Var(1)))
+    )
+
+
+def test_alphabet_lookup_by_name():
+    alphabet = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0))
+    assert alphabet.get("g") == Letter("g", 1) and alphabet.get("h") is None
+    assert alphabet.index("a") == 2
+    with pytest.raises(KeyError):
+        alphabet.index("h")
+    assert Letter("g", 1) in alphabet and Letter("g", 2) not in alphabet
+    assert alphabet == RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0))
+    assert hash(alphabet) == hash(RankedAlphabet(alphabet.letters))
+    assert repr(alphabet) == f"RankedAlphabet(letters={alphabet.letters!r})"

@@ -208,11 +208,13 @@ def test_folds_match_recursive_forms():
 
 
 def test_foreign_letter_errors_name_the_first_in_preorder():
-    g2 = Letter("g", 2)  # a known name with another arity
-    tree = Tree(F, (Tree(G, (Tree(Letter("u", 0)),)), Tree(g2, (Tree(A), Tree(B)))))
+    # the folds meet g/2 (a known name with another arity) before u, which comes first in preorder
+    tree = Tree(F, (Tree(G, (Tree(Letter("u", 0)),)), Tree(Letter("g", 2), (Tree(A), Tree(B)))))
     algebra = random_algebra(random.Random(1), FGAB, 3)
     with pytest.raises(AlphabetMismatchError, match="^letter u not in the algebra's alphabet$"):
         evaluate(algebra, tree)
+    with pytest.raises(AlphabetMismatchError, match="^letter u not in the input alphabet$"):
+        dtop_apply(random_dtop(random.Random(2), 2), tree)
     with pytest.raises(AlphabetMismatchError, match="^letter g not in the input alphabet$"):
         dtop_apply(random_dtop(random.Random(2), 2), Tree(F, (Tree(A), tree.children[1])))
     assert recursive_render_tree(tree) == render_tree(tree) == "f(g(u),g(a,b))"

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
-import random
 import sys
 from dataclasses import dataclass, field
 
@@ -38,7 +37,6 @@ from .automata import (
     accepts,
     are_equivalent,
     evaluate,
-    is_empty,
     boolean_combine,
     preimage_tree_hom,
     reachable_elements,
@@ -60,7 +58,6 @@ from .cascade import (
 from .errors import CapExceededError, ParseError, TreelabError
 from .paths import (
     Dtta,
-    dtta_accepts,
     is_doubly_deterministic,
     is_universal_path,
     mixes,
@@ -87,18 +84,15 @@ from .transduce import (
     dtop_apply,
     dtop_preimage,
     dtop_to_matrix_hom,
-    matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,
 )
 from .trees import (
+    MAX_ARITY,
     Letter,
     RankedAlphabet,
     Term,
-    TermBody,
-    TermNode,
     Tree,
-    Var,
     enumerate_trees,
     hom_apply,
     parse_term,
@@ -138,15 +132,34 @@ class _Doc:
         return {row[0] for _, row in self.rows}
 
 
+def _int(number: int, text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        _fail(number, f"{what} must be an integer, got {text!r}")
+
+
+def _checked(make, *args):
+    """Build a loaded object; its own consistency checks fail as ParseErrors."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def _parse_letters(doc: _Doc, keyword: str) -> RankedAlphabet:
-    letters = []
+    letters: dict[str, Letter] = {}
     for number, row in doc.take(keyword):
-        if len(row) != 2 or not row[1].isdigit():
+        if len(row) != 2 or not row[1].isdecimal():
             _fail(number, f"expected `{keyword} NAME ARITY`")
-        letters.append(Letter(row[0], int(row[1])))
+        if row[0] in letters:
+            _fail(number, f"duplicate letter {row[0]!r}")
+        if int(row[1]) > MAX_ARITY:
+            _fail(number, f"arity of {row[0]} out of range 0..{MAX_ARITY}")
+        letters[row[0]] = Letter(row[0], int(row[1]))
     if not letters:
         raise ParseError(f"no `{keyword}` lines found")
-    return RankedAlphabet(tuple(letters))
+    return RankedAlphabet(tuple(letters.values()))
 
 
 def load_alphabet(text: str) -> RankedAlphabet:
@@ -174,11 +187,8 @@ def _parse_ops(
         letter = alphabet.get(name)
         if letter is None:
             _fail(number, f"unknown letter {name!r}")
-        try:
-            args = tuple(int(x) for x in row[1:-2])
-            result = int(row[-1])
-        except ValueError:
-            _fail(number, "carrier elements must be integers")
+        args = tuple(_int(number, x, "carrier element") for x in row[1:-2])
+        result = _int(number, row[-1], "carrier element")
         if len(args) != letter.arity:
             _fail(number, f"{name} takes {letter.arity} arguments")
         if any(not 0 <= x < size for x in args + (result,)):
@@ -202,9 +212,9 @@ def _parse_ops(
 
 def _single_int(doc: _Doc, keyword: str) -> int:
     rows = doc.take(keyword)
-    if len(rows) != 1 or len(rows[0][1]) != 1 or not rows[0][1][0].lstrip("-").isdigit():
+    if len(rows) != 1 or len(rows[0][1]) != 1:
         raise ParseError(f"expected exactly one `{keyword} N` line")
-    return int(rows[0][1][0])
+    return _int(rows[0][0], rows[0][1][0], keyword)
 
 
 def load_dbta(text: str) -> Dbta:
@@ -228,12 +238,10 @@ def load_dbta(text: str) -> Dbta:
     accept_rows = doc.take("accept")
     if len(accept_rows) != 1:
         raise ParseError("expected exactly one `accept` line")
-    try:
-        accepting = frozenset(int(x) for x in accept_rows[0][1])
-    except ValueError:
-        _fail(accept_rows[0][0], "accepting elements must be integers")
+    number, row = accept_rows[0]
+    accepting = frozenset(_int(number, x, "accepting element") for x in row)
     if any(not 0 <= e < size for e in accepting):
-        _fail(accept_rows[0][0], "accepting element out of range")
+        _fail(number, "accepting element out of range")
     return Dbta(FiniteAlgebra(alphabet, size, tables, names), accepting)
 
 
@@ -270,11 +278,11 @@ def load_dtta(text: str) -> Dtta:
     for number, row in doc.take("delta"):
         if len(row) < 4 or row[2] != "->":
             _fail(number, "expected `delta Q NAME -> q1 .. qn`")
-        state = int(row[0])
+        state = _int(number, row[0], "state")
         letter = alphabet.get(row[1])
         if letter is None or letter.arity == 0:
             _fail(number, f"{row[1]} is not a non-constant letter")
-        successors = tuple(int(x) for x in row[3:])
+        successors = tuple(_int(number, x, "state") for x in row[3:])
         if len(successors) != letter.arity:
             _fail(number, f"{row[1]} needs {letter.arity} successors")
         if any(not 0 <= q < n_states for q in (state,) + successors):
@@ -284,7 +292,7 @@ def load_dtta(text: str) -> Dtta:
     for number, row in doc.take("leaf"):
         if len(row) != 4 or row[2] != "->" or row[3] not in ("accept", "reject"):
             _fail(number, "expected `leaf Q NAME -> accept|reject`")
-        state = int(row[0])
+        state = _int(number, row[0], "state")
         letter = alphabet.get(row[1])
         if letter is None or letter.arity != 0:
             _fail(number, f"{row[1]} is not a constant")
@@ -292,7 +300,7 @@ def load_dtta(text: str) -> Dtta:
             _fail(number, "state out of range")
         if row[3] == "accept":
             leaf_ok.add((state, row[1]))
-    return Dtta(alphabet, n_states, initial, delta, frozenset(leaf_ok))
+    return _checked(Dtta, alphabet, n_states, initial, delta, frozenset(leaf_ok))
 
 
 def save_dtta(dtta: Dtta) -> str:
@@ -337,7 +345,7 @@ def load_dtop(text: str) -> Dtop:
     for number, row in doc.take("rule"):
         if len(row) < 4 or row[2] != "->":
             _fail(number, "expected `rule Q NAME -> term`")
-        state = int(row[0])
+        state = _int(number, row[0], "state")
         letter = input_alphabet.get(row[1])
         if letter is None:
             _fail(number, f"unknown input letter {row[1]!r}")
@@ -351,7 +359,7 @@ def load_dtop(text: str) -> Dtop:
             _dtop_var_map(n_states, letter.arity),
         )
         rules[(row[1], state)] = term
-    return Dtop(input_alphabet, output_alphabet, n_states, initial, rules)
+    return _checked(Dtop, input_alphabet, output_alphabet, n_states, initial, rules)
 
 
 def save_dtop(dtop: Dtop) -> str:
@@ -449,7 +457,7 @@ def load_matrix(text: str) -> MatrixHom:
             _fail(name_rows[0][0], f"`names` must list {size} names")
         names = tuple(name_rows[0][1])
     tables = _parse_ops(doc, base_alphabet, size)
-    base = FiniteAlgebra(base_alphabet, size, tables, names)
+    base = _checked(FiniteAlgebra, base_alphabet, size, tables, names)
     width = _single_int(doc, "width")
     tuples: dict[str, dict[int, PolyTerm]] = {letter.name: {} for letter in input_alphabet.letters}
     for number, row in doc.take("tuple"):
@@ -458,7 +466,7 @@ def load_matrix(text: str) -> MatrixHom:
         letter = input_alphabet.get(row[0])
         if letter is None:
             _fail(number, f"unknown input letter {row[0]!r}")
-        coordinate = int(row[1])
+        coordinate = _int(number, row[1], "coordinate")
         if not 1 <= coordinate <= width:
             _fail(number, "coordinate out of range")
         pt = _parse_polyterm(" ".join(row[3:]), base_alphabet, width * letter.arity)
@@ -471,7 +479,7 @@ def load_matrix(text: str) -> MatrixHom:
         if len(rows) != width:
             raise ParseError(f"letter {letter.name} needs {width} tuple rows")
         done[letter.name] = tuple(rows[i] for i in range(1, width + 1))
-    return MatrixHom(base, input_alphabet, width, done)
+    return _checked(MatrixHom, base, input_alphabet, width, done)
 
 
 def save_matrix(mh: MatrixHom) -> str:
@@ -515,7 +523,6 @@ class Workspace:
 
     alphabets: dict[str, RankedAlphabet] = field(default_factory=dict)
     dbtas: dict[str, Dbta] = field(default_factory=dict)
-    dttas: dict[str, Dtta] = field(default_factory=dict)
     dtops: dict[str, Dtop] = field(default_factory=dict)
     matrices: dict[str, MatrixHom] = field(default_factory=dict)
 
@@ -764,7 +771,7 @@ def _parse_congruence(text: str, size: int) -> Congruence:
             blocks.append({int(x) for x in chunk.split(",")})
         except ValueError:
             raise ParseError(f"bad congruence block {chunk!r}")
-    return Congruence.from_blocks(size, blocks)
+    return _checked(Congruence.from_blocks, size, blocks)
 
 
 def _cmd_structure_congruences(ws: Workspace, args, report: Report) -> None:

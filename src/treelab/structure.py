@@ -4,19 +4,30 @@ Polynomial generation, the minimality test (every unary polynomial constant or
 bijective), or-pairs and their separation by path mixes, the bounded strongly
 abelian check, and the two-element-lattice divisor screen.  The bounded checks
 are labelled: a bounded pass is not a proof.
+
+Congruences are computed by the congruence engine in ``syntactic``: one table
+of basic translations per algebra serves principal congruences, joins,
+compatibility tests and quotients (see the notes there).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
 
 from .automata import Dbta, FiniteAlgebra, reachable
 from .errors import CapExceededError, IncompatiblePartitionError
 from .fixtures import ALG_LATTICE
 from .paths import mix_elements
-from .syntactic import DividesWitness, divides
+from .syntactic import (
+    DividesWitness,
+    _all_translations,
+    _closure,
+    _first_incompatible,
+    _quotient_tables,
+    _translations,
+    divides,
+)
 from .trees import Letter, RankedAlphabet
 
 
@@ -92,98 +103,45 @@ class Congruence:
         return len(self.blocks) == 1
 
     def join(self, other: "Congruence") -> "Congruence":
-        parent = list(range(self.size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            parent[find(a)] = find(b)
-
-        for cong in (self, other):
-            for block in cong.blocks:
-                anchor = min(block)
-                for element in block:
-                    union(anchor, element)
-        groups: dict[int, set[int]] = {}
-        for element in range(self.size):
-            groups.setdefault(find(element), set()).add(element)
-        return Congruence.from_blocks(self.size, groups.values())
+        blocks = self.blocks + other.blocks
+        pairs = [(min(block), element) for block in blocks for element in block]
+        return Congruence.from_classes(_closure(self.size, pairs))
 
 
 def is_compatible(algebra: FiniteAlgebra, congruence: Congruence) -> bool:
-    classes = congruence.class_of()
-    for letter in algebra.alphabet.letters:
-        for args in itertools.product(range(algebra.size), repeat=letter.arity):
-            for position in range(letter.arity):
-                block = congruence.blocks[classes[args[position]]]
-                base = classes[algebra.op(letter.name, args)]
-                for other in block:
-                    swapped = args[:position] + (other,) + args[position + 1 :]
-                    if classes[algebra.op(letter.name, swapped)] != base:
-                        return False
-    return True
+    return _first_incompatible(_translations(algebra), congruence.class_of()) is None
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Congruence:
-    """Finest congruence relating a and b, by union-find closure."""
-    parent = list(range(algebra.size))
+    """Finest congruence relating a and b: the closure of the pair under the
+    basic translations (Freese's worklist)."""
+    maps = _all_translations(algebra)
+    return Congruence.from_classes(_closure(algebra.size, [(a, b)], maps))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[rx] = ry
-        return True
-
-    union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        for letter in algebra.alphabet.letters:
-            arity = letter.arity
-            if arity == 0:
-                continue
-            for args in itertools.product(range(algebra.size), repeat=arity):
-                for position in range(arity):
-                    for other in range(algebra.size):
-                        if other <= args[position] or find(other) != find(args[position]):
-                            continue
-                        swapped = args[:position] + (other,) + args[position + 1 :]
-                        if union(
-                            algebra.op(letter.name, args),
-                            algebra.op(letter.name, swapped),
-                        ):
-                            changed = True
-    groups: dict[int, set[int]] = {}
-    for element in range(algebra.size):
-        groups.setdefault(find(element), set()).add(element)
-    return Congruence.from_blocks(algebra.size, groups.values())
+def _principal_congruences(algebra: FiniteAlgebra) -> set[Congruence]:
+    """The principal congruences of all pairs of distinct elements."""
+    maps = _all_translations(algebra)
+    return {
+        Congruence.from_classes(_closure(algebra.size, [pair], maps))
+        for pair in itertools.combinations(range(algebra.size), 2)
+    }
 
 
 def all_congruences(algebra: FiniteAlgebra, max_carrier: int = 8) -> list[Congruence]:
-    """The whole congruence lattice: joins of principal congruences."""
+    """The whole congruence lattice: joins of principal congruences.
+
+    Every congruence is the join of the principal congruences of its pairs,
+    so joining each congruence found with each principal one reaches them all.
+    """
     if algebra.size > max_carrier:
         raise CapExceededError(f"congruence enumeration capped at carrier {max_carrier}")
-    principals = {
-        principal_congruence(algebra, a, b)
-        for a in range(algebra.size)
-        for b in range(a + 1, algebra.size)
-    }
+    principals = _principal_congruences(algebra)
     found: set[Congruence] = {Congruence.identity(algebra.size)} | principals
     worklist = list(found)
     while worklist:
         current = worklist.pop()
-        for other in list(found):
+        for other in principals:
             joined = current.join(other)
             if joined not in found:
                 found.add(joined)
@@ -193,11 +151,7 @@ def all_congruences(algebra: FiniteAlgebra, max_carrier: int = 8) -> list[Congru
 
 def minimal_nontrivial_congruences(algebra: FiniteAlgebra) -> list[Congruence]:
     """Inclusion-minimal non-identity congruences (all of them are principal)."""
-    principals = {
-        principal_congruence(algebra, a, b)
-        for a in range(algebra.size)
-        for b in range(a + 1, algebra.size)
-    }
+    principals = _principal_congruences(algebra)
     nontrivial = [c for c in principals if not c.is_identity()]
     minimal = []
     for candidate in nontrivial:
@@ -211,22 +165,10 @@ def quotient(algebra: FiniteAlgebra, congruence: Congruence) -> FiniteAlgebra:
     if congruence.size != algebra.size:
         raise ValueError("partition size does not match the carrier")
     classes = congruence.class_of()
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in algebra.alphabet.letters:
-        rows: dict[tuple[int, ...], int] = {}
-        for args in itertools.product(range(algebra.size), repeat=letter.arity):
-            key = tuple(classes[arg] for arg in args)
-            value = classes[algebra.op(letter.name, args)]
-            previous = rows.setdefault(key, value)
-            if previous != value:
-                raise IncompatiblePartitionError(
-                    f"partition is not compatible with {letter.name}"
-                )
-        tables[letter.name] = tuple(
-            rows[key]
-            for key in itertools.product(range(len(congruence.blocks)), repeat=letter.arity)
-        )
-    return FiniteAlgebra(algebra.alphabet, len(congruence.blocks), tables)
+    letter = _first_incompatible(_translations(algebra), classes)
+    if letter is not None:
+        raise IncompatiblePartitionError(f"partition is not compatible with {letter}")
+    return FiniteAlgebra(algebra.alphabet, len(congruence.blocks), _quotient_tables(algebra, classes))
 
 
 # --- polynomial clones --------------------------------------------------------

@@ -4,6 +4,17 @@ The syntactic algebra of a recognized language is obtained by restricting the
 recognizer to its tree-reachable elements and then quotienting by the coarsest
 congruence that separates accepting from non-accepting elements.  It divides
 every other recognizer of the same language and is unique up to isomorphism.
+
+The congruence engine here serves this module and ``structure``.  A basic
+translation x -> f(c1..x..ck) varies one argument position of a letter and
+fixes the others.  A partition is a congruence iff every basic translation
+sends each class into a class, because a change of several arguments within
+their classes factors into a chain of single-position changes.  So one table
+of the distinct basic translations serves principal congruences, joins,
+coarsest refinements, compatibility tests and quotients.  The closure is
+Freese's worklist (R. Freese, Computing congruences efficiently, Algebra
+Universalis 59, 2008): only pairs that merge two classes are mapped on.  Class
+lists are numbered by least element, so each partition has one class list.
 """
 
 from __future__ import annotations
@@ -23,38 +34,98 @@ class SyntacticResult:
     projection: Mapping[int, int]  # original reachable element -> minimal element
 
 
-def _refine_partition(algebra: FiniteAlgebra, initial: list[int]) -> list[int]:
-    """Coarsest congruence refining the initial class assignment.
+# --- the congruence engine (see the module docstring) ------------------------
 
-    One argument position is varied at a time while the other positions range
-    over all raw carrier tuples; iterating this single-position refinement to a
-    fixpoint yields a congruence because multi-position substitutions factor
-    into chains of single-position ones.
-    """
+Maps = tuple[tuple[int, ...], ...]
+
+
+def _translations(algebra: FiniteAlgebra) -> dict[str, Maps]:
+    """Per letter, in alphabet order, its distinct basic translations, each a
+    stride slice of the letter's table indexed by the varying argument."""
     size = algebra.size
-    classes = list(initial)
+    out: dict[str, Maps] = {}
+    for letter in algebra.alphabet.letters:
+        table, maps = algebra.tables[letter.name], {}
+        for position in range(letter.arity):
+            stride = size ** (letter.arity - 1 - position)
+            for high in range(0, len(table), stride * size):
+                for base in range(high, high + stride):
+                    maps[table[base : base + stride * size : stride]] = None
+        out[letter.name] = tuple(maps)
+    return out
+
+
+def _all_translations(algebra: FiniteAlgebra) -> Maps:
+    return tuple(dict.fromkeys(m for maps in _translations(algebra).values() for m in maps))
+
+
+def _canonical(labels) -> list[int]:
+    """Renumber class labels by first occurrence, i.e. by least element."""
+    ids: dict = {}
+    return [ids.setdefault(label, len(ids)) for label in labels]
+
+
+def _closure(size: int, pairs, maps: Maps = ()) -> list[int]:
+    """Finest partition that relates the pairs and that the maps send into
+    itself, by union-find; a pair that merges two classes queues its images."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    queue = list(pairs)
+    while queue:
+        x, y = queue.pop()
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+            queue.extend((m[x], m[y]) for m in maps)
+    return _canonical(find(e) for e in range(size))
+
+
+def _coarsest_refinement(maps: Maps, initial: list) -> list[int]:
+    """Coarsest congruence refining the initial classes (Moore's loop): split
+    each class by the classes of its images under every map until none splits."""
+    classes = _canonical(initial)
     while True:
-        signatures: list[tuple] = []
-        for element in range(size):
-            sig: list[int] = [classes[element]]
-            for letter in algebra.alphabet.letters:
-                arity = letter.arity
-                if arity == 0:
-                    continue
-                for position in range(arity):
-                    for others in itertools.product(range(size), repeat=arity - 1):
-                        args = others[:position] + (element,) + others[position:]
-                        sig.append(classes[algebra.op(letter.name, args)])
-            signatures.append(tuple(sig))
-        remap: dict[tuple, int] = {}
-        new_classes = []
-        for sig in signatures:
-            if sig not in remap:
-                remap[sig] = len(remap)
-            new_classes.append(remap[sig])
-        if new_classes == classes:
+        refined = _canonical(zip(classes, *([classes[x] for x in m] for m in maps)))
+        if refined == classes:
             return classes
-        classes = new_classes
+        classes = refined
+
+
+def _first_incompatible(translations: dict[str, Maps], classes: list[int]) -> str | None:
+    """The first letter with a translation that splits a class, or None."""
+    for name, maps in translations.items():
+        for m in maps:
+            image: dict[int, int] = {}
+            for x, cls in enumerate(classes):
+                if image.setdefault(cls, classes[m[x]]) != classes[m[x]]:
+                    return name
+    return None
+
+
+def _representatives(classes: list[int]) -> list[int]:
+    """The least element of each class of a canonical class list."""
+    first: dict[int, int] = {}
+    for element, cls in enumerate(classes):
+        first.setdefault(cls, element)
+    return list(first.values())
+
+
+def _quotient_tables(algebra: FiniteAlgebra, classes: list[int]) -> dict[str, tuple[int, ...]]:
+    """Letter tables on the classes of a congruence, read off representatives."""
+    reps = _representatives(classes)
+    return {
+        letter.name: tuple(
+            classes[algebra.op(letter.name, args)]
+            for args in itertools.product(reps, repeat=letter.arity)
+        )
+        for letter in algebra.alphabet.letters
+    }
 
 
 def syntactic_algebra(dbta: Dbta) -> SyntacticResult:
@@ -62,28 +133,16 @@ def syntactic_algebra(dbta: Dbta) -> SyntacticResult:
     restriction = reachable(dbta)
     restricted = restriction.dbta
     algebra = restricted.algebra
-    initial = [1 if e in restricted.accepting else 0 for e in range(algebra.size)]
-    classes = _refine_partition(algebra, initial)
-
-    n_classes = max(classes) + 1 if classes else 1
-    representative = {}
-    for element, cls in enumerate(classes):
-        representative.setdefault(cls, element)
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in algebra.alphabet.letters:
-        rows = []
-        for args in itertools.product(range(n_classes), repeat=letter.arity):
-            reps = tuple(representative[c] for c in args)
-            rows.append(classes[algebra.op(letter.name, reps)])
-        tables[letter.name] = tuple(rows)
+    initial = [e in restricted.accepting for e in range(algebra.size)]
+    classes = _coarsest_refinement(_all_translations(algebra), initial)
     names = None
     if algebra.element_names is not None:
-        names = tuple(algebra.element_names[representative[c]] for c in range(n_classes))
-    minimal_algebra = FiniteAlgebra(algebra.alphabet, n_classes, tables, names)
+        names = tuple(algebra.element_names[r] for r in _representatives(classes))
+    minimal_algebra = FiniteAlgebra(
+        algebra.alphabet, max(classes) + 1, _quotient_tables(algebra, classes), names
+    )
     accepting = frozenset(classes[e] for e in restricted.accepting)
-    projection = {
-        old: classes[new] for old, new in restriction.old_to_new.items()
-    }
+    projection = {old: classes[new] for old, new in restriction.old_to_new.items()}
     return SyntacticResult(Dbta(minimal_algebra, accepting), projection)
 
 
@@ -258,53 +317,39 @@ def divides(a: FiniteAlgebra, b: FiniteAlgebra, max_carrier: int = 6) -> Divides
             return None
         candidates.append(names)
 
-    universe = list(range(b.size))
     for choice in itertools.product(*candidates):
         assignment = {role.name: picked for role, picked in zip(roles, choice)}
-        ops = {role.name: (role.arity, b.tables[picked]) for role, picked in zip(roles, choice)}
-
-        def closed(subset: frozenset[int]) -> bool:
-            for role_name, (arity, _table) in ops.items():
-                for args in itertools.product(sorted(subset), repeat=arity):
-                    if b.op(assignment[role_name], args) not in subset:
-                        return False
-            return True
-
         for mask in range(1, 1 << b.size):
-            subset = frozenset(e for e in universe if mask >> e & 1)
-            if len(subset) < a.size or not closed(subset):
+            order = [e for e in range(b.size) if mask >> e & 1]
+            if len(order) < a.size:
                 continue
-            order = sorted(subset)
-            for blocks in _partitions(order):
+            index = {element: i for i, element in enumerate(order)}
+            tables = {
+                role.name: tuple(
+                    index.get(b.op(assignment[role.name], args), -1)
+                    for args in itertools.product(order, repeat=role.arity)
+                )
+                for role in roles
+            }
+            if any(-1 in table for table in tables.values()):
+                continue  # not closed under the assigned operations
+            sub = FiniteAlgebra(a.alphabet, len(order), tables)
+            translations = _translations(sub)
+            for blocks in _partitions(list(range(len(order)))):
                 if len(blocks) != a.size:
                     continue
-                block_of = {}
-                for idx, block in enumerate(blocks):
-                    for element in block:
-                        block_of[element] = idx
-                tables: dict[str, tuple[int, ...]] = {}
-                ok = True
-                for role in roles:
-                    rows: dict[tuple[int, ...], int] = {}
-                    for args in itertools.product(order, repeat=role.arity):
-                        key = tuple(block_of[arg] for arg in args)
-                        value = block_of[b.op(assignment[role.name], args)]
-                        if rows.setdefault(key, value) != value:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    tables[role.name] = tuple(
-                        rows[key]
-                        for key in itertools.product(range(a.size), repeat=role.arity)
-                    )
-                if not ok:
+                classes = [0] * len(order)
+                for number, block in enumerate(blocks):
+                    for i in block:
+                        classes[i] = number
+                classes = _canonical(classes)
+                if _first_incompatible(translations, classes) is not None:
                     continue
-                quotient = FiniteAlgebra(a.alphabet, a.size, tables)
+                quotient = FiniteAlgebra(a.alphabet, a.size, _quotient_tables(sub, classes))
                 if find_isomorphism(a, quotient) is not None:
                     return DividesWitness(
                         assignment,
-                        subset,
-                        tuple(frozenset(block) for block in blocks),
+                        frozenset(order),
+                        tuple(frozenset(order[i] for i in block) for block in blocks),
                     )
     return None

@@ -18,6 +18,7 @@ from treelab.cli import (
     save_dtta,
     save_matrix,
 )
+from treelab.errors import ParseError
 from treelab.fixtures import DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_AND, SIG_GCD
 from treelab.paths import determinize, path_nfa
 from treelab.syntactic import dbta_isomorphic
@@ -302,6 +303,39 @@ def test_structure_commands(capsys):
     assert code == 0 and out.rstrip().endswith("all-separable")
 
 
+PINNED_REPORTS = {
+    ("structure", "congruences", "--lang", "@l_pair"): (
+        "congruences 6\nminimal-nontrivial 1\ncongruence 0,1,2,3\ncongruence 0;1,2,3\n"
+        "congruence 0,2,3;1\ncongruence 0,1;2,3\ncongruence 0;1;2,3\ncongruence 0;1;2;3\n"
+    ),
+    ("structure", "congruences", "--lang", "@l_true_bool"): (
+        "congruences 2\nminimal-nontrivial 1\ncongruence 0,1\ncongruence 0;1\n"
+    ),
+    ("structure", "congruences", "--lang", "@l_pott_redundant"): (
+        "congruences 5\nminimal-nontrivial 2\ncongruence 0,1,2,3,4,5\ncongruence 0,2,4;1,3,5\n"
+        "congruence 0,1;2,3;4,5\ncongruence 0;1;2;3;4,5\ncongruence 0;1;2;3;4;5\n"
+    ),
+    ("minimize", "--lang", "@l_pair"): (
+        "carrier 4\nletter g 2\nletter c 0\nletter d 0\ncarrier 4\nnames c d ok sink\n"
+        + "".join(
+            f"op g {x} {y} -> {2 if (x, y) == (0, 1) else 3}\n" for x in range(4) for y in range(4)
+        )
+        + "op c -> 0\nop d -> 1\naccept 2\n"
+    ),
+    ("minimize", "--lang", "@l_true_bool"): (
+        "carrier 2\nletter and 2\nletter or 2\nletter one 0\nletter zero 0\ncarrier 2\n"
+        "op and 0 0 -> 0\nop and 0 1 -> 0\nop and 1 0 -> 0\nop and 1 1 -> 1\n"
+        "op or 0 0 -> 0\nop or 0 1 -> 1\nop or 1 0 -> 1\nop or 1 1 -> 1\n"
+        "op one -> 1\nop zero -> 0\naccept 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_REPORTS))
+def test_pinned_reports(capsys, argv):
+    assert run(capsys, *argv) == (0, PINNED_REPORTS[argv], "")
+
+
 def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "accepts", "--lang", "@l_pott", "--tree", "f1(f0,f0)")
     assert code == 2 and "arity" in err
@@ -311,6 +345,48 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 3
     code, _, err = run(capsys, "no-such-command")
     assert code == 1
+
+
+MALFORMED = [
+    ("alphabet", "letter a 0\nletter g 1\nletter a 1\n", "line 3: duplicate letter"),
+    ("alphabet", "letter a 0\nletter f 9\n", "line 2: arity of f out of range"),
+    ("dbta", "letter a 0\nletter f 9\ncarrier 1\nop a -> 0\naccept 0\n", "line 2: arity"),
+    ("dtop", "input a 0\ninput g 1\noutput a 0\nstates 1\ninit 1\nrule 1 a -> a\n",
+     "missing rule for (g, 1)"),
+    ("dtop", "input a 0\noutput a 0\nstates 1\ninit 1\nrule x a -> a\n", "line 5: state"),
+    ("dtop", "input a 0\noutput a 0\nstates 1\ninit 5\nrule 1 a -> a\n", "initial state"),
+    ("dtop", "input a 0\noutput a 0\nstates \u00b2\ninit 1\nrule 1 a -> a\n", "line 3: states"),
+    ("matrix", "input a 0\nbase c 0\ncarrier 1\nop c -> 0\nwidth 1\ntuple a x -> c\n",
+     "line 6: coordinate"),
+    ("matrix", "input a 0\nbase c 0\ncarrier 1\nop c -> 0\nwidth 0\n", "width must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", MALFORMED, ids=[m for _, _, m in MALFORMED])
+def test_malformed_files_are_parse_errors(capsys, tmp_path, kind, text, message):
+    path = str(tmp_path / f"bad.{kind}")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    argv = {
+        "alphabet": ("ctl", "eval", "--alphabet", path, "--formula", "lbl(a)", "--tree", "a"),
+        "dbta": ("accepts", "--lang", path, "--tree", "a"),
+        "dtop": ("dtop", "apply", "--dtop", path, "--tree", "a"),
+        "matrix": ("matrix", "flatten", "--matrix", path),
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_malformed_dtta_and_congruence(capsys):
+    head = "letter a 0\nletter g 1\nstates 1\ninit 0\n"
+    for body in ("delta x g -> 0\n", "delta 0 g -> y\n", "leaf z a -> accept\n", ""):
+        with pytest.raises(ParseError):
+            load_dtta(head + body)
+    code, out, err = run(
+        capsys, "structure", "strongly-abelian", "--lang", "@l_pott", "--congruence", "0,1"
+    )
+    assert code == 2 and out == "" and err == "error: blocks must cover the carrier\n"
 
 
 def test_tsv_format(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -33,7 +34,13 @@ from treelab.structure import (
     quotient,
     strongly_abelian_check,
 )
-from treelab.syntactic import find_isomorphism, syntactic_algebra
+from treelab.syntactic import (
+    _all_translations,
+    _coarsest_refinement,
+    _partitions,
+    find_isomorphism,
+    syntactic_algebra,
+)
 from treelab.trees import RankedAlphabet
 
 
@@ -295,3 +302,168 @@ def test_orpair_separation_no_pairs_vacuous():
     report = orpair_separation(syntactic_algebra(full).minimal)
     assert report.entries == ()
     assert report.all_separable
+
+
+# --- the congruence engine against the sweeps it replaced -------------------------
+#
+# The ``sweep_*`` functions are the earlier forms of principal congruences,
+# coarsest refinement, compatibility and quotients, which swept every argument
+# tuple instead of the table of basic translations.  They are kept as
+# references: on random algebras both forms must give equal results.
+
+
+def sweep_principal_congruence(algebra, a, b):
+    parent = list(range(algebra.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        parent[rx] = ry
+        return True
+
+    union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for letter in algebra.alphabet.letters:
+            arity = letter.arity
+            if arity == 0:
+                continue
+            for args in itertools.product(range(algebra.size), repeat=arity):
+                for position in range(arity):
+                    for other in range(algebra.size):
+                        if other <= args[position] or find(other) != find(args[position]):
+                            continue
+                        swapped = args[:position] + (other,) + args[position + 1 :]
+                        if union(
+                            algebra.op(letter.name, args),
+                            algebra.op(letter.name, swapped),
+                        ):
+                            changed = True
+    groups = {}
+    for element in range(algebra.size):
+        groups.setdefault(find(element), set()).add(element)
+    return Congruence.from_blocks(algebra.size, groups.values())
+
+
+def sweep_refine_partition(algebra, initial):
+    size = algebra.size
+    classes = list(initial)
+    while True:
+        signatures = []
+        for element in range(size):
+            sig = [classes[element]]
+            for letter in algebra.alphabet.letters:
+                arity = letter.arity
+                if arity == 0:
+                    continue
+                for position in range(arity):
+                    for others in itertools.product(range(size), repeat=arity - 1):
+                        args = others[:position] + (element,) + others[position:]
+                        sig.append(classes[algebra.op(letter.name, args)])
+            signatures.append(tuple(sig))
+        remap = {}
+        new_classes = []
+        for sig in signatures:
+            if sig not in remap:
+                remap[sig] = len(remap)
+            new_classes.append(remap[sig])
+        if new_classes == classes:
+            return classes
+        classes = new_classes
+
+
+def sweep_is_compatible(algebra, congruence):
+    classes = congruence.class_of()
+    for letter in algebra.alphabet.letters:
+        for args in itertools.product(range(algebra.size), repeat=letter.arity):
+            for position in range(letter.arity):
+                block = congruence.blocks[classes[args[position]]]
+                base = classes[algebra.op(letter.name, args)]
+                for other in block:
+                    swapped = args[:position] + (other,) + args[position + 1 :]
+                    if classes[algebra.op(letter.name, swapped)] != base:
+                        return False
+    return True
+
+
+def sweep_quotient(algebra, congruence):
+    classes = congruence.class_of()
+    tables = {}
+    for letter in algebra.alphabet.letters:
+        rows = {}
+        for args in itertools.product(range(algebra.size), repeat=letter.arity):
+            key = tuple(classes[arg] for arg in args)
+            value = classes[algebra.op(letter.name, args)]
+            previous = rows.setdefault(key, value)
+            if previous != value:
+                raise IncompatiblePartitionError(
+                    f"partition is not compatible with {letter.name}"
+                )
+        tables[letter.name] = tuple(
+            rows[key]
+            for key in itertools.product(range(len(congruence.blocks)), repeat=letter.arity)
+        )
+    return FiniteAlgebra(algebra.alphabet, len(congruence.blocks), tables)
+
+
+# (signature, largest carrier of the random bulk, largest carrier overall): the
+# bulk draws 75 carriers per signature, then each larger carrier runs once; the
+# ternary signature stops at 4: its all-pairs sweep takes ~30 ms at 5, ~200 ms at 7
+ENGINE_CASES = (
+    (RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0)), 3, 7),
+    (RankedAlphabet.of(("f", 2), ("g", 1)), 3, 7),
+    (RankedAlphabet.of(("h", 3), ("c", 0)), 3, 4),
+    (RankedAlphabet.of(("g", 1), ("k", 1), ("a", 0)), 4, 7),
+)
+
+
+def _quotient_or_error(quotient_fn, algebra, congruence):
+    try:
+        return quotient_fn(algebra, congruence)
+    except IncompatiblePartitionError as exc:
+        return str(exc)
+
+
+def test_congruence_engine_matches_the_sweeps():
+    rng = random.Random(1703)
+    cases = [
+        (alphabet, rng.randint(1, bulk)) for alphabet, bulk, _ in ENGINE_CASES for _ in range(75)
+    ]
+    cases += [
+        (alphabet, size)
+        for alphabet, bulk, largest in ENGINE_CASES
+        for size in range(bulk + 1, largest + 1)
+    ]
+    for alphabet, size in cases:
+        algebra = FiniteAlgebra(alphabet, size, {
+            letter.name: tuple(rng.randrange(size) for _ in range(size**letter.arity))
+            for letter in alphabet.letters
+        })
+        principals = [Congruence.identity(size)]
+        for a in range(size):
+            for b in range(a + 1, size):
+                principal = principal_congruence(algebra, a, b)
+                assert principal == sweep_principal_congruence(algebra, a, b)
+                principals.append(principal)
+        initial = [rng.randrange(3) for _ in range(size)]
+        assert _coarsest_refinement(_all_translations(algebra), initial) == (
+            sweep_refine_partition(algebra, initial)
+        )
+        labels = [rng.randrange(rng.randint(1, size)) for _ in range(size)]
+        for partition in (rng.choice(principals), Congruence.from_classes(labels)):
+            assert is_compatible(algebra, partition) == sweep_is_compatible(algebra, partition)
+            assert _quotient_or_error(quotient, algebra, partition) == (
+                _quotient_or_error(sweep_quotient, algebra, partition)
+            )
+        if size <= 4:
+            every = (Congruence.from_blocks(size, b) for b in _partitions(list(range(size))))
+            lattice = {c for c in every if sweep_is_compatible(algebra, c)}
+            assert set(all_congruences(algebra)) == lattice

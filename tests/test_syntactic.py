@@ -34,6 +34,15 @@ def test_minimize_pott_redundant_gives_printed_tables():
     assert dbta_isomorphic(result.minimal, DBTA_POTT) is not None
 
 
+def test_minimize_names_each_class_by_its_least_element():
+    alphabet = RankedAlphabet.of(("a", 0), ("g", 1))
+    algebra = FiniteAlgebra(alphabet, 3, {"a": (0,), "g": (1, 2, 1)}, ("x", "y", "z"))
+    result = syntactic_algebra(Dbta(algebra, frozenset({1, 2})))
+    assert result.minimal.algebra.element_names == ("x", "y")
+    assert result.minimal.algebra.tables == {"a": (0,), "g": (1, 1)}
+    assert result.projection == {0: 0, 1: 1, 2: 1}
+
+
 def test_minimize_full_language_is_one_element():
     full = Dbta(ALG_POTT, frozenset({0, 1, 2}))
     result = syntactic_algebra(full)

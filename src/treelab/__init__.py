@@ -40,10 +40,12 @@ from .automata import (
     are_equivalent,
     boolean_combine,
     complement,
+    eval_term_in_algebra,
     evaluate,
     is_empty,
     preimage_tree_hom,
     reachable,
+    with_constants,
 )
 from .syntactic import SyntacticResult, divides, find_isomorphism, syntactic_algebra, term_definable
 from .paths import (
@@ -63,11 +65,9 @@ from .paths import (
 from .transduce import (
     Dtop,
     MatrixHom,
-    PolyTerm,
     dtop_apply,
     dtop_preimage,
     dtop_to_matrix_hom,
-    eval_polyterm,
     matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,

@@ -417,6 +417,22 @@ def eval_term_in_algebra(algebra: FiniteAlgebra, body: TermBody, env: tuple[int,
     )
 
 
+def with_constants(algebra: FiniteAlgebra) -> FiniteAlgebra:
+    """The algebra with one constant letter ``@e`` (table ``(e,)``) per element
+    e added after its own letters; element names are kept.  The polynomials
+    of an algebra are the term operations of this one.  Raises
+    AlphabetMismatchError when the algebra already has a letter so named."""
+    constants = tuple(Letter(f"@{e}", 0) for e in range(algebra.size))
+    for letter in constants:
+        if algebra.alphabet.get(letter.name) is not None:
+            raise AlphabetMismatchError(f"the algebra already has a letter {letter.name}")
+    tables = dict(algebra.tables)
+    for e, letter in enumerate(constants):
+        tables[letter.name] = (e,)
+    alphabet = RankedAlphabet(algebra.alphabet.letters + constants)
+    return FiniteAlgebra(alphabet, algebra.size, tables, algebra.element_names)
+
+
 def preimage_tree_hom(dbta: Dbta, hom) -> Dbta:
     """DBTA for the inverse image of the language under a tree homomorphism.
 

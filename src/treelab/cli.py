@@ -13,7 +13,9 @@ Formats (all: `#` starts a comment, blank lines ignored, save order canonical):
              `rule Q NAME -> term` with variables written qP.xI
   matrix     `input NAME ARITY` / `base NAME ARITY` lines; carrier M;
              `op ...` for the base; width W;
-             `tuple NAME i -> polyterm` with variables xK and constants @E
+             `tuple NAME i -> term`, a term over the base letters and a
+             constant @E per element E, with variables xK; no base letter
+             may be named xK or @E
 
 `--lang`-style options take a file path, or `@name` for a builtin fixture
 (e.g. @l_pott, @l_true_and, @sig_gcd).  Exit codes: 0 ok (negative verdicts
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -41,6 +44,7 @@ from .automata import (
     preimage_tree_hom,
     reachable_elements,
     subset_counterexample,
+    with_constants,
 )
 from .cascade import (
     DEFAULT_WIDTH_CAP,
@@ -76,11 +80,6 @@ from .syntactic import syntactic_algebra
 from .transduce import (
     Dtop,
     MatrixHom,
-    PApp,
-    PConst,
-    PolyBody,
-    PolyTerm,
-    PVar,
     dtop_apply,
     dtop_preimage,
     dtop_to_matrix_hom,
@@ -100,7 +99,6 @@ from .trees import (
     path_words,
     render_term,
     render_tree,
-    tokenize,
 )
 
 # --- text formats -------------------------------------------------------------
@@ -382,62 +380,8 @@ def save_dtop(dtop: Dtop) -> str:
     return "".join(out)
 
 
-def _parse_polyterm(text: str, base: RankedAlphabet, nvars: int) -> PolyTerm:
-    tokens = tokenize(text)[::-1]  # the next token last
-
-    def take() -> tuple[str, int]:
-        if not tokens:
-            raise ParseError("unexpected end of input", len(text))
-        return tokens.pop()
-
-    def read() -> PolyBody:
-        if not tokens:
-            raise ParseError("unexpected end of polynomial term", len(text))
-        name, pos = tokens[-1]
-        if name.startswith("@"):
-            tokens.pop()
-            if not name[1:].isdigit():
-                raise ParseError(f"bad constant {name!r}", pos)
-            return PConst(int(name[1:]))
-        if name.startswith("x") and name[1:].isdigit():
-            tokens.pop()
-            index = int(name[1:])
-            if not 1 <= index <= nvars:
-                raise ParseError(f"variable {name} out of range 1..{nvars}", pos)
-            return PVar(index)
-        letter = base.get(name)
-        if letter is None:
-            raise ParseError(f"unknown base letter {name!r}", pos)
-        tokens.pop()
-        args: list[PolyBody] = []
-        if tokens and tokens[-1][0] == "(":
-            tokens.pop()
-            args.append(read())
-            while True:
-                nxt = take()
-                if nxt[0] == ")":
-                    break
-                if nxt[0] != ",":
-                    raise ParseError(f"expected ',' or ')', got {nxt[0]!r}", nxt[1])
-                args.append(read())
-        if len(args) != letter.arity:
-            raise ParseError(f"arity mismatch: {name} expects {letter.arity}", pos)
-        return PApp(name, tuple(args))
-
-    body = read()
-    if tokens:
-        raise ParseError(f"trailing input {tokens[-1][0]!r}", tokens[-1][1])
-    return PolyTerm(nvars, body)
-
-
-def _render_polybody(body: PolyBody) -> str:
-    if isinstance(body, PVar):
-        return f"x{body.index}"
-    if isinstance(body, PConst):
-        return f"@{body.element}"
-    if not body.args:
-        return body.name
-    return f"{body.name}({','.join(_render_polybody(a) for a in body.args)})"
+# base letter names that a tuple term would read as a variable or a constant
+_VAR_OR_CONSTANT = re.compile("x[0-9]+|@[0-9]+")
 
 
 def load_matrix(text: str) -> MatrixHom:
@@ -456,24 +400,28 @@ def load_matrix(text: str) -> MatrixHom:
         if len(name_rows[0][1]) != size:
             _fail(name_rows[0][0], f"`names` must list {size} names")
         names = tuple(name_rows[0][1])
+    for number, row in doc.take("base"):
+        if _VAR_OR_CONSTANT.fullmatch(row[0]):
+            _fail(number, f"base letter {row[0]!r} reads as a variable or a constant")
     tables = _parse_ops(doc, base_alphabet, size)
     base = _checked(FiniteAlgebra, base_alphabet, size, tables, names)
+    term_alphabet = with_constants(base).alphabet
     width = _single_int(doc, "width")
-    tuples: dict[str, dict[int, PolyTerm]] = {letter.name: {} for letter in input_alphabet.letters}
+    tuples: dict[str, dict[int, Term]] = {letter.name: {} for letter in input_alphabet.letters}
     for number, row in doc.take("tuple"):
         if len(row) < 4 or row[2] != "->":
-            _fail(number, "expected `tuple NAME i -> polyterm`")
+            _fail(number, "expected `tuple NAME i -> term`")
         letter = input_alphabet.get(row[0])
         if letter is None:
             _fail(number, f"unknown input letter {row[0]!r}")
         coordinate = _int(number, row[1], "coordinate")
         if not 1 <= coordinate <= width:
             _fail(number, "coordinate out of range")
-        pt = _parse_polyterm(" ".join(row[3:]), base_alphabet, width * letter.arity)
+        term = parse_term(" ".join(row[3:]), term_alphabet, width * letter.arity)
         if coordinate in tuples[row[0]]:
             _fail(number, f"duplicate tuple row for {row[0]} {coordinate}")
-        tuples[row[0]][coordinate] = pt
-    done: dict[str, tuple[PolyTerm, ...]] = {}
+        tuples[row[0]][coordinate] = term
+    done: dict[str, tuple[Term, ...]] = {}
     for letter in input_alphabet.letters:
         rows = tuples[letter.name]
         if len(rows) != width:
@@ -497,8 +445,8 @@ def save_matrix(mh: MatrixHom) -> str:
             out.append(f"op {letter.name}{middle} -> {mh.base.op(letter.name, args)}\n")
     out.append(f"width {mh.width}\n")
     for letter in mh.alphabet.letters:
-        for i, pt in enumerate(mh.tuples[letter.name], start=1):
-            out.append(f"tuple {letter.name} {i} -> {_render_polybody(pt.body)}\n")
+        for i, term in enumerate(mh.tuples[letter.name], start=1):
+            out.append(f"tuple {letter.name} {i} -> {render_term(term)}\n")
     return "".join(out)
 
 

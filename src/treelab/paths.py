@@ -26,7 +26,7 @@ from .automata import (
     subset_counterexample,
 )
 from .errors import AlphabetMismatchError, CapExceededError
-from .trees import Letter, PathWord, RankedAlphabet, Tree
+from .trees import Letter, PathWord, RankedAlphabet, Tree, preorder
 
 DEFAULT_STATE_CAP = DEFAULT_CARRIER_CAP
 
@@ -157,15 +157,20 @@ def dtta_accepts_word(dtta: Dtta, word: PathWord) -> bool:
 
 
 def dtta_accepts(dtta: Dtta, tree: Tree) -> bool:
-    """All-paths semantics: every path word of the tree is accepted."""
+    """All-paths semantics: every path word of the tree is accepted.
 
-    def run(state: int, node: Tree) -> bool:
+    States are assigned top-down in preorder with a stack of the states of
+    the nodes still to visit, so depth is unbounded.
+    """
+    states = [dtta.initial]  # the next node's state on top
+    for node in preorder(tree):
+        state = states.pop()
         if not node.children:
-            return (state, node.label.name) in dtta.leaf_ok
-        successors = dtta.delta[(state, node.label.name)]
-        return all(run(successors[i], child) for i, child in enumerate(node.children))
-
-    return run(dtta.initial, tree)
+            if (state, node.label.name) not in dtta.leaf_ok:
+                return False
+        else:
+            states += dtta.delta[(state, node.label.name)][::-1]
+    return True
 
 
 def dtta_to_dbta(dtta: Dtta, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:

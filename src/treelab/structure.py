@@ -335,9 +335,12 @@ def strongly_abelian_check(
 ) -> AbelianVerdict:
     """Bounded search for a violation of the strongly abelian implication:
     f(a0..an) = f(b0..bn) forces f(a0, c1..cn) = f(b0, c1..cn) whenever the
-    tuples are congruence-related position by position."""
+    tuples are congruence-related position by position.  Raises
+    IncompatiblePartitionError when the partition is not a congruence."""
     if arity_bound < 1 or depth_bound < 1:
         raise ValueError("bounds must be >= 1")
+    if not is_compatible(algebra, congruence):
+        raise IncompatiblePartitionError("partition is not a congruence")
     size = algebra.size
     classes = congruence.class_of()
 

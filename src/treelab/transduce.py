@@ -7,28 +7,35 @@ convention is the variable layout of matrix-power operation tuples, which
 makes the two constructive directions of the correspondence index-stable.
 
 Matrix powers are never materialized as operation sets; a MatrixHom is the
-finite presentation (one tuple of polynomial terms per letter) of a
-homomorphism into the n-th matrix power of a base algebra.
+finite presentation (one tuple of polynomials per letter) of a homomorphism
+into the n-th matrix power of a base algebra.  A polynomial of the base is a
+term over ``automata.with_constants(base)``: the base letters plus a constant
+``@e`` for each element e.  So it is an ordinary ``Term``, evaluated by
+``eval_term_in_algebra``, and a DTOP rule over that alphabet is one verbatim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
-from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, eval_term_in_algebra
+from .automata import (
+    DEFAULT_CARRIER_CAP,
+    Dbta,
+    FiniteAlgebra,
+    build,
+    eval_term_in_algebra,
+    with_constants,
+)
 from .errors import AlphabetMismatchError
 from .trees import (
-    Letter,
     RankedAlphabet,
     Term,
-    TermBody,
-    TermNode,
     Tree,
-    Var,
     instantiate,
     preorder,
     require_letters,
+    require_term_letters,
 )
 
 
@@ -127,81 +134,45 @@ def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP
     return Dbta(algebra, accepting)
 
 
-# --- polynomial terms and matrix homomorphisms -------------------------------
-
-
-@dataclass(frozen=True)
-class PVar:
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class PConst:
-    element: int
-
-
-PolyBody = Union["PApp", PVar, PConst]
-
-
-@dataclass(frozen=True)
-class PApp:
-    name: str
-    args: tuple[PolyBody, ...] = ()
-
-
-@dataclass(frozen=True)
-class PolyTerm:
-    """Term over an algebra's letters extended with carrier-element constants."""
-
-    nvars: int
-    body: PolyBody
-
-
-def eval_polyterm(algebra: FiniteAlgebra, pt: PolyTerm, args: tuple[int, ...]) -> int:
-    if len(args) != pt.nvars:
-        raise ValueError(f"polynomial term expects {pt.nvars} arguments, got {len(args)}")
-
-    def go(body: PolyBody) -> int:
-        if isinstance(body, PVar):
-            return args[body.index - 1]
-        if isinstance(body, PConst):
-            if not 0 <= body.element < algebra.size:
-                raise ValueError(f"constant {body.element} outside the carrier")
-            return body.element
-        return algebra.op(body.name, [go(child) for child in body.args])
-
-    return go(pt.body)
+# --- matrix homomorphisms ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MatrixHom:
     """Homomorphism from trees into the width-th matrix power of the base.
 
-    Each input letter of arity k carries a tuple of ``width`` polynomial
-    terms, each over width*k variables laid out child-major by the flat
-    convention above.
+    Each input letter of arity k carries a tuple of ``width`` polynomials of
+    the base: terms over ``with_constants(base)``, each over width*k
+    variables laid out child-major by the flat convention above.
     """
 
     base: FiniteAlgebra
     alphabet: RankedAlphabet
     width: int
-    tuples: Mapping[str, tuple[PolyTerm, ...]]
+    tuples: Mapping[str, tuple[Term, ...]]
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be >= 1")
+        # the algebra the terms are evaluated in; an attribute, not a field,
+        # so ==, hash and repr ignore it
+        extended = with_constants(self.base)
+        object.__setattr__(self, "extended", extended)
         for letter in self.alphabet.letters:
-            polys = self.tuples.get(letter.name)
-            if polys is None:
+            terms = self.tuples.get(letter.name)
+            if terms is None:
                 raise ValueError(f"missing tuple for {letter.name}")
-            if len(polys) != self.width:
+            if len(terms) != self.width:
                 raise ValueError(f"tuple for {letter.name} must have width {self.width}")
-            for pt in polys:
-                if pt.nvars != self.width * letter.arity:
+            for term in terms:
+                if term.nvars != self.width * letter.arity:
                     raise ValueError(
                         f"polynomials for {letter.name} must take "
                         f"{self.width * letter.arity} variables"
                     )
+                require_term_letters(
+                    term.body, extended.alphabet, "letter {} is not a base letter or constant"
+                )
 
 
 def matrix_hom_eval(mh: MatrixHom, tree: Tree) -> tuple[int, ...]:
@@ -211,30 +182,20 @@ def matrix_hom_eval(mh: MatrixHom, tree: Tree) -> tuple[int, ...]:
     values: list[tuple[int, ...]] = []  # a node's first child's tuple on top
     for node in reversed(nodes):
         flat = tuple(value for _ in node.children for value in values.pop())
-        polys = mh.tuples[node.label.name]
-        values.append(tuple(eval_polyterm(mh.base, pt, flat) for pt in polys))
+        terms = mh.tuples[node.label.name]
+        values.append(tuple(eval_term_in_algebra(mh.extended, t.body, flat) for t in terms))
     return values[0]
-
-
-def term_to_polyterm(term: Term) -> PolyTerm:
-    def go(body: TermBody) -> PolyBody:
-        if isinstance(body, Var):
-            return PVar(body.index)
-        return PApp(body.label.name, tuple(go(child) for child in body.children))
-
-    return PolyTerm(term.nvars, go(term.body))
 
 
 def dtop_to_matrix_hom(dtop: Dtop, base: FiniteAlgebra) -> MatrixHom:
     """Second proof direction: a DTOP composed with an evaluation makes a
-    matrix-power homomorphism; coordinate i is the state-i output evaluated."""
+    matrix-power homomorphism; coordinate i is the state-i output evaluated,
+    so the rules are the tuples verbatim."""
     if base.alphabet != dtop.output_alphabet:
         raise AlphabetMismatchError("base algebra must read the transducer's output alphabet")
     n = dtop.n_states
     tuples = {
-        letter.name: tuple(
-            term_to_polyterm(dtop.rules[(letter.name, q)]) for q in range(1, n + 1)
-        )
+        letter.name: tuple(dtop.rules[(letter.name, q)] for q in range(1, n + 1))
         for letter in dtop.input_alphabet.letters
     }
     return MatrixHom(base, dtop.input_alphabet, n, tuples)
@@ -244,37 +205,17 @@ def matrix_hom_to_dtops(mh: MatrixHom) -> tuple[Dtop, FiniteAlgebra]:
     """First proof direction: one DTOP template whose state-i run, evaluated in
     the extended base algebra, is coordinate i of the homomorphism.
 
-    The output alphabet is the base's letters plus a fresh constant @e per
-    carrier element, so every element is represented by a constant as the
-    construction assumes.
+    The output alphabet is that of ``with_constants(base)``, so every element
+    is represented by a constant as the construction assumes, and the tuples
+    are the rules verbatim.
     """
-    const_letters = tuple(Letter(f"@{e}", 0) for e in range(mh.base.size))
-    for letter in const_letters:
-        if mh.base.alphabet.get(letter.name) is not None:
-            raise ValueError(f"output alphabet already uses the name {letter.name}")
-    out_alphabet = RankedAlphabet(mh.base.alphabet.letters + const_letters)
-    tables = dict(mh.base.tables)
-    for e, letter in enumerate(const_letters):
-        tables[letter.name] = (e,)
-    extended = FiniteAlgebra(out_alphabet, mh.base.size, tables, mh.base.element_names)
-
-    def to_term(pt: PolyTerm) -> Term:
-        def go(body: PolyBody) -> TermBody:
-            if isinstance(body, PVar):
-                return Var(body.index)
-            if isinstance(body, PConst):
-                return TermNode(out_alphabet[f"@{body.element}"])
-            return TermNode(out_alphabet[body.name], tuple(go(child) for child in body.args))
-
-        return Term(pt.nvars, go(pt.body))
-
     rules = {
-        (letter.name, q): to_term(mh.tuples[letter.name][q - 1])
+        (letter.name, q): mh.tuples[letter.name][q - 1]
         for letter in mh.alphabet.letters
         for q in range(1, mh.width + 1)
     }
-    dtop = Dtop(mh.alphabet, out_alphabet, mh.width, 1, rules)
-    return dtop, extended
+    dtop = Dtop(mh.alphabet, mh.extended.alphabet, mh.width, 1, rules)
+    return dtop, mh.extended
 
 
 def matrix_power_language(
@@ -294,7 +235,7 @@ def matrix_power_language(
 
     def step(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         flat = tuple(v for value in args for v in value)
-        return tuple(eval_polyterm(mh.base, pt, flat) for pt in mh.tuples[name])
+        return tuple(eval_term_in_algebra(mh.extended, t.body, flat) for t in mh.tuples[name])
 
     values, algebra = build(mh.alphabet, step, max_carrier, "flattened carrier")
     return Dbta(algebra, frozenset(i for i, value in enumerate(values) if value in accepting))

@@ -285,7 +285,7 @@ class TreeHom:
                 raise ValueError(f"no image term for letter {letter.name}")
             if term.nvars != letter.arity:
                 raise ValueError(f"image of {letter.name} must have {letter.arity} variables")
-            _check_letters(term.body, self.target)
+            require_term_letters(term.body, self.target, "letter {} not in target alphabet")
         if len(self.rules) != len(self.source.letters):
             raise ValueError("rules for unknown letters")
 
@@ -301,13 +301,15 @@ class TreeHom:
         return TreeHom(alphabet, alphabet, rules)
 
 
-def _check_letters(body: TermBody, alphabet: RankedAlphabet) -> None:
+def require_term_letters(body: TermBody, alphabet: RankedAlphabet, message: str) -> None:
+    """Raise AlphabetMismatchError(message.format(name)) for the first letter
+    of the term body, in preorder, that is not in ``alphabet``."""
     if isinstance(body, Var):
         return
     if body.label not in alphabet:
-        raise AlphabetMismatchError(f"letter {body.label.name} not in target alphabet")
+        raise AlphabetMismatchError(message.format(body.label.name))
     for child in body.children:
-        _check_letters(child, alphabet)
+        require_term_letters(child, alphabet, message)
 
 
 def require_letters(nodes: Sequence[Tree], alphabet: RankedAlphabet, message: str) -> None:

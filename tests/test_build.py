@@ -18,6 +18,7 @@ from treelab.automata import (
     eval_term_in_algebra,
     reachable,
     reachable_elements,
+    with_constants,
 )
 from treelab.cascade import ann_name, annotated_alphabet, nest
 from treelab.cli import save_dbta
@@ -25,15 +26,10 @@ from treelab.errors import CapExceededError
 from treelab.transduce import (
     Dtop,
     MatrixHom,
-    PApp,
-    PConst,
-    PolyTerm,
-    PVar,
     dtop_preimage,
-    eval_polyterm,
     matrix_power_language,
 )
-from treelab.trees import RankedAlphabet, Term, TermNode, Var
+from treelab.trees import Letter, RankedAlphabet, Term, TermNode, Var
 
 FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
 FG = RankedAlphabet.of(("f", 2), ("g", 1))
@@ -155,12 +151,12 @@ def test_preimage_is_restricted_full_fill():
 def random_poly(rng, nvars, size, depth):
     if depth == 0 or rng.random() < 0.4:
         if nvars and rng.random() < 0.7:
-            return PVar(rng.randint(1, nvars))
+            return Var(rng.randint(1, nvars))
         if rng.random() < 0.5:
-            return PConst(rng.randrange(size))
-        return PApp(rng.choice(FGAB.constants).name)
+            return TermNode(Letter(f"@{rng.randrange(size)}", 0))
+        return TermNode(rng.choice(FGAB.constants))
     letter = rng.choice(OPERATORS)
-    return PApp(letter.name, tuple(random_poly(rng, nvars, size, depth - 1) for _ in range(letter.arity)))
+    return TermNode(letter, tuple(random_poly(rng, nvars, size, depth - 1) for _ in range(letter.arity)))
 
 
 def test_matrix_power_language_is_restricted_full_fill():
@@ -172,18 +168,19 @@ def test_matrix_power_language_is_restricted_full_fill():
         base = random_algebra(rng, FGAB, size)
         tuples = {
             letter.name: tuple(
-                PolyTerm(width * letter.arity, random_poly(rng, width * letter.arity, size, 2))
+                Term(width * letter.arity, random_poly(rng, width * letter.arity, size, 2))
                 for _ in range(width)
             )
             for letter in FGAB.letters
         }
         mh = MatrixHom(base, FGAB, width, tuples)
+        extended = with_constants(base)
         carrier = list(itertools.product(range(size), repeat=width))
         accepting = {t for t in carrier if rng.random() < 0.3}
 
         def step(name, combo):
             flat = tuple(v for value in combo for v in value)
-            return tuple(eval_polyterm(base, pt, flat) for pt in tuples[name])
+            return tuple(eval_term_in_algebra(extended, t.body, flat) for t in tuples[name])
 
         full = full_dbta(FGAB, carrier, step, accepting.__contains__)
         assert save_dbta(matrix_power_language(mh, accepting)) == restricted(full)

@@ -197,21 +197,43 @@ def test_dtop_preimage_file(capsys, tmp_path):
     assert pre.algebra.alphabet.get("f1") is not None
 
 
+K_POTT_OPS = (
+    "carrier 3\nnames 0 1 bot\n"
+    "op f2 0 0 -> 1\nop f2 0 1 -> 2\nop f2 0 2 -> 2\nop f2 1 0 -> 2\nop f2 1 1 -> 0\n"
+    "op f2 1 2 -> 2\nop f2 2 0 -> 2\nop f2 2 1 -> 2\nop f2 2 2 -> 2\nop f0 -> 0\n"
+)
+MATRIX_DUP = (
+    "input f1 1\ninput f0 0\nbase f2 2\nbase f0 0\n" + K_POTT_OPS
+    + "width 1\ntuple f1 1 -> f2(x1,x1)\ntuple f0 1 -> f0\n"
+)
+MATRIX_DUP_DTOPS = (
+    "# dtop template (choose init 1..width for each coordinate)\n"
+    "input f1 1\ninput f0 0\noutput f2 2\noutput f0 0\noutput @0 0\noutput @1 0\noutput @2 0\n"
+    "states 1\ninit 1\nrule 1 f1 -> f2(q1.x1,q1.x1)\nrule 1 f0 -> f0\n"
+    "# base evaluation algebra\n"
+    "letter f2 2\nletter f0 0\nletter @0 0\nletter @1 0\nletter @2 0\n" + K_POTT_OPS
+    + "op @0 -> 0\nop @1 -> 1\nop @2 -> 2\naccept\n"
+)
+MATRIX_DUP_FLAT = (
+    "letter f1 1\nletter f0 0\ncarrier 2\nop f1 0 -> 1\nop f1 1 -> 0\nop f0 -> 0\naccept 0\n"
+)
+
+
 def test_matrix_pipeline(capsys, tmp_path):
     dtop_path = tmp_path / "dup.dtop"
     dtop_path.write_text(save_dtop(Dtop.from_hom(HOM_DUP)))
-    code, out, _ = run(
+    assert run(
         capsys, "matrix", "from-dtop", "--dtop", str(dtop_path), "--base", "@k_pott"
-    )
-    assert code == 0
+    ) == (0, MATRIX_DUP, "")
     matrix_path = tmp_path / "dup.matrix"
-    matrix_path.write_text(out)
-    code, out, _ = run(capsys, "matrix", "flatten", "--matrix", str(matrix_path), "--accept", "0")
-    assert code == 0
-    load_dbta(out)
-    code, out, _ = run(capsys, "matrix", "to-dtops", "--matrix", str(matrix_path))
-    assert code == 0
-    assert "rule" in out
+    matrix_path.write_text(MATRIX_DUP)
+    assert run(capsys, "matrix", "to-dtops", "--matrix", str(matrix_path)) == (
+        0, MATRIX_DUP_DTOPS, ""
+    )
+    assert run(capsys, "matrix", "flatten", "--matrix", str(matrix_path), "--accept", "0") == (
+        0, MATRIX_DUP_FLAT, ""
+    )
+    load_dbta(MATRIX_DUP_FLAT)
 
 
 def test_matrix_flatten_accept_outside_base(capsys, tmp_path):
@@ -359,6 +381,16 @@ MALFORMED = [
     ("matrix", "input a 0\nbase c 0\ncarrier 1\nop c -> 0\nwidth 1\ntuple a x -> c\n",
      "line 6: coordinate"),
     ("matrix", "input a 0\nbase c 0\ncarrier 1\nop c -> 0\nwidth 0\n", "width must be >= 1"),
+    ("matrix", "input a 0\nbase c 0\ncarrier 2\nop c -> 0\nwidth 1\ntuple a 1 -> @9\n",
+     "unknown letter '@9'"),
+    ("matrix-dtops", "input a 0\nbase c 0\ncarrier 2\nop c -> 0\nwidth 1\ntuple a 1 -> @2\n",
+     "unknown letter '@2'"),
+    ("matrix", "input g 1\ninput a 0\nbase c 0\ncarrier 1\nop c -> 0\nwidth 1\n"
+     "tuple g 1 -> x0\ntuple a 1 -> c\n", "unknown letter 'x0'"),
+    ("matrix", "input a 0\nbase x1 0\ncarrier 1\nop x1 -> 0\nwidth 1\ntuple a 1 -> x1\n",
+     "line 2: base letter 'x1'"),
+    ("matrix", "input a 0\nbase @0 0\ncarrier 1\nop @0 -> 0\nwidth 1\ntuple a 1 -> @0\n",
+     "line 2: base letter '@0'"),
 ]
 
 
@@ -372,6 +404,7 @@ def test_malformed_files_are_parse_errors(capsys, tmp_path, kind, text, message)
         "dbta": ("accepts", "--lang", path, "--tree", "a"),
         "dtop": ("dtop", "apply", "--dtop", path, "--tree", "a"),
         "matrix": ("matrix", "flatten", "--matrix", path),
+        "matrix-dtops": ("matrix", "to-dtops", "--matrix", path),
     }[kind]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -387,6 +420,11 @@ def test_malformed_dtta_and_congruence(capsys):
         capsys, "structure", "strongly-abelian", "--lang", "@l_pott", "--congruence", "0,1"
     )
     assert code == 2 and out == "" and err == "error: blocks must cover the carrier\n"
+    code, out, err = run(
+        capsys, "structure", "strongly-abelian", "--lang", "@l_pott", "--congruence", "0,1;2"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_tsv_format(capsys):

@@ -22,7 +22,8 @@ from treelab.cascade import (
     random_formula_corpus,
 )
 from treelab.errors import AlphabetMismatchError
-from treelab.transduce import Dtop, MatrixHom, PApp, PolyTerm, PVar, dtop_apply, matrix_hom_eval
+from treelab.paths import Dtta, dtta_accepts
+from treelab.transduce import Dtop, MatrixHom, dtop_apply, matrix_hom_eval
 from treelab.trees import (
     Letter,
     RankedAlphabet,
@@ -252,10 +253,10 @@ def test_deep_tree_folds(spine):
         values.append(base.tables["g"][values[-1]])
     assert evaluate(base, spine) == values[-1]
     mh = MatrixHom(base, FGAB, 1, {
-        "f": (PolyTerm(2, PApp("f", (PVar(1), PVar(2)))),),
-        "g": (PolyTerm(1, PApp("g", (PVar(1),))),),
-        "a": (PolyTerm(0, PApp("a")),),
-        "b": (PolyTerm(0, PApp("b")),),
+        "f": (Term(2, TermNode(F, (Var(1), Var(2)))),),
+        "g": (Term(1, TermNode(G, (Var(1),))),),
+        "a": (Term(0, TermNode(A)),),
+        "b": (Term(0, TermNode(B)),),
     })
     assert matrix_hom_eval(mh, spine) == (values[-1],)
     lang = Dbta(base, frozenset({0, 2}))
@@ -280,3 +281,11 @@ def test_deep_tree_transductions(spine):
     dtop = Dtop(FGAB, FGAB, 1, 1, {(name, 1): term for name, term in terms.items()})
     assert render_tree(dtop_apply(dtop, spine)) == image
     assert render_tree(hom_apply(TreeHom(FGAB, FGAB, terms), spine)) == image
+
+
+def test_deep_tree_dtta_accepts(spine):
+    # each g swaps states 0 and 1; a leaf a is accepted from state 0 only
+    delta = {(q, name): (1 - q,) * arity for q in (0, 1) for name, arity in (("f", 2), ("g", 1))}
+    leaf_ok = frozenset({(0, "a")})
+    assert dtta_accepts(Dtta(FGAB, 2, 0, delta, leaf_ok), spine)  # DEPTH is even
+    assert not dtta_accepts(Dtta(FGAB, 2, 1, delta, leaf_ok), spine)

@@ -10,8 +10,10 @@ from treelab.automata import (
     accepts,
     are_equivalent,
     boolean_combine,
+    eval_term_in_algebra,
     evaluate,
     is_empty,
+    with_constants,
 )
 from treelab.errors import CapExceededError
 from treelab.fixtures import (
@@ -29,14 +31,9 @@ from treelab.paths import determinize, dtta_to_dbta, is_universal_path, path_nfa
 from treelab.transduce import (
     Dtop,
     MatrixHom,
-    PApp,
-    PConst,
-    PolyTerm,
-    PVar,
     dtop_apply,
     dtop_preimage,
     dtop_to_matrix_hom,
-    eval_polyterm,
     matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,
@@ -169,21 +166,25 @@ def test_preimage_cap():
     assert dtop_preimage(K_POTT, DUP_DTOP, max_carrier=2).algebra.size == 2
 
 
+ALG_AND_C = with_constants(ALG_AND)
+AND_C = ALG_AND_C.alphabet
+
+
 def test_eval_polyterm_basics():
-    assert eval_polyterm(ALG_AND, PolyTerm(2, PVar(1)), (0, 1)) == 0
-    assert eval_polyterm(ALG_AND, PolyTerm(2, PVar(2)), (0, 1)) == 1
-    assert eval_polyterm(ALG_AND, PolyTerm(0, PConst(1)), ()) == 1
-    nested = PolyTerm(1, PApp("and", (PVar(1), PConst(1))))
-    assert eval_polyterm(ALG_AND, nested, (0,)) == 0
-    assert eval_polyterm(ALG_AND, nested, (1,)) == 1
+    assert eval_term_in_algebra(ALG_AND_C, Term(2, Var(1)).body, (0, 1)) == 0
+    assert eval_term_in_algebra(ALG_AND_C, Term(2, Var(2)).body, (0, 1)) == 1
+    assert eval_term_in_algebra(ALG_AND_C, Term(0, TermNode(AND_C["@1"])).body, ()) == 1
+    nested = Term(1, TermNode(AND_C["and"], (Var(1), TermNode(AND_C["@1"]))))
+    assert eval_term_in_algebra(ALG_AND_C, nested.body, (0,)) == 0
+    assert eval_term_in_algebra(ALG_AND_C, nested.body, (1,)) == 1
 
 
 def test_eval_polyterm_matches_grounded_tree():
     # substituting constants for variables agrees with plain evaluation
-    body = PApp("and", (PApp("one", ()), PApp("zero", ())))
-    pt = PolyTerm(0, body)
+    body = TermNode(AND_C["and"], (TermNode(AND_C["one"]), TermNode(AND_C["zero"])))
+    term = Term(0, body)
     tree = parse_tree("and(one,zero)", ALG_AND.alphabet)
-    assert eval_polyterm(ALG_AND, pt, ()) == evaluate(ALG_AND, tree)
+    assert eval_term_in_algebra(ALG_AND_C, term.body, ()) == evaluate(ALG_AND, tree)
 
 
 def random_dtop(rng, n_states):
@@ -265,7 +266,7 @@ def test_matrix_hom_constant_tuples():
         ALG_AND,
         SIG_MONO,
         1,
-        {"s": (PolyTerm(1, PConst(1)),), "z": (PolyTerm(0, PConst(0)),)},
+        {"s": (Term(1, TermNode(AND_C["@1"])),), "z": (Term(0, TermNode(AND_C["@0"])),)},
     )
     dtop, extended = matrix_hom_to_dtops(mh)
     for tree in enumerate_trees(SIG_MONO, 4):
@@ -282,16 +283,19 @@ def test_matrix_power_language_trivial_accepting():
     assert all(accepts(everything, t) for t in enumerate_trees(SIG_POTT_K, 5))
 
 
+AND2 = Letter("and2", 2)
+
+
 def semilattice_base():
     # bare meet-semilattice; elements appear as polynomial constants only
-    return FiniteAlgebra(RankedAlphabet.of(("and2", 2)), 2, {"and2": (0, 0, 0, 1)})
+    return FiniteAlgebra(RankedAlphabet((AND2,)), 2, {"and2": (0, 0, 0, 1)})
 
 
 def conj_vars(indices):
     body = None
     for index in indices:
-        leaf = PVar(index)
-        body = leaf if body is None else PApp("and2", (body, leaf))
+        leaf = Var(index)
+        body = leaf if body is None else TermNode(AND2, (body, leaf))
     return body
 
 
@@ -305,13 +309,13 @@ def dtta_to_matrix_hom(dtta):
         for q in range(width):
             if letter.arity == 0:
                 bit = 1 if (q, letter.name) in dtta.leaf_ok else 0
-                polys.append(PolyTerm(0, PConst(bit)))
+                polys.append(Term(0, TermNode(Letter(f"@{bit}", 0))))
             else:
                 successors = dtta.delta[(q, letter.name)]
                 indices = [
                     width * j + successors[j] + 1 for j in range(letter.arity)
                 ]
-                polys.append(PolyTerm(width * letter.arity, conj_vars(indices)))
+                polys.append(Term(width * letter.arity, conj_vars(indices)))
         tuples[letter.name] = tuple(polys)
     return MatrixHom(base, dtta.alphabet, width, tuples)
 

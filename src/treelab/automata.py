@@ -4,6 +4,10 @@ A DBTA is an algebra plus an accepting subset of the carrier.  Carrier elements
 are anonymous integers 0..size-1; an optional name tuple is carried for display
 only.  Operation tables are stored densely in lexicographic argument order, so
 the entry for (e1,...,en) sits at index e1*m^(n-1) + ... + en.
+
+Constructions find values with one of two kernels: ``reach``, a semi-naive
+closure by generations, and ``_settle``, which settles least trees in Knuth
+order.  ``build`` is ``reach`` followed by a fill of the tables.
 """
 
 from __future__ import annotations
@@ -58,10 +62,6 @@ class FiniteAlgebra:
     def arg_tuples(self, arity: int) -> Iterator[tuple[int, ...]]:
         """All argument tuples in table order."""
         return itertools.product(range(self.size), repeat=arity)
-
-    def canonical_key(self) -> tuple:
-        """Serialization that identifies the algebra up to nothing (exact form)."""
-        return (self.size, tuple(sorted((name, table) for name, table in self.tables.items())))
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,75 @@ def boolean_combine(kind: str, d1: Dbta, d2: Dbta) -> Dbta:
 
 def reachable_elements(algebra: FiniteAlgebra) -> frozenset[int]:
     """Elements that are values of some tree (least fixpoint)."""
-    return frozenset(build(algebra.alphabet, algebra.op, algebra.size, "reachable carrier")[0])
+    return frozenset(reach(algebra.alphabet, algebra.op, algebra.size).values)
+
+
+@dataclass(frozen=True)
+class Reach:
+    values: tuple  # in found order
+    rounds: int
+    capped: bool
+    hit: Hashable | None  # the first value that met the goal
+    derivations: Mapping[Hashable, tuple[Letter, tuple]]  # stepped value -> first (letter, args)
+
+
+def reach(
+    alphabet: RankedAlphabet,
+    step: Callable[[str, tuple], Hashable],
+    cap: int,
+    seeds: Sequence[Hashable] = (),
+    goal: Callable[[Hashable], bool] | None = None,
+    max_rounds: int | None = None,
+) -> Reach:
+    """The values reached from ``seeds`` and the constants under ``step``.
+
+    ``step(letter, args)`` is the value of a letter applied to argument values.
+    Semi-naive, by generations (the seeds are generation 0): round r steps,
+    once, each argument tuple over the values found before it that holds one
+    of generation r - 1, letters in alphabet order (nullary ones in round 1)
+    and tuples in lexicographic order of positions in the found order.  Stops
+    at the first new value, seeds included, that meets ``goal``; stops capped
+    when a step finds more than ``cap`` values, or when the last round found
+    values and ``max_rounds`` rounds have run.
+    """
+    found = list(dict.fromkeys(seeds))
+    known, derivations, rounds = set(found), {}, 0
+    for value in found:
+        if goal is not None and goal(value):
+            return Reach(tuple(found), rounds, False, value, derivations)
+    operators = [letter for letter in alphabet.letters if letter.arity]
+    batch = [(letter, [()]) for letter in alphabet.constants]
+    older, newer = [], found[:]  # newer: the last generation
+    while newer or batch:
+        if max_rounds is not None and rounds >= max_rounds:
+            return Reach(tuple(found), rounds, True, None, derivations)
+        rounds, pool, mark = rounds + 1, older + newer, len(found)
+        batch += [(letter, _fresh_tuples(older, newer, pool, letter.arity)) for letter in operators]
+        for letter, tuples in batch:
+            name = letter.name
+            for args in tuples:
+                value = step(name, args)
+                if value not in known:
+                    known.add(value)
+                    found.append(value)
+                    derivations[value] = (letter, args)
+                    hit = value if goal is not None and goal(value) else None
+                    if hit is not None or len(found) > cap:
+                        return Reach(tuple(found), rounds, len(found) > cap, hit, derivations)
+        older, newer, batch = pool, found[mark:], []
+    return Reach(tuple(found), rounds, False, None, derivations)
+
+
+def _fresh_tuples(older: list, newer: list, pool: list, arity: int) -> Iterator[tuple]:
+    """The arity-tuples over ``pool``, which is ``older + newer``, that hold a
+    value of ``newer``, in lexicographic order of positions in ``pool``."""
+    if arity == 1:
+        return zip(newer)
+    if arity == 2:
+        heads = itertools.product(older, newer)
+    else:
+        heads = ((x, *rest) for x in older for rest in _fresh_tuples(older, newer, pool, arity - 1))
+    return itertools.chain(heads, itertools.product(newer, *[pool] * (arity - 1)))
 
 
 def build(
@@ -196,53 +264,31 @@ def build(
 ) -> tuple[tuple, FiniteAlgebra]:
     """The values that trees reach under ``step``, and the algebra they form.
 
-    ``step(letter, args)`` is the value of a letter applied to argument values.
-    Values are reached from the constants by a semi-naive worklist: each
-    argument tuple over the reached values is stepped exactly once, when the
-    last-found of its values is taken from the worklist, and its result is
-    kept for the tables.  Elements are numbered in the sorted order of their
-    values (so values must be mutually comparable); the returned tuple lists
-    the values in that order.  ``name`` gives element names for display.
+    ``reach`` steps each argument tuple over the reached values once; the
+    results fill the tables.  Elements are numbered in the sorted order of
+    their values (so values must be mutually comparable); the returned tuple
+    lists the values in that order.  ``name`` gives element names for display.
     Reaching more than ``cap`` values raises CapExceededError("<what> exceeds
     <cap>").  Over an alphabet without constants no tree exists: the result
     is no values and a one-element dead algebra.
     """
     results: dict[str, dict[tuple, Hashable]] = {letter.name: {} for letter in alphabet.letters}
-    found: list[Hashable] = []  # reached values, in the order they are found
-    known: set[Hashable] = set()
-    operators = [letter for letter in alphabet.letters if letter.arity]
-    batch = [(letter, [()]) for letter in alphabet.constants]
-    at = 0
-    while True:
-        for letter, tuples in batch:
-            rows = results[letter.name]
-            for args in tuples:
-                value = rows[args] = step(letter.name, args)
-                if value not in known:
-                    if len(found) >= cap:
-                        raise CapExceededError(f"{what} exceeds {cap}")
-                    known.add(value)
-                    found.append(value)
-        if at == len(found):
-            break
-        new, earlier = found[at], tuple(found[:at])
-        at += 1
-        settled = earlier + (new,)
-        batch = [
-            (letter, _tuples_with(new, earlier, settled, letter.arity)) for letter in operators
-        ]
-    if not found:
-        tables = {letter.name: (0,) for letter in alphabet.letters}
-        return (), FiniteAlgebra(alphabet, 1, tables)
-    values = tuple(sorted(found))
+
+    def record(letter: str, args: tuple) -> Hashable:
+        results[letter][args] = value = step(letter, args)
+        return value
+
+    closure = reach(alphabet, record, cap)
+    if closure.capped:
+        raise CapExceededError(f"{what} exceeds {cap}")
+    if not closure.values:
+        return (), FiniteAlgebra(alphabet, 1, {letter.name: (0,) for letter in alphabet.letters})
+    values = tuple(sorted(closure.values))
     index = {value: i for i, value in enumerate(values)}
-    tables = {
-        letter.name: tuple(
-            index[results[letter.name][args]]
-            for args in itertools.product(values, repeat=letter.arity)
-        )
-        for letter in alphabet.letters
-    }
+    tables = {}
+    for letter in alphabet.letters:
+        rows = map(results[letter.name].__getitem__, itertools.product(values, repeat=letter.arity))
+        tables[letter.name] = tuple(map(index.__getitem__, rows))
     names = None if name is None else tuple(map(name, values))
     return values, FiniteAlgebra(alphabet, len(values), tables, names)
 

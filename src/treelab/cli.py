@@ -42,7 +42,6 @@ from .automata import (
     evaluate,
     boolean_combine,
     preimage_tree_hom,
-    reachable_elements,
     subset_counterexample,
     with_constants,
 )
@@ -60,6 +59,7 @@ from .cascade import (
     sequential_compose,
 )
 from .errors import CapExceededError, ParseError, TreelabError
+from .oracle import is_mix, sweep_reachable
 from .paths import (
     Dtta,
     is_doubly_deterministic,
@@ -793,50 +793,14 @@ def _check(ok: bool, suite: str, *detail) -> None:
         raise _Mismatch(f"{suite}: {' '.join(parts)}")
 
 
-def _paths_oracle_word_in_language(dbta: Dbta, reach: list[int], word) -> bool:
-    """Definitional check: some member tree realizes the path word.
-
-    Dynamic programming from the leaf symbol upwards: the set of values an
-    extension tree can take while showing the remaining word on the spine,
-    with off-spine children filled by arbitrary values of ``reach``, the
-    sorted reachable elements of the language's algebra.
-    """
-    algebra = dbta.algebra
-    leaf = word[-1]
-    possible = {algebra.op(leaf.name, ())}
-    for symbol in reversed(word[:-1]):
-        letter, position = symbol
-        nxt = set()
-        for spine in possible:
-            for others in itertools.product(reach, repeat=letter.arity - 1):
-                args = others[: position - 1] + (spine,) + others[position - 1 :]
-                nxt.add(algebra.op(letter.name, args))
-        possible = nxt
-    return bool(possible & set(dbta.accepting))
-
-
-def _word_key(word) -> tuple[str, ...]:
-    """A rendering of a path word: steps as name.i, then the leaf name."""
-    return tuple(f"{s[0].name}.{s[1]}" if isinstance(s, tuple) else s.name for s in word)
-
-
 def _oracle_universal_path(report: Report, max_nodes: int) -> int:
     checks = 0
     for name in ("l_true_and", "l_true_or", "l_pott", "l_pair", "l_two"):
         dbta = fixtures.corpus_dbta(name)
         verdict, _witness = is_universal_path(dbta)
         trees = enumerate_trees(dbta.alphabet, max_nodes)
-        reach = sorted(reachable_elements(dbta.algebra))
-        # a fixed word order, so the short-circuit does the same work every run
-        mix_members = [
-            tree
-            for tree in trees
-            if all(
-                _paths_oracle_word_in_language(dbta, reach, w)
-                for w in sorted(path_words(tree), key=_word_key)
-            )
-        ]
-        oracle = all(accepts(dbta, tree) for tree in mix_members)
+        reach = sweep_reachable(dbta.algebra)
+        oracle = all(accepts(dbta, tree) for tree in trees if is_mix(dbta, reach, tree))
         _check(verdict == oracle, "universal-path-oracle", "verdict disagrees on", name)
         checks += len(trees)
     return checks

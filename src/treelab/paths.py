@@ -10,7 +10,6 @@ separation, mix elements) is built from that closure.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Mapping
@@ -22,7 +21,7 @@ from .automata import (
     build,
     complement,
     product_witness,
-    reachable_elements,
+    reach,
     subset_counterexample,
 )
 from .errors import AlphabetMismatchError, CapExceededError
@@ -68,30 +67,24 @@ class Dtta:
 
 
 def path_nfa(dbta: Dbta) -> PathNfa:
-    """Automaton for the path words of members of the language."""
+    """Automaton for the path words of members of the language: each argument
+    tuple that ``reach`` steps adds the transitions from its value."""
     algebra = dbta.algebra
-    elements = reachable_elements(algebra)
     transitions: dict[tuple[int, str, int], set[int]] = {}
-    for letter in algebra.alphabet.letters:
-        if letter.arity == 0:
-            continue
-        for args in itertools.product(sorted(elements), repeat=letter.arity):
-            value = algebra.op(letter.name, args)
-            if value not in elements:
-                continue
-            for i, successor in enumerate(args, start=1):
-                transitions.setdefault((value, letter.name, i), set()).add(successor)
-    leaf_accept = frozenset(
-        (algebra.op(letter.name, ()), letter.name)
-        for letter in algebra.alphabet.letters
-        if letter.arity == 0
-    )
+
+    def step(name: str, args: tuple[int, ...]) -> int:
+        value = algebra.op(name, args)
+        for i, successor in enumerate(args, start=1):
+            transitions.setdefault((value, name, i), set()).add(successor)
+        return value
+
+    elements = frozenset(reach(algebra.alphabet, step, algebra.size).values)
     return PathNfa(
         algebra.alphabet,
         elements,
         frozenset(dbta.accepting & elements),
         {key: frozenset(value) for key, value in transitions.items()},
-        leaf_accept,
+        frozenset((algebra.op(leaf.name, ()), leaf.name) for leaf in algebra.alphabet.constants),
     )
 
 
@@ -282,5 +275,5 @@ def mix_elements(
     def step(name: str, args: tuple[tuple[int, int], ...]) -> tuple[int, int]:
         return (algebra.op(name, [x for x, _ in args]), other.op(name, [y for _, y in args]))
 
-    pairs = build(algebra.alphabet, step, algebra.size * other.size, "mix pairs")[0]
+    pairs = reach(algebra.alphabet, step, algebra.size * other.size).values
     return frozenset(e for e, s in pairs if s in closure.accepting)

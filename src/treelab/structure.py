@@ -15,13 +15,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automata import Dbta, FiniteAlgebra, reachable
+from .automata import Dbta, FiniteAlgebra, Reach, reach, reachable
 from .errors import CapExceededError, IncompatiblePartitionError
 from .fixtures import ALG_LATTICE
 from .paths import mix_elements
 from .syntactic import (
     DividesWitness,
     _all_translations,
+    _clone,
     _closure,
     _first_incompatible,
     _quotient_tables,
@@ -195,69 +196,35 @@ def generate_polynomials(
 ) -> PolFunctions:
     """Closure of projections and constants under the letter operations.
 
-    Stops at a fixpoint, or flags the result capped (still usable as an
-    under-approximation) when a cap is hit.
+    Tables come in the order ``automata.reach`` finds them: the projections,
+    the constants, then by generation, then letter, then lexicographic order
+    of the argument tables in the found order.  This order is a documented
+    tie-break (the strongly abelian check reports the first violating table).
+    Stops at a fixpoint, or flags the result capped (an under-approximation)
+    when a cap is hit.
     """
-    size = algebra.size
-    n_points = size**arity
-    envs = list(itertools.product(range(size), repeat=arity))
+    closure = _polynomials(algebra, arity, max_functions, max_rounds)
+    return PolFunctions(arity, closure.values, closure.capped, closure.rounds)
 
-    seen: set[tuple[int, ...]] = set()
-    ordered: list[tuple[int, ...]] = []
 
-    def add(table: tuple[int, ...]) -> bool:
-        if table in seen:
-            return False
-        seen.add(table)
-        ordered.append(table)
-        return True
-
-    for i in range(arity):
-        add(tuple(env[i] for env in envs))
-    for constant in range(size):
-        add(tuple(constant for _ in range(n_points)))
-
-    capped = False
-    rounds = 0
-    frontier = list(ordered)
-    while frontier:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            capped = True
-            rounds -= 1
-            break
-        new: list[tuple[int, ...]] = []
-        pool = list(ordered)
-        for letter in algebra.alphabet.letters:
-            if letter.arity == 0:
-                continue
-            frontier_set = set(frontier)
-            for combo in itertools.product(pool, repeat=letter.arity):
-                if not any(part in frontier_set for part in combo):
-                    continue
-                table = tuple(
-                    algebra.op(letter.name, [part[k] for part in combo])
-                    for k in range(n_points)
-                )
-                if add(table):
-                    new.append(table)
-                    if len(ordered) > max_functions:
-                        return PolFunctions(arity, tuple(ordered), True, rounds)
-        frontier = new
-    return PolFunctions(arity, tuple(ordered), capped, rounds)
+def _polynomials(algebra, arity, max_functions, max_rounds=None, goal=None) -> Reach:
+    projections, step = _clone(algebra, arity)
+    constants = [(c,) * algebra.size**arity for c in range(algebra.size)]
+    return reach(algebra.alphabet, step, max_functions, projections + constants, goal, max_rounds)
 
 
 def is_minimal_palfy(algebra: FiniteAlgebra, max_functions: int = 20000) -> bool:
-    """Every unary polynomial is a constant or a bijection of the carrier."""
-    pol1 = generate_polynomials(algebra, 1, max_functions)
-    if pol1.capped:
+    """Every unary polynomial is a constant or a bijection of the carrier.
+    Generation stops at the first that is neither; the cap raises
+    CapExceededError only when it is hit before such a polynomial."""
+
+    def bad(table: tuple[int, ...]) -> bool:
+        return len(set(table)) != 1 and sorted(table) != list(range(algebra.size))
+
+    closure = _polynomials(algebra, 1, max_functions, goal=bad)
+    if closure.capped and closure.hit is None:
         raise CapExceededError("unary polynomial generation hit its cap")
-    for table in pol1.tables:
-        constant = len(set(table)) == 1
-        bijection = sorted(table) == list(range(algebra.size))
-        if not constant and not bijection:
-            return False
-    return True
+    return closure.hit is None
 
 
 @dataclass(frozen=True)
@@ -279,13 +246,7 @@ def _binary_pairs(algebra: FiniteAlgebra, pattern, max_functions: int) -> PairRe
                 continue
             expected = pattern(a0, a1)
             for table in pol2.tables:
-                values = (
-                    table[a0 * size + a0],
-                    table[a0 * size + a1],
-                    table[a1 * size + a0],
-                    table[a1 * size + a1],
-                )
-                if values == expected:
+                if tuple(table[x * size + y] for x in (a0, a1) for y in (a0, a1)) == expected:
                     found.append((a0, a1, table))
                     break
     return PairReport(tuple(found), pol2.capped)
@@ -343,26 +304,18 @@ def strongly_abelian_check(
         raise IncompatiblePartitionError("partition is not a congruence")
     size = algebra.size
     classes = congruence.class_of()
-
-    def related(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
-        return all(classes[x] == classes[y] for x, y in zip(xs, ys))
-
     for arity in range(2, arity_bound + 1):
         pol = generate_polynomials(algebra, arity, max_functions, max_rounds=depth_bound)
         for table in pol.tables:
-            def apply(args: tuple[int, ...]) -> int:
-                index = 0
-                for arg in args:
-                    index = index * size + arg
-                return table[index]
-
-            for left in itertools.product(range(size), repeat=arity):
-                for right in itertools.product(range(size), repeat=arity):
-                    if not related(left, right) or apply(left) != apply(right):
+            f = dict(zip(itertools.product(range(size), repeat=arity), table))
+            for left in f:  # in lexicographic order
+                for right in f:
+                    related = all(classes[x] == classes[y] for x, y in zip(left, right))
+                    if not related or f[left] != f[right]:
                         continue
                     block = [congruence.blocks[classes[left[i]]] for i in range(1, arity)]
                     for tail in itertools.product(*[sorted(b) for b in block]):
-                        if apply((left[0],) + tail) != apply((right[0],) + tail):
+                        if f[(left[0],) + tail] != f[(right[0],) + tail]:
                             return AbelianVerdict(
                                 AbelianViolation(table, arity, left, right, tail),
                                 arity_bound,
@@ -390,20 +343,12 @@ def lattice_divides(
     """
     pool = algebra
     if use_polynomial_closure:
-        pol2 = generate_polynomials(algebra, 2, max_functions)
-        letters = list(algebra.alphabet.letters)
-        tables = dict(algebra.tables)
-        existing = {table for name, table in algebra.tables.items()
-                    if algebra.alphabet[name].arity == 2}
-        counter = 0
-        for table in pol2.tables:
-            if table in existing:
-                continue
-            name = f"p{counter}"
-            counter += 1
-            letters.append(Letter(name, 2))
-            tables[name] = table
-        pool = FiniteAlgebra(RankedAlphabet(tuple(letters)), algebra.size, tables)
+        pol2 = generate_polynomials(algebra, 2, max_functions).tables
+        existing = {t for name, t in algebra.tables.items() if algebra.alphabet[name].arity == 2}
+        new = [table for table in pol2 if table not in existing]
+        letters = algebra.alphabet.letters + tuple(Letter(f"p{i}", 2) for i in range(len(new)))
+        tables = {**algebra.tables, **{f"p{i}": table for i, table in enumerate(new)}}
+        pool = FiniteAlgebra(RankedAlphabet(letters), algebra.size, tables)
     return divides(ALG_LATTICE, pool, max_carrier)
 
 

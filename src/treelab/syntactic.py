@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .automata import Dbta, FiniteAlgebra, reachable
+from .automata import Dbta, FiniteAlgebra, reach, reachable
 from .errors import CapExceededError
 from .trees import Term, TermBody, TermNode, Var
 
@@ -212,6 +212,21 @@ def dbta_isomorphic(d1: Dbta, d2: Dbta) -> tuple[int, ...] | None:
 # --- term definability ------------------------------------------------------
 
 
+def _clone(algebra: FiniteAlgebra, arity: int) -> tuple[list[tuple[int, ...]], Callable]:
+    """The arity-ary projections, as tables over the argument tuples in
+    lexicographic order, and the ``reach`` step that applies a letter to tables."""
+    size = algebra.size
+    envs = list(itertools.product(range(size), repeat=arity))
+
+    def step(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        index = args[0] if args else [0] * len(envs)
+        for part in args[1:]:
+            index = [i * size + e for i, e in zip(index, part)]
+        return tuple(map(algebra.tables[name].__getitem__, index))
+
+    return list(zip(*envs)), step
+
+
 def term_definable(
     algebra: FiniteAlgebra,
     target: tuple[int, ...],
@@ -220,62 +235,31 @@ def term_definable(
 ) -> Term | None:
     """Breadth-first search for a term denoting the target table.
 
-    Terms are generated by depth (variables and constants at depth 1); among
-    terms with the same induced table only the first is kept, so the result is
-    the first witness in the documented order.  None when the cap is exhausted.
+    Terms come as ``automata.reach`` finds them: by generation (depth 1 holds
+    the variables, then the constants), then letter, then lexicographic order
+    of the argument terms in the found order.  A term is dropped when an
+    earlier one has its table, so the result is the first witness in this
+    order, a documented tie-break.  None when the depth cap is exhausted.
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
     if len(target) != algebra.size**arity:
         raise ValueError("target table has wrong length")
-    envs = list(itertools.product(range(algebra.size), repeat=arity))
-    goal = tuple(target)
-
-    seen: dict[tuple[int, ...], TermBody] = {}
-    by_depth: list[list[tuple[TermBody, tuple[int, ...]]]] = [[]]
-
-    def consider(body: TermBody, values: tuple[int, ...], level: list) -> TermBody | None:
-        if values in seen:
-            return None
-        seen[values] = body
-        level.append((body, values))
-        return body if values == goal else None
-
-    level1: list[tuple[TermBody, tuple[int, ...]]] = []
-    for i in range(1, arity + 1):
-        values = tuple(env[i - 1] for env in envs)
-        hit = consider(Var(i), values, level1)
-        if hit is not None:
-            return Term(arity, hit)
-    for letter in algebra.alphabet.letters:
-        if letter.arity != 0:
-            continue
-        constant = algebra.op(letter.name, ())
-        hit = consider(TermNode(letter), tuple(constant for _ in envs), level1)
-        if hit is not None:
-            return Term(arity, hit)
-    by_depth.append(level1)
-
-    for depth in range(2, depth_cap + 1):
-        level: list[tuple[TermBody, tuple[int, ...]]] = []
-        pool = [entry for lvl in by_depth[1:] for entry in lvl]
-        last = set(id(body) for body, _ in by_depth[depth - 1])
-        for letter in algebra.alphabet.letters:
-            if letter.arity == 0:
-                continue
-            for combo in itertools.product(pool, repeat=letter.arity):
-                if not any(id(body) in last for body, _ in combo):
-                    continue  # depth must be exactly one more than the deepest child
-                values = tuple(
-                    algebra.op(letter.name, [vals[k] for _, vals in combo])
-                    for k in range(len(envs))
-                )
-                body = TermNode(letter, tuple(b for b, _ in combo))
-                hit = consider(body, values, level)
-                if hit is not None:
-                    return Term(arity, hit)
-        by_depth.append(level)
-    return None
+    projections, step = _clone(algebra, arity)
+    bodies: dict[tuple[int, ...], TermBody] = {}
+    for i, table in enumerate(projections, start=1):
+        bodies.setdefault(table, Var(i))
+    for letter in algebra.alphabet.constants:
+        bodies.setdefault(step(letter.name, ()), TermNode(letter))
+    goal, every_table = tuple(target), algebra.size ** len(target)
+    closure = reach(algebra.alphabet, step, every_table, list(bodies), goal.__eq__, depth_cap - 1)
+    if closure.hit is None:
+        return None
+    for table in closure.values:
+        if table not in bodies:
+            letter, args = closure.derivations[table]
+            bodies[table] = TermNode(letter, tuple(map(bodies.__getitem__, args)))
+    return Term(arity, bodies[closure.hit])
 
 
 # --- division ---------------------------------------------------------------

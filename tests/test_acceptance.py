@@ -5,7 +5,6 @@ lines.  Every criterion asserts its stated budget and tolerance; tolerances
 are exact (automaton equivalence / 100% agreement) throughout.
 """
 
-import itertools
 import random
 import time
 
@@ -74,6 +73,7 @@ from treelab.paths import (
     path_nfa,
     separate_topdown,
 )
+from treelab.oracle import is_mix, sweep_reachable
 from treelab.structure import (
     Congruence,
     lattice_divides,
@@ -97,7 +97,6 @@ from treelab.trees import (
     Var,
     enumerate_trees,
     parse_tree,
-    path_words,
     render_term,
     render_tree,
 )
@@ -120,36 +119,6 @@ class budget:
             self.elapsed = time.perf_counter() - self.start
             assert self.elapsed < self.seconds, f"budget {self.seconds}s exceeded: {self.elapsed:.1f}s"
         return False
-
-
-# --- independent oracles (kept local to the acceptance gate) ---------------------
-
-
-def oracle_word_realized(dbta, word):
-    algebra = dbta.algebra
-    reach = set()
-    changed = True
-    while changed:
-        changed = False
-        for letter in algebra.alphabet.letters:
-            for args in itertools.product(sorted(reach), repeat=letter.arity):
-                value = algebra.op(letter.name, args)
-                if value not in reach:
-                    reach.add(value)
-                    changed = True
-    possible = {algebra.op(word[-1].name, ())}
-    for letter, position in reversed(word[:-1]):
-        nxt = set()
-        for spine in possible:
-            for others in itertools.product(sorted(reach), repeat=letter.arity - 1):
-                args = others[: position - 1] + (spine,) + others[position - 1 :]
-                nxt.add(algebra.op(letter.name, args))
-        possible = nxt
-    return bool(possible & set(dbta.accepting))
-
-
-def oracle_is_mix(dbta, tree):
-    return all(oracle_word_realized(dbta, w) for w in path_words(tree))
 
 
 def is_direction_sensitive(formula):
@@ -253,12 +222,13 @@ def test_criterion_5_universal_path_decisions():
         for name, (dbta, want) in expected.items():
             verdict, witness = is_universal_path(dbta)
             assert verdict == want, name
+            reach = sweep_reachable(dbta.algebra)
             if not verdict:
-                assert oracle_is_mix(dbta, witness) and not accepts(dbta, witness), name
+                assert is_mix(dbta, reach, witness) and not accepts(dbta, witness), name
             if name == "l_two":
                 assert render_tree(witness) in ("g(c,d)", "g(d,c)")
             trees = enumerate_trees(dbta.alphabet, 7)
-            oracle = all(accepts(dbta, t) == oracle_is_mix(dbta, t) for t in trees)
+            oracle = all(accepts(dbta, t) == is_mix(dbta, reach, t) for t in trees)
             assert verdict == oracle, name
     report(5, f"all five verdicts match the per-path brute-force oracle ({b.elapsed:.2f}s)")
 

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from treelab import cli
-from treelab.automata import Dbta, FiniteAlgebra, reachable_elements
+from treelab.automata import Dbta, FiniteAlgebra
 from treelab.cli import (
     Workspace,
     load_alphabet,
@@ -19,7 +19,8 @@ from treelab.cli import (
     save_matrix,
 )
 from treelab.errors import ParseError
-from treelab.fixtures import DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_AND, SIG_GCD
+from treelab.fixtures import CORPUS, DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_AND, SIG_GCD
+from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, path_nfa
 from treelab.syntactic import dbta_isomorphic
 from treelab.transduce import Dtop, dtop_to_matrix_hom
@@ -353,6 +354,46 @@ PINNED_REPORTS = {
 }
 
 
+# `structure strongly-abelian` on each corpus language, default bounds and
+# congruence; a violation names the first violating table in generation order
+STRONGLY_ABELIAN = {
+    "l_even": "passed-bounded arity 2 depth 3\n",
+    "l_pott": "violated arity 2 left 0,1 right 1,0 tail 0\n",
+    "l_pott_redundant": "violated arity 2 left 0,0 right 1,1 tail 0\n",
+    "k_pott": "violated arity 2 left 0,1 right 1,0 tail 0\n",
+    "l_line_even": "passed-bounded arity 2 depth 3\n",
+    "l_true_and": "violated arity 2 left 0,0 right 1,0 tail 1\n",
+    "l_true_or": "violated arity 2 left 0,1 right 1,0 tail 0\n",
+    "l_true_bool": "violated arity 2 left 0,0 right 1,0 tail 1\n",
+    "l_pair": "violated arity 2 left 0,0 right 1,0 tail 1\n",
+    "l_two": "violated arity 2 left 0,0 right 1,1 tail 0\n",
+    "l_root_g": "passed-bounded arity 2 depth 3\n",
+    "l_empty_gcd": "passed-bounded arity 2 depth 3\n",
+    "l_full_gcd": "passed-bounded arity 2 depth 3\n",
+}
+
+# `structure orpairs` on each corpus language
+ORPAIRS = {
+    "l_even": "orpairs 0\n",
+    "l_pott": "orpairs 2\norpair 0 2\norpair 1 2\n",
+    "l_pott_redundant": "orpairs 4\norpair 0 4\norpair 1 5\norpair 2 4\norpair 3 5\n",
+    "k_pott": "orpairs 2\norpair 0 2\norpair 1 2\n",
+    "l_line_even": "orpairs 0\n",
+    "l_true_and": "orpairs 1\norpair 1 0\n",
+    "l_true_or": "orpairs 1\norpair 0 1\n",
+    "l_true_bool": "orpairs 2\norpair 0 1\norpair 1 0\n",
+    "l_pair": "orpairs 0\n",
+    "l_two": "orpairs 0\n",
+    "l_root_g": "orpairs 0\n",
+    "l_empty_gcd": "orpairs 0\n",
+    "l_full_gcd": "orpairs 0\n",
+}
+
+for name, _ in CORPUS:
+    PINNED_REPORTS["structure", "strongly-abelian", "--lang", f"@{name}"] = STRONGLY_ABELIAN[name]
+    PINNED_REPORTS["structure", "orpairs", "--lang", f"@{name}"] = ORPAIRS[name]
+
+
 @pytest.mark.parametrize("argv", list(PINNED_REPORTS))
 def test_pinned_reports(capsys, argv):
     assert run(capsys, *argv) == (0, PINNED_REPORTS[argv], "")
@@ -457,9 +498,9 @@ def test_universal_path_oracle_reaches_once_per_language(monkeypatch):
 
     def counting(algebra):
         calls.append(algebra)
-        return reachable_elements(algebra)
+        return sweep_reachable(algebra)
 
-    monkeypatch.setattr(cli, "reachable_elements", counting)
+    monkeypatch.setattr(cli, "sweep_reachable", counting)
     checks = cli._oracle_universal_path(cli.Report("text"), 4)
     assert checks > 0
     assert len(calls) == 5 and len({id(a) for a in calls}) == 5

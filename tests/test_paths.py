@@ -1,4 +1,3 @@
-import itertools
 
 import pytest
 
@@ -25,6 +24,7 @@ from treelab.fixtures import (
     SIG_MONO,
     corpus_dbta,
 )
+from treelab.oracle import is_mix, sweep_reachable, word_realized
 from treelab.paths import (
     determinize,
     dtta_accepts,
@@ -41,42 +41,11 @@ from treelab.paths import (
 from treelab.trees import enumerate_path_words, enumerate_trees, path_words, render_tree
 
 
-# --- independent oracles ------------------------------------------------------
-
-
-def oracle_word_realized(dbta, word):
-    """Is the path word the labelling of some root-to-leaf path of a member?
-
-    Definitional dynamic programming, written without the path-automaton
-    machinery: walk the word from its leaf upward, tracking every value an
-    extension tree can take when the remaining word runs along the spine and
-    all off-spine children are filled with arbitrary tree-reachable values.
-    """
-    algebra = dbta.algebra
-    reach = set()
-    changed = True
-    while changed:
-        changed = False
-        for letter in algebra.alphabet.letters:
-            for args in itertools.product(sorted(reach), repeat=letter.arity):
-                value = algebra.op(letter.name, args)
-                if value not in reach:
-                    reach.add(value)
-                    changed = True
-    leaf = word[-1]
-    possible = {algebra.op(leaf.name, ())}
-    for letter, position in reversed(word[:-1]):
-        nxt = set()
-        for spine in possible:
-            for others in itertools.product(sorted(reach), repeat=letter.arity - 1):
-                args = others[: position - 1] + (spine,) + others[position - 1 :]
-                nxt.add(algebra.op(letter.name, args))
-        possible = nxt
-    return bool(possible & set(dbta.accepting))
+# --- the independent path-word oracle (treelab.oracle) -------------------------
 
 
 def oracle_is_mix(dbta, tree):
-    return all(oracle_word_realized(dbta, word) for word in path_words(tree))
+    return is_mix(dbta, sweep_reachable(dbta.algebra), tree)
 
 
 def test_oracle_word_realized_agrees_with_enumeration():
@@ -85,9 +54,10 @@ def test_oracle_word_realized_agrees_with_enumeration():
         dbta = corpus_dbta(name)
         members = [t for t in enumerate_trees(dbta.alphabet, 9) if accepts(dbta, t)]
         realized = set().union(*[path_words(t) for t in members]) if members else set()
+        reach = sweep_reachable(dbta.algebra)
         for word in enumerate_path_words(dbta.alphabet, 4):
             enumerated = word in realized
-            assert oracle_word_realized(dbta, word) == enumerated, (name, word)
+            assert word_realized(dbta, reach, word) == enumerated, (name, word)
 
 
 # --- path automaton -----------------------------------------------------------

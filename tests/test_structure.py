@@ -4,7 +4,7 @@ import random
 import pytest
 
 from treelab.automata import Dbta, FiniteAlgebra, product_algebra
-from treelab.errors import IncompatiblePartitionError
+from treelab.errors import CapExceededError, IncompatiblePartitionError
 from treelab.fixtures import (
     ALG_AND,
     ALG_LATTICE,
@@ -162,6 +162,10 @@ def test_generate_polynomials_closed_at_fixpoint():
 def test_is_minimal_palfy():
     assert is_minimal_palfy(ALG_SEMILATTICE)
     assert not is_minimal_palfy(ALG_POTT)  # x -> f2(x, 0) is neither constant nor bijective
+    # that polynomial is the sixth generated, so a cap of six functions settles it
+    assert not is_minimal_palfy(ALG_POTT, max_functions=6)
+    with pytest.raises(CapExceededError):
+        is_minimal_palfy(ALG_POTT, max_functions=4)
     one = FiniteAlgebra(RankedAlphabet.of(("c", 0)), 1, {"c": (0,)})
     assert is_minimal_palfy(one)
 

@@ -26,6 +26,7 @@ reports; TREELAB_SEED fixes the randomized formula corpus.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import re
@@ -104,30 +105,29 @@ from .trees import (
 # --- text formats -------------------------------------------------------------
 
 
-def _lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((number, line.split()))
-    return out
-
-
 def _fail(number: int, message: str) -> None:
     raise ParseError(f"line {number}: {message}")
 
 
 class _Doc:
-    """One parsed file: keyword lines grouped for the format loaders."""
+    """One parsed file: its keyword lines, grouped by keyword in one pass.
+
+    A row is a line's whitespace-separated fields after its keyword, with
+    `#` comments and blank lines dropped; each keyword's rows keep file order.
+    """
 
     def __init__(self, text: str):
-        self.rows = _lines(text)
+        self.rows: dict[str, list[tuple[int, list[str]]]] = {}
+        for number, line in enumerate(text.splitlines(), start=1):
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                self.rows.setdefault(fields[0], []).append((number, fields[1:]))
 
     def take(self, keyword: str) -> list[tuple[int, list[str]]]:
-        return [(n, row[1:]) for n, row in self.rows if row[0] == keyword]
+        return self.rows.get(keyword, [])
 
     def keywords(self) -> set[str]:
-        return {row[0] for _, row in self.rows}
+        return set(self.rows)
 
 
 def _int(number: int, text: str, what: str) -> int:
@@ -175,36 +175,45 @@ def save_alphabet(alphabet: RankedAlphabet) -> str:
 def _parse_ops(
     doc: _Doc, alphabet: RankedAlphabet, size: int
 ) -> dict[str, tuple[int, ...]]:
-    tables: dict[str, dict[tuple[int, ...], int]] = {
-        letter.name: {} for letter in alphabet.letters
+    """Each letter's table from the `op` rows, filled by index: the row
+    `op f e1 .. en -> e` is entry e1·size^(n-1) + .. + en of f's table.
+
+    Rows are checked in file order, each in the order: shape, letter,
+    integers, argument count, range, duplicate; then each letter, in
+    alphabet order, must have all of its size^arity rows.
+    """
+    cells: dict[str, tuple[int, dict[int, int]]] = {
+        letter.name: (letter.arity, {}) for letter in alphabet.letters
     }
     for number, row in doc.take("op"):
         if len(row) < 3 or row[-2] != "->":
             _fail(number, "expected `op NAME e1 .. en -> e`")
         name = row[0]
-        letter = alphabet.get(name)
-        if letter is None:
+        entry = cells.get(name)
+        if entry is None:
             _fail(number, f"unknown letter {name!r}")
-        args = tuple(_int(number, x, "carrier element") for x in row[1:-2])
-        result = _int(number, row[-1], "carrier element")
-        if len(args) != letter.arity:
-            _fail(number, f"{name} takes {letter.arity} arguments")
-        if any(not 0 <= x < size for x in args + (result,)):
+        arity, table = entry
+        values = [_int(number, x, "carrier element") for x in row[1:-2]]
+        value = _int(number, row[-1], "carrier element")
+        if len(values) != arity:
+            _fail(number, f"{name} takes {arity} arguments")
+        if not all(0 <= x < size for x in (*values, value)):
             _fail(number, "element out of carrier range")
-        if args in tables[name]:
-            _fail(number, f"duplicate op row for {name} {args}")
-        tables[name][args] = result
+        index = 0
+        for x in values:
+            index = index * size + x
+        if index in table:
+            _fail(number, f"duplicate op row for {name} {tuple(values)}")
+        table[index] = value
     out: dict[str, tuple[int, ...]] = {}
     for letter in alphabet.letters:
-        rows = tables[letter.name]
+        table = cells[letter.name][1]
         expected = size**letter.arity
-        if len(rows) != expected:
+        if len(table) != expected:
             raise ParseError(
-                f"letter {letter.name} needs {expected} op rows, found {len(rows)}"
+                f"letter {letter.name} needs {expected} op rows, found {len(table)}"
             )
-        out[letter.name] = tuple(
-            rows[args] for args in itertools.product(range(size), repeat=letter.arity)
-        )
+        out[letter.name] = tuple(map(table.__getitem__, range(expected)))
     return out
 
 
@@ -243,16 +252,32 @@ def load_dbta(text: str) -> Dbta:
     return Dbta(FiniteAlgebra(alphabet, size, tables, names), accepting)
 
 
+def _op_rows(algebra: FiniteAlgebra) -> list[str]:
+    """The `op` lines of every table, in alphabet order, then table order."""
+    numbers = [str(e) for e in range(algebra.size)]
+    arguments: dict[int, list[str]] = {}  # per arity: each " e1 .. en", in table order
+    out = []
+    for letter in algebra.alphabet.letters:
+        texts = arguments.get(letter.arity)
+        if texts is None:
+            texts = arguments[letter.arity] = [
+                " ".join(("",) + args)
+                for args in itertools.product(numbers, repeat=letter.arity)
+            ]
+        head = f"op {letter.name}"
+        out += [
+            f"{head}{args} -> {value}\n"
+            for args, value in zip(texts, algebra.tables[letter.name])
+        ]
+    return out
+
+
 def save_algebra(algebra: FiniteAlgebra, accepting: frozenset[int] | None = None) -> str:
     out = [save_alphabet(algebra.alphabet)]
     out.append(f"carrier {algebra.size}\n")
     if algebra.element_names is not None:
         out.append("names " + " ".join(algebra.element_names) + "\n")
-    for letter in algebra.alphabet.letters:
-        for args in itertools.product(range(algebra.size), repeat=letter.arity):
-            value = algebra.op(letter.name, args)
-            middle = (" " + " ".join(map(str, args))) if args else ""
-            out.append(f"op {letter.name}{middle} -> {value}\n")
+    out += _op_rows(algebra)
     if accepting is not None:
         out.append("accept" + "".join(f" {e}" for e in sorted(accepting)) + "\n")
     return "".join(out)
@@ -439,10 +464,7 @@ def save_matrix(mh: MatrixHom) -> str:
     out.append(f"carrier {mh.base.size}\n")
     if mh.base.element_names is not None:
         out.append("names " + " ".join(mh.base.element_names) + "\n")
-    for letter in mh.base.alphabet.letters:
-        for args in itertools.product(range(mh.base.size), repeat=letter.arity):
-            middle = (" " + " ".join(map(str, args))) if args else ""
-            out.append(f"op {letter.name}{middle} -> {mh.base.op(letter.name, args)}\n")
+    out += _op_rows(mh.base)
     out.append(f"width {mh.width}\n")
     for letter in mh.alphabet.letters:
         for i, term in enumerate(mh.tuples[letter.name], start=1):
@@ -900,7 +922,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it."""
     parser = _Parser(prog="treelab", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("text", "tsv"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1036,6 +1060,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+
+    Repeated calls in one process share one argument parser, built on the
+    first call; parsing keeps no state between calls.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -129,6 +129,15 @@ def _principal_congruences(algebra: FiniteAlgebra) -> set[Congruence]:
     }
 
 
+def blocks_key(congruence: Congruence) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """A total sort key: the blocks in order, each as (size, sorted elements).
+
+    Two blocks at the same position compare first by size, so a proper
+    subset comes first, as it did when blocks were compared as sets.
+    """
+    return tuple((len(block), tuple(sorted(block))) for block in congruence.blocks)
+
+
 def all_congruences(algebra: FiniteAlgebra, max_carrier: int = 8) -> list[Congruence]:
     """The whole congruence lattice: joins of principal congruences.
 
@@ -147,7 +156,10 @@ def all_congruences(algebra: FiniteAlgebra, max_carrier: int = 8) -> list[Congru
             if joined not in found:
                 found.add(joined)
                 worklist.append(joined)
-    return sorted(found, key=lambda c: (len(c.blocks), tuple(sorted(min(b) for b in c.blocks)), c.blocks))
+    return sorted(
+        found,
+        key=lambda c: (len(c.blocks), tuple(sorted(min(b) for b in c.blocks)), blocks_key(c)),
+    )
 
 
 def minimal_nontrivial_congruences(algebra: FiniteAlgebra) -> list[Congruence]:
@@ -158,7 +170,7 @@ def minimal_nontrivial_congruences(algebra: FiniteAlgebra) -> list[Congruence]:
     for candidate in nontrivial:
         if not any(other != candidate and other.refines(candidate) for other in nontrivial):
             minimal.append(candidate)
-    return sorted(minimal, key=lambda c: c.blocks)
+    return sorted(minimal, key=blocks_key)
 
 
 def quotient(algebra: FiniteAlgebra, congruence: Congruence) -> FiniteAlgebra:

@@ -70,8 +70,12 @@ class RankedAlphabet:
         return self.letters.index(self[name])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Tree:
+    """A ranked tree.  ``==``, ``hash`` and ``repr`` walk it without
+    recursion, so depth is unbounded; ``==`` and ``repr`` agree with the
+    dataclass-generated forms over (label, children)."""
+
     label: Letter
     children: tuple["Tree", ...] = ()
 
@@ -80,6 +84,41 @@ class Tree:
             raise ValueError(
                 f"{self.label.name} expects {self.label.arity} children, got {len(self.children)}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            mine, theirs = pending.pop()
+            if mine is theirs:
+                continue
+            if mine.__class__ is not theirs.__class__ or (
+                mine.label is not theirs.label and mine.label != theirs.label
+            ):
+                return False
+            pending += zip(mine.children, theirs.children)  # equal labels, equal arities
+        return True
+
+    def __hash__(self):
+        # the labels in preorder spell the tree, since each label has its arity
+        return hash(tuple(node.label for node in preorder(self)))
+
+    def __repr__(self):
+        parts: list[str] = []
+        pending: list[Tree | str] = [self]  # nodes to print and text to copy
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(f"{type(item).__qualname__}(label={item.label!r}, children=(")
+            pending.append(",))" if len(item.children) == 1 else "))")
+            for index in range(len(item.children) - 1, -1, -1):
+                pending.append(item.children[index])
+                if index:
+                    pending.append(", ")
+        return "".join(parts)
 
     def size(self) -> int:
         return len(preorder(self))

@@ -1,9 +1,14 @@
+import itertools
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import treelab
 from treelab import cli
-from treelab.automata import Dbta, FiniteAlgebra
+from treelab.automata import Dbta, FiniteAlgebra, with_constants
 from treelab.cli import (
     Workspace,
     load_alphabet,
@@ -23,7 +28,7 @@ from treelab.fixtures import CORPUS, DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_
 from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, path_nfa
 from treelab.syntactic import dbta_isomorphic
-from treelab.transduce import Dtop, dtop_to_matrix_hom
+from treelab.transduce import Dtop, MatrixHom, dtop_to_matrix_hom
 from treelab.trees import RankedAlphabet, parse_term
 
 
@@ -68,6 +73,66 @@ def test_matrix_roundtrip():
     again = load_matrix(text)
     assert again == mh
     assert save_matrix(again) == text
+
+
+def reference_op_rows(algebra):
+    """The op lines as one row per argument tuple, through `op` (the writer's spec)."""
+    return "".join(
+        f"op {letter.name}{''.join(f' {x}' for x in args)} -> {algebra.op(letter.name, args)}\n"
+        for letter in algebra.alphabet.letters
+        for args in itertools.product(range(algebra.size), repeat=letter.arity)
+    )
+
+
+def random_base(rng, size, named):
+    alphabet = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
+    tables = {
+        letter.name: tuple(rng.randrange(size) for _ in range(size**letter.arity))
+        for letter in alphabet.letters
+    }
+    names = tuple(f"e{rng.randrange(100)}_{e}" for e in range(size)) if named else None
+    return FiniteAlgebra(alphabet, size, tables, names)
+
+
+@pytest.mark.parametrize("named", (False, True), ids=("plain", "names"))
+def test_op_tables_round_trip(named):
+    rng = random.Random(24 + named)
+    inputs = RankedAlphabet.of(("h", 2), ("u", 1), ("c", 0))
+    for size in range(1, 25):
+        base = random_base(rng, size, named)
+        dbta = Dbta(base, frozenset(e for e in range(size) if rng.random() < 0.4))
+        text = save_dbta(dbta)
+        names = f"names {' '.join(base.element_names)}\n" if named else ""
+        accept = "".join(f" {e}" for e in sorted(dbta.accepting))
+        assert text == (
+            f"letter f 2\nletter g 1\nletter a 0\nletter b 0\ncarrier {size}\n{names}"
+            + reference_op_rows(base) + f"accept{accept}\n"
+        )
+        assert load_dbta(text) == dbta and save_dbta(load_dbta(text)) == text
+
+        width = rng.randint(1, 2)
+        constants = with_constants(base).alphabet
+        pool = ["a", "b", f"@{size - 1}", f"@{rng.randrange(size)}"]
+        tuples = {}
+        for letter in inputs.letters:
+            variables = [f"x{i}" for i in range(1, width * letter.arity + 1)]
+            leaves = pool + variables
+            tuples[letter.name] = tuple(
+                parse_term(
+                    rng.choice([
+                        rng.choice(leaves),
+                        f"g({rng.choice(leaves)})",
+                        f"f({rng.choice(leaves)},g({rng.choice(leaves)}))",
+                    ]),
+                    constants,
+                    width * letter.arity,
+                )
+                for _ in range(width)
+            )
+        matrix = MatrixHom(base, inputs, width, tuples)
+        text = save_matrix(matrix)
+        assert reference_op_rows(base) in text
+        assert load_matrix(text) == matrix and save_matrix(load_matrix(text)) == text
 
 
 def test_accepts_builtin(capsys):
@@ -434,6 +499,26 @@ MALFORMED = [
      "line 2: base letter '@0'"),
 ]
 
+# each op-row fault, in a dbta whose line 5 is `op g 1 -> 0`
+OP_ROWS = "letter g 1\nletter a 0\ncarrier 2\nop g 0 -> 1\n{}op a -> 0\naccept 0\n"
+MALFORMED += [("dbta", OP_ROWS.format(row), message) for row, message in [
+    ("op g 1 0\n", "line 5: expected `op NAME e1 .. en -> e`"),
+    ("op h 1 -> 0\n", "line 5: unknown letter 'h'"),
+    ("op g x -> 0\n", "line 5: carrier element must be an integer, got 'x'"),
+    ("op g 1 -> y\n", "line 5: carrier element must be an integer, got 'y'"),
+    ("op g 1 1 -> 0\n", "line 5: g takes 1 arguments"),
+    ("op g 2 -> 0\n", "line 5: element out of carrier range"),
+    ("op g 0 -> 0\n", "line 5: duplicate op row for g (0,)"),
+    ("", "letter g needs 2 op rows, found 1"),
+]]
+MALFORMED += [
+    # two faults: the first line's is reported, though line 5's is checked earlier in a row
+    ("dbta", OP_ROWS.format("op h 1 -> 0\n").replace("op g 0 -> 1", "op g 0 -> 5"),
+     "line 4: element out of carrier range"),
+    ("matrix", "input a 0\nbase c 0\ncarrier 1\nop d -> 0\nwidth 1\ntuple a 1 -> c\n",
+     "line 4: unknown letter 'd'"),
+]
+
 
 @pytest.mark.parametrize("kind, text, message", MALFORMED, ids=[m for _, _, m in MALFORMED])
 def test_malformed_files_are_parse_errors(capsys, tmp_path, kind, text, message):
@@ -452,6 +537,26 @@ def test_malformed_files_are_parse_errors(capsys, tmp_path, kind, text, message)
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("op g x 1 -> 0", "line 5: carrier element must be an integer, got 'x'"),
+    ("op g 2 -> z", "line 5: carrier element must be an integer, got 'z'"),
+    ("op g 1 1 -> 7", "line 5: g takes 1 arguments"),
+    ("op g 1 -> -1", "line 5: element out of carrier range"),
+    ("op g 00 -> 0", "line 5: duplicate op row for g (0,)"),
+])
+def test_op_row_checks_in_order(row, message):
+    # within a row: integers, then the argument count, then the range, then duplicates
+    with pytest.raises(ParseError) as caught:
+        load_dbta(OP_ROWS.format(row + "\n"))
+    assert str(caught.value) == message
+
+
+def test_op_rows_read_non_decimal_integers():
+    # any field int() reads is an element, not only its plain decimal name
+    text = OP_ROWS.format("op g +1 -> 0_0\n").replace("op g 0 -> 1", "op g 00 ->  \t1 # c")
+    assert load_dbta(text).algebra.tables == {"g": (1, 0), "a": (0,)}
+
+
 def test_malformed_dtta_and_congruence(capsys):
     head = "letter a 0\nletter g 1\nstates 1\ninit 0\n"
     for body in ("delta x g -> 0\n", "delta 0 g -> y\n", "leaf z a -> accept\n", ""):
@@ -466,6 +571,58 @@ def test_malformed_dtta_and_congruence(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# one process, many commands: different subcommands and formats, each exit code
+SHARED_PARSER_CALLS = [
+    ("eval", "--lang", "@l_pott", "--tree", "f2(f1(f0),f0)"),
+    ("--format", "tsv", "eval", "--lang", "@l_pott", "--tree", "f0"),
+    ("eval", "--lang", "@l_pott", "--tree", "f0"),
+    ("structure", "strongly-abelian", "--lang", "@l_pott", "--congruence", "identity"),
+    ("structure", "strongly-abelian", "--lang", "@l_pott"),
+    ("equiv", "--lang", "@l_pair"),
+    ("accepts", "--lang", "@l_pott", "--tree", "f1(f0,f0)"),
+    ("--format", "tsv", "ctl", "compile", "--alphabet", "@sig_pott", "--formula", "lbl(f0)"),
+    ("universal-path", "--lang", "@l_pott", "--max-states", "1"),
+    ("ctl", "compile", "--alphabet", "@sig_pott", "--formula", "lbl(f0)"),
+    ("no-such-command",),
+    ("structure", "--help"),
+    ("minimize", "--lang", "@l_true_bool"),
+]
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    alone = []
+    for argv in SHARED_PARSER_CALLS:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    together = [run(capsys, *argv) for argv in SHARED_PARSER_CALLS]
+    assert cli._build_parser.cache_info().misses == 1
+    assert together == alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 0, 1, 2, 0, 3, 0, 1, 0, 0]
+    assert alone[1][1] == "value\t0\n" and alone[2][1] == "value 0\n"
+    assert alone[5][2].startswith("usage: treelab equiv") and alone[6][2].startswith("error: ")
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import treelab.cli\n"
+        "print(len(built))\n"
+    )
+    src = os.path.dirname(os.path.dirname(treelab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "0\n"
 
 
 def test_tsv_format(capsys):

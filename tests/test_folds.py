@@ -8,6 +8,7 @@ alphabet both must raise the same error.
 """
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -94,6 +95,21 @@ def recursive_cascade_eval(cascade, tree):
         raise AlphabetMismatchError(f"letter {tree.label.name} not in the cascade alphabet")
     child_bits = [recursive_cascade_eval(cascade, child) for child in tree.children]
     return _cascade_step(cascade, tree.label.name, child_bits)
+
+
+@dataclass(frozen=True)
+class DataclassTree:
+    """A tree with the dataclass-generated ==, hash and repr, which recurse."""
+
+    label: Letter
+    children: tuple = ()
+
+
+DataclassTree.__qualname__ = "Tree"  # so that both reprs name the same class
+
+
+def recursive_dataclass_tree(tree):
+    return DataclassTree(tree.label, tuple(recursive_dataclass_tree(c) for c in tree.children))
 
 
 # --- random inputs -----------------------------------------------------------------
@@ -208,6 +224,20 @@ def test_folds_match_recursive_forms():
                 assert outcome(fold, model, subject) == outcome(reference, model, subject)
 
 
+def test_tree_eq_hash_repr_match_dataclass_forms():
+    rng = random.Random(13)
+    trees = [random_tree(rng, FGAB, rng.randint(1, 12)) for _ in range(300)]
+    for tree, other in zip(trees, trees[1:] + trees[:1]):
+        reference = recursive_dataclass_tree(tree)
+        assert repr(tree) == repr(reference)
+        copy = parse_tree(render_tree(tree), FGAB)
+        assert copy is not tree and copy == tree and hash(copy) == hash(tree)
+        assert (tree == other) == (reference == recursive_dataclass_tree(other))
+        assert (tree != other) == (reference != recursive_dataclass_tree(other))
+    assert Tree(A) != reference and Tree(A).__eq__("a") is NotImplemented
+    assert len({parse_tree("f(a,g(b))", FGAB), parse_tree("f(a,g(b))", FGAB), Tree(A)}) == 2
+
+
 def test_foreign_letter_errors_name_the_first_in_preorder():
     # the folds meet g/2 (a known name with another arity) before u, which comes first in preorder
     tree = Tree(F, (Tree(G, (Tree(Letter("u", 0)),)), Tree(Letter("g", 2), (Tree(A), Tree(B)))))
@@ -243,6 +273,11 @@ def test_deep_tree_parse_render_and_walks(spine):
     subtrees = list(spine.subtrees())
     assert subtrees[0] is spine and subtrees[-1].label == A and len(subtrees) == DEPTH + 1
     assert path_words(spine) == frozenset({((G, 1),) * DEPTH + (A,)})
+    assert repr(spine) == (
+        "Tree(label=Letter(name='g', arity=1), children=(" * DEPTH
+        + "Tree(label=Letter(name='a', arity=0), children=())"
+        + ",))" * DEPTH
+    )
 
 
 def test_deep_tree_folds(spine):
@@ -279,8 +314,12 @@ def test_deep_tree_transductions(spine):
     }
     image = "g(" * DEPTH + "b" + ")" * DEPTH
     dtop = Dtop(FGAB, FGAB, 1, 1, {(name, 1): term for name, term in terms.items()})
-    assert render_tree(dtop_apply(dtop, spine)) == image
-    assert render_tree(hom_apply(TreeHom(FGAB, FGAB, terms), spine)) == image
+    by_dtop = dtop_apply(dtop, spine)
+    by_hom = hom_apply(TreeHom(FGAB, FGAB, terms), spine)
+    assert render_tree(by_dtop) == render_tree(by_hom) == image
+    # two deep trees built apart: equal, with equal hashes; the spine differs at the leaf
+    assert by_dtop is not by_hom and by_dtop == by_hom and hash(by_dtop) == hash(by_hom)
+    assert by_dtop != spine and not by_dtop == spine
 
 
 def test_deep_tree_dtta_accepts(spine):

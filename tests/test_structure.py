@@ -23,6 +23,7 @@ from treelab.structure import (
     Congruence,
     all_congruences,
     and_pairs,
+    blocks_key,
     generate_polynomials,
     is_compatible,
     is_minimal_palfy,
@@ -104,6 +105,30 @@ def test_all_congruences_pott():
         if cong.is_identity():
             continue
         assert any(p.refines(cong) for p in principals)
+
+
+def test_congruence_sorts_are_total():
+    # over a constant alone every partition is a congruence: 15 on 4 elements
+    algebra = FiniteAlgebra(RankedAlphabet.of(("c", 0)), 4, {"c": (0,)})
+    congruences = all_congruences(algebra)
+    assert len({blocks_key(c) for c in congruences}) == len(congruences) == 15
+    assert sorted(congruences, key=blocks_key) == sorted(congruences[::-1], key=blocks_key)
+
+    def render(c):
+        return ";".join(",".join(map(str, sorted(block))) for block in c.blocks)
+
+    assert [render(c) for c in congruences] == [
+        "0,1,2,3", "0;1,2,3", "0,2;1,3", "0,3;1,2", "0,2,3;1", "0,1;2,3", "0,1,3;2",
+        "0,1,2;3", "0;1;2,3", "0;1,3;2", "0,3;1;2", "0;1,2;3", "0,2;1;3", "0,1;2;3",
+        "0;1;2;3",
+    ]
+    assert [render(c) for c in minimal_nontrivial_congruences(algebra)] == [
+        "0;1;2,3", "0;1,2;3", "0;1,3;2", "0,1;2;3", "0,2;1;3", "0,3;1;2",
+    ]
+    # a proper subset comes before its superset at the first block that differs
+    small = Congruence.from_blocks(5, [{0, 3}, {1, 2, 4}])
+    large = Congruence.from_blocks(5, [{0, 2, 3}, {1, 4}])
+    assert blocks_key(small) < blocks_key(large)
 
 
 def test_quotient_identity_is_isomorphic():

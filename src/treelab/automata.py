@@ -41,7 +41,7 @@ class FiniteAlgebra:
                 raise ValueError(f"missing table for {letter.name}")
             if len(table) != self.size**letter.arity:
                 raise ValueError(f"table for {letter.name} has wrong length")
-            if any(not 0 <= e < self.size for e in table):
+            if not (0 <= min(table) and max(table) < self.size):
                 raise ValueError(f"table for {letter.name} has out-of-range entries")
         if len(self.tables) != len(self.alphabet.letters):
             raise ValueError("tables for unknown letters")
@@ -114,6 +114,35 @@ def subtree_values(algebra: FiniteAlgebra, nodes: list[Tree]) -> list[int]:
         stack.append(value)
         values.append(value)
     values.reverse()
+    return values
+
+
+def corpus_values(
+    algebra: FiniteAlgebra, nodes: Sequence[Tree], kids: Sequence[tuple[int, ...]]
+) -> list[int]:
+    """The value of the subtree at each of ``nodes``, a children-first list
+    whose children sit at the positions ``kids`` (see
+    ``trees.child_positions``), in the same order.
+
+    Each value is one table lookup on values found earlier, so a subtree
+    shared by many entries (as in ``enumerate_trees``) is folded once.  A
+    letter outside the algebra's alphabet raises AlphabetMismatchError,
+    naming the first such letter in the list.
+    """
+    size = algebra.size
+    rows = {
+        letter.name: (letter, algebra.tables[letter.name]) for letter in algebra.alphabet.letters
+    }
+    values: list[int] = []
+    for node, children in zip(nodes, kids):
+        label = node.label
+        letter, table = rows.get(label.name, (None, None))
+        if letter is not label and letter != label:
+            require_letters(nodes, algebra.alphabet, "letter {} not in the algebra's alphabet")
+        index = 0
+        for child in children:
+            index = index * size + values[child]
+        values.append(table[index])
     return values
 
 

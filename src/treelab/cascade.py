@@ -25,11 +25,11 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, subtree_values
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
-from .trees import Letter, RankedAlphabet, Tree, preorder, require_letters
+from .trees import Letter, RankedAlphabet, Tree, children_first, preorder, require_letters
 
 DEFAULT_WIDTH_CAP = 16
 
@@ -598,49 +598,90 @@ def ctl_parse(text: str, alphabet: RankedAlphabet) -> CtlFormula:
     return formula
 
 
-def _witnesses(tree: Tree) -> Iterator[tuple[Tree, list[Tree], list[tuple[str, int]]]]:
-    """(node subtree, strictly-between subtrees, (ancestor label, direction) list)."""
-    yield tree, [], []
-    for i, child in enumerate(tree.children, start=1):
-        for node, between, ancestors in _witnesses(child):
-            stricly_between = ([child] + between) if node is not child else []
-            yield node, stricly_between, [(tree.label.name, i)] + ancestors
+def ctl_label(
+    formula: CtlFormula, nodes: Sequence[Tree], kids: Sequence[tuple[int, ...]]
+) -> list[bool]:
+    """Whether ``formula`` holds at the subtree of each of ``nodes``, a
+    children-first list whose children sit at the positions ``kids`` (see
+    ``trees.child_positions``), in the same order.
+
+    Bottom-up labelling (Clarke, Emerson and Sistla 1986): one pass over the
+    list per distinct subformula, each node's label read off its own and its
+    children's labels of the subformulas below, so the trees' depth is
+    unbounded and a subtree shared by many entries is labelled once.  EU
+    holds at v iff goal holds at v or at a child c with r(c), where r(c) =
+    goal(c), or path(c) and r at some child of c.  DU holds at v iff the
+    label of v is in ys, or some child i has (label, i) in xs and DU holds
+    at it.
+    """
+    names = [node.label.name for node in nodes]
+    memo: dict[CtlFormula, list[bool]] = {}
+
+    def label(formula: CtlFormula) -> list[bool]:
+        out = memo.get(formula)
+        if out is not None:
+            return out
+        if isinstance(formula, Lbl):
+            out = [name == formula.name for name in names]
+        elif isinstance(formula, Not):
+            out = [not holds for holds in label(formula.sub)]
+        elif isinstance(formula, And):
+            out = [a and b for a, b in zip(label(formula.left), label(formula.right))]
+        elif isinstance(formula, Or):
+            out = [a or b for a, b in zip(label(formula.left), label(formula.right))]
+        elif isinstance(formula, Next):
+            sub, at = label(formula.sub), formula.child - 1
+            out = [len(children) > at and sub[children[at]] for children in kids]
+        elif isinstance(formula, EU):
+            rooted: list[bool] = []  # r: a witness below, the node itself constrained
+            out = []
+            for goal, path, children in zip(label(formula.goal), label(formula.path), kids):
+                if goal:
+                    rooted.append(True)
+                    out.append(True)
+                    continue
+                for child in children:
+                    if rooted[child]:
+                        rooted.append(path)
+                        out.append(True)
+                        break
+                else:
+                    rooted.append(False)
+                    out.append(False)
+        elif isinstance(formula, DirUntil):
+            steps: dict[str, list[int]] = {}  # the 0-based children each letter may step to
+            for name, child in formula.xs:
+                steps.setdefault(name, []).append(child - 1)
+            out = []
+            for name, children in zip(names, kids):
+                if name in formula.ys:
+                    out.append(True)
+                    continue
+                for index in steps.get(name, ()):
+                    if index < len(children) and out[children[index]]:
+                        out.append(True)
+                        break
+                else:
+                    out.append(False)
+        else:
+            raise TypeError(f"not a CTL formula: {formula!r}")
+        memo[formula] = out
+        return out
+
+    return label(formula)
 
 
 def ctl_eval(formula: CtlFormula, tree: Tree) -> bool:
-    """Direct recursive semantics.
+    """Whether ``formula`` holds at the root of ``tree``, by ``ctl_label``
+    over the tree's reversed preorder (``trees.children_first``).
 
-    EU's intermediate range excludes both the root and the witness; the
-    direction-sensitive until constrains every proper ancestor of the witness,
-    root included.
+    The semantics, by witness nodes: EU holds iff some node w satisfies the
+    goal and every node strictly between the root and w satisfies the path,
+    so the range excludes both the root and the witness; DU holds iff some
+    node w has its label in ys and every proper ancestor of w, root included,
+    has (its label, the direction towards w) in xs.
     """
-    if isinstance(formula, Lbl):
-        return tree.label.name == formula.name
-    if isinstance(formula, Not):
-        return not ctl_eval(formula.sub, tree)
-    if isinstance(formula, And):
-        return ctl_eval(formula.left, tree) and ctl_eval(formula.right, tree)
-    if isinstance(formula, Or):
-        return ctl_eval(formula.left, tree) or ctl_eval(formula.right, tree)
-    if isinstance(formula, Next):
-        if formula.child > len(tree.children):
-            return False
-        return ctl_eval(formula.sub, tree.children[formula.child - 1])
-    if isinstance(formula, EU):
-        for node, between, _ancestors in _witnesses(tree):
-            if ctl_eval(formula.goal, node) and all(
-                ctl_eval(formula.path, mid) for mid in between
-            ):
-                return True
-        return False
-    if isinstance(formula, DirUntil):
-        for node, _between, ancestors in _witnesses(tree):
-            if node.label.name in formula.ys and all(
-                pair in formula.xs for pair in ancestors
-            ):
-                return True
-        return False
-    raise TypeError(f"not a CTL formula: {formula!r}")
+    return ctl_label(formula, *children_first(tree))[-1]
 
 
 def _check_formula(formula: CtlFormula, alphabet: RankedAlphabet) -> None:
@@ -854,8 +895,9 @@ def random_formula_corpus(
     count: int,
     max_depth: int = 3,
     max_width: int = DEFAULT_WIDTH_CAP,
-) -> list[CtlFormula]:
-    """Deterministic corpus of formulas that compile within the width cap.
+) -> list[tuple[CtlFormula, Cascade]]:
+    """Deterministic corpus of formulas that compile within the width cap,
+    each with its cascade, ``ctl_compile(formula, alphabet, max_width)``.
 
     Draws are skipped (not an error) when a formula would exceed the cap, so
     the corpus depends only on the seed.  A cap below 1 admits no formula and
@@ -864,12 +906,11 @@ def random_formula_corpus(
     if max_width < 1:
         raise ValueError("max_width must be >= 1")
     rng = random.Random(seed)
-    corpus: list[CtlFormula] = []
+    corpus: list[tuple[CtlFormula, Cascade]] = []
     while len(corpus) < count:
         formula = random_formula(rng, alphabet, rng.randint(0, max_depth))
         try:
-            ctl_compile(formula, alphabet, max_width)
+            corpus.append((formula, ctl_compile(formula, alphabet, max_width)))
         except CapExceededError:
             continue
-        corpus.append(formula)
     return corpus

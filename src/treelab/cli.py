@@ -42,17 +42,21 @@ from .automata import (
     are_equivalent,
     evaluate,
     boolean_combine,
+    corpus_values,
     preimage_tree_hom,
     subset_counterexample,
     with_constants,
 )
 from .cascade import (
     DEFAULT_WIDTH_CAP,
+    Cascade,
+    CtlFormula,
     annotate,
     annotated_alphabet,
     cascade_flatten,
     ctl_compile,
     ctl_eval,
+    ctl_label,
     ctl_parse,
     ctl_render,
     nest,
@@ -93,6 +97,7 @@ from .trees import (
     RankedAlphabet,
     Term,
     Tree,
+    child_positions,
     enumerate_trees,
     hom_apply,
     parse_term,
@@ -711,20 +716,35 @@ def _cmd_ctl_verify(ws: Workspace, args, report: Report) -> None:
         raise ParseError(f"--count must be >= 0, got {args.count}")
     alphabet = ws.alphabet(args.alphabet)
     if args.formula:
-        formulas = [ctl_parse(args.formula, alphabet)]
+        formula = ctl_parse(args.formula, alphabet)
+        corpus = [(formula, ctl_compile(formula, alphabet, args.max_width))]
     else:
         seed = int(os.environ.get("TREELAB_SEED", "0"))
-        formulas = random_formula_corpus(seed, alphabet, args.count, max_width=args.max_width)
+        corpus = random_formula_corpus(seed, alphabet, args.count, max_width=args.max_width)
     trees = enumerate_trees(alphabet, args.max_nodes)
-    checked = 0
-    for formula in formulas:
-        flat = cascade_flatten(ctl_compile(formula, alphabet, args.max_width))
-        for tree in trees:
-            if accepts(flat, tree) != ctl_eval(formula, tree):
-                report.line("MISMATCH", ctl_render(formula), render_tree(tree))
-                return
-            checked += 1
-    report.line("agree", "on", checked, "checks", f"({len(formulas)} formulas, {len(trees)} trees)")
+    kids = child_positions(trees)
+    for formula, cascade in corpus:
+        tree = _ctl_disagreement(formula, cascade, trees, kids)
+        if tree is not None:
+            report.line("MISMATCH", ctl_render(formula), render_tree(tree))
+            return
+    checked = len(corpus) * len(trees)
+    report.line("agree", "on", checked, "checks", f"({len(corpus)} formulas, {len(trees)} trees)")
+
+
+def _ctl_disagreement(
+    formula: CtlFormula, cascade: Cascade, trees: list[Tree], kids: list[tuple[int, ...]]
+) -> Tree | None:
+    """The first of ``trees`` (as listed by ``enumerate_trees``, with their
+    ``child_positions``) on which the flattened cascade and the labelling of
+    ``formula`` disagree, or None.  Both run once over the whole list."""
+    flat = cascade_flatten(cascade)
+    values = corpus_values(flat.algebra, trees, kids)
+    labels = ctl_label(formula, trees, kids)
+    for tree, value, holds in zip(trees, values, labels):
+        if (value in flat.accepting) != holds:
+            return tree
+    return None
 
 
 def _parse_congruence(text: str, size: int) -> Congruence:
@@ -878,13 +898,11 @@ def _oracle_suites(report: Report, max_nodes: int, count: int) -> None:
     seed = int(os.environ.get("TREELAB_SEED", "0"))
     for alphabet in (fixtures.SIG_POTT, fixtures.SIG_GCD):
         trees = enumerate_trees(alphabet, max_nodes)
-        for formula in random_formula_corpus(seed, alphabet, count):
-            flat = cascade_flatten(ctl_compile(formula, alphabet))
-            text = ctl_render(formula)
-            for tree in trees:
-                ok = accepts(flat, tree) == ctl_eval(formula, tree)
-                _check(ok, "ctl-compile-vs-eval", text, tree)
-                checks += 1
+        kids = child_positions(trees)
+        for formula, cascade in random_formula_corpus(seed, alphabet, count):
+            tree = _ctl_disagreement(formula, cascade, trees, kids)
+            _check(tree is None, "ctl-compile-vs-eval", ctl_render(formula), tree)
+            checks += len(trees)
     report.line("suite", "ctl-compile-vs-eval:", checks, "checks")
 
     checks = 0

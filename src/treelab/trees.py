@@ -152,6 +152,46 @@ def preorder(tree: Tree) -> list[Tree]:
     return out
 
 
+def child_positions(nodes: Sequence[Tree]) -> list[tuple[int, ...]]:
+    """For a children-first list of nodes, the positions of each node's
+    children, in child order.
+
+    Children-first means every child of every node is an earlier entry, the
+    same object: a tree's reversed ``preorder``, or ``enumerate_trees``.  A
+    node listed twice is found at its first position.  A fold over the list
+    can then read its children's values by position.
+    """
+    at: dict[int, int] = {}
+    out: list[tuple[int, ...]] = []
+    for k, node in enumerate(nodes):
+        out.append(tuple([at[id(child)] for child in node.children]))
+        at.setdefault(id(node), k)
+    return out
+
+
+def children_first(tree: Tree) -> tuple[list[Tree], list[tuple[int, ...]]]:
+    """The tree's reversed ``preorder`` (a children-first list) and the
+    positions of each node's children in it, in child order.
+
+    Walking that list, the children of a node are the last entries of a
+    stack of the positions whose parent is still to come, its first child on
+    top, so no node is looked up (``child_positions`` looks them up by id).
+    """
+    nodes = preorder(tree)
+    nodes.reverse()
+    pending: list[int] = []  # positions whose parent is still to come
+    kids: list[tuple[int, ...]] = []
+    for k, node in enumerate(nodes):
+        arity = len(node.children)
+        if arity:
+            kids.append(tuple(pending[: -arity - 1 : -1]))
+            del pending[-arity:]
+        else:
+            kids.append(())
+        pending.append(k)
+    return nodes, kids
+
+
 @dataclass(frozen=True)
 class Var:
     index: int  # 1-based
@@ -553,6 +593,11 @@ def enumerate_trees(alphabet: RankedAlphabet, max_nodes: int) -> list[Tree]:
 
     Order: by node count, then root letter in alphabet order, then child size
     composition (lexicographic), then recursively the same order per child.
+
+    The list is children-first, with shared children: every child of every
+    entry is an earlier entry, the same object (a tree of n nodes is built
+    out of the trees listed for the smaller sizes).  So ``child_positions``
+    applies, and a fold over the list computes each distinct subtree once.
     """
     by_size: list[list[Tree]] = [[]]
     out: list[Tree] = []

@@ -32,8 +32,7 @@ from treelab.cascade import (
     annotate,
     annotated_alphabet,
     cascade_flatten,
-    ctl_compile,
-    ctl_eval,
+    ctl_label,
     ctl_render,
     nest,
     random_formula_corpus,
@@ -95,6 +94,7 @@ from treelab.trees import (
     TermNode,
     Tree,
     Var,
+    child_positions,
     enumerate_trees,
     parse_tree,
     render_term,
@@ -349,17 +349,15 @@ def test_criterion_9_ctl_compilation():
     with budget(120.0) as b:
         for alphabet in (SIG_POTT, SIG_GCD):
             trees = enumerate_trees(alphabet, 8)
+            kids = child_positions(trees)
             corpus = random_formula_corpus(1234, alphabet, 100, max_depth=3)
-            for formula in corpus:
-                cascade = ctl_compile(formula, alphabet)
+            for formula, cascade in corpus:
                 if is_direction_sensitive(formula):
                     assert all(layer.width == 1 for layer in cascade.layers), ctl_render(formula)
                 flat = cascade_flatten(cascade)
-                for tree in trees:
-                    assert accepts(flat, tree) == ctl_eval(formula, tree), (
-                        ctl_render(formula),
-                        render_tree(tree),
-                    )
+                # ctl_eval on each tree, as one labelling of the whole corpus
+                for tree, holds in zip(trees, ctl_label(formula, trees, kids)):
+                    assert accepts(flat, tree) == holds, (ctl_render(formula), render_tree(tree))
                 checked_formulas += 1
     assert checked_formulas == 200
     report(9, f"flatten(compile) == eval for 200 formulas on all trees <= 8; direction-sensitive fragment stays width-1 ({b.elapsed:.2f}s)")

@@ -3,6 +3,8 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelab.automata import (
     Dbta,
@@ -11,6 +13,7 @@ from treelab.automata import (
     are_equivalent,
     boolean_combine,
     complement,
+    corpus_values,
     evaluate,
     is_empty,
     preimage_tree_hom,
@@ -35,11 +38,15 @@ from treelab.fixtures import (
     SIG_POTT,
 )
 from treelab.trees import (
+    Letter,
     RankedAlphabet,
+    Tree,
     TreeHom,
+    child_positions,
     enumerate_trees,
     hom_apply,
     parse_tree,
+    preorder,
     render_tree,
 )
 
@@ -344,3 +351,78 @@ def test_product_algebra_matches_reference_fill():
                 for args in product.arg_tuples(letter.arity)
             )
             assert product.tables[letter.name] == reference
+
+
+def test_table_entries_must_lie_in_the_carrier():
+    def tables(f2=(0, 1, 2, 2, 1, 0, 0, 0, 2)):
+        return {"f2": f2, "f1": (2, 0, 1), "f0": (1,)}
+
+    assert FiniteAlgebra(SIG_POTT, 3, tables()).tables["f2"][2] == 2
+    for bad in (-1, 3, 10**9):
+        for at in (0, 4, 8):
+            row = list(tables()["f2"])
+            row[at] = bad
+            with pytest.raises(ValueError, match="^table for f2 has out-of-range entries$"):
+                FiniteAlgebra(SIG_POTT, 3, tables(tuple(row)))
+    # the length is checked before the range, per letter in alphabet order
+    with pytest.raises(ValueError, match="^table for f2 has wrong length$"):
+        FiniteAlgebra(SIG_POTT, 3, tables((5,) * 8))
+    with pytest.raises(ValueError, match="^table for f1 has out-of-range entries$"):
+        FiniteAlgebra(SIG_POTT, 3, {**tables(), "f1": (0, 3, 0), "f0": (7,)})
+
+
+@st.composite
+def algebras(draw):
+    alphabet = draw(st.sampled_from([SIG_POTT, SIG_GCD, SIG_LINE, RANDOM_ALPHABETS[1]]))
+    size = draw(st.integers(1, 5))
+    entries = st.integers(0, size - 1)
+    tables = {
+        letter.name: tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+        for letter in alphabet.letters
+        for n in [size**letter.arity]
+    }
+    return FiniteAlgebra(alphabet, size, tables)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(algebras())
+def test_corpus_fold_agrees_with_evaluate(algebra):
+    trees = enumerate_trees(algebra.alphabet, 6)
+    values = corpus_values(algebra, trees, child_positions(trees))
+    assert values == [evaluate(algebra, tree) for tree in trees]
+    nodes = preorder(trees[-1])
+    nodes.reverse()
+    assert corpus_values(algebra, nodes, child_positions(nodes)) == [
+        evaluate(algebra, node) for node in nodes
+    ]
+
+
+def test_corpus_fold_looks_up_once_per_tree():
+    lookups = [0]
+
+    class CountingTable(tuple):
+        def __getitem__(self, index):
+            lookups[0] += 1
+            return tuple.__getitem__(self, index)
+
+    rng = random.Random(4)
+    for alphabet in (SIG_POTT, SIG_GCD, RANDOM_ALPHABETS[1]):
+        trees = enumerate_trees(alphabet, 7)
+        kids = child_positions(trees)
+        for size in (1, 3, 6):
+            plain = random_algebra(rng, alphabet, size)
+            counting = FiniteAlgebra(alphabet, size, {
+                name: CountingTable(table) for name, table in plain.tables.items()
+            })
+            lookups[0] = 0
+            values = corpus_values(counting, trees, kids)
+            assert lookups[0] == len(trees)
+            assert values == corpus_values(plain, trees, kids)
+
+
+def test_corpus_fold_names_the_first_foreign_letter():
+    algebra = random_algebra(random.Random(2), SIG_POTT, 3)
+    leaf, odd = Tree(Letter("u", 0)), Tree(Letter("f1", 2), (Tree(SIG_POTT["f0"]),) * 2)
+    nodes = [Tree(SIG_POTT["f0"]), odd.children[0], odd, leaf]
+    with pytest.raises(AlphabetMismatchError, match="^letter f1 not in the algebra's alphabet$"):
+        corpus_values(algebra, nodes, child_positions(nodes))

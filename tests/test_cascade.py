@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelab.automata import Dbta, FiniteAlgebra, accepts, are_equivalent, evaluate
 from treelab.cascade import (
@@ -24,6 +26,7 @@ from treelab.cascade import (
     cascade_flatten,
     ctl_compile,
     ctl_eval,
+    ctl_label,
     ctl_parse,
     ctl_render,
     nest,
@@ -45,7 +48,14 @@ from treelab.fixtures import (
     SIG_GCD,
     SIG_POTT,
 )
-from treelab.trees import enumerate_trees, parse_tree, render_tree
+from treelab.trees import (
+    RankedAlphabet,
+    Tree,
+    child_positions,
+    enumerate_trees,
+    parse_tree,
+    render_tree,
+)
 
 
 # --- independent oracles -------------------------------------------------------
@@ -303,9 +313,99 @@ def test_ctl_eval_matches_independent_oracle():
     rng = random.Random(3)
     for alphabet in (SIG_POTT, SIG_GCD):
         trees = enumerate_trees(alphabet, 6)
-        for formula in random_formula_corpus(17, alphabet, 40):
+        for formula, _ in random_formula_corpus(17, alphabet, 40):
             for tree in trees:
                 assert ctl_eval(formula, tree) == ctl_oracle(formula, tree), ctl_render(formula)
+
+
+# --- the labelling evaluator against the oracle, on random formulas and trees ----------
+
+HFGA = RankedAlphabet.of(("h", 3), ("f", 2), ("g", 1), ("a", 0), ("b", 0))
+
+
+def formulas(alphabet: RankedAlphabet):
+    """Formulas of the whole grammar; Next may name a child no letter has."""
+    names = [letter.name for letter in alphabet.letters]
+    pairs = [(l.name, i) for l in alphabet.letters for i in range(1, l.arity + 1)]
+    atoms = st.one_of(
+        st.sampled_from(names).map(Lbl),
+        st.builds(
+            DirUntil, st.frozensets(st.sampled_from(pairs)), st.frozensets(st.sampled_from(names))
+        ),
+    )
+    max_arity = max(letter.arity for letter in alphabet.letters)
+
+    def extend(sub):
+        return st.one_of(
+            sub.map(Not),
+            st.builds(And, sub, sub),
+            st.builds(Or, sub, sub),
+            st.builds(EU, sub, sub),
+            st.builds(Next, st.integers(1, max_arity + 1), sub),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+def trees(alphabet: RankedAlphabet):
+    """Bushy trees, and lopsided ones: a spine of 8 to 40 nodes, each taking
+    the rest of the tree at a drawn child and leaves elsewhere."""
+    leaves = st.sampled_from(alphabet.constants).map(Tree)
+    inner = [letter for letter in alphabet.letters if letter.arity]
+
+    def extend(sub):
+        return st.one_of(*(
+            st.tuples(*[sub] * letter.arity).map(lambda kids, letter=letter: Tree(letter, kids))
+            for letter in inner
+        ))
+
+    @st.composite
+    def spine(draw):
+        tree = draw(leaves)
+        for letter, at, leaf in draw(st.lists(
+            st.tuples(st.sampled_from(inner), st.integers(0, 2), leaves), min_size=8, max_size=40
+        )):
+            kids = [leaf] * letter.arity
+            kids[at % letter.arity] = tree
+            tree = Tree(letter, tuple(kids))
+        return tree
+
+    return st.one_of(st.recursive(leaves, extend, max_leaves=12), spine())
+
+
+@pytest.mark.parametrize("alphabet", [SIG_POTT, SIG_GCD, HFGA])
+def test_ctl_eval_agrees_with_oracle_on_random_trees(alphabet):
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(formulas(alphabet), trees(alphabet))
+    def check(formula, tree):
+        assert ctl_eval(formula, tree) == ctl_oracle(formula, tree)
+
+    check()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.sampled_from([SIG_POTT, SIG_GCD, HFGA]).flatmap(
+    lambda alphabet: st.tuples(st.just(alphabet), formulas(alphabet))
+))
+def test_ctl_label_on_the_corpus_agrees_with_oracle(case):
+    alphabet, formula = case
+    corpus = enumerate_trees(alphabet, 5)
+    labels = ctl_label(formula, corpus, child_positions(corpus))
+    assert labels == [ctl_oracle(formula, tree) for tree in corpus]
+
+
+def test_formula_corpus_is_the_same_draw_each_with_its_cascade():
+    # the formulas drawn before the cascades were kept, pinned
+    assert [ctl_render(f) for f, _ in random_formula_corpus(17, SIG_GCD, 8, max_width=6)] == [
+        "lbl(g)", "DU[g.2 ; c]", "lbl(d)", "lbl(c)", "lbl(c)", "lbl(d)", "!lbl(c)", "DU[g.2 ; ]",
+    ]
+    corpus = random_formula_corpus(17, SIG_GCD, 8)
+    assert ctl_render(corpus[0][0]) == (
+        "(((DU[ ; d, g] & lbl(c)) | (lbl(c) & lbl(d))) & E[DU[g.2 ; d] U !lbl(g)])"
+    )
+    for max_width in (6, 16):
+        for formula, cascade in random_formula_corpus(5, SIG_POTT, 30, max_width=max_width):
+            assert cascade == ctl_compile(formula, SIG_POTT, max_width), ctl_render(formula)
 
 
 # --- compilation -----------------------------------------------------------------------
@@ -331,7 +431,7 @@ def test_compile_dir_until_equals_until_language():
 def test_compile_random_formulas_agree_with_eval():
     for alphabet in (SIG_POTT, SIG_GCD):
         trees = enumerate_trees(alphabet, 6)
-        for formula in random_formula_corpus(5, alphabet, 40):
+        for formula, _ in random_formula_corpus(5, alphabet, 40):
             flat = cascade_flatten(ctl_compile(formula, alphabet))
             for tree in trees:
                 assert accepts(flat, tree) == ctl_eval(formula, tree), ctl_render(formula)
@@ -349,7 +449,7 @@ def is_direction_sensitive(formula) -> bool:
 
 
 def test_direction_sensitive_fragment_compiles_width_one():
-    corpus = [f for f in random_formula_corpus(23, SIG_GCD, 120) if is_direction_sensitive(f)]
+    corpus = [f for f, _ in random_formula_corpus(23, SIG_GCD, 120) if is_direction_sensitive(f)]
     assert len(corpus) >= 20
     for formula in corpus:
         cascade = ctl_compile(formula, SIG_GCD)
@@ -375,7 +475,7 @@ def test_eu_cannot_be_width_one():
 
     # width-1-only cascades cannot separate the pair: check every compiled
     # direction-sensitive formula agrees on it
-    for candidate in random_formula_corpus(29, SIG_POTT, 150):
+    for candidate, _ in random_formula_corpus(29, SIG_POTT, 150):
         if not is_direction_sensitive(candidate):
             continue
         cascade = ctl_compile(candidate, SIG_POTT)
@@ -492,7 +592,7 @@ def expand(layer: Layer) -> dict:
 def test_symbolic_compile_matches_explicit_expansion(monkeypatch):
     compared = 0
     for alphabet, seed in ((SIG_POTT, 41), (SIG_GCD, 43)):
-        for formula in random_formula_corpus(seed, alphabet, 100, max_depth=4, max_width=10):
+        for formula, _ in random_formula_corpus(seed, alphabet, 100, max_depth=4, max_width=10):
             cascade = ctl_compile(formula, alphabet)
             expanded: list = []
             with monkeypatch.context() as patch:
@@ -513,7 +613,7 @@ def test_wide_formulas_read_at_most_two_coordinates():
     wide = [(pinned, SIG_POTT)]
     for alphabet in (SIG_POTT, SIG_GCD):
         corpus = random_formula_corpus(7, alphabet, 300, max_depth=5)
-        wide += [(f, alphabet) for f in corpus if ctl_compile(f, alphabet).total_width == 16]
+        wide += [(f, alphabet) for f, cascade in corpus if cascade.total_width == 16]
     assert len(wide) >= 4
     for formula, alphabet in wide:
         cascade = ctl_compile(formula, alphabet)

@@ -8,7 +8,8 @@ import pytest
 
 import treelab
 from treelab import cli
-from treelab.automata import Dbta, FiniteAlgebra, with_constants
+from treelab.automata import Dbta, FiniteAlgebra, complement, with_constants
+from treelab.cascade import cascade_flatten, ctl_compile, ctl_parse
 from treelab.cli import (
     Workspace,
     load_alphabet,
@@ -252,6 +253,10 @@ def test_deep_trees_on_the_command_line(capsys, tmp_path):
     path.write_text(save_dtop(dtop))
     code, out, err = run(capsys, "dtop", "apply", "--dtop", str(path), "--tree", spine)
     assert (code, out, err) == (0, "f2(" * depth + "f0" + ",f0)" * depth + "\n", "")
+    for formula, verdict in (("E[lbl(f1) U lbl(f0)]", "yes"), ("DU[f2.1 ; f0]", "no")):
+        code, out, err = run(capsys, "ctl", "eval", "--alphabet", "@sig_pott",
+                             "--formula", formula, "--tree", spine)
+        assert (code, out, err) == (0, verdict + "\n", "")
 
 
 def test_dtop_preimage_file(capsys, tmp_path):
@@ -327,6 +332,67 @@ def test_ctl_eval_and_verify(capsys):
         "--max-nodes", "6",
     )
     assert code == 0 and out.startswith("agree on ")
+
+
+def test_ctl_verify_counts(capsys, monkeypatch):
+    verify = ("ctl", "verify", "--alphabet")
+    monkeypatch.setenv("TREELAB_SEED", "3")
+    assert run(capsys, *verify, "@sig_pott", "--count", "7", "--max-nodes", "6") == (
+        0, "agree on 266 checks (7 formulas, 38 trees)\n", ""
+    )
+    corpus = ("--count", "4", "--max-nodes", "7", "--max-width", "10")
+    monkeypatch.setenv("TREELAB_SEED", "11")
+    assert run(capsys, *verify, "@sig_gcd", *corpus) == (
+        0, "agree on 408 checks (4 formulas, 102 trees)\n", ""
+    )
+    single = ("--formula", "E[lbl(g) U X2 lbl(d)]", "--max-nodes", "7")
+    assert run(capsys, *verify, "@sig_gcd", *single) == (
+        0, "agree on 102 checks (1 formulas, 102 trees)\n", ""
+    )
+
+
+def test_ctl_verify_reports_the_first_mismatch(capsys, monkeypatch):
+    verify = ("ctl", "verify", "--alphabet")
+    single = ("--formula", "E[lbl(g) U X2 lbl(d)]", "--max-nodes", "7")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cascade_flatten", lambda c, *a: complement(cascade_flatten(c, *a)))
+        assert run(capsys, *verify, "@sig_gcd", *single) == (
+            0, "MISMATCH E[lbl(g) U X2 lbl(d)] c\n", ""
+        )
+        patch.setenv("TREELAB_SEED", "3")
+        assert run(capsys, *verify, "@sig_pott", "--count", "7", "--max-nodes", "6") == (
+            0, "MISMATCH DU[f2.1 ; f1, f2] f0\n", ""
+        )
+        patch.setenv("TREELAB_SEED", "1")
+        code, out, err = run(capsys, "oracle", "verify", "--max-nodes", "4", "--count", "2")
+        assert (code, err) == (1, "mismatch ctl-compile-vs-eval: lbl(f1) f0\n")
+    # an automaton that disagrees first on a later tree, in enumeration order
+    other = ctl_parse("E[lbl(g) U X2 lbl(d)] | X1 X1 lbl(c)", SIG_GCD)
+    flat = cascade_flatten(ctl_compile(other, SIG_GCD))
+    monkeypatch.setattr(cli, "cascade_flatten", lambda c, *a: flat)
+    assert run(capsys, *verify, "@sig_gcd", *single) == (
+        0, "MISMATCH E[lbl(g) U X2 lbl(d)] g(g(c,c),c)\n", ""
+    )
+
+
+def test_ctl_verify_folds_each_automaton_once_over_the_corpus(capsys, monkeypatch):
+    lookups = [0]
+
+    class CountingTable(tuple):
+        def __getitem__(self, index):
+            lookups[0] += 1
+            return tuple.__getitem__(self, index)
+
+    def counting_flatten(cascade, *args):
+        flat = cascade_flatten(cascade, *args)
+        tables = {name: CountingTable(table) for name, table in flat.algebra.tables.items()}
+        return Dbta(FiniteAlgebra(flat.alphabet, flat.algebra.size, tables), flat.accepting)
+
+    monkeypatch.setattr(cli, "cascade_flatten", counting_flatten)
+    monkeypatch.setenv("TREELAB_SEED", "3")
+    verify = ("ctl", "verify", "--alphabet", "@sig_pott", "--count", "7", "--max-nodes", "6")
+    assert run(capsys, *verify)[1] == "agree on 266 checks (7 formulas, 38 trees)\n"
+    assert lookups[0] == 7 * 38
 
 
 def test_ctl_compile_summary(capsys):

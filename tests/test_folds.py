@@ -19,6 +19,7 @@ from treelab.cascade import (
     cascade_eval,
     cascade_flatten,
     ctl_compile,
+    ctl_eval,
     ctl_parse,
     random_formula_corpus,
 )
@@ -204,7 +205,7 @@ def outcome(fn, *args):
 
 def test_folds_match_recursive_forms():
     rng = random.Random(23)
-    cascades = [ctl_compile(formula, FGAB) for formula in random_formula_corpus(23, FGAB, 10)]
+    cascades = [ctl_compile(formula, FGAB) for formula, _ in random_formula_corpus(23, FGAB, 10)]
     for trial in range(60):
         tree = random_tree(rng, FGAB, rng.randint(1, 200))
         algebra = random_algebra(rng, FGAB, rng.randint(1, 6))
@@ -304,6 +305,16 @@ def test_deep_tree_folds(spine):
     bits = cascade_eval(cascade, spine)
     assert "".join(map(str, bits)) == flat.algebra.name_of(evaluate(flat.algebra, spine))
     assert bits[cascade.output_flat()] == 1
+
+
+def test_deep_tree_ctl_eval(spine):
+    holds = {
+        "E[lbl(g) U lbl(a)]": True,  # every node strictly between is a g
+        "E[lbl(f) U lbl(a)]": False,  # ...and none is an f
+        "DU[g.1 ; a]": True,
+    }
+    for text, expected in holds.items():
+        assert ctl_eval(ctl_parse(text, FGAB), spine) is expected, text
 
 
 def test_deep_tree_transductions(spine):

@@ -14,6 +14,8 @@ from treelab.trees import (
     Tree,
     Var,
     apply_context,
+    child_positions,
+    children_first,
     enumerate_contexts,
     enumerate_trees,
     hom_apply,
@@ -21,6 +23,7 @@ from treelab.trees import (
     parse_term,
     parse_tree,
     path_words,
+    preorder,
     render_tree,
     substitute,
     var_occurrences,
@@ -113,6 +116,43 @@ def test_enumerate_no_duplicates_and_bound():
     trees = enumerate_trees(SIG_POTT, 6)
     assert len(set(trees)) == len(trees)
     assert all(t.size() <= 6 for t in trees)
+
+
+@pytest.mark.parametrize("alphabet", [SIG_POTT, SIG_GCD, SIG_MONO, SIG_POTT_K])
+def test_enumerate_is_children_first_with_shared_children(alphabet):
+    trees = enumerate_trees(alphabet, 7)
+    seen: dict[int, int] = {}  # id -> position
+    for k, tree in enumerate(trees):
+        # every child is an earlier entry, the very same object
+        assert all(seen.get(id(child), k) < k for child in tree.children), render_tree(tree)
+        seen[id(tree)] = k
+    kids = child_positions(trees)
+    assert len(kids) == len(trees)
+    for tree, children in zip(trees, kids):
+        assert tuple(trees[c] for c in children) == tree.children
+        assert all(trees[c] is child for c, child in zip(children, tree.children))
+
+
+def test_child_positions_of_a_reversed_preorder():
+    shared = parse_tree("f2(f0,f1(f0))", SIG_POTT)
+    tree = Tree(SIG_POTT["f2"], (shared, Tree(SIG_POTT["f1"], (shared,))))
+    nodes, stacked = children_first(tree)
+    assert nodes == preorder(tree)[::-1]
+    kids = child_positions(nodes)
+    for positions in (kids, stacked):
+        for k, (node, children) in enumerate(zip(nodes, positions)):
+            assert all(c < k for c in children)
+            assert all(nodes[c] is child for c, child in zip(children, node.children))
+    # the shared subtree is listed twice; child_positions finds it at its first position
+    first = next(k for k, node in enumerate(nodes) if node is shared)
+    assert kids[-1][0] == kids[kids[-1][1]][0] == first
+    assert stacked[-1][0] != stacked[stacked[-1][1]][0]
+    with pytest.raises(KeyError):
+        child_positions(preorder(tree))  # parents first: not children-first
+    for tree in enumerate_trees(SIG_POTT_K, 6):
+        # parsed afresh, no node is shared: the same positions
+        nodes, stacked = children_first(parse_tree(render_tree(tree), SIG_POTT_K))
+        assert stacked == child_positions(nodes)
 
 
 def test_path_words_examples():

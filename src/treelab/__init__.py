@@ -18,7 +18,6 @@ from .trees import (
     Letter,
     RankedAlphabet,
     Term,
-    TermNode,
     Tree,
     TreeHom,
     Var,
@@ -30,7 +29,6 @@ from .trees import (
     parse_tree,
     path_words,
     preorder,
-    render_term,
     render_tree,
 )
 from .automata import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, CapExceededError
-from .trees import Letter, RankedAlphabet, Term, TermBody, Tree, Var, preorder, require_letters
+from .trees import Letter, RankedAlphabet, Term, Tree, Var, preorder, require_letters
 
 # Default bound on the carriers and state sets that constructions build.
 DEFAULT_CARRIER_CAP = 4096
@@ -482,14 +482,20 @@ def reachable(dbta: Dbta) -> ReachableResult:
     return ReachableResult(frozenset(elements), Dbta(restricted, accepting), old_to_new)
 
 
-def eval_term_in_algebra(algebra: FiniteAlgebra, body: TermBody, env: tuple[int, ...]) -> int:
-    """Value of a term body with variable i bound to env[i-1]."""
-    if isinstance(body, Var):
-        return env[body.index - 1]
-    return algebra.op(
-        body.label.name,
-        [eval_term_in_algebra(algebra, child, env) for child in body.children],
-    )
+def eval_term_in_algebra(algebra: FiniteAlgebra, term: Term, env: Sequence[int]) -> int:
+    """Value of a term with variable i bound to env[i-1]: one fold over its
+    children-first ``nodes`` with a stack of values, so depth is unbounded."""
+    size, tables = algebra.size, algebra.tables
+    values: list[int] = []  # a node's first child's value on top
+    for node in term.nodes:
+        if node.__class__ is Var:
+            values.append(env[node.index - 1])
+            continue
+        index = 0
+        for _ in node.children:
+            index = index * size + values.pop()
+        values.append(tables[node.label.name][index])
+    return values[0]
 
 
 def with_constants(algebra: FiniteAlgebra) -> FiniteAlgebra:
@@ -521,7 +527,7 @@ def preimage_tree_hom(dbta: Dbta, hom) -> Dbta:
     for letter in hom.source.letters:
         term: Term = hom.rules[letter.name]
         rows = [
-            eval_term_in_algebra(algebra, term.body, env)
+            eval_term_in_algebra(algebra, term, env)
             for env in itertools.product(range(algebra.size), repeat=letter.arity)
         ]
         tables[letter.name] = tuple(rows)

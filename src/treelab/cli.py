@@ -100,10 +100,10 @@ from .trees import (
     child_positions,
     enumerate_trees,
     hom_apply,
+    instantiate,
     parse_term,
     parse_tree,
     path_words,
-    render_term,
     render_tree,
 )
 
@@ -360,6 +360,10 @@ def _dtop_var_map(n_states: int, arity: int) -> dict[str, int]:
     }
 
 
+# output letter names that a rule term would read as a variable
+_DTOP_VAR = re.compile("q[0-9]+[.]x[0-9]+")
+
+
 def load_dtop(text: str) -> Dtop:
     doc = _Doc(text)
     unknown = doc.keywords() - {"input", "output", "states", "init", "rule"}
@@ -367,6 +371,9 @@ def load_dtop(text: str) -> Dtop:
         raise ParseError(f"unexpected keyword {sorted(unknown)[0]!r} in dtop file")
     input_alphabet = _parse_letters(doc, "input")
     output_alphabet = _parse_letters(doc, "output")
+    for number, row in doc.take("output"):
+        if _DTOP_VAR.fullmatch(row[0]):
+            _fail(number, f"output letter {row[0]!r} reads as a variable")
     n_states = _single_int(doc, "states")
     initial = _single_int(doc, "init")
     rules: dict[tuple[str, int], Term] = {}
@@ -399,14 +406,12 @@ def save_dtop(dtop: Dtop) -> str:
     out.append(f"states {dtop.n_states}\n")
     out.append(f"init {dtop.initial}\n")
     for letter in dtop.input_alphabet.letters:
+        # variable i becomes a leaf with the name that `_dtop_var_map` reads as i
+        var_map = _dtop_var_map(dtop.n_states, letter.arity)
+        named = [Tree(Letter(name, 0)) for name in sorted(var_map, key=var_map.get)]
         for state in range(1, dtop.n_states + 1):
-            term = dtop.rules[(letter.name, state)]
-            var_names = {
-                Dtop.flat_var(p, j, dtop.n_states): f"q{p}.x{j}"
-                for p in range(1, dtop.n_states + 1)
-                for j in range(1, letter.arity + 1)
-            }
-            out.append(f"rule {state} {letter.name} -> {render_term(term, var_names)}\n")
+            body = instantiate(dtop.rules[(letter.name, state)].body, named)
+            out.append(f"rule {state} {letter.name} -> {render_tree(body)}\n")
     return "".join(out)
 
 
@@ -473,7 +478,7 @@ def save_matrix(mh: MatrixHom) -> str:
     out.append(f"width {mh.width}\n")
     for letter in mh.alphabet.letters:
         for i, term in enumerate(mh.tuples[letter.name], start=1):
-            out.append(f"tuple {letter.name} {i} -> {render_term(term)}\n")
+            out.append(f"tuple {letter.name} {i} -> {render_tree(term.body)}\n")
     return "".join(out)
 
 

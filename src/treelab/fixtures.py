@@ -6,7 +6,7 @@ Depth convention: the root has depth 0, so "even depth" includes the root.
 from __future__ import annotations
 
 from .automata import Dbta, FiniteAlgebra, product_algebra
-from .trees import RankedAlphabet, Term, TermNode, TreeHom, Var
+from .trees import RankedAlphabet, Term, Tree, TreeHom, Var
 
 # unary numerals: s/1, z/0; L_EVEN = even node count
 SIG_MONO = RankedAlphabet.of(("s", 1), ("z", 0))
@@ -104,8 +104,8 @@ HOM_DUP = TreeHom(
     SIG_LINE,
     SIG_POTT_K,
     {
-        "f0": Term(0, TermNode(SIG_POTT_K["f0"])),
-        "f1": Term(1, TermNode(SIG_POTT_K["f2"], (Var(1), Var(1)))),
+        "f0": Term(0, Tree(SIG_POTT_K["f0"])),
+        "f1": Term(1, Tree(SIG_POTT_K["f2"], (Var(1), Var(1)))),
     },
 )
 

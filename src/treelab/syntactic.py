@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Mapping
 
 from .automata import Dbta, FiniteAlgebra, reach, reachable
 from .errors import CapExceededError
-from .trees import Term, TermBody, TermNode, Var
+from .trees import Term, Tree, Var
 
 
 @dataclass(frozen=True)
@@ -246,11 +246,11 @@ def term_definable(
     if len(target) != algebra.size**arity:
         raise ValueError("target table has wrong length")
     projections, step = _clone(algebra, arity)
-    bodies: dict[tuple[int, ...], TermBody] = {}
+    bodies: dict[tuple[int, ...], Tree] = {}
     for i, table in enumerate(projections, start=1):
         bodies.setdefault(table, Var(i))
     for letter in algebra.alphabet.constants:
-        bodies.setdefault(step(letter.name, ()), TermNode(letter))
+        bodies.setdefault(step(letter.name, ()), Tree(letter))
     goal, every_table = tuple(target), algebra.size ** len(target)
     closure = reach(algebra.alphabet, step, every_table, list(bodies), goal.__eq__, depth_cap - 1)
     if closure.hit is None:
@@ -258,7 +258,7 @@ def term_definable(
     for table in closure.values:
         if table not in bodies:
             letter, args = closure.derivations[table]
-            bodies[table] = TermNode(letter, tuple(map(bodies.__getitem__, args)))
+            bodies[table] = Tree(letter, tuple(map(bodies.__getitem__, args)))
     return Term(arity, bodies[closure.hit])
 
 

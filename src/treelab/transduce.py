@@ -35,7 +35,6 @@ from .trees import (
     instantiate,
     preorder,
     require_letters,
-    require_term_letters,
 )
 
 
@@ -126,7 +125,7 @@ def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP
         # variable (p, j) has the flat index n*(j-1)+p: entry p-1 of child j-1's map
         env = tuple(value for m in child_maps for value in m)
         return tuple(
-            eval_term_in_algebra(base, dtop.rules[(name, q)].body, env) for q in range(1, n + 1)
+            eval_term_in_algebra(base, dtop.rules[(name, q)], env) for q in range(1, n + 1)
         )
 
     maps, algebra = build(dtop.input_alphabet, step, max_carrier, "preimage carrier")
@@ -170,8 +169,9 @@ class MatrixHom:
                         f"polynomials for {letter.name} must take "
                         f"{self.width * letter.arity} variables"
                     )
-                require_term_letters(
-                    term.body, extended.alphabet, "letter {} is not a base letter or constant"
+                require_letters(
+                    preorder(term.body), extended.alphabet,
+                    "letter {} is not a base letter or constant",
                 )
 
 
@@ -183,7 +183,7 @@ def matrix_hom_eval(mh: MatrixHom, tree: Tree) -> tuple[int, ...]:
     for node in reversed(nodes):
         flat = tuple(value for _ in node.children for value in values.pop())
         terms = mh.tuples[node.label.name]
-        values.append(tuple(eval_term_in_algebra(mh.extended, t.body, flat) for t in terms))
+        values.append(tuple(eval_term_in_algebra(mh.extended, t, flat) for t in terms))
     return values[0]
 
 
@@ -235,7 +235,7 @@ def matrix_power_language(
 
     def step(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         flat = tuple(v for value in args for v in value)
-        return tuple(eval_term_in_algebra(mh.extended, t.body, flat) for t in mh.tuples[name])
+        return tuple(eval_term_in_algebra(mh.extended, t, flat) for t in mh.tuples[name])
 
     values, algebra = build(mh.alphabet, step, max_carrier, "flattened carrier")
     return Dbta(algebra, frozenset(i for i, value in enumerate(values) if value in accepting))

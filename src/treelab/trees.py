@@ -4,6 +4,10 @@ Alphabets, trees, terms with numbered variables, one-hole contexts, root-to-leaf
 path words, and tree homomorphisms.  Also the bounded enumerators that the rest
 of the package uses as brute-force oracle substrate.  All values are immutable;
 all operations are pure functions.
+
+A term is a tree whose leaves may also be variables: a ``Var`` is a ``Tree``
+leaf, so every walk over trees (``preorder``, ``==``, ``hash``, ``repr``,
+``render_tree``, ``hom_apply``) takes term bodies too, without recursion.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import AlphabetMismatchError, ParseError
 
@@ -192,55 +196,43 @@ def children_first(tree: Tree) -> tuple[list[Tree], list[tuple[int, ...]]]:
     return nodes, kids
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
+class Var(Tree):
+    """The variable x{index} of a term, 1-based: a leaf labelled by a fresh
+    arity-0 letter ``x{index}``.  Its class tells it from a letter leaf of
+    the same name, for ``==`` too."""
 
-    def __post_init__(self):
-        if self.index < 1:
+    def __init__(self, index: int):
+        if index < 1:
             raise ValueError("variable indices start at 1")
-
-
-TermBody = Union["TermNode", Var]
-
-
-@dataclass(frozen=True)
-class TermNode:
-    label: Letter
-    children: tuple[TermBody, ...] = ()
-
-    def __post_init__(self):
-        if len(self.children) != self.label.arity:
-            raise ValueError(
-                f"{self.label.name} expects {self.label.arity} children, got {len(self.children)}"
-            )
+        object.__setattr__(self, "label", Letter(f"x{index}", 0))
+        object.__setattr__(self, "children", ())
+        object.__setattr__(self, "index", index)
 
 
 @dataclass(frozen=True)
 class Term:
-    """A tree whose leaves may also be variables x1..x{nvars}.
+    """A tree whose leaves may also be variables: ``Var`` leaves x1..x{nvars}.
 
-    Variables may repeat or be absent; a term with nvars = 0 is just a tree
-    written in term form.
+    Variables may repeat or be absent; a term with nvars = 0 is just a tree.
+    The body's nodes, children first (its reversed ``preorder``), are kept
+    as ``nodes``, an attribute, not a field, so ==, hash and repr ignore it.
     """
 
     nvars: int
-    body: TermBody
+    body: Tree
 
     def __post_init__(self):
-        for index in var_occurrences(self.body):
-            if not 1 <= index <= self.nvars:
-                raise ValueError(f"variable x{index} out of declared range 1..{self.nvars}")
+        nodes = preorder(self.body)
+        for node in nodes:
+            if node.__class__ is Var and not 1 <= node.index <= self.nvars:
+                raise ValueError(f"variable x{node.index} out of declared range 1..{self.nvars}")
+        nodes.reverse()
+        object.__setattr__(self, "nodes", nodes)
 
 
-def var_occurrences(body: TermBody) -> list[int]:
+def var_occurrences(body: Tree) -> list[int]:
     """Variable indices in left-to-right occurrence order."""
-    if isinstance(body, Var):
-        return [body.index]
-    out: list[int] = []
-    for child in body.children:
-        out.extend(var_occurrences(child))
-    return out
+    return [node.index for node in preorder(body) if node.__class__ is Var]
 
 
 @dataclass(frozen=True)
@@ -265,30 +257,30 @@ def substitute(term: Term, args: Sequence[Tree]) -> Tree:
     return instantiate(term.body, args)
 
 
-def instantiate(body: TermBody, args: Sequence[Tree]) -> Tree:
-    """The tree a term body denotes with variable i bound to ``args[i-1]``."""
-    if body.__class__ is Var:
-        return args[body.index - 1]
-    children = []
-    for child in body.children:  # a variable child is looked up without a call
-        if child.__class__ is Var:
-            children.append(args[child.index - 1])
+def instantiate(body: Tree, args: Sequence[Tree]) -> Tree:
+    """The tree that a term body denotes with variable i bound to ``args[i-1]``.
+
+    A letter node with a letter node below it waits on an explicit stack
+    while that child is built, so depth is unbounded.  A variable is read
+    from ``args`` and a constant leaf is kept as it is, without a push.
+    """
+    if not body.children:
+        return args[body.index - 1] if body.__class__ is Var else body
+    open_nodes = []  # (node, its children still to read, the images of those read)
+    node, rest, kids = body, iter(body.children), []
+    while True:
+        for child in rest:
+            if child.children:
+                open_nodes.append((node, rest, kids))
+                node, rest, kids = child, iter(child.children), []
+                break
+            kids.append(args[child.index - 1] if child.__class__ is Var else child)
         else:
-            children.append(instantiate(child, args))
-    return Tree(body.label, tuple(children))
-
-
-def compose_term(term: Term, args: Sequence[Term]) -> TermBody:
-    """Substitute term bodies for the variables of ``term`` (term-level composition)."""
-    if len(args) != term.nvars:
-        raise ValueError(f"term expects {term.nvars} arguments, got {len(args)}")
-
-    def go(body: TermBody) -> TermBody:
-        if isinstance(body, Var):
-            return args[body.index - 1].body
-        return TermNode(body.label, tuple(go(child) for child in body.children))
-
-    return go(term.body)
+            tree = Tree(node.label, tuple(kids))
+            if not open_nodes:
+                return tree
+            node, rest, kids = open_nodes.pop()
+            kids.append(tree)
 
 
 def apply_context(ctx: Context, tree: Tree) -> Tree:
@@ -364,7 +356,7 @@ class TreeHom:
                 raise ValueError(f"no image term for letter {letter.name}")
             if term.nvars != letter.arity:
                 raise ValueError(f"image of {letter.name} must have {letter.arity} variables")
-            require_term_letters(term.body, self.target, "letter {} not in target alphabet")
+            require_letters(preorder(term.body), self.target, "letter {} not in target alphabet")
         if len(self.rules) != len(self.source.letters):
             raise ValueError("rules for unknown letters")
 
@@ -373,52 +365,34 @@ class TreeHom:
         rules = {
             letter.name: Term(
                 letter.arity,
-                TermNode(letter, tuple(Var(i) for i in range(1, letter.arity + 1))),
+                Tree(letter, tuple(Var(i) for i in range(1, letter.arity + 1))),
             )
             for letter in alphabet.letters
         }
         return TreeHom(alphabet, alphabet, rules)
 
 
-def require_term_letters(body: TermBody, alphabet: RankedAlphabet, message: str) -> None:
-    """Raise AlphabetMismatchError(message.format(name)) for the first letter
-    of the term body, in preorder, that is not in ``alphabet``."""
-    if isinstance(body, Var):
-        return
-    if body.label not in alphabet:
-        raise AlphabetMismatchError(message.format(body.label.name))
-    for child in body.children:
-        require_term_letters(child, alphabet, message)
-
-
 def require_letters(nodes: Sequence[Tree], alphabet: RankedAlphabet, message: str) -> None:
     """Raise AlphabetMismatchError(message.format(name)) for the first of
-    ``nodes`` whose label is not in ``alphabet``."""
+    ``nodes`` whose label is not in ``alphabet``; variables are skipped."""
     for node in nodes:
-        if node.label not in alphabet:
+        if node.label not in alphabet and node.__class__ is not Var:
             raise AlphabetMismatchError(message.format(node.label.name))
 
 
 def hom_apply(hom: TreeHom, tree: Tree) -> Tree:
+    """The image of a tree, or of a term body, whose variables map to
+    themselves."""
     nodes = preorder(tree)
     require_letters(nodes, hom.source, "letter {} not in source alphabet")
     images: list[Tree] = []  # a node's first child's image on top
     for node in reversed(nodes):
+        if node.__class__ is Var:
+            images.append(node)
+            continue
         args = [images.pop() for _ in node.children]
         images.append(instantiate(hom.rules[node.label.name].body, args))
     return images[0]
-
-
-def hom_apply_term(hom: TreeHom, term: Term) -> Term:
-    """Image of a term under a homomorphism; variables are preserved."""
-
-    def go(body: TermBody) -> TermBody:
-        if isinstance(body, Var):
-            return body
-        images = [Term(term.nvars, go(child)) for child in body.children]
-        return compose_term(hom.rules[body.label.name], images)
-
-    return Term(term.nvars, go(term.body))
 
 
 # --- parsing and rendering --------------------------------------------------
@@ -444,9 +418,10 @@ def _check_characters(text: str) -> None:
         raise ParseError(f"unexpected character {bad.group()!r}", position)
 
 
-def _read(text: str, names: Mapping[str, Letter | int], make: Callable) -> TermBody | Tree:
-    """The one reader of ``name`` and ``name(t1,...,tn)``: ``Var(i)`` where
-    ``names`` maps the name to an index i, else ``make(letter, children)``.
+def _read(text: str, names: Mapping[str, Letter | Var]) -> Tree:
+    """The one reader of ``name`` and ``name(t1,...,tn)`` for the letters and
+    variables that ``names`` maps names to.  A variable ends a term: no
+    ``(`` may follow it.
 
     Tokens come from one pass of the token pattern and nodes are built on an
     explicit stack, so depth is unbounded.  A ParseError names the token it
@@ -474,8 +449,8 @@ def _read(text: str, names: Mapping[str, Letter | int], make: Callable) -> TermB
             raise _error(text, i, f"unknown letter {name!r}")
         i += 1
         token = tokens[i]
-        if entry.__class__ is int:
-            node = Var(entry)
+        if entry.__class__ is Var:
+            node = entry
         elif token == "(":
             open_nodes.append((entry, i - 1, []))
             i += 1
@@ -483,7 +458,7 @@ def _read(text: str, names: Mapping[str, Letter | int], make: Callable) -> TermB
         elif entry.arity:
             raise _error(text, i - 1, f"arity mismatch: {name} expects {entry.arity}, got 0")
         else:
-            node = make(entry, ())
+            node = Tree(entry)
         # the node is complete: give it to its parent, and finish every
         # parent whose ')' follows
         while open_nodes:
@@ -502,7 +477,7 @@ def _read(text: str, names: Mapping[str, Letter | int], make: Callable) -> TermB
                     text, at,
                     f"arity mismatch: {letter.name} expects {letter.arity}, got {len(children)}",
                 )
-            node = make(letter, tuple(children))
+            node = Tree(letter, tuple(children))
             token = tokens[i]
         else:
             if token:
@@ -523,7 +498,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
     the text at its end); a character that may not occur in a tree is
     reported first, at the start of the whitespace before it.
     """
-    return _read(text, alphabet._by_name, Tree)
+    return _read(text, alphabet._by_name)
 
 
 def parse_term(
@@ -535,7 +510,8 @@ def parse_term(
     """Like parse_tree but variable names map to indices; default names x1..xN."""
     if var_map is None:
         var_map = {f"x{i}": i for i in range(1, nvars + 1)}
-    return Term(nvars, _read(text, {**alphabet._by_name, **var_map}, TermNode))
+    variables = {name: Var(index) for name, index in var_map.items()}
+    return Term(nvars, _read(text, {**alphabet._by_name, **variables}))
 
 
 def render_tree(tree: Tree) -> str:
@@ -556,22 +532,6 @@ def render_tree(tree: Tree) -> str:
             left.pop()
             out.append(")")
     return "".join(out)
-
-
-def render_term(term: Term, var_names: Mapping[int, str] | None = None) -> str:
-    def name_of(index: int) -> str:
-        if var_names is not None:
-            return var_names[index]
-        return f"x{index}"
-
-    def go(body: TermBody) -> str:
-        if isinstance(body, Var):
-            return name_of(body.index)
-        if not body.children:
-            return body.label.name
-        return f"{body.label.name}({','.join(go(child) for child in body.children)})"
-
-    return go(term.body)
 
 
 # --- bounded enumeration ----------------------------------------------------
@@ -630,13 +590,10 @@ def enumerate_contexts(alphabet: RankedAlphabet, max_nodes: int) -> list[Context
     for tree in trees:
         trees_by_size.setdefault(tree.size(), []).append(tree)
 
-    def tree_to_body(tree: Tree) -> TermBody:
-        return TermNode(tree.label, tuple(tree_to_body(child) for child in tree.children))
-
-    by_size: list[list[TermBody]] = [[Var(1)]]
+    by_size: list[list[Tree]] = [[Var(1)]]
     out: list[Context] = [Context.hole()]
     for size in range(1, max_nodes + 1):
-        level: list[TermBody] = []
+        level: list[Tree] = []
         for letter in alphabet.letters:
             arity = letter.arity
             if arity == 0:
@@ -645,7 +602,6 @@ def enumerate_contexts(alphabet: RankedAlphabet, max_nodes: int) -> list[Context
                 # size-1 nodes split over children; the hole child may use 0
                 for ctx_size in range(0, size):
                     rest = size - 1 - ctx_size
-                    sibling_sizes: list[list[tuple[int, ...]]]
                     if arity == 1:
                         if rest != 0:
                             continue
@@ -656,14 +612,9 @@ def enumerate_contexts(alphabet: RankedAlphabet, max_nodes: int) -> list[Context
                         sib_lists = [trees_by_size.get(part, []) for part in comp]
                         for ctx_body in by_size[ctx_size]:
                             for sibs in itertools.product(*sib_lists):
-                                children: list[TermBody] = []
-                                sib_iter = iter(sibs)
-                                for i in range(arity):
-                                    if i == hole_at:
-                                        children.append(ctx_body)
-                                    else:
-                                        children.append(tree_to_body(next(sib_iter)))
-                                level.append(TermNode(letter, tuple(children)))
+                                children = list(sibs)
+                                children.insert(hole_at, ctx_body)
+                                level.append(Tree(letter, tuple(children)))
         by_size.append(level)
         out.extend(Context(Term(1, body)) for body in level)
     return out

@@ -91,13 +91,11 @@ from treelab.transduce import (
 from treelab.trees import (
     RankedAlphabet,
     Term,
-    TermNode,
     Tree,
     Var,
     child_positions,
     enumerate_trees,
     parse_tree,
-    render_term,
     render_tree,
 )
 
@@ -151,7 +149,7 @@ def test_criterion_2_polynomial_equivalence_witness():
             {"f0": (0,), "f2": ALG_POTT.tables["f2"]},
         )
         term = term_definable(reduct, ALG_POTT.tables["f1"], 1, 2)
-        assert term is not None and render_term(term) == "f2(x1,x1)"
+        assert term is not None and render_tree(term.body) == "f2(x1,x1)"
     report(2, f"f1 = f2(x1,x1) recovered at depth cap 2 ({b.elapsed:.2f}s)")
 
 
@@ -169,15 +167,15 @@ SIG_AB = RankedAlphabet.of(("a", 1), ("b", 1), ("z", 0))
 def _random_dtop(rng, n_states):
     def random_body(nvars, depth):
         if nvars and depth > 0 and rng.random() < 0.6:
-            return TermNode(SIG_AB[rng.choice("ab")], (random_body(nvars, depth - 1),))
+            return Tree(SIG_AB[rng.choice("ab")], (random_body(nvars, depth - 1),))
         if nvars and rng.random() < 0.5:
             return Var(rng.randint(1, nvars))
-        return TermNode(SIG_AB["z"])
+        return Tree(SIG_AB["z"])
 
     rules = {}
     for state in range(1, n_states + 1):
         rules[("s", state)] = Term(n_states, random_body(n_states, 2))
-        rules[("z", state)] = Term(0, TermNode(SIG_AB["z"]))
+        rules[("z", state)] = Term(0, Tree(SIG_AB["z"]))
     return Dtop(SIG_MONO, SIG_AB, n_states, rng.randint(1, n_states), rules)
 
 

@@ -29,7 +29,7 @@ from treelab.transduce import (
     dtop_preimage,
     matrix_power_language,
 )
-from treelab.trees import Letter, RankedAlphabet, Term, TermNode, Var
+from treelab.trees import Letter, RankedAlphabet, Term, Tree, Var
 
 FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
 FG = RankedAlphabet.of(("f", 2), ("g", 1))
@@ -115,9 +115,9 @@ def random_term(rng, nvars, depth):
     if depth == 0 or rng.random() < 0.4:
         if nvars and rng.random() < 0.7:
             return Var(rng.randint(1, nvars))
-        return TermNode(rng.choice(FGAB.constants))
+        return Tree(rng.choice(FGAB.constants))
     letter = rng.choice(OPERATORS)
-    return TermNode(letter, tuple(random_term(rng, nvars, depth - 1) for _ in range(letter.arity)))
+    return Tree(letter, tuple(random_term(rng, nvars, depth - 1) for _ in range(letter.arity)))
 
 
 def random_dtop(rng, n):
@@ -139,7 +139,7 @@ def test_preimage_is_restricted_full_fill():
         def step(name, combo):
             flat = tuple(v for value in combo for v in value)
             return tuple(
-                eval_term_in_algebra(dbta.algebra, dtop.rules[(name, q)].body, flat)
+                eval_term_in_algebra(dbta.algebra, dtop.rules[(name, q)], flat)
                 for q in range(1, n + 1)
             )
 
@@ -153,10 +153,10 @@ def random_poly(rng, nvars, size, depth):
         if nvars and rng.random() < 0.7:
             return Var(rng.randint(1, nvars))
         if rng.random() < 0.5:
-            return TermNode(Letter(f"@{rng.randrange(size)}", 0))
-        return TermNode(rng.choice(FGAB.constants))
+            return Tree(Letter(f"@{rng.randrange(size)}", 0))
+        return Tree(rng.choice(FGAB.constants))
     letter = rng.choice(OPERATORS)
-    return TermNode(letter, tuple(random_poly(rng, nvars, size, depth - 1) for _ in range(letter.arity)))
+    return Tree(letter, tuple(random_poly(rng, nvars, size, depth - 1) for _ in range(letter.arity)))
 
 
 def test_matrix_power_language_is_restricted_full_fill():
@@ -180,7 +180,7 @@ def test_matrix_power_language_is_restricted_full_fill():
 
         def step(name, combo):
             flat = tuple(v for value in combo for v in value)
-            return tuple(eval_term_in_algebra(extended, t.body, flat) for t in tuples[name])
+            return tuple(eval_term_in_algebra(extended, t, flat) for t in tuples[name])
 
         full = full_dbta(FGAB, carrier, step, accepting.__contains__)
         assert save_dbta(matrix_power_language(mh, accepting)) == restricted(full)

@@ -259,6 +259,31 @@ def test_deep_trees_on_the_command_line(capsys, tmp_path):
         assert (code, out, err) == (0, verdict + "\n", "")
 
 
+def test_deep_terms_in_files(capsys, tmp_path):
+    depth = 10_001  # odd, so the chain of u's negates
+    chain = "u(" * depth + "{}" + ")" * depth
+    matrix = (
+        "input g 1\ninput a 0\nbase u 1\nbase c 0\ncarrier 2\nop u 0 -> 1\nop u 1 -> 0\n"
+        "op c -> 0\nwidth 1\ntuple g 1 -> " + chain.format("x1") + "\ntuple a 1 -> c\n"
+    )
+    assert save_matrix(load_matrix(matrix)) == matrix
+    path = tmp_path / "deep.matrix"
+    path.write_text(matrix)
+    flat = "letter g 1\nletter a 0\ncarrier 2\nop g 0 -> 1\nop g 1 -> 0\nop a -> 0\naccept 0\n"
+    assert run(capsys, "matrix", "flatten", "--matrix", str(path), "--accept", "0") == (
+        0, flat, ""
+    )
+    dtop = (
+        "input g 1\ninput a 0\noutput u 1\noutput c 0\nstates 1\ninit 1\n"
+        "rule 1 g -> " + chain.format("q1.x1") + "\nrule 1 a -> c\n"
+    )
+    assert save_dtop(load_dtop(dtop)) == dtop
+    path = tmp_path / "deep.dtop"
+    path.write_text(dtop)
+    code, out, err = run(capsys, "dtop", "apply", "--dtop", str(path), "--tree", "g(g(a))")
+    assert (code, out, err) == (0, "u(" * 2 * depth + "c" + ")" * 2 * depth + "\n", "")
+
+
 def test_dtop_preimage_file(capsys, tmp_path):
     path = tmp_path / "dup.dtop"
     path.write_text(save_dtop(Dtop.from_hom(HOM_DUP)))
@@ -550,6 +575,8 @@ MALFORMED = [
     ("dtop", "input a 0\noutput a 0\nstates 1\ninit 1\nrule x a -> a\n", "line 5: state"),
     ("dtop", "input a 0\noutput a 0\nstates 1\ninit 5\nrule 1 a -> a\n", "initial state"),
     ("dtop", "input a 0\noutput a 0\nstates \u00b2\ninit 1\nrule 1 a -> a\n", "line 3: states"),
+    ("dtop", "input a 0\ninput g 1\noutput q1.x1 0\noutput h 1\nstates 1\ninit 1\n"
+     "rule 1 a -> q1.x1\nrule 1 g -> h(q1.x1)\n", "line 3: output letter 'q1.x1'"),
     ("matrix", "input a 0\nbase c 0\ncarrier 1\nop c -> 0\nwidth 1\ntuple a x -> c\n",
      "line 6: coordinate"),
     ("matrix", "input a 0\nbase c 0\ncarrier 1\nop c -> 0\nwidth 0\n", "width must be >= 1"),

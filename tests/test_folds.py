@@ -1,5 +1,5 @@
-"""The tree folds against the recursive code they replaced, and trees too deep
-for recursion.
+"""The tree folds against the recursive code they replaced, trees and terms
+too deep for recursion, and a check that no tree or term walk calls itself.
 
 The folds walk ``preorder(tree)`` with explicit stacks.  The ``recursive_*``
 functions below are the recursive forms they replaced, kept as references: on
@@ -7,12 +7,16 @@ random trees both must give equal results, and with letters outside the
 alphabet both must raise the same error.
 """
 
+import ast
+import itertools
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
-from treelab.automata import Dbta, FiniteAlgebra, evaluate
+import treelab
+from treelab.automata import Dbta, FiniteAlgebra, eval_term_in_algebra, evaluate
 from treelab.cascade import (
     _cascade_step,
     annotate,
@@ -30,7 +34,6 @@ from treelab.trees import (
     Letter,
     RankedAlphabet,
     Term,
-    TermNode,
     Tree,
     TreeHom,
     Var,
@@ -40,6 +43,7 @@ from treelab.trees import (
     path_words,
     preorder,
     render_tree,
+    substitute,
 )
 
 FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
@@ -151,9 +155,9 @@ def random_linear_term(rng, nvars):
         if depth == 0 or rng.random() < 0.4:
             if pool and rng.random() < 0.8:
                 return Var(pool.pop())
-            return TermNode(rng.choice(FGAB.constants))
+            return Tree(rng.choice(FGAB.constants))
         letter = rng.choice([F, G])
-        return TermNode(letter, tuple(go(depth - 1) for _ in range(letter.arity)))
+        return Tree(letter, tuple(go(depth - 1) for _ in range(letter.arity)))
 
     return go(2)
 
@@ -289,10 +293,10 @@ def test_deep_tree_folds(spine):
         values.append(base.tables["g"][values[-1]])
     assert evaluate(base, spine) == values[-1]
     mh = MatrixHom(base, FGAB, 1, {
-        "f": (Term(2, TermNode(F, (Var(1), Var(2)))),),
-        "g": (Term(1, TermNode(G, (Var(1),))),),
-        "a": (Term(0, TermNode(A)),),
-        "b": (Term(0, TermNode(B)),),
+        "f": (Term(2, Tree(F, (Var(1), Var(2)))),),
+        "g": (Term(1, Tree(G, (Var(1),))),),
+        "a": (Term(0, Tree(A)),),
+        "b": (Term(0, Tree(B)),),
     })
     assert matrix_hom_eval(mh, spine) == (values[-1],)
     lang = Dbta(base, frozenset({0, 2}))
@@ -339,3 +343,67 @@ def test_deep_tree_dtta_accepts(spine):
     leaf_ok = frozenset({(0, "a")})
     assert dtta_accepts(Dtta(FGAB, 2, 0, delta, leaf_ok), spine)  # DEPTH is even
     assert not dtta_accepts(Dtta(FGAB, 2, 1, delta, leaf_ok), spine)
+
+
+TERM_DEPTH = 10_000
+
+
+def test_deep_terms():
+    text = "g(" * TERM_DEPTH + "f(x2,a)" + ")" * TERM_DEPTH
+    term = parse_term(text, FGAB, 2)
+    assert render_tree(term.body) == text
+    again = parse_term(text, FGAB, 2)
+    assert again is not term and again == term and hash(again) == hash(term)
+    assert term != parse_term(text.replace("x2", "x1"), FGAB, 2)
+    algebra = random_algebra(random.Random(7), FGAB, 4)
+    tables = algebra.tables
+    tower = list(range(4))  # tower[v]: the value of g(...g(v)...) with TERM_DEPTH g's
+    for _ in range(TERM_DEPTH):
+        tower = [tables["g"][v] for v in tower]
+    for env in itertools.product(range(4), repeat=2):
+        value = tower[tables["f"][4 * env[1] + tables["a"][0]]]
+        assert eval_term_in_algebra(algebra, term, env) == value
+    assert render_tree(substitute(term, [Tree(A), Tree(B)])) == text.replace("x2", "b")
+    # f -> f(x2,x1), g -> g(x1), a <-> b; the variables map to themselves
+    rules = {"f": "f(x2,x1)", "g": "g(x1)", "a": "b", "b": "a"}
+    hom = TreeHom(FGAB, FGAB, {
+        letter.name: parse_term(rules[letter.name], FGAB, letter.arity) for letter in FGAB.letters
+    })
+    image = "g(" * TERM_DEPTH + "f(b,x2)" + ")" * TERM_DEPTH
+    assert Term(2, hom_apply(hom, term.body)) == parse_term(image, FGAB, 2)
+
+
+# --- no function calls itself ----------------------------------------------------------
+
+# the recursion each allows, with its bound
+RECURSION_ALLOWED = {
+    "trees._compositions": "at most MAX_ARITY deep: one level per part",
+    "automata._fresh_tuples": "at most MAX_ARITY deep: one level per argument",
+}
+
+
+def self_calls(module):
+    """The functions of ``treelab.<module>``, nested ones included, that call
+    themselves by bare name, as ``module.outer.inner``.  Method calls such as
+    ``self.get(...)`` do not count."""
+    found = []
+    pending = [(module, ast.parse((Path(treelab.__file__).parent / f"{module}.py").read_text()))]
+    while pending:
+        prefix, node = pending.pop()
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == child.name
+                    for call in ast.walk(child)
+                ):
+                    found.append(name)
+            pending.append((name, child))
+    return found
+
+
+def test_no_tree_or_term_walk_calls_itself():
+    found = [name for module in ("trees", "automata", "transduce") for name in self_calls(module)]
+    assert sorted(found) == sorted(RECURSION_ALLOWED)

@@ -19,7 +19,7 @@ from treelab.oracle import sweep_reachable
 from treelab.paths import PathNfa, path_nfa
 from treelab.structure import PolFunctions, generate_polynomials
 from treelab.syntactic import term_definable
-from treelab.trees import RankedAlphabet, Term, TermNode, Var
+from treelab.trees import RankedAlphabet, Term, Tree, Var
 
 SIGNATURES = [
     RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0)),
@@ -114,7 +114,7 @@ def old_term_definable(algebra, target, arity, depth_cap):
         if letter.arity != 0:
             continue
         constant = algebra.op(letter.name, ())
-        hit = consider(TermNode(letter), tuple(constant for _ in envs), level1)
+        hit = consider(Tree(letter), tuple(constant for _ in envs), level1)
         if hit is not None:
             return Term(arity, hit)
     by_depth.append(level1)
@@ -132,7 +132,7 @@ def old_term_definable(algebra, target, arity, depth_cap):
                     algebra.op(letter.name, [vals[k] for _, vals in combo])
                     for k in range(len(envs))
                 )
-                hit = consider(TermNode(letter, tuple(b for b, _ in combo)), values, level)
+                hit = consider(Tree(letter, tuple(b for b, _ in combo)), values, level)
                 if hit is not None:
                     return Term(arity, hit)
         by_depth.append(level)

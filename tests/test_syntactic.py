@@ -25,7 +25,7 @@ from treelab.syntactic import (
     syntactic_algebra,
     term_definable,
 )
-from treelab.trees import RankedAlphabet, enumerate_trees, render_term
+from treelab.trees import RankedAlphabet, enumerate_trees, render_tree
 
 
 def test_minimize_pott_redundant_gives_printed_tables():
@@ -93,12 +93,12 @@ def test_term_definable_recovers_f1():
     )
     term = term_definable(reduct, ALG_POTT.tables["f1"], 1, 2)
     assert term is not None
-    assert render_term(term) == "f2(x1,x1)"
+    assert render_tree(term.body) == "f2(x1,x1)"
 
 
 def test_term_definable_projection():
     term = term_definable(ALG_POTT, (0, 1, 2), 1, 2)
-    assert term is not None and render_term(term) == "x1"
+    assert term is not None and render_tree(term.body) == "x1"
 
 
 def test_term_definable_negation_absent_on_semilattice():
@@ -119,7 +119,7 @@ def test_term_definable_result_matches_target():
     from treelab.automata import eval_term_in_algebra
 
     for a in range(3):
-        assert eval_term_in_algebra(reduct, term.body, (a,)) == target[a]
+        assert eval_term_in_algebra(reduct, term, (a,)) == target[a]
 
 
 def test_find_isomorphism_detects_renaming():

@@ -42,7 +42,6 @@ from treelab.trees import (
     Letter,
     RankedAlphabet,
     Term,
-    TermNode,
     TreeHom,
     Tree,
     Var,
@@ -75,10 +74,10 @@ ALTERNATE = Dtop(
     1,
     {
         # state 1 emits a and hands the child to state 2; state 2 emits b
-        ("s", 1): Term(2, TermNode(SIG_AB["a"], (Var(Dtop.flat_var(2, 1, 2)),))),
-        ("s", 2): Term(2, TermNode(SIG_AB["b"], (Var(Dtop.flat_var(1, 1, 2)),))),
-        ("z", 1): Term(0, TermNode(SIG_AB["z"])),
-        ("z", 2): Term(0, TermNode(SIG_AB["z"])),
+        ("s", 1): Term(2, Tree(SIG_AB["a"], (Var(Dtop.flat_var(2, 1, 2)),))),
+        ("s", 2): Term(2, Tree(SIG_AB["b"], (Var(Dtop.flat_var(1, 1, 2)),))),
+        ("z", 1): Term(0, Tree(SIG_AB["z"])),
+        ("z", 2): Term(0, Tree(SIG_AB["z"])),
     },
 )
 
@@ -98,7 +97,7 @@ SIG_FGA = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0))
 
 
 def fga(name, *vars_):
-    return TermNode(SIG_FGA[name], tuple(Var(v) for v in vars_))
+    return Tree(SIG_FGA[name], tuple(Var(v) for v in vars_))
 
 
 # Two states; every rule declares both (state, child) variables per child but
@@ -114,7 +113,7 @@ SWAP_DTOP = Dtop(
         ("g", 1): Term(2, fga("g", Dtop.flat_var(2, 1, 2))),
         ("g", 2): Term(2, fga("g", Dtop.flat_var(1, 1, 2))),
         ("a", 1): Term(0, fga("a")),
-        ("a", 2): Term(0, TermNode(SIG_FGA["g"], (fga("a"),))),
+        ("a", 2): Term(0, Tree(SIG_FGA["g"], (fga("a"),))),
     },
 )
 
@@ -171,20 +170,20 @@ AND_C = ALG_AND_C.alphabet
 
 
 def test_eval_polyterm_basics():
-    assert eval_term_in_algebra(ALG_AND_C, Term(2, Var(1)).body, (0, 1)) == 0
-    assert eval_term_in_algebra(ALG_AND_C, Term(2, Var(2)).body, (0, 1)) == 1
-    assert eval_term_in_algebra(ALG_AND_C, Term(0, TermNode(AND_C["@1"])).body, ()) == 1
-    nested = Term(1, TermNode(AND_C["and"], (Var(1), TermNode(AND_C["@1"]))))
-    assert eval_term_in_algebra(ALG_AND_C, nested.body, (0,)) == 0
-    assert eval_term_in_algebra(ALG_AND_C, nested.body, (1,)) == 1
+    assert eval_term_in_algebra(ALG_AND_C, Term(2, Var(1)), (0, 1)) == 0
+    assert eval_term_in_algebra(ALG_AND_C, Term(2, Var(2)), (0, 1)) == 1
+    assert eval_term_in_algebra(ALG_AND_C, Term(0, Tree(AND_C["@1"])), ()) == 1
+    nested = Term(1, Tree(AND_C["and"], (Var(1), Tree(AND_C["@1"]))))
+    assert eval_term_in_algebra(ALG_AND_C, nested, (0,)) == 0
+    assert eval_term_in_algebra(ALG_AND_C, nested, (1,)) == 1
 
 
 def test_eval_polyterm_matches_grounded_tree():
     # substituting constants for variables agrees with plain evaluation
-    body = TermNode(AND_C["and"], (TermNode(AND_C["one"]), TermNode(AND_C["zero"])))
+    body = Tree(AND_C["and"], (Tree(AND_C["one"]), Tree(AND_C["zero"])))
     term = Term(0, body)
     tree = parse_tree("and(one,zero)", ALG_AND.alphabet)
-    assert eval_term_in_algebra(ALG_AND_C, term.body, ()) == evaluate(ALG_AND, tree)
+    assert eval_term_in_algebra(ALG_AND_C, term, ()) == evaluate(ALG_AND, tree)
 
 
 def random_dtop(rng, n_states):
@@ -194,10 +193,10 @@ def random_dtop(rng, n_states):
         options = ["a", "b", "z"]
         if nvars and depth > 0 and rng.random() < 0.6:
             pick = rng.choice(options[:2])
-            return TermNode(SIG_AB[pick], (random_term(nvars, depth - 1),))
+            return Tree(SIG_AB[pick], (random_term(nvars, depth - 1),))
         if nvars and rng.random() < 0.5:
             return Var(rng.randint(1, nvars))
-        return TermNode(SIG_AB["z"])
+        return Tree(SIG_AB["z"])
 
     def rule(arity):
         nvars = n_states * arity
@@ -207,7 +206,7 @@ def random_dtop(rng, n_states):
     rules = {}
     for state in range(1, n_states + 1):
         rules[("s", state)] = rule(1)
-        rules[("z", state)] = Term(0, TermNode(SIG_AB["z"]))
+        rules[("z", state)] = Term(0, Tree(SIG_AB["z"]))
     return Dtop(SIG_MONO, SIG_AB, n_states, rng.randint(1, n_states), rules)
 
 
@@ -266,7 +265,7 @@ def test_matrix_hom_constant_tuples():
         ALG_AND,
         SIG_MONO,
         1,
-        {"s": (Term(1, TermNode(AND_C["@1"])),), "z": (Term(0, TermNode(AND_C["@0"])),)},
+        {"s": (Term(1, Tree(AND_C["@1"])),), "z": (Term(0, Tree(AND_C["@0"])),)},
     )
     dtop, extended = matrix_hom_to_dtops(mh)
     for tree in enumerate_trees(SIG_MONO, 4):
@@ -295,7 +294,7 @@ def conj_vars(indices):
     body = None
     for index in indices:
         leaf = Var(index)
-        body = leaf if body is None else TermNode(AND2, (body, leaf))
+        body = leaf if body is None else Tree(AND2, (body, leaf))
     return body
 
 
@@ -309,7 +308,7 @@ def dtta_to_matrix_hom(dtta):
         for q in range(width):
             if letter.arity == 0:
                 bit = 1 if (q, letter.name) in dtta.leaf_ok else 0
-                polys.append(Term(0, TermNode(Letter(f"@{bit}", 0))))
+                polys.append(Term(0, Tree(Letter(f"@{bit}", 0))))
             else:
                 successors = dtta.delta[(q, letter.name)]
                 indices = [

@@ -10,7 +10,6 @@ from treelab.trees import (
     Letter,
     RankedAlphabet,
     Term,
-    TermNode,
     Tree,
     Var,
     apply_context,
@@ -19,7 +18,6 @@ from treelab.trees import (
     enumerate_contexts,
     enumerate_trees,
     hom_apply,
-    hom_apply_term,
     parse_term,
     parse_tree,
     path_words,
@@ -176,10 +174,10 @@ def test_apply_context():
     hole = Context.hole()
     t = parse_tree("f1(f0)", SIG_POTT)
     assert apply_context(hole, t) == t
-    ctx = Context(Term(1, TermNode(SIG_POTT["f1"], (Var(1),))))
+    ctx = Context(Term(1, Tree(SIG_POTT["f1"], (Var(1),))))
     assert apply_context(ctx, parse_tree("f0", SIG_POTT)) == parse_tree("f1(f0)", SIG_POTT)
     ctx2 = Context(
-        Term(1, TermNode(SIG_POTT["f2"], (Var(1), TermNode(SIG_POTT["f0"]))))
+        Term(1, Tree(SIG_POTT["f2"], (Var(1), Tree(SIG_POTT["f0"]))))
     )
     assert apply_context(ctx2, parse_tree("f1(f0)", SIG_POTT)) == parse_tree(
         "f2(f1(f0),f0)", SIG_POTT
@@ -188,7 +186,7 @@ def test_apply_context():
 
 def test_context_requires_single_occurrence():
     with pytest.raises(ValueError):
-        Context(Term(1, TermNode(SIG_POTT["f2"], (Var(1), Var(1)))))
+        Context(Term(1, Tree(SIG_POTT["f2"], (Var(1), Var(1)))))
 
 
 def test_hom_dup_balances_lines():
@@ -212,7 +210,7 @@ def test_constant_dropping_hom():
     dropper = TreeHom(
         sig_ac,
         sig_ac,
-        {"c": Term(0, TermNode(Letter("c", 0))), "a": Term(1, TermNode(Letter("c", 0)))},
+        {"c": Term(0, Tree(Letter("c", 0))), "a": Term(1, Tree(Letter("c", 0)))},
     )
     assert hom_apply(dropper, parse_tree("a(a(c))", sig_ac)) == parse_tree("c", sig_ac)
 
@@ -221,7 +219,7 @@ def test_hom_commutes_with_context_substitution():
     contexts = [c for c in enumerate_contexts(SIG_LINE, 3)]
     trees = [t for t in enumerate_trees(SIG_LINE, 3)]
     for ctx in contexts:
-        image_ctx = hom_apply_term(HOM_DUP, ctx.term)
+        image_ctx = Term(1, hom_apply(HOM_DUP, ctx.term.body))
         for tree in trees:
             left = hom_apply(HOM_DUP, apply_context(ctx, tree))
             right = substitute(image_ctx, [hom_apply(HOM_DUP, tree)])
@@ -308,7 +306,7 @@ class _SeedReader:
             raise ParseError(
                 f"arity mismatch: {name} expects {letter.arity}, got {len(children)}", pos
             )
-        return TermNode(letter, tuple(children))
+        return Tree(letter, tuple(children))
 
     def finish(self):
         tok = self._peek()
@@ -419,7 +417,7 @@ def test_reader_variables_end_a_term():
         )
         assert _outcome(parse_term, text, SIG_POTT, 1)[0] == "error"
     assert parse_term("f2(x2,x1)", SIG_POTT, 2) == Term(
-        2, TermNode(SIG_POTT["f2"], (Var(2), Var(1)))
+        2, Tree(SIG_POTT["f2"], (Var(2), Var(1)))
     )
 
 

@@ -42,21 +42,12 @@ from .automata import (
     are_equivalent,
     evaluate,
     boolean_combine,
-    corpus_values,
-    preimage_tree_hom,
-    subset_counterexample,
     with_constants,
 )
 from .cascade import (
     DEFAULT_WIDTH_CAP,
-    Cascade,
-    CtlFormula,
-    annotate,
-    annotated_alphabet,
-    cascade_flatten,
     ctl_compile,
     ctl_eval,
-    ctl_label,
     ctl_parse,
     ctl_render,
     nest,
@@ -64,7 +55,7 @@ from .cascade import (
     sequential_compose,
 )
 from .errors import CapExceededError, ParseError, TreelabError
-from .oracle import is_mix, sweep_reachable
+from .oracle import Mismatch, ctl_disagreement, suites as oracle_suites
 from .paths import (
     Dtta,
     is_doubly_deterministic,
@@ -99,11 +90,9 @@ from .trees import (
     Tree,
     child_positions,
     enumerate_trees,
-    hom_apply,
     instantiate,
     parse_term,
     parse_tree,
-    path_words,
     render_tree,
 )
 
@@ -115,24 +104,22 @@ def _fail(number: int, message: str) -> None:
 
 
 class _Doc:
-    """One parsed file: its keyword lines, grouped by keyword in one pass.
+    """One file of a ``kind``, its lines grouped by keyword in one pass; a
+    keyword outside ``keywords`` is refused.  A row is a line's fields after
+    its keyword, `#` comments and blank lines dropped, in file order."""
 
-    A row is a line's whitespace-separated fields after its keyword, with
-    `#` comments and blank lines dropped; each keyword's rows keep file order.
-    """
-
-    def __init__(self, text: str):
+    def __init__(self, text: str, kind: str, keywords: tuple[str, ...]):
         self.rows: dict[str, list[tuple[int, list[str]]]] = {}
         for number, line in enumerate(text.splitlines(), start=1):
             fields = line.split("#", 1)[0].split()
             if fields:
                 self.rows.setdefault(fields[0], []).append((number, fields[1:]))
+        unknown = self.rows.keys() - set(keywords)
+        if unknown:
+            raise ParseError(f"unexpected keyword {sorted(unknown)[0]!r} in {kind} file")
 
     def take(self, keyword: str) -> list[tuple[int, list[str]]]:
         return self.rows.get(keyword, [])
-
-    def keywords(self) -> set[str]:
-        return set(self.rows)
 
 
 def _int(number: int, text: str, what: str) -> int:
@@ -140,6 +127,13 @@ def _int(number: int, text: str, what: str) -> int:
         return int(text)
     except ValueError:
         _fail(number, f"{what} must be an integer, got {text!r}")
+
+
+def _single_int(doc: _Doc, keyword: str) -> int:
+    rows = doc.take(keyword)
+    if len(rows) != 1 or len(rows[0][1]) != 1:
+        raise ParseError(f"expected exactly one `{keyword} N` line")
+    return _int(rows[0][0], rows[0][1][0], keyword)
 
 
 def _checked(make, *args):
@@ -150,7 +144,15 @@ def _checked(make, *args):
         raise ParseError(str(exc)) from None
 
 
-def _parse_letters(doc: _Doc, keyword: str) -> RankedAlphabet:
+_DTOP_OUTPUT_RESERVED = (re.compile("q[0-9]+[.]x[0-9]+"), "a variable")
+_MATRIX_BASE_RESERVED = (re.compile("x[0-9]+|@[0-9]+"), "a variable or a constant")
+
+
+def _parse_letters(
+    doc: _Doc, keyword: str, reserved: tuple[re.Pattern, str] | None = None
+) -> RankedAlphabet:
+    """The `keyword NAME ARITY` rows; ``reserved`` is a pattern of names a
+    term would read as something else, and what it reads them as."""
     letters: dict[str, Letter] = {}
     for number, row in doc.take(keyword):
         if len(row) != 2 or not row[1].isdecimal():
@@ -159,22 +161,12 @@ def _parse_letters(doc: _Doc, keyword: str) -> RankedAlphabet:
             _fail(number, f"duplicate letter {row[0]!r}")
         if int(row[1]) > MAX_ARITY:
             _fail(number, f"arity of {row[0]} out of range 0..{MAX_ARITY}")
+        if reserved is not None and reserved[0].fullmatch(row[0]):
+            _fail(number, f"{keyword} letter {row[0]!r} reads as {reserved[1]}")
         letters[row[0]] = Letter(row[0], int(row[1]))
     if not letters:
         raise ParseError(f"no `{keyword}` lines found")
     return RankedAlphabet(tuple(letters.values()))
-
-
-def load_alphabet(text: str) -> RankedAlphabet:
-    doc = _Doc(text)
-    unknown = doc.keywords() - {"letter"}
-    if unknown:
-        raise ParseError(f"unexpected keyword {sorted(unknown)[0]!r} in alphabet file")
-    return _parse_letters(doc, "letter")
-
-
-def save_alphabet(alphabet: RankedAlphabet) -> str:
-    return "".join(f"letter {l.name} {l.arity}\n" for l in alphabet.letters)
 
 
 def _parse_ops(
@@ -222,19 +214,12 @@ def _parse_ops(
     return out
 
 
-def _single_int(doc: _Doc, keyword: str) -> int:
-    rows = doc.take(keyword)
-    if len(rows) != 1 or len(rows[0][1]) != 1:
-        raise ParseError(f"expected exactly one `{keyword} N` line")
-    return _int(rows[0][0], rows[0][1][0], keyword)
-
-
-def load_dbta(text: str) -> Dbta:
-    doc = _Doc(text)
-    unknown = doc.keywords() - {"letter", "carrier", "names", "op", "accept"}
-    if unknown:
-        raise ParseError(f"unexpected keyword {sorted(unknown)[0]!r} in dbta file")
-    alphabet = _parse_letters(doc, "letter")
+def _parse_algebra(
+    doc: _Doc, letter_keyword: str, reserved: tuple[re.Pattern, str] | None = None
+) -> FiniteAlgebra:
+    """The algebra block of a dbta file, or the base of a matrix file: its
+    letters, `carrier M` (M >= 1), at most one `names` line, and `op` rows."""
+    alphabet = _parse_letters(doc, letter_keyword, reserved)
     size = _single_int(doc, "carrier")
     if size < 1:
         raise ParseError("carrier must be >= 1")
@@ -243,25 +228,56 @@ def load_dbta(text: str) -> Dbta:
     if len(name_rows) > 1:
         raise ParseError("at most one `names` line")
     if name_rows:
-        if len(name_rows[0][1]) != size:
-            _fail(name_rows[0][0], f"`names` must list {size} names")
-        names = tuple(name_rows[0][1])
-    tables = _parse_ops(doc, alphabet, size)
+        number, row = name_rows[0]
+        if len(row) != size:
+            _fail(number, f"`names` must list {size} names")
+        names = tuple(row)
+    return FiniteAlgebra(alphabet, size, _parse_ops(doc, alphabet, size), names)
+
+
+def _arrow_rows(doc: _Doc, keyword: str, usage: str, read) -> dict:
+    """The `keyword A B -> ..` rows, each made a (key, value) entry by
+    ``read(number, A, B, fields after ->)``; a key read twice is a duplicate."""
+    out = {}
+    for number, row in doc.take(keyword):
+        if len(row) < 4 or row[2] != "->":
+            _fail(number, f"expected `{keyword} {usage}`")
+        key, value = read(number, row[0], row[1], row[3:])
+        if key in out:
+            _fail(number, f"duplicate {keyword} row for {row[0]} {row[1]}")
+        out[key] = value
+    return out
+
+
+def load_alphabet(text: str) -> RankedAlphabet:
+    return _parse_letters(_Doc(text, "alphabet", ("letter",)), "letter")
+
+
+def save_alphabet(alphabet: RankedAlphabet, keyword: str = "letter") -> str:
+    return "".join(f"{keyword} {l.name} {l.arity}\n" for l in alphabet.letters)
+
+
+def load_dbta(text: str) -> Dbta:
+    doc = _Doc(text, "dbta", ("letter", "carrier", "names", "op", "accept"))
+    algebra = _parse_algebra(doc, "letter")
     accept_rows = doc.take("accept")
     if len(accept_rows) != 1:
         raise ParseError("expected exactly one `accept` line")
     number, row = accept_rows[0]
     accepting = frozenset(_int(number, x, "accepting element") for x in row)
-    if any(not 0 <= e < size for e in accepting):
+    if any(not 0 <= e < algebra.size for e in accepting):
         _fail(number, "accepting element out of range")
-    return Dbta(FiniteAlgebra(alphabet, size, tables, names), accepting)
+    return Dbta(algebra, accepting)
 
 
-def _op_rows(algebra: FiniteAlgebra) -> list[str]:
-    """The `op` lines of every table, in alphabet order, then table order."""
+def _algebra_rows(algebra: FiniteAlgebra, letter_keyword: str) -> list[str]:
+    """The lines of an algebra block: letters, carrier, names if any, then
+    the `op` lines of every table, in alphabet order, then table order."""
+    out = [save_alphabet(algebra.alphabet, letter_keyword), f"carrier {algebra.size}\n"]
+    if algebra.element_names is not None:
+        out.append("names " + " ".join(algebra.element_names) + "\n")
     numbers = [str(e) for e in range(algebra.size)]
     arguments: dict[int, list[str]] = {}  # per arity: each " e1 .. en", in table order
-    out = []
     for letter in algebra.alphabet.letters:
         texts = arguments.get(letter.arity)
         if texts is None:
@@ -278,11 +294,7 @@ def _op_rows(algebra: FiniteAlgebra) -> list[str]:
 
 
 def save_algebra(algebra: FiniteAlgebra, accepting: frozenset[int] | None = None) -> str:
-    out = [save_alphabet(algebra.alphabet)]
-    out.append(f"carrier {algebra.size}\n")
-    if algebra.element_names is not None:
-        out.append("names " + " ".join(algebra.element_names) + "\n")
-    out += _op_rows(algebra)
+    out = _algebra_rows(algebra, "letter")
     if accepting is not None:
         out.append("accept" + "".join(f" {e}" for e in sorted(accepting)) + "\n")
     return "".join(out)
@@ -293,60 +305,53 @@ def save_dbta(dbta: Dbta) -> str:
 
 
 def load_dtta(text: str) -> Dtta:
-    doc = _Doc(text)
-    unknown = doc.keywords() - {"letter", "states", "init", "delta", "leaf"}
-    if unknown:
-        raise ParseError(f"unexpected keyword {sorted(unknown)[0]!r} in dtta file")
+    doc = _Doc(text, "dtta", ("letter", "states", "init", "delta", "leaf"))
     alphabet = _parse_letters(doc, "letter")
     n_states = _single_int(doc, "states")
     initial = _single_int(doc, "init")
     if not 0 <= initial < n_states:
         raise ParseError("init out of range")
-    delta: dict[tuple[int, str], tuple[int, ...]] = {}
-    for number, row in doc.take("delta"):
-        if len(row) < 4 or row[2] != "->":
-            _fail(number, "expected `delta Q NAME -> q1 .. qn`")
-        state = _int(number, row[0], "state")
-        letter = alphabet.get(row[1])
+
+    def delta(number: int, state: str, name: str, rest: list[str]):
+        state = _int(number, state, "state")
+        letter = alphabet.get(name)
         if letter is None or letter.arity == 0:
-            _fail(number, f"{row[1]} is not a non-constant letter")
-        successors = tuple(_int(number, x, "state") for x in row[3:])
+            _fail(number, f"{name} is not a non-constant letter")
+        successors = tuple(_int(number, x, "state") for x in rest)
         if len(successors) != letter.arity:
-            _fail(number, f"{row[1]} needs {letter.arity} successors")
+            _fail(number, f"{name} needs {letter.arity} successors")
         if any(not 0 <= q < n_states for q in (state,) + successors):
             _fail(number, "state out of range")
-        delta[(state, letter.name)] = successors
-    leaf_ok = set()
-    for number, row in doc.take("leaf"):
-        if len(row) != 4 or row[2] != "->" or row[3] not in ("accept", "reject"):
-            _fail(number, "expected `leaf Q NAME -> accept|reject`")
-        state = _int(number, row[0], "state")
-        letter = alphabet.get(row[1])
+        return (state, name), successors
+
+    leaf_usage = "Q NAME -> accept|reject"
+
+    def leaf(number: int, state: str, name: str, rest: list[str]):
+        if rest != ["accept"] and rest != ["reject"]:
+            _fail(number, f"expected `leaf {leaf_usage}`")
+        state = _int(number, state, "state")
+        letter = alphabet.get(name)
         if letter is None or letter.arity != 0:
-            _fail(number, f"{row[1]} is not a constant")
+            _fail(number, f"{name} is not a constant")
         if not 0 <= state < n_states:
             _fail(number, "state out of range")
-        if row[3] == "accept":
-            leaf_ok.add((state, row[1]))
-    return _checked(Dtta, alphabet, n_states, initial, delta, frozenset(leaf_ok))
+        return (state, name), rest == ["accept"]
+
+    transitions = _arrow_rows(doc, "delta", "Q NAME -> q1 .. qn", delta)
+    leaves = _arrow_rows(doc, "leaf", leaf_usage, leaf)
+    leaf_ok = frozenset(key for key, accepted in leaves.items() if accepted)
+    return _checked(Dtta, alphabet, n_states, initial, transitions, leaf_ok)
 
 
 def save_dtta(dtta: Dtta) -> str:
-    out = [save_alphabet(dtta.alphabet)]
-    out.append(f"states {dtta.n_states}\n")
-    out.append(f"init {dtta.initial}\n")
+    out = [save_alphabet(dtta.alphabet), f"states {dtta.n_states}\n", f"init {dtta.initial}\n"]
+    inner = [letter for letter in dtta.alphabet.letters if letter.arity]
     for state in range(dtta.n_states):
-        for letter in dtta.alphabet.letters:
-            if letter.arity == 0:
-                continue
-            successors = dtta.delta[(state, letter.name)]
-            out.append(
-                f"delta {state} {letter.name} -> " + " ".join(map(str, successors)) + "\n"
-            )
+        for letter in inner:
+            successors = " ".join(map(str, dtta.delta[(state, letter.name)]))
+            out.append(f"delta {state} {letter.name} -> {successors}\n")
     for state in range(dtta.n_states):
-        for letter in dtta.alphabet.letters:
-            if letter.arity != 0:
-                continue
+        for letter in dtta.alphabet.constants:
             verdict = "accept" if (state, letter.name) in dtta.leaf_ok else "reject"
             out.append(f"leaf {state} {letter.name} -> {verdict}\n")
     return "".join(out)
@@ -360,49 +365,35 @@ def _dtop_var_map(n_states: int, arity: int) -> dict[str, int]:
     }
 
 
-# output letter names that a rule term would read as a variable
-_DTOP_VAR = re.compile("q[0-9]+[.]x[0-9]+")
-
-
 def load_dtop(text: str) -> Dtop:
-    doc = _Doc(text)
-    unknown = doc.keywords() - {"input", "output", "states", "init", "rule"}
-    if unknown:
-        raise ParseError(f"unexpected keyword {sorted(unknown)[0]!r} in dtop file")
+    doc = _Doc(text, "dtop", ("input", "output", "states", "init", "rule"))
     input_alphabet = _parse_letters(doc, "input")
-    output_alphabet = _parse_letters(doc, "output")
-    for number, row in doc.take("output"):
-        if _DTOP_VAR.fullmatch(row[0]):
-            _fail(number, f"output letter {row[0]!r} reads as a variable")
+    output_alphabet = _parse_letters(doc, "output", _DTOP_OUTPUT_RESERVED)
     n_states = _single_int(doc, "states")
     initial = _single_int(doc, "init")
-    rules: dict[tuple[str, int], Term] = {}
-    for number, row in doc.take("rule"):
-        if len(row) < 4 or row[2] != "->":
-            _fail(number, "expected `rule Q NAME -> term`")
-        state = _int(number, row[0], "state")
-        letter = input_alphabet.get(row[1])
+
+    def rule(number: int, state: str, name: str, rest: list[str]):
+        state = _int(number, state, "state")
+        letter = input_alphabet.get(name)
         if letter is None:
-            _fail(number, f"unknown input letter {row[1]!r}")
+            _fail(number, f"unknown input letter {name!r}")
         if not 1 <= state <= n_states:
             _fail(number, "state out of range (states are 1..N)")
-        term_text = " ".join(row[3:])
         term = parse_term(
-            term_text,
+            " ".join(rest),
             output_alphabet,
             n_states * letter.arity,
             _dtop_var_map(n_states, letter.arity),
         )
-        rules[(row[1], state)] = term
+        return (name, state), term
+
+    rules = _arrow_rows(doc, "rule", "Q NAME -> term", rule)
     return _checked(Dtop, input_alphabet, output_alphabet, n_states, initial, rules)
 
 
 def save_dtop(dtop: Dtop) -> str:
-    out = []
-    for letter in dtop.input_alphabet.letters:
-        out.append(f"input {letter.name} {letter.arity}\n")
-    for letter in dtop.output_alphabet.letters:
-        out.append(f"output {letter.name} {letter.arity}\n")
+    out = [save_alphabet(dtop.input_alphabet, "input")]
+    out.append(save_alphabet(dtop.output_alphabet, "output"))
     out.append(f"states {dtop.n_states}\n")
     out.append(f"init {dtop.initial}\n")
     for letter in dtop.input_alphabet.letters:
@@ -415,66 +406,35 @@ def save_dtop(dtop: Dtop) -> str:
     return "".join(out)
 
 
-# base letter names that a tuple term would read as a variable or a constant
-_VAR_OR_CONSTANT = re.compile("x[0-9]+|@[0-9]+")
-
-
 def load_matrix(text: str) -> MatrixHom:
-    doc = _Doc(text)
-    unknown = doc.keywords() - {"input", "base", "carrier", "names", "op", "width", "tuple"}
-    if unknown:
-        raise ParseError(f"unexpected keyword {sorted(unknown)[0]!r} in matrix file")
+    doc = _Doc(text, "matrix", ("input", "base", "carrier", "names", "op", "width", "tuple"))
     input_alphabet = _parse_letters(doc, "input")
-    base_alphabet = _parse_letters(doc, "base")
-    size = _single_int(doc, "carrier")
-    names = None
-    name_rows = doc.take("names")
-    if len(name_rows) > 1:
-        raise ParseError("at most one `names` line")
-    if name_rows:
-        if len(name_rows[0][1]) != size:
-            _fail(name_rows[0][0], f"`names` must list {size} names")
-        names = tuple(name_rows[0][1])
-    for number, row in doc.take("base"):
-        if _VAR_OR_CONSTANT.fullmatch(row[0]):
-            _fail(number, f"base letter {row[0]!r} reads as a variable or a constant")
-    tables = _parse_ops(doc, base_alphabet, size)
-    base = _checked(FiniteAlgebra, base_alphabet, size, tables, names)
+    base = _parse_algebra(doc, "base", _MATRIX_BASE_RESERVED)
     term_alphabet = with_constants(base).alphabet
     width = _single_int(doc, "width")
-    tuples: dict[str, dict[int, Term]] = {letter.name: {} for letter in input_alphabet.letters}
-    for number, row in doc.take("tuple"):
-        if len(row) < 4 or row[2] != "->":
-            _fail(number, "expected `tuple NAME i -> term`")
-        letter = input_alphabet.get(row[0])
+
+    def coordinate_term(number: int, name: str, coordinate: str, rest: list[str]):
+        letter = input_alphabet.get(name)
         if letter is None:
-            _fail(number, f"unknown input letter {row[0]!r}")
-        coordinate = _int(number, row[1], "coordinate")
+            _fail(number, f"unknown input letter {name!r}")
+        coordinate = _int(number, coordinate, "coordinate")
         if not 1 <= coordinate <= width:
             _fail(number, "coordinate out of range")
-        term = parse_term(" ".join(row[3:]), term_alphabet, width * letter.arity)
-        if coordinate in tuples[row[0]]:
-            _fail(number, f"duplicate tuple row for {row[0]} {coordinate}")
-        tuples[row[0]][coordinate] = term
-    done: dict[str, tuple[Term, ...]] = {}
+        term = parse_term(" ".join(rest), term_alphabet, width * letter.arity)
+        return (name, coordinate), term
+
+    rows = _arrow_rows(doc, "tuple", "NAME i -> term", coordinate_term)
+    tuples: dict[str, tuple[Term, ...]] = {}
     for letter in input_alphabet.letters:
-        rows = tuples[letter.name]
-        if len(rows) != width:
-            raise ParseError(f"letter {letter.name} needs {width} tuple rows")
-        done[letter.name] = tuple(rows[i] for i in range(1, width + 1))
-    return _checked(MatrixHom, base, input_alphabet, width, done)
+        try:
+            tuples[letter.name] = tuple(rows[(letter.name, i)] for i in range(1, width + 1))
+        except KeyError:
+            raise ParseError(f"letter {letter.name} needs {width} tuple rows") from None
+    return _checked(MatrixHom, base, input_alphabet, width, tuples)
 
 
 def save_matrix(mh: MatrixHom) -> str:
-    out = []
-    for letter in mh.alphabet.letters:
-        out.append(f"input {letter.name} {letter.arity}\n")
-    for letter in mh.base.alphabet.letters:
-        out.append(f"base {letter.name} {letter.arity}\n")
-    out.append(f"carrier {mh.base.size}\n")
-    if mh.base.element_names is not None:
-        out.append("names " + " ".join(mh.base.element_names) + "\n")
-    out += _op_rows(mh.base)
+    out = [save_alphabet(mh.alphabet, "input"), *_algebra_rows(mh.base, "base")]
     out.append(f"width {mh.width}\n")
     for letter in mh.alphabet.letters:
         for i, term in enumerate(mh.tuples[letter.name], start=1):
@@ -519,29 +479,26 @@ class Workspace:
         except OSError as exc:
             raise ParseError(f"cannot read {ref}: {exc}") from exc
 
+    def _load(self, bound: dict, ref: str, load, builtin: str = ""):
+        """``bound[ref]``, loaded from the file ``ref`` on first use; for a kind
+        with builtins (named by ``builtin``), an unbound `@name` is refused."""
+        if ref not in bound:
+            if builtin and ref.startswith("@"):
+                raise ParseError(f"unknown builtin {builtin} {ref}")
+            bound[ref] = load(self._read(ref))
+        return bound[ref]
+
     def dbta(self, ref: str) -> Dbta:
-        if ref not in self.dbtas:
-            if ref.startswith("@"):
-                raise ParseError(f"unknown builtin language {ref}")
-            self.dbtas[ref] = load_dbta(self._read(ref))
-        return self.dbtas[ref]
+        return self._load(self.dbtas, ref, load_dbta, "language")
 
     def alphabet(self, ref: str) -> RankedAlphabet:
-        if ref not in self.alphabets:
-            if ref.startswith("@"):
-                raise ParseError(f"unknown builtin alphabet {ref}")
-            self.alphabets[ref] = load_alphabet(self._read(ref))
-        return self.alphabets[ref]
+        return self._load(self.alphabets, ref, load_alphabet, "alphabet")
 
     def dtop(self, ref: str) -> Dtop:
-        if ref not in self.dtops:
-            self.dtops[ref] = load_dtop(self._read(ref))
-        return self.dtops[ref]
+        return self._load(self.dtops, ref, load_dtop)
 
     def matrix(self, ref: str) -> MatrixHom:
-        if ref not in self.matrices:
-            self.matrices[ref] = load_matrix(self._read(ref))
-        return self.matrices[ref]
+        return self._load(self.matrices, ref, load_matrix)
 
 
 # --- reports ---------------------------------------------------------------------
@@ -657,25 +614,31 @@ def _cmd_matrix_to_dtops(ws: Workspace, args, report: Report) -> None:
     report.blob(save_algebra(extended, frozenset()))
 
 
+def _groups(text: str, what: str) -> list[tuple[str, tuple[int, ...]]]:
+    """Each nonempty chunk of an `a,b;c,d` option value, stripped, with its
+    integers; a chunk that is not integers is a bad ``what``."""
+    out = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if chunk:
+            try:
+                out.append((chunk, tuple(int(x) for x in chunk.split(","))))
+            except ValueError:
+                raise ParseError(f"bad {what} {chunk!r}") from None
+    return out
+
+
 def _cmd_matrix_flatten(ws: Workspace, args, report: Report) -> None:
     mh = ws.matrix(args.matrix)
     accepting = set()
-    if args.accept:
-        for chunk in args.accept.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                row = tuple(int(x) for x in chunk.split(","))
-            except ValueError:
-                raise ParseError(f"bad accepting tuple {chunk!r}")
-            if len(row) != mh.width:
-                raise ParseError(f"accepting tuple {chunk!r} must have width {mh.width}")
-            if any(not 0 <= e < mh.base.size for e in row):
-                raise ParseError(
-                    f"accepting tuple {chunk!r} has an entry outside 0..{mh.base.size - 1}"
-                )
-            accepting.add(row)
+    for chunk, row in _groups(args.accept, "accepting tuple"):
+        if len(row) != mh.width:
+            raise ParseError(f"accepting tuple {chunk!r} must have width {mh.width}")
+        if any(not 0 <= e < mh.base.size for e in row):
+            raise ParseError(
+                f"accepting tuple {chunk!r} has an entry outside 0..{mh.base.size - 1}"
+            )
+        accepting.add(row)
     report.blob(save_dbta(matrix_power_language(mh, accepting, args.max_states)))
 
 
@@ -729,7 +692,7 @@ def _cmd_ctl_verify(ws: Workspace, args, report: Report) -> None:
     trees = enumerate_trees(alphabet, args.max_nodes)
     kids = child_positions(trees)
     for formula, cascade in corpus:
-        tree = _ctl_disagreement(formula, cascade, trees, kids)
+        tree = ctl_disagreement(formula, cascade, trees, kids)
         if tree is not None:
             report.line("MISMATCH", ctl_render(formula), render_tree(tree))
             return
@@ -737,35 +700,12 @@ def _cmd_ctl_verify(ws: Workspace, args, report: Report) -> None:
     report.line("agree", "on", checked, "checks", f"({len(corpus)} formulas, {len(trees)} trees)")
 
 
-def _ctl_disagreement(
-    formula: CtlFormula, cascade: Cascade, trees: list[Tree], kids: list[tuple[int, ...]]
-) -> Tree | None:
-    """The first of ``trees`` (as listed by ``enumerate_trees``, with their
-    ``child_positions``) on which the flattened cascade and the labelling of
-    ``formula`` disagree, or None.  Both run once over the whole list."""
-    flat = cascade_flatten(cascade)
-    values = corpus_values(flat.algebra, trees, kids)
-    labels = ctl_label(formula, trees, kids)
-    for tree, value, holds in zip(trees, values, labels):
-        if (value in flat.accepting) != holds:
-            return tree
-    return None
-
-
 def _parse_congruence(text: str, size: int) -> Congruence:
     if text == "full":
         return Congruence.full(size)
     if text == "identity":
         return Congruence.identity(size)
-    blocks = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            blocks.append({int(x) for x in chunk.split(",")})
-        except ValueError:
-            raise ParseError(f"bad congruence block {chunk!r}")
+    blocks = [block for _, block in _groups(text, "congruence block")]
     return _checked(Congruence.from_blocks, size, blocks)
 
 
@@ -826,113 +766,11 @@ def _cmd_structure_orpair_separation(ws: Workspace, args, report: Report) -> Non
     report.line("all-separable" if result.all_separable else "has-inseparable")
 
 
-# --- oracle verify -----------------------------------------------------------------
-
-
-class _Mismatch(Exception):
-    """An oracle suite disagreed with the construction it checks."""
-
-
-def _check(ok: bool, suite: str, *detail) -> None:
-    """Raise _Mismatch unless ok; the detail parts are rendered only on failure."""
-    if not ok:
-        parts = (render_tree(p) if isinstance(p, Tree) else str(p) for p in detail)
-        raise _Mismatch(f"{suite}: {' '.join(parts)}")
-
-
-def _oracle_universal_path(report: Report, max_nodes: int) -> int:
-    checks = 0
-    for name in ("l_true_and", "l_true_or", "l_pott", "l_pair", "l_two"):
-        dbta = fixtures.corpus_dbta(name)
-        verdict, _witness = is_universal_path(dbta)
-        trees = enumerate_trees(dbta.alphabet, max_nodes)
-        reach = sweep_reachable(dbta.algebra)
-        oracle = all(accepts(dbta, tree) for tree in trees if is_mix(dbta, reach, tree))
-        _check(verdict == oracle, "universal-path-oracle", "verdict disagrees on", name)
-        checks += len(trees)
-    return checks
-
-
-def _oracle_suites(report: Report, max_nodes: int, count: int) -> None:
-    checks = 0
-    suite = "trees-roundtrip-paths"
-    for name, dbta in fixtures.CORPUS:
-        for tree in enumerate_trees(dbta.alphabet, max_nodes):
-            _check(parse_tree(render_tree(tree), dbta.alphabet) == tree, suite, name, tree)
-            _check(len(path_words(tree)) == tree.leaf_count(), suite, name, tree)
-            checks += 1
-    report.line("suite", "trees-roundtrip-paths:", checks, "checks")
-
-    checks = 0
-    for left, right in (("l_pair", "l_two"), ("l_true_and", "l_true_and")):
-        d1, d2 = fixtures.corpus_dbta(left), fixtures.corpus_dbta(right)
-        union = boolean_combine("union", d1, d2)
-        inter = boolean_combine("intersection", d1, d2)
-        diff = boolean_combine("difference", d1, d2)
-        for tree in enumerate_trees(d1.alphabet, max_nodes):
-            a, b = accepts(d1, tree), accepts(d2, tree)
-            case = (left, right, tree)
-            _check(accepts(union, tree) == (a or b), "boolean-ops", "union", *case)
-            _check(accepts(inter, tree) == (a and b), "boolean-ops", "intersection", *case)
-            _check(accepts(diff, tree) == (a and not b), "boolean-ops", "difference", *case)
-            checks += 3
-    report.line("suite", "boolean-ops:", checks, "checks")
-
-    checks = 0
-    pre = preimage_tree_hom(fixtures.K_POTT, fixtures.HOM_DUP)
-    for tree in enumerate_trees(fixtures.SIG_LINE, max_nodes):
-        image = hom_apply(fixtures.HOM_DUP, tree)
-        _check(accepts(pre, tree) == accepts(fixtures.K_POTT, image), "hom-preimage", tree)
-        checks += 1
-    report.line("suite", "hom-preimage:", checks, "checks")
-
-    checks = 0
-    suite = "mixes-closure-laws"
-    for name, dbta in fixtures.CORPUS:
-        closure = mixes(dbta)
-        _check(subset_counterexample(dbta, closure) is None, suite, f"L not within mixes({name})")
-        _check(are_equivalent(mixes(closure), closure)[0], suite, f"mixes({name}) not idempotent")
-        _check(is_universal_path(closure)[0], suite, f"mixes({name}) not universal-path")
-        checks += 3
-    report.line("suite", "mixes-closure-laws:", checks, "checks")
-
-    checks = _oracle_universal_path(report, max_nodes)
-    report.line("suite", "universal-path-oracle:", checks, "checks")
-
-    checks = 0
-    seed = int(os.environ.get("TREELAB_SEED", "0"))
-    for alphabet in (fixtures.SIG_POTT, fixtures.SIG_GCD):
-        trees = enumerate_trees(alphabet, max_nodes)
-        kids = child_positions(trees)
-        for formula, cascade in random_formula_corpus(seed, alphabet, count):
-            tree = _ctl_disagreement(formula, cascade, trees, kids)
-            _check(tree is None, "ctl-compile-vs-eval", ctl_render(formula), tree)
-            checks += len(trees)
-    report.line("suite", "ctl-compile-vs-eval:", checks, "checks")
-
-    checks = 0
-    langs = [fixtures.L_TRUE_AND]
-    annotated = annotated_alphabet(fixtures.SIG_AND, 1)
-    # top = "the root's own annotation bit is set"
-    tables = {
-        letter.name: tuple(
-            int(letter.name.endswith("|1")) for _ in range(2**letter.arity)
-        )
-        for letter in annotated.letters
-    }
-    top = Dbta(FiniteAlgebra(annotated, 2, tables), frozenset({1}))
-    nested = nest(langs, top)
-    for tree in enumerate_trees(fixtures.SIG_AND, max_nodes):
-        ok = accepts(nested, tree) == accepts(top, annotate(tree, langs))
-        _check(ok, "nest-adjunction", tree)
-        checks += 1
-    report.line("suite", "nest-adjunction:", checks, "checks")
-
-    report.line("ok")
-
-
 def _cmd_oracle_verify(ws: Workspace, args, report: Report) -> None:
-    _oracle_suites(report, args.max_nodes, args.count)
+    seed = int(os.environ.get("TREELAB_SEED", "0"))
+    for suite, checks in oracle_suites(args.max_nodes, args.count, seed):
+        report.line("suite", f"{suite}:", checks, "checks")
+    report.line("ok")
 
 
 # --- argument parsing ----------------------------------------------------------------
@@ -1099,7 +937,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except _Mismatch as exc:
+    except Mismatch as exc:
         print(f"mismatch {exc}", file=sys.stderr)
         return 1
     except (ParseError, TreelabError) as exc:

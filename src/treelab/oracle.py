@@ -1,12 +1,47 @@
-"""The definitional path-word oracle.  Its carrier comes from a naive sweep,
-not from ``automata.reach``, so it shares no kernel with ``path_nfa``."""
+"""The brute-force oracles, and the `oracle verify` suites that check the
+constructions against them on small enumerated corpora.  The path-word
+oracle's carrier comes from a naive sweep, not from ``automata.reach``, so it
+shares no kernel with ``path_nfa``."""
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
-from .automata import Dbta, FiniteAlgebra
-from .trees import PathWord, Tree, path_words
+from . import fixtures
+from .automata import (
+    Dbta,
+    FiniteAlgebra,
+    accepts,
+    are_equivalent,
+    boolean_combine,
+    corpus_values,
+    preimage_tree_hom,
+    subset_counterexample,
+)
+from .cascade import (
+    Cascade,
+    CtlFormula,
+    annotate,
+    annotated_alphabet,
+    cascade_flatten,
+    ctl_label,
+    ctl_render,
+    nest,
+    random_formula_corpus,
+)
+from .paths import Dtta, PathNfa, is_universal_path, mixes
+from .trees import (
+    Letter,
+    PathWord,
+    Tree,
+    child_positions,
+    enumerate_trees,
+    hom_apply,
+    parse_tree,
+    path_words,
+    render_tree,
+)
 
 
 def sweep_reachable(algebra: FiniteAlgebra) -> list[int]:
@@ -49,3 +84,147 @@ def is_mix(dbta: Dbta, reach: list[int], tree: Tree) -> bool:
         key=lambda word: [f"{s[0].name}.{s[1]}" if isinstance(s, tuple) else s.name for s in word],
     )
     return all(word_realized(dbta, reach, word) for word in words)
+
+
+def nfa_accepts_word(nfa: PathNfa, word: PathWord) -> bool:
+    current = set(nfa.initial)
+    for symbol in word[:-1]:
+        letter, index = symbol  # type: ignore[misc]
+        nxt: set[int] = set()
+        for state in current:
+            nxt |= nfa.transitions.get((state, letter.name, index), frozenset())
+        current = nxt
+    leaf = word[-1]
+    assert isinstance(leaf, Letter)
+    return any((state, leaf.name) in nfa.leaf_accept for state in current)
+
+
+def dtta_accepts_word(dtta: Dtta, word: PathWord) -> bool:
+    state = dtta.initial
+    for symbol in word[:-1]:
+        letter, index = symbol  # type: ignore[misc]
+        state = dtta.delta[(state, letter.name)][index - 1]
+    leaf = word[-1]
+    assert isinstance(leaf, Letter)
+    return (state, leaf.name) in dtta.leaf_ok
+
+
+def ctl_disagreement(
+    formula: CtlFormula, cascade: Cascade, trees: list[Tree], kids: list[tuple[int, ...]]
+) -> Tree | None:
+    """The first of ``trees`` (as listed by ``enumerate_trees``, with their
+    ``child_positions``) on which the flattened cascade and the labelling of
+    ``formula`` disagree, or None.  Both run once over the whole list."""
+    flat = cascade_flatten(cascade)
+    values = corpus_values(flat.algebra, trees, kids)
+    labels = ctl_label(formula, trees, kids)
+    for tree, value, holds in zip(trees, values, labels):
+        if (value in flat.accepting) != holds:
+            return tree
+    return None
+
+
+# --- oracle verify ---------------------------------------------------------------
+
+
+class Mismatch(Exception):
+    """An oracle suite disagreed with the construction it checks."""
+
+
+def check(ok: bool, suite: str, *detail) -> None:
+    """Raise Mismatch unless ok; the detail parts are rendered only on failure."""
+    if not ok:
+        parts = (render_tree(p) if isinstance(p, Tree) else str(p) for p in detail)
+        raise Mismatch(f"{suite}: {' '.join(parts)}")
+
+
+def universal_path_suite(max_nodes: int) -> int:
+    """`is_universal_path` against "every mix of a member is a member" on the
+    trees of at most ``max_nodes`` nodes; the number of trees checked."""
+    checks = 0
+    for name in ("l_true_and", "l_true_or", "l_pott", "l_pair", "l_two"):
+        dbta = fixtures.corpus_dbta(name)
+        verdict, _witness = is_universal_path(dbta)
+        trees = enumerate_trees(dbta.alphabet, max_nodes)
+        reach = sweep_reachable(dbta.algebra)
+        oracle = all(accepts(dbta, tree) for tree in trees if is_mix(dbta, reach, tree))
+        check(verdict == oracle, "universal-path-oracle", "verdict disagrees on", name)
+        checks += len(trees)
+    return checks
+
+
+def suites(max_nodes: int, count: int, seed: int) -> Iterator[tuple[str, int]]:
+    """Run each suite in turn on trees of at most ``max_nodes`` nodes and
+    yield its name and number of checks; ``count`` random CTL formulas are
+    drawn from ``seed``."""
+    checks = 0
+    suite = "trees-roundtrip-paths"
+    for name, dbta in fixtures.CORPUS:
+        for tree in enumerate_trees(dbta.alphabet, max_nodes):
+            check(parse_tree(render_tree(tree), dbta.alphabet) == tree, suite, name, tree)
+            check(len(path_words(tree)) == tree.leaf_count(), suite, name, tree)
+            checks += 1
+    yield suite, checks
+
+    checks = 0
+    for left, right in (("l_pair", "l_two"), ("l_true_and", "l_true_and")):
+        d1, d2 = fixtures.corpus_dbta(left), fixtures.corpus_dbta(right)
+        union = boolean_combine("union", d1, d2)
+        inter = boolean_combine("intersection", d1, d2)
+        diff = boolean_combine("difference", d1, d2)
+        for tree in enumerate_trees(d1.alphabet, max_nodes):
+            a, b = accepts(d1, tree), accepts(d2, tree)
+            case = (left, right, tree)
+            check(accepts(union, tree) == (a or b), "boolean-ops", "union", *case)
+            check(accepts(inter, tree) == (a and b), "boolean-ops", "intersection", *case)
+            check(accepts(diff, tree) == (a and not b), "boolean-ops", "difference", *case)
+            checks += 3
+    yield "boolean-ops", checks
+
+    checks = 0
+    pre = preimage_tree_hom(fixtures.K_POTT, fixtures.HOM_DUP)
+    for tree in enumerate_trees(fixtures.SIG_LINE, max_nodes):
+        image = hom_apply(fixtures.HOM_DUP, tree)
+        check(accepts(pre, tree) == accepts(fixtures.K_POTT, image), "hom-preimage", tree)
+        checks += 1
+    yield "hom-preimage", checks
+
+    checks = 0
+    suite = "mixes-closure-laws"
+    for name, dbta in fixtures.CORPUS:
+        closure = mixes(dbta)
+        check(subset_counterexample(dbta, closure) is None, suite, f"L not within mixes({name})")
+        check(are_equivalent(mixes(closure), closure)[0], suite, f"mixes({name}) not idempotent")
+        check(is_universal_path(closure)[0], suite, f"mixes({name}) not universal-path")
+        checks += 3
+    yield suite, checks
+
+    yield "universal-path-oracle", universal_path_suite(max_nodes)
+
+    checks = 0
+    for alphabet in (fixtures.SIG_POTT, fixtures.SIG_GCD):
+        trees = enumerate_trees(alphabet, max_nodes)
+        kids = child_positions(trees)
+        for formula, cascade in random_formula_corpus(seed, alphabet, count):
+            tree = ctl_disagreement(formula, cascade, trees, kids)
+            check(tree is None, "ctl-compile-vs-eval", ctl_render(formula), tree)
+            checks += len(trees)
+    yield "ctl-compile-vs-eval", checks
+
+    checks = 0
+    langs = [fixtures.L_TRUE_AND]
+    annotated = annotated_alphabet(fixtures.SIG_AND, 1)
+    # top = "the root's own annotation bit is set"
+    tables = {
+        letter.name: tuple(
+            int(letter.name.endswith("|1")) for _ in range(2**letter.arity)
+        )
+        for letter in annotated.letters
+    }
+    top = Dbta(FiniteAlgebra(annotated, 2, tables), frozenset({1}))
+    nested = nest(langs, top)
+    for tree in enumerate_trees(fixtures.SIG_AND, max_nodes):
+        ok = accepts(nested, tree) == accepts(top, annotate(tree, langs))
+        check(ok, "nest-adjunction", tree)
+        checks += 1
+    yield "nest-adjunction", checks

@@ -25,7 +25,7 @@ from .automata import (
     subset_counterexample,
 )
 from .errors import AlphabetMismatchError, CapExceededError
-from .trees import Letter, PathWord, RankedAlphabet, Tree, preorder
+from .trees import RankedAlphabet, Tree, preorder
 
 DEFAULT_STATE_CAP = DEFAULT_CARRIER_CAP
 
@@ -88,19 +88,6 @@ def path_nfa(dbta: Dbta) -> PathNfa:
     )
 
 
-def nfa_accepts_word(nfa: PathNfa, word: PathWord) -> bool:
-    current = set(nfa.initial)
-    for symbol in word[:-1]:
-        letter, index = symbol  # type: ignore[misc]
-        nxt: set[int] = set()
-        for state in current:
-            nxt |= nfa.transitions.get((state, letter.name, index), frozenset())
-        current = nxt
-    leaf = word[-1]
-    assert isinstance(leaf, Letter)
-    return any((state, leaf.name) in nfa.leaf_accept for state in current)
-
-
 def determinize(nfa: PathNfa, max_states: int = DEFAULT_STATE_CAP) -> Dtta:
     """Subset construction over the path alphabet; complete, with the empty
     subset as rejecting sink.  Raises CapExceededError past max_states."""
@@ -137,16 +124,6 @@ def determinize(nfa: PathNfa, max_states: int = DEFAULT_STATE_CAP) -> Dtta:
         and any((element, letter.name) in nfa.leaf_accept for element in subset)
     )
     return Dtta(nfa.alphabet, len(index), 0, delta, leaf_ok)
-
-
-def dtta_accepts_word(dtta: Dtta, word: PathWord) -> bool:
-    state = dtta.initial
-    for symbol in word[:-1]:
-        letter, index = symbol  # type: ignore[misc]
-        state = dtta.delta[(state, letter.name)][index - 1]
-    leaf = word[-1]
-    assert isinstance(leaf, Letter)
-    return (state, leaf.name) in dtta.leaf_ok
 
 
 def dtta_accepts(dtta: Dtta, tree: Tree) -> bool:

@@ -171,7 +171,7 @@ class MatrixHom:
                     )
                 require_letters(
                     preorder(term.body), extended.alphabet,
-                    "letter {} is not a base letter or constant",
+                    "letter {} is not a base letter or constant", variables=True,
                 )
 
 

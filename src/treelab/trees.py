@@ -356,7 +356,8 @@ class TreeHom:
                 raise ValueError(f"no image term for letter {letter.name}")
             if term.nvars != letter.arity:
                 raise ValueError(f"image of {letter.name} must have {letter.arity} variables")
-            require_letters(preorder(term.body), self.target, "letter {} not in target alphabet")
+            body = preorder(term.body)
+            require_letters(body, self.target, "letter {} not in target alphabet", variables=True)
         if len(self.rules) != len(self.source.letters):
             raise ValueError("rules for unknown letters")
 
@@ -372,11 +373,14 @@ class TreeHom:
         return TreeHom(alphabet, alphabet, rules)
 
 
-def require_letters(nodes: Sequence[Tree], alphabet: RankedAlphabet, message: str) -> None:
+def require_letters(
+    nodes: Sequence[Tree], alphabet: RankedAlphabet, message: str, variables: bool = False
+) -> None:
     """Raise AlphabetMismatchError(message.format(name)) for the first of
-    ``nodes`` whose label is not in ``alphabet``; variables are skipped."""
+    ``nodes`` whose label is not in ``alphabet``.  A variable is such a node
+    too, unless ``variables`` is set: only a term body may hold them."""
     for node in nodes:
-        if node.label not in alphabet and node.__class__ is not Var:
+        if node.label not in alphabet and not (variables and node.__class__ is Var):
             raise AlphabetMismatchError(message.format(node.label.name))
 
 
@@ -384,7 +388,7 @@ def hom_apply(hom: TreeHom, tree: Tree) -> Tree:
     """The image of a tree, or of a term body, whose variables map to
     themselves."""
     nodes = preorder(tree)
-    require_letters(nodes, hom.source, "letter {} not in source alphabet")
+    require_letters(nodes, hom.source, "letter {} not in source alphabet", variables=True)
     images: list[Tree] = []  # a node's first child's image on top
     for node in reversed(nodes):
         if node.__class__ is Var:

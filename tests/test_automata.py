@@ -384,7 +384,7 @@ def algebras(draw):
     return FiniteAlgebra(alphabet, size, tables)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(algebras())
 def test_corpus_fold_agrees_with_evaluate(algebra):
     trees = enumerate_trees(algebra.alphabet, 6)

@@ -375,7 +375,7 @@ def trees(alphabet: RankedAlphabet):
 
 @pytest.mark.parametrize("alphabet", [SIG_POTT, SIG_GCD, HFGA])
 def test_ctl_eval_agrees_with_oracle_on_random_trees(alphabet):
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(formulas(alphabet), trees(alphabet))
     def check(formula, tree):
         assert ctl_eval(formula, tree) == ctl_oracle(formula, tree)
@@ -383,7 +383,7 @@ def test_ctl_eval_agrees_with_oracle_on_random_trees(alphabet):
     check()
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(st.sampled_from([SIG_POTT, SIG_GCD, HFGA]).flatmap(
     lambda alphabet: st.tuples(st.just(alphabet), formulas(alphabet))
 ))

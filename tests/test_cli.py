@@ -1,13 +1,14 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 import treelab
-from treelab import cli
+from treelab import cli, oracle
 from treelab.automata import Dbta, FiniteAlgebra, complement, with_constants
 from treelab.cascade import cascade_flatten, ctl_compile, ctl_parse
 from treelab.cli import (
@@ -29,7 +30,7 @@ from treelab.fixtures import CORPUS, DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_
 from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, path_nfa
 from treelab.syntactic import dbta_isomorphic
-from treelab.transduce import Dtop, MatrixHom, dtop_to_matrix_hom
+from treelab.transduce import Dtop, MatrixHom, dtop_to_matrix_hom, matrix_power_language
 from treelab.trees import RankedAlphabet, parse_term
 
 
@@ -340,6 +341,19 @@ def test_matrix_flatten_accept_outside_base(capsys, tmp_path):
     assert "outside 0..2" in err and "Traceback" not in err
 
 
+def test_option_groups(capsys, tmp_path):
+    # an `a,b;c,d` value: chunks split at `;` and stripped, empty ones skipped
+    abelian = ("structure", "strongly-abelian", "--lang", "@l_pott", "--congruence")
+    assert run(capsys, *abelian, " 0 ; 1;;2 ") == run(capsys, *abelian, "identity")
+    mh = dtop_to_matrix_hom(Dtop.from_hom(HOM_DUP), K_POTT.algebra)
+    path = tmp_path / "dup.matrix"
+    path.write_text(save_matrix(mh))
+    flatten = ("matrix", "flatten", "--matrix", str(path), "--accept")
+    expected = save_dbta(matrix_power_language(mh, {(0,), (2,)}))
+    assert run(capsys, *flatten, "0; 2;") == (0, expected, "")
+    assert run(capsys, *flatten, "0;x") == (2, "", "error: bad accepting tuple 'x'\n")
+
+
 def test_ctl_eval_and_verify(capsys):
     code, out, _ = run(
         capsys,
@@ -380,7 +394,7 @@ def test_ctl_verify_reports_the_first_mismatch(capsys, monkeypatch):
     verify = ("ctl", "verify", "--alphabet")
     single = ("--formula", "E[lbl(g) U X2 lbl(d)]", "--max-nodes", "7")
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "cascade_flatten", lambda c, *a: complement(cascade_flatten(c, *a)))
+        patch.setattr(oracle, "cascade_flatten", lambda c, *a: complement(cascade_flatten(c, *a)))
         assert run(capsys, *verify, "@sig_gcd", *single) == (
             0, "MISMATCH E[lbl(g) U X2 lbl(d)] c\n", ""
         )
@@ -394,7 +408,7 @@ def test_ctl_verify_reports_the_first_mismatch(capsys, monkeypatch):
     # an automaton that disagrees first on a later tree, in enumeration order
     other = ctl_parse("E[lbl(g) U X2 lbl(d)] | X1 X1 lbl(c)", SIG_GCD)
     flat = cascade_flatten(ctl_compile(other, SIG_GCD))
-    monkeypatch.setattr(cli, "cascade_flatten", lambda c, *a: flat)
+    monkeypatch.setattr(oracle, "cascade_flatten", lambda c, *a: flat)
     assert run(capsys, *verify, "@sig_gcd", *single) == (
         0, "MISMATCH E[lbl(g) U X2 lbl(d)] g(g(c,c),c)\n", ""
     )
@@ -413,7 +427,7 @@ def test_ctl_verify_folds_each_automaton_once_over_the_corpus(capsys, monkeypatc
         tables = {name: CountingTable(table) for name, table in flat.algebra.tables.items()}
         return Dbta(FiniteAlgebra(flat.alphabet, flat.algebra.size, tables), flat.accepting)
 
-    monkeypatch.setattr(cli, "cascade_flatten", counting_flatten)
+    monkeypatch.setattr(oracle, "cascade_flatten", counting_flatten)
     monkeypatch.setenv("TREELAB_SEED", "3")
     verify = ("ctl", "verify", "--alphabet", "@sig_pott", "--count", "7", "--max-nodes", "6")
     assert run(capsys, *verify)[1] == "agree on 266 checks (7 formulas, 38 trees)\n"
@@ -590,6 +604,16 @@ MALFORMED = [
      "line 2: base letter 'x1'"),
     ("matrix", "input a 0\nbase @0 0\ncarrier 1\nop @0 -> 0\nwidth 1\ntuple a 1 -> @0\n",
      "line 2: base letter '@0'"),
+    ("matrix", "input a 0\nbase c 0\ncarrier 0\nwidth 1\ntuple a 1 -> c\n", "carrier must be >= 1"),
+    ("dtop", "input a 0\nletter a 0\noutput a 0\nstates 1\ninit 1\nrule 1 a -> a\n",
+     "unexpected keyword 'letter' in dtop file"),
+    ("dtop", "input a 0\noutput a 0\noutput b 0\nstates 1\ninit 1\n"
+     "rule 1 a -> a\nrule 1 a -> b\n", "line 7: duplicate rule row for 1 a"),
+    ("dtta", "letter a 0\nletter g 1\nstates 1\ninit 0\ndelta 0 g -> 0\n"
+     "leaf 0 a -> accept\nleaf 0 a -> reject\n", "line 7: duplicate leaf row for 0 a"),
+    ("dtta", "letter a 0\nletter g 1\nstates 2\ninit 0\ndelta 0 g -> 1\ndelta 00 g -> 0\n"
+     "delta 1 g -> 1\nleaf 0 a -> accept\nleaf 1 a -> reject\n",
+     "line 6: duplicate delta row for 00 g"),
 ]
 
 # each op-row fault, in a dbta whose line 5 is `op g 1 -> 0`
@@ -615,6 +639,10 @@ MALFORMED += [
 
 @pytest.mark.parametrize("kind, text, message", MALFORMED, ids=[m for _, _, m in MALFORMED])
 def test_malformed_files_are_parse_errors(capsys, tmp_path, kind, text, message):
+    if kind == "dtta":  # no command reads a dtta file; `separate` writes one
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dtta(text)
+        return
     path = str(tmp_path / f"bad.{kind}")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -750,14 +778,14 @@ def test_universal_path_oracle_reaches_once_per_language(monkeypatch):
         calls.append(algebra)
         return sweep_reachable(algebra)
 
-    monkeypatch.setattr(cli, "sweep_reachable", counting)
-    checks = cli._oracle_universal_path(cli.Report("text"), 4)
+    monkeypatch.setattr(oracle, "sweep_reachable", counting)
+    checks = oracle.universal_path_suite(4)
     assert checks > 0
     assert len(calls) == 5 and len({id(a) for a in calls}) == 5
 
 
 def test_oracle_verify_reports_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "are_equivalent", lambda d1, d2: (False, None))
+    monkeypatch.setattr(oracle, "are_equivalent", lambda d1, d2: (False, None))
     code, out, err = run(capsys, "oracle", "verify", "--max-nodes", "3", "--count", "1")
     assert code == 1
     assert out == ""

@@ -16,7 +16,13 @@ from pathlib import Path
 import pytest
 
 import treelab
-from treelab.automata import Dbta, FiniteAlgebra, eval_term_in_algebra, evaluate
+from treelab.automata import (
+    Dbta,
+    FiniteAlgebra,
+    corpus_values,
+    eval_term_in_algebra,
+    evaluate,
+)
 from treelab.cascade import (
     _cascade_step,
     annotate,
@@ -29,7 +35,7 @@ from treelab.cascade import (
 )
 from treelab.errors import AlphabetMismatchError
 from treelab.paths import Dtta, dtta_accepts
-from treelab.transduce import Dtop, MatrixHom, dtop_apply, matrix_hom_eval
+from treelab.transduce import Dtop, MatrixHom, dtop_apply, dtop_to_matrix_hom, matrix_hom_eval
 from treelab.trees import (
     Letter,
     RankedAlphabet,
@@ -37,6 +43,7 @@ from treelab.trees import (
     Tree,
     TreeHom,
     Var,
+    children_first,
     hom_apply,
     parse_term,
     parse_tree,
@@ -254,6 +261,31 @@ def test_foreign_letter_errors_name_the_first_in_preorder():
     with pytest.raises(AlphabetMismatchError, match="^letter g not in the input alphabet$"):
         dtop_apply(random_dtop(random.Random(2), 2), Tree(F, (Tree(A), tree.children[1])))
     assert recursive_render_tree(tree) == render_tree(tree) == "f(g(u),g(a,b))"
+
+
+ALGEBRA = random_algebra(random.Random(1), FGAB, 3)
+DTOP = random_dtop(random.Random(2), 2)
+VARIABLE_LEAF_FOLDS = {
+    "evaluate": (evaluate, ALGEBRA, "the algebra's alphabet"),
+    "corpus_values": (
+        lambda algebra, tree: corpus_values(algebra, *children_first(tree)),
+        ALGEBRA,
+        "the algebra's alphabet",
+    ),
+    "dtop_apply": (dtop_apply, DTOP, "the input alphabet"),
+    "cascade_eval": (
+        cascade_eval, ctl_compile(ctl_parse("lbl(a)", FGAB), FGAB), "the cascade alphabet"
+    ),
+    "matrix_hom_eval": (matrix_hom_eval, dtop_to_matrix_hom(DTOP, ALGEBRA), "the input alphabet"),
+}
+
+
+@pytest.mark.parametrize("name", VARIABLE_LEAF_FOLDS)
+def test_a_variable_leaf_is_a_foreign_letter(name):
+    # the body of the term f(x1, a): a tree fold takes no variables
+    fold, model, alphabet = VARIABLE_LEAF_FOLDS[name]
+    with pytest.raises(AlphabetMismatchError, match=f"^letter x1 not in {alphabet}$"):
+        fold(model, Tree(F, (Var(1), Tree(A))))
 
 
 # --- trees too deep for recursion -----------------------------------------------------

@@ -24,17 +24,21 @@ from treelab.fixtures import (
     SIG_MONO,
     corpus_dbta,
 )
-from treelab.oracle import is_mix, sweep_reachable, word_realized
+from treelab.oracle import (
+    dtta_accepts_word,
+    is_mix,
+    nfa_accepts_word,
+    sweep_reachable,
+    word_realized,
+)
 from treelab.paths import (
     determinize,
     dtta_accepts,
-    dtta_accepts_word,
     dtta_to_dbta,
     is_doubly_deterministic,
     is_universal_path,
     mix_elements,
     mixes,
-    nfa_accepts_word,
     path_nfa,
     separate_topdown,
 )

@@ -6,6 +6,12 @@ deterministic top-down tree automaton (DTTA) whose all-paths semantics is the
 set of path mixes: the least universal path language containing the input.
 Everything downstream (universal-path test, double determinism, top-down
 separation, mix elements) is built from that closure.
+
+The closure is read bottom-up by ``dtta_to_dbta``: a tree's value is the set
+of DTTA states that accept it.  A step ANDs one bitmask per argument, the
+states whose successor at that position lies in the argument's set; each such
+preimage is computed once.  Values stay sorted tuples, which fix the
+numbering of the carrier.
 """
 
 from __future__ import annotations
@@ -57,10 +63,11 @@ class Dtta:
     leaf_ok: frozenset[tuple[int, str]]
 
     def __post_init__(self):
-        for state in range(self.n_states):
-            for letter in self.alphabet.letters:
-                if letter.arity == 0:
-                    continue
+        # letters outermost: over constants only, the states are never counted
+        for letter in self.alphabet.letters:
+            if letter.arity == 0:
+                continue
+            for state in range(self.n_states):
                 successors = self.delta.get((state, letter.name))
                 if successors is None or len(successors) != letter.arity:
                     raise ValueError(f"delta incomplete at ({state}, {letter.name})")
@@ -150,17 +157,46 @@ def dtta_to_dbta(dtta: Dtta, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
     tree is accepted, kept as a sorted tuple; elements are numbered in the
     order of those tuples.  Only tree-reachable state sets are materialized
     (they are closed under the tables); the cap bounds that realized carrier.
+
+    A constant's value is read off ``leaf_ok``.  A step on arguments works on
+    bitmasks of states: ``below[name][i][s]`` holds the states whose i-th
+    successor under ``name`` is s, so the preimage of a value S at position i
+    is the OR of its rows over S, computed once per (name, i, S).  The value
+    of the step is the AND of its arguments' preimages, and each distinct mask
+    is decoded into its sorted tuple once.
     """
-    states = range(dtta.n_states)
+    leaves: dict[str, list[int]] = {}  # constant -> the states that accept it, ascending
+    for state, name in sorted(dtta.leaf_ok):
+        leaves.setdefault(name, []).append(state)
+    below: dict[str, list[list[int]]] = {}
+    for letter in dtta.alphabet.letters:
+        if letter.arity:
+            rows = below[letter.name] = [[0] * dtta.n_states for _ in range(letter.arity)]
+            for state in range(dtta.n_states):
+                for row, successor in zip(rows, dtta.delta[(state, letter.name)]):
+                    row[successor] |= 1 << state
+    # preimages[name][i]: value -> the mask of its preimage at position i
+    preimages = {name: [{} for _ in rows] for name, rows in below.items()}
+    decoded: dict[int, tuple[int, ...]] = {}
 
     def step(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         if not args:
-            return tuple(state for state in states if (state, name) in dtta.leaf_ok)
-        return tuple(
-            state
-            for state in states
-            if all(successor in arg for successor, arg in zip(dtta.delta[(state, name)], args))
-        )
+            return tuple(leaves.get(name, ()))
+        mask = -1  # all bits set: the first argument's preimage replaces it
+        for cache, row, subset in zip(preimages[name], below[name], args):
+            part = cache.get(subset)
+            if part is None:
+                part = 0
+                for successor in subset:
+                    part |= row[successor]
+                cache[subset] = part
+            mask &= part
+        value = decoded.get(mask)
+        if value is None:
+            value = decoded[mask] = tuple(
+                state for state in range(mask.bit_length()) if mask >> state & 1
+            )
+        return value
 
     values, algebra = build(
         dtta.alphabet, step, max_carrier, "subset carrier",
@@ -229,12 +265,10 @@ def separate_topdown(
     """
     if d0.alphabet != d1.alphabet:
         raise AlphabetMismatchError("separation requires a common alphabet")
-    mix0 = mixes(d0, max_states, max_carrier)
-    if product_witness(mix0, d1, operator.and_) is None:
-        return Separator(determinize(path_nfa(d0), max_states), 0)
-    mix1 = mixes(d1, max_states, max_carrier)
-    if product_witness(mix1, d0, operator.and_) is None:
-        return Separator(determinize(path_nfa(d1), max_states), 1)
+    for side, (inside, outside) in enumerate(((d0, d1), (d1, d0))):
+        dtta = determinize(path_nfa(inside), max_states)
+        if product_witness(dtta_to_dbta(dtta, max_carrier), outside, operator.and_) is None:
+            return Separator(dtta, side)
     return None
 
 

@@ -196,6 +196,12 @@ def children_first(tree: Tree) -> tuple[list[Tree], list[tuple[int, ...]]]:
     return nodes, kids
 
 
+class VarLetter(Letter):
+    """The label of a ``Var``.  The dataclass ``==`` compares classes, so it
+    differs from the letter of the same name, and the folds' letter check
+    rejects a variable leaf over any alphabet."""
+
+
 class Var(Tree):
     """The variable x{index} of a term, 1-based: a leaf labelled by a fresh
     arity-0 letter ``x{index}``.  Its class tells it from a letter leaf of
@@ -204,7 +210,7 @@ class Var(Tree):
     def __init__(self, index: int):
         if index < 1:
             raise ValueError("variable indices start at 1")
-        object.__setattr__(self, "label", Letter(f"x{index}", 0))
+        object.__setattr__(self, "label", VarLetter(f"x{index}", 0))
         object.__setattr__(self, "children", ())
         object.__setattr__(self, "index", index)
 

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -28,7 +29,7 @@ from treelab.cli import (
 from treelab.errors import ParseError
 from treelab.fixtures import CORPUS, DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_AND, SIG_GCD
 from treelab.oracle import sweep_reachable
-from treelab.paths import determinize, path_nfa
+from treelab.paths import determinize, dtta_to_dbta, path_nfa
 from treelab.syntactic import dbta_isomorphic
 from treelab.transduce import Dtop, MatrixHom, dtop_to_matrix_hom, matrix_power_language
 from treelab.trees import RankedAlphabet, parse_term
@@ -692,6 +693,18 @@ def test_malformed_dtta_and_congruence(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_dtta_of_a_billion_states_loads_at_once():
+    # over constants only no delta row is owed, so nothing counts up to the states
+    start = time.perf_counter()
+    dtta = load_dtta("letter a 0\nstates 1000000000\ninit 0\nleaf 0 a -> accept\n")
+    flat = dtta_to_dbta(dtta)
+    assert dtta.n_states == 10**9 and flat.algebra.size == 1 and flat.accepting == {0}
+    # with an inner letter the first state owing a row ends the load
+    with pytest.raises(ParseError, match=r"^delta incomplete at \(1, g\)$"):
+        load_dtta("letter a 0\nletter g 1\nstates 1000000000\ninit 0\ndelta 0 g -> 0\n")
+    assert time.perf_counter() - start < 1
 
 
 # one process, many commands: different subcommands and formats, each exit code

@@ -1,5 +1,6 @@
 """The tree folds against the recursive code they replaced, trees and terms
-too deep for recursion, and a check that no tree or term walk calls itself.
+too deep for recursion, and a check that no function of the tree, automaton,
+transducer, path, oracle, structure or CLI modules calls itself.
 
 The folds walk ``preorder(tree)`` with explicit stacks.  The ``recursive_*``
 functions below are the recursive forms they replaced, kept as references: on
@@ -288,6 +289,18 @@ def test_a_variable_leaf_is_a_foreign_letter(name):
         fold(model, Tree(F, (Var(1), Tree(A))))
 
 
+def test_a_variable_leaf_named_like_a_letter_is_foreign():
+    # over f/1, x1/0 the leaf Var(1) is still no letter: only Tree(x1) is
+    alphabet = RankedAlphabet.of(("f", 1), ("x1", 0))
+    algebra = FiniteAlgebra(alphabet, 2, {"f": (1, 0), "x1": (0,)})
+    tree = Tree(alphabet["f"], (Var(1),))
+    assert Var(1).label != alphabet["x1"] and alphabet["x1"] != Var(1).label
+    assert evaluate(algebra, Tree(alphabet["f"], (Tree(alphabet["x1"]),))) == 1
+    for fold in (evaluate, lambda a, t: corpus_values(a, *children_first(t))):
+        with pytest.raises(AlphabetMismatchError, match="^letter x1 not in the algebra's alphabet$"):
+            fold(algebra, tree)
+
+
 # --- trees too deep for recursion -----------------------------------------------------
 
 DEPTH = 100_000
@@ -436,6 +449,9 @@ def self_calls(module):
     return found
 
 
+GUARDED_MODULES = ("trees", "automata", "transduce", "paths", "oracle", "structure", "cli")
+
+
 def test_no_tree_or_term_walk_calls_itself():
-    found = [name for module in ("trees", "automata", "transduce") for name in self_calls(module)]
+    found = [name for module in GUARDED_MODULES for name in self_calls(module)]
     assert sorted(found) == sorted(RECURSION_ALLOWED)

@@ -1,15 +1,20 @@
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelab.automata import (
     Dbta,
+    FiniteAlgebra,
     accepts,
     are_equivalent,
     boolean_combine,
+    build,
     complement,
     is_empty,
     subset_counterexample,
 )
+from treelab.cli import save_dbta
 from treelab.errors import CapExceededError
 from treelab.fixtures import (
     CORPUS,
@@ -32,6 +37,7 @@ from treelab.oracle import (
     word_realized,
 )
 from treelab.paths import (
+    Dtta,
     determinize,
     dtta_accepts,
     dtta_to_dbta,
@@ -42,7 +48,13 @@ from treelab.paths import (
     path_nfa,
     separate_topdown,
 )
-from treelab.trees import enumerate_path_words, enumerate_trees, path_words, render_tree
+from treelab.trees import (
+    RankedAlphabet,
+    enumerate_path_words,
+    enumerate_trees,
+    path_words,
+    render_tree,
+)
 
 
 # --- the independent path-word oracle (treelab.oracle) -------------------------
@@ -114,8 +126,6 @@ def test_determinize_cap():
 
 
 def all_accepting_dtta():
-    from treelab.paths import Dtta
-
     delta = {}
     for letter in SIG_GCD.letters:
         if letter.arity:
@@ -152,12 +162,82 @@ def test_dtta_to_dbta_all_accepting_full():
 
 
 def test_dtta_to_dbta_all_rejecting_empty():
-    from treelab.paths import Dtta
-
     dtta = all_accepting_dtta()
     rejecting = Dtta(dtta.alphabet, dtta.n_states, dtta.initial, dtta.delta, frozenset())
     flat = dtta_to_dbta(rejecting)
     assert is_empty(flat) is None
+
+
+# --- the bitmask step against the tuple scan it replaced, on random inputs -----------
+
+FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
+FGAB_TREES = enumerate_trees(FGAB, 6)
+
+
+def scan_dtta_to_dbta(dtta):
+    """``dtta_to_dbta`` with its former step: every state is tried, and each
+    argument is searched for the state's successor."""
+    states = range(dtta.n_states)
+
+    def step(name, args):
+        if not args:
+            return tuple(state for state in states if (state, name) in dtta.leaf_ok)
+        return tuple(
+            state
+            for state in states
+            if all(successor in arg for successor, arg in zip(dtta.delta[(state, name)], args))
+        )
+
+    values, algebra = build(
+        dtta.alphabet, step, 10**6, "subset carrier",
+        lambda subset: "{" + ",".join(map(str, subset)) + "}",
+    )
+    accepting = frozenset(i for i, subset in enumerate(values) if dtta.initial in subset)
+    return Dbta(algebra, accepting)
+
+
+@st.composite
+def fgab_dbtas(draw):
+    size = draw(st.integers(1, 6))
+    tables = {
+        letter.name: tuple(
+            draw(st.lists(st.integers(0, size - 1), min_size=size**letter.arity,
+                          max_size=size**letter.arity))
+        )
+        for letter in FGAB.letters
+    }
+    accepting = draw(st.frozensets(st.integers(0, size - 1)))
+    return Dbta(FiniteAlgebra(FGAB, size, tables), accepting)
+
+
+@st.composite
+def fgab_dttas(draw):
+    # complete, with states that no successor names when the draws miss them
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    delta = {
+        (q, letter.name): tuple(draw(st.lists(state, min_size=letter.arity, max_size=letter.arity)))
+        for q in range(n)
+        for letter in FGAB.letters
+        if letter.arity
+    }
+    pairs = st.tuples(state, st.sampled_from([c.name for c in FGAB.constants]))
+    return Dtta(FGAB, n, draw(state), delta, draw(st.frozensets(pairs)))
+
+
+@settings(max_examples=30)
+@given(fgab_dbtas(), fgab_dttas())
+def test_dtta_to_dbta_matches_the_tuple_scan(dbta, dtta):
+    for automaton in (determinize(path_nfa(dbta)), dtta):
+        assert save_dbta(dtta_to_dbta(automaton)) == save_dbta(scan_dtta_to_dbta(automaton))
+
+
+@settings(max_examples=15)
+@given(fgab_dbtas())
+def test_mixes_agree_with_the_oracle(dbta):
+    closure = mixes(dbta)
+    for tree in FGAB_TREES:
+        assert accepts(closure, tree) == oracle_is_mix(dbta, tree), render_tree(tree)
 
 
 # --- mixes ----------------------------------------------------------------------

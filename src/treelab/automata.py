@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, CapExceededError
-from .trees import Letter, RankedAlphabet, Term, Tree, Var, preorder, require_letters
+from .trees import Letter, RankedAlphabet, Step, Term, Tree, Var, fold, require_letters
 
 # Default bound on the carriers and state sets that constructions build.
 DEFAULT_CARRIER_CAP = 4096
@@ -84,37 +84,21 @@ def _require_same_alphabet(a: RankedAlphabet, b: RankedAlphabet) -> None:
 
 
 def evaluate(algebra: FiniteAlgebra, tree: Tree) -> int:
-    """Bottom-up fold of the tree by the letter tables."""
-    return subtree_values(algebra, preorder(tree))[0]
-
-
-def subtree_values(algebra: FiniteAlgebra, nodes: list[Tree]) -> list[int]:
-    """The value of the subtree at each of ``nodes``, a tree's preorder (see
-    ``trees.preorder``), in the same order.
-
-    One fold over the reversed preorder with a stack of values, so depth is
-    unbounded.  A letter outside the algebra's alphabet raises
-    AlphabetMismatchError, naming the first such letter in preorder.
-    """
+    """The value of the tree: a fold (see ``trees.fold``) whose step for a
+    letter is one lookup in its table, the common arities 1 and 2 indexing
+    it without a loop."""
     size = algebra.size
-    rows = {
-        letter.name: (letter, algebra.tables[letter.name]) for letter in algebra.alphabet.letters
-    }
-    stack: list[int] = []  # a node's first child's value on top
-    values: list[int] = []
-    for node in reversed(nodes):
-        label = node.label
-        letter, table = rows.get(label.name, (None, None))
-        if letter is not label and letter != label:
-            require_letters(nodes, algebra.alphabet, "letter {} not in the algebra's alphabet")
-        index = 0
-        for _ in node.children:
-            index = index * size + stack.pop()
-        value = table[index]
-        stack.append(value)
-        values.append(value)
-    values.reverse()
-    return values
+
+    def compile(letter: Letter) -> Step:
+        table = algebra.tables[letter.name]
+        if letter.arity == 1:
+            return lambda pop: table[pop()]
+        if letter.arity == 2:
+            return lambda pop: table[pop() * size + pop()]  # the first child's value first
+        weights = [size**i for i in range(letter.arity - 1, -1, -1)]  # the first child's first
+        return lambda pop: table[sum([pop() * weight for weight in weights])]
+
+    return fold(tree, algebra.alphabet, "letter {} not in the algebra's alphabet", compile)
 
 
 def corpus_values(

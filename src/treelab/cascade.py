@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
-from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, subtree_values
+from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
-from .trees import Letter, RankedAlphabet, Tree, children_first, preorder, require_letters
+from .trees import Letter, RankedAlphabet, Step, Tree, children_first, fold, require_letters
 
 DEFAULT_WIDTH_CAP = 16
 
@@ -55,29 +56,56 @@ def annotated_alphabet(base: RankedAlphabet, nbits: int) -> RankedAlphabet:
     return RankedAlphabet(letters)
 
 
+def _renamed(
+    tree: Tree,
+    algebras: Sequence[FiniteAlgebra],
+    rename: Callable[[str, tuple[int, ...]], str],
+    check: Callable[[list[Tree]], None],
+) -> Tree:
+    """The tree with each node's letter renamed by ``rename(name, values)``,
+    ``values`` being its subtree's values in ``algebras``: a fold (see
+    ``trees.fold``) whose value at a node is its renamed subtree and those
+    values, each renamed letter made once.  ``check(nodes)`` raises for a
+    tree with a letter that some algebra does not read."""
+
+    def compile(letter: Letter) -> Step:
+        name, arity = letter.name, range(letter.arity)
+        labels: dict[tuple[int, ...], Letter] = {}  # values -> the renamed letter
+
+        def step(pop) -> tuple[Tree, tuple[int, ...]]:
+            kids = [pop() for _ in arity]
+            values = tuple(
+                [algebra.op(name, [kid[1][i] for kid in kids]) for i, algebra in enumerate(algebras)]
+            )
+            label = labels.get(values)
+            if label is None:
+                label = labels[values] = Letter(rename(name, values), letter.arity)
+            return Tree(label, tuple([kid[0] for kid in kids])), values
+
+        return step
+
+    def foreign(nodes: list[Tree], node: Tree) -> Step:
+        check(nodes)
+        return compile(node.label)  # only without algebras, which read every letter
+
+    letters = algebras[0].alphabet.letters if algebras else ()
+    common = tuple(x for x in letters if all(x in algebra.alphabet for algebra in algebras))
+    return fold(tree, RankedAlphabet(common), "", compile, foreign)[0]
+
+
 def annotate(tree: Tree, langs: list[Dbta] | tuple[Dbta, ...]) -> Tree:
     """Extend each node's label with the membership bits of its own subtree."""
-    nodes = preorder(tree)
-    for lang in langs:
-        require_letters(nodes, lang.alphabet, "annotation languages must read the tree's alphabet")
-    members = [
-        [int(value in lang.accepting) for value in subtree_values(lang.algebra, nodes)]
-        for lang in langs
-    ]
-    rows = zip(*members) if members else itertools.repeat(())
-    labels = [
-        Letter(ann_name(node.label.name, bits), node.label.arity) for node, bits in zip(nodes, rows)
-    ]
-    return _relabel(nodes, labels)
 
+    def rename(name: str, values: tuple[int, ...]) -> str:
+        return ann_name(name, tuple(int(v in lang.accepting) for v, lang in zip(values, langs)))
 
-def _relabel(nodes: list[Tree], labels: list[Letter]) -> Tree:
-    """The tree whose preorder is ``nodes``, with ``labels[k]`` in place of
-    the label of ``nodes[k]``."""
-    built: list[Tree] = []  # a node's first child on top
-    for node, label in zip(reversed(nodes), reversed(labels)):
-        built.append(Tree(label, tuple([built.pop() for _ in node.children])))
-    return built[0]
+    def check(nodes: list[Tree]) -> None:
+        for lang in langs:
+            require_letters(nodes, lang.alphabet, message)
+
+    message = "annotation languages must read the tree's alphabet"
+
+    return _renamed(tree, [lang.algebra for lang in langs], rename, check)
 
 
 def nest(
@@ -131,11 +159,9 @@ def value_annotated_alphabet(base: RankedAlphabet, size: int) -> RankedAlphabet:
 
 def value_annotate(tree: Tree, h: FiniteAlgebra) -> Tree:
     """t^h: each node labelled with (letter, value of its subtree under h)."""
-    nodes = preorder(tree)
-    return _relabel(nodes, [
-        Letter(f"{node.label.name}|{value}", node.label.arity)
-        for node, value in zip(nodes, subtree_values(h, nodes))
-    ])
+    message = "letter {} not in the algebra's alphabet"
+    return _renamed(tree, [h], lambda name, values: f"{name}|{values[0]}",
+                    lambda nodes: require_letters(nodes, h.alphabet, message))
 
 
 def sequential_compose(h: FiniteAlgebra, g: FiniteAlgebra) -> FiniteAlgebra:
@@ -206,6 +232,14 @@ class UntilSpec:
                 raise ValueError(f"letter {name} not in the alphabet")
 
 
+def _until_poly(xs: frozenset[tuple[str, int]], ys: frozenset[str], letter: Letter) -> SemiPoly:
+    """The no-witness bit of xs until ys at a node: 0 on ys, else the
+    conjunction of the children that xs lets the letter step to."""
+    if letter.name in ys:
+        return SemiPoly.const(0)
+    return SemiPoly(False, frozenset(i - 1 for name, i in xs if name == letter.name))
+
+
 def until_language(spec: UntilSpec) -> tuple[Dbta, dict[str, SemiPoly]]:
     """The until language, plus the per-letter semilattice polynomials that
     recognize its complement.
@@ -216,14 +250,7 @@ def until_language(spec: UntilSpec) -> tuple[Dbta, dict[str, SemiPoly]]:
     polys: dict[str, SemiPoly] = {}
     tables: dict[str, tuple[int, ...]] = {}
     for letter in spec.alphabet.letters:
-        if letter.name in spec.ys:
-            poly = SemiPoly.const(0)
-        else:
-            selected = frozenset(
-                i - 1 for name, i in spec.xs if name == letter.name
-            )
-            poly = SemiPoly(False, selected)
-        polys[letter.name] = poly
+        poly = polys[letter.name] = _until_poly(spec.xs, spec.ys, letter)
         tables[letter.name] = tuple(
             poly.eval(args)
             for args in itertools.product((0, 1), repeat=letter.arity)
@@ -378,19 +405,21 @@ def _cascade_step(
             row = 2 * row + bits[read]
         start = layer.nbits
         args = [bit for child in child_bits for bit in child[start : start + layer.width]]
-        bits.extend(poly.eval(args) for poly in layer.table[letter][row])
+        bits += [poly.eval(args) for poly in layer.table[letter][row]]
     return tuple(bits)
 
 
 def cascade_eval(cascade: Cascade, tree: Tree) -> tuple[int, ...]:
-    """All layer bits at the root, concatenated in layer order."""
-    nodes = preorder(tree)
-    require_letters(nodes, cascade.base_alphabet, "letter {} not in the cascade alphabet")
-    bits: list[tuple[int, ...]] = []  # a node's first child's bits on top
-    for node in reversed(nodes):
-        child_bits = [bits.pop() for _ in node.children]
-        bits.append(_cascade_step(cascade, node.label.name, child_bits))
-    return bits[0]
+    """All layer bits at the root, concatenated in layer order: a fold (see
+    ``trees.fold``) by ``_cascade_step``, which ``cascade_flatten`` steps by
+    too."""
+
+    def compile(letter: Letter) -> Step:
+        name, arity = letter.name, range(letter.arity)
+        return lambda pop: _cascade_step(cascade, name, [pop() for _ in arity])
+
+    message = "letter {} not in the cascade alphabet"
+    return fold(tree, cascade.base_alphabet, message, compile)
 
 
 def cascade_accepts(cascade: Cascade, tree: Tree) -> bool:
@@ -461,25 +490,67 @@ class DirUntil:
 CtlFormula = Union[Lbl, Not, And, Or, Next, EU, DirUntil]
 
 
+# the fields of each kind of formula that hold its subformulas, in order
+_SUBFORMULAS = {
+    Lbl: (), Not: ("sub",), And: ("left", "right"), Or: ("left", "right"),
+    Next: ("sub",), EU: ("path", "goal"), DirUntil: (),
+}
+
+
+def _subformulas(formula: CtlFormula) -> tuple[list[CtlFormula], list[tuple[int, ...]]]:
+    """The distinct subformulas of ``formula``, each after its children in
+    the order a left-to-right recursive walk finishes them (``formula``
+    last), and the positions of each one's children.  Found on an explicit
+    stack and told apart by their own data and their children's positions,
+    so neither depth nor the dataclass ``==`` and ``hash``, which recurse,
+    come in."""
+    out: list[CtlFormula] = []
+    kids: list[tuple[int, ...]] = []
+    position: dict[int, int] = {}  # id(subformula) -> its position in out
+    by_key: dict[tuple, int] = {}
+    pending: list[tuple[CtlFormula, bool]] = [(formula, False)]  # (subformula, children done)
+    while pending:
+        sub, done = pending.pop()
+        if id(sub) in position:
+            continue
+        names = _SUBFORMULAS.get(sub.__class__)
+        if names is None:
+            raise TypeError(f"not a CTL formula: {sub!r}")
+        if names and not done:
+            pending.append((sub, True))
+            pending += [(getattr(sub, name), False) for name in reversed(names)]
+            continue
+        at = tuple([position[id(getattr(sub, name))] for name in names])
+        # a leaf is its own key; the only other data of a formula is a Next's child
+        key = (sub.__class__, at, getattr(sub, "child", None) if at else sub)
+        position[id(sub)] = by_key.setdefault(key, len(out))
+        if by_key[key] == len(out):
+            out.append(sub)
+            kids.append(at)
+    return out, kids
+
+
+_FORMATS = {
+    Lbl: "lbl({0.name})", Not: "!{1}", And: "({1} & {2})", Or: "({1} | {2})",
+    Next: "X{0.child} {1}", EU: "E[{1} U {2}]",
+}
+
+
 def ctl_render(formula: CtlFormula) -> str:
-    if isinstance(formula, Lbl):
-        return f"lbl({formula.name})"
-    if isinstance(formula, Not):
-        return f"!{ctl_render(formula.sub)}"
-    if isinstance(formula, And):
-        return f"({ctl_render(formula.left)} & {ctl_render(formula.right)})"
-    if isinstance(formula, Or):
-        return f"({ctl_render(formula.left)} | {ctl_render(formula.right)})"
-    if isinstance(formula, Next):
-        return f"X{formula.child} {ctl_render(formula.sub)}"
-    if isinstance(formula, EU):
-        return f"E[{ctl_render(formula.path)} U {ctl_render(formula.goal)}]"
-    pairs = ", ".join(f"{n}.{i}" for n, i in sorted(formula.xs))
-    names = ", ".join(sorted(formula.ys))
-    return f"DU[{pairs} ; {names}]"
+    subs, kids = _subformulas(formula)
+    texts: list[str] = []
+    for sub, at in zip(subs, kids):
+        if isinstance(sub, DirUntil):
+            pairs = ", ".join(f"{n}.{i}" for n, i in sorted(sub.xs))
+            texts.append(f"DU[{pairs} ; {', '.join(sorted(sub.ys))}]")
+        else:
+            texts.append(_FORMATS[sub.__class__].format(sub, *[texts[k] for k in at]))
+    return texts[-1]
 
 
 _CTL_TOKEN = re.compile(r"\s*(lbl|DU|E|U|X\d+|[A-Za-z0-9_@]+|\[|\]|[()!&|;,.])")
+_CTL_NEXT = re.compile(r"X\d+")
+_CTL_NAME = re.compile(r"[A-Za-z0-9_@]+")
 
 
 def ctl_parse(text: str, alphabet: RankedAlphabet) -> CtlFormula:
@@ -511,91 +582,85 @@ def ctl_parse(text: str, alphabet: RankedAlphabet) -> CtlFormula:
         at += 1
         return tok
 
-    def parse_or() -> CtlFormula:
-        left = parse_and()
-        while peek() is not None and peek()[0] == "|":
-            take()
-            left = Or(left, parse_and())
-        return left
-
-    def parse_and() -> CtlFormula:
-        left = parse_unary()
-        while peek() is not None and peek()[0] == "&":
-            take()
-            left = And(left, parse_unary())
-        return left
-
-    def parse_unary() -> CtlFormula:
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula", len(text))
-        if tok[0] == "!":
-            take()
-            return Not(parse_unary())
-        if re.fullmatch(r"X\d+", tok[0]):
-            take()
-            child = int(tok[0][1:])
-            if child < 1:
-                raise ParseError("child index must be >= 1", tok[1])
-            return Next(child, parse_unary())
-        return parse_atom()
-
     def parse_name() -> str:
         tok = take()
-        if not re.fullmatch(r"[A-Za-z0-9_@]+", tok[0]):
+        if not _CTL_NAME.fullmatch(tok[0]):
             raise ParseError(f"expected a letter name, got {tok[0]!r}", tok[1])
         if alphabet.get(tok[0]) is None:
             raise ParseError(f"unknown letter {tok[0]!r}", tok[1])
         return tok[0]
 
-    def parse_atom() -> CtlFormula:
-        tok = take()
-        if tok[0] == "(":
-            inner = parse_or()
-            take(")")
-            return inner
-        if tok[0] == "lbl":
-            take("(")
+    def parse_du() -> CtlFormula:
+        take("[")
+        xs: set[tuple[str, int]] = set()
+        while peek() is not None and peek()[0] != ";":
             name = parse_name()
-            take(")")
-            return Lbl(name)
-        if tok[0] == "E":
-            take("[")
-            path = parse_or()
-            take("U")
-            goal = parse_or()
-            take("]")
-            return EU(path, goal)
-        if tok[0] == "DU":
-            take("[")
-            xs: set[tuple[str, int]] = set()
-            while peek() is not None and peek()[0] != ";":
-                name = parse_name()
-                take(".")
-                num = take()
-                if not num[0].isdigit():
-                    raise ParseError(f"expected a child index, got {num[0]!r}", num[1])
-                child = int(num[0])
-                letter = alphabet[name]
-                if not 1 <= child <= letter.arity:
-                    raise ParseError(f"{name} has no child {child}", num[1])
-                xs.add((name, child))
-                if peek() is not None and peek()[0] == ",":
-                    take()
-            take(";")
-            ys: set[str] = set()
-            while peek() is not None and peek()[0] != "]":
-                ys.add(parse_name())
-                if peek() is not None and peek()[0] == ",":
-                    take()
-            take("]")
-            return DirUntil(frozenset(xs), frozenset(ys))
-        raise ParseError(f"unexpected token {tok[0]!r}", tok[1])
+            take(".")
+            num = take()
+            if not num[0].isdigit():
+                raise ParseError(f"expected a child index, got {num[0]!r}", num[1])
+            child = int(num[0])
+            if not 1 <= child <= alphabet[name].arity:
+                raise ParseError(f"{name} has no child {child}", num[1])
+            xs.add((name, child))
+            if peek() is not None and peek()[0] == ",":
+                take()
+        take(";")
+        ys: set[str] = set()
+        while peek() is not None and peek()[0] != "]":
+            ys.add(parse_name())
+            if peek() is not None and peek()[0] == ",":
+                take()
+        take("]")
+        return DirUntil(frozenset(xs), frozenset(ys))
 
-    formula = parse_or()
-    if at != len(tokens):
-        raise ParseError(f"trailing input {tokens[at][0]!r}", tokens[at][1])
-    return formula
+    # Operator precedence on one explicit stack of what waits for the operand
+    # in hand: ! and X<n> (level 3), "a &" (2), "a |" (1), and at level 0 an
+    # open context with its closing token (None at the end of the input) and
+    # what it makes of the operand (E[a U _] once U is read).
+    pending: list[tuple[int, object]] = [(0, (None, None))]
+    while True:
+        tok = take()
+        if tok[0] == "!":
+            pending.append((3, Not))
+        elif _CTL_NEXT.fullmatch(tok[0]):
+            if int(tok[0][1:]) < 1:
+                raise ParseError("child index must be >= 1", tok[1])
+            pending.append((3, functools.partial(Next, int(tok[0][1:]))))
+        elif tok[0] == "(":
+            pending.append((0, (")", None)))
+        elif tok[0] == "E":
+            take("[")
+            pending.append((0, ("U", None)))
+        else:
+            if tok[0] == "lbl":
+                take("(")
+                value = Lbl(parse_name())
+                take(")")
+            elif tok[0] == "DU":
+                value = parse_du()
+            else:
+                raise ParseError(f"unexpected token {tok[0]!r}", tok[1])
+            while True:  # the operand ends: apply what binds tighter than the next token
+                op = peek()[0] if peek() is not None else None
+                level = 2 if op == "&" else 1
+                while pending[-1][0] >= level:
+                    value = pending.pop()[1](value)
+                if op in ("&", "|"):
+                    take()
+                    pending.append((level, functools.partial(And if level == 2 else Or, value)))
+                    break
+                closer, make = pending.pop()[1]
+                if closer is None:
+                    if at != len(tokens):
+                        raise ParseError(f"trailing input {tokens[at][0]!r}", tokens[at][1])
+                    return value
+                take(closer)
+                if closer == "U":
+                    pending.append((0, ("]", functools.partial(EU, value))))
+                    break
+                if make is not None:
+                    value = make(value)
 
 
 def ctl_label(
@@ -615,27 +680,26 @@ def ctl_label(
     at it.
     """
     names = [node.label.name for node in nodes]
-    memo: dict[CtlFormula, list[bool]] = {}
-
-    def label(formula: CtlFormula) -> list[bool]:
-        out = memo.get(formula)
-        if out is not None:
-            return out
-        if isinstance(formula, Lbl):
-            out = [name == formula.name for name in names]
-        elif isinstance(formula, Not):
-            out = [not holds for holds in label(formula.sub)]
-        elif isinstance(formula, And):
-            out = [a and b for a, b in zip(label(formula.left), label(formula.right))]
-        elif isinstance(formula, Or):
-            out = [a or b for a, b in zip(label(formula.left), label(formula.right))]
-        elif isinstance(formula, Next):
-            sub, at = label(formula.sub), formula.child - 1
-            out = [len(children) > at and sub[children[at]] for children in kids]
-        elif isinstance(formula, EU):
+    subs, args = _subformulas(formula)
+    last = {k: j for j, at in enumerate(args) for k in at}  # position -> its last reader
+    labels: list[list[bool] | None] = []  # per subformula; None once its last reader is done
+    for j, (sub, at) in enumerate(zip(subs, args)):
+        below = [labels[k] for k in at]
+        if isinstance(sub, Lbl):
+            out = [name == sub.name for name in names]
+        elif isinstance(sub, Not):
+            out = [not holds for holds in below[0]]
+        elif isinstance(sub, And):
+            out = [a and b for a, b in zip(*below)]
+        elif isinstance(sub, Or):
+            out = [a or b for a, b in zip(*below)]
+        elif isinstance(sub, Next):
+            index = sub.child - 1
+            out = [len(children) > index and below[0][children[index]] for children in kids]
+        elif isinstance(sub, EU):
             rooted: list[bool] = []  # r: a witness below, the node itself constrained
             out = []
-            for goal, path, children in zip(label(formula.goal), label(formula.path), kids):
+            for goal, path, children in zip(below[1], below[0], kids):
                 if goal:
                     rooted.append(True)
                     out.append(True)
@@ -648,13 +712,13 @@ def ctl_label(
                 else:
                     rooted.append(False)
                     out.append(False)
-        elif isinstance(formula, DirUntil):
+        else:
             steps: dict[str, list[int]] = {}  # the 0-based children each letter may step to
-            for name, child in formula.xs:
+            for name, child in sub.xs:
                 steps.setdefault(name, []).append(child - 1)
             out = []
             for name, children in zip(names, kids):
-                if name in formula.ys:
+                if name in sub.ys:
                     out.append(True)
                     continue
                 for index in steps.get(name, ()):
@@ -663,12 +727,11 @@ def ctl_label(
                         break
                 else:
                     out.append(False)
-        else:
-            raise TypeError(f"not a CTL formula: {formula!r}")
-        memo[formula] = out
-        return out
-
-    return label(formula)
+        labels.append(out)
+        for k in at:
+            if last[k] == j:
+                labels[k] = None
+    return labels[-1]
 
 
 def ctl_eval(formula: CtlFormula, tree: Tree) -> bool:
@@ -684,28 +747,6 @@ def ctl_eval(formula: CtlFormula, tree: Tree) -> bool:
     return ctl_label(formula, *children_first(tree))[-1]
 
 
-def _check_formula(formula: CtlFormula, alphabet: RankedAlphabet) -> None:
-    if isinstance(formula, Lbl):
-        if alphabet.get(formula.name) is None:
-            raise ValueError(f"unknown letter {formula.name!r}")
-    elif isinstance(formula, Not):
-        _check_formula(formula.sub, alphabet)
-    elif isinstance(formula, (And, Or)):
-        _check_formula(formula.left, alphabet)
-        _check_formula(formula.right, alphabet)
-    elif isinstance(formula, Next):
-        if formula.child < 1:
-            raise ValueError("child index must be >= 1")
-        _check_formula(formula.sub, alphabet)
-    elif isinstance(formula, EU):
-        _check_formula(formula.path, alphabet)
-        _check_formula(formula.goal, alphabet)
-    elif isinstance(formula, DirUntil):
-        UntilSpec(alphabet, formula.xs, formula.ys)  # validates
-    else:
-        raise TypeError(f"not a CTL formula: {formula!r}")
-
-
 @dataclass(frozen=True)
 class _Ref:
     layer: int
@@ -718,17 +759,13 @@ class _Compiler:
         self.base = alphabet
         self.max_width = max_width
         self.layers: list[Layer] = []
-        self.memo: dict[CtlFormula, _Ref] = {}
-
-    @property
-    def total_width(self) -> int:
-        return self.layers[-1].nbits + self.layers[-1].width if self.layers else 0
 
     def add_layer(self, width: int, refs: Sequence[_Ref], poly_fn) -> int:
         """Append a layer whose polynomials depend on the letter and on the
-        values of ``refs`` at the node: ``poly_fn(letter, *values)`` returns the
-        width-tuple for each of the 2^len(refs) rows, polarity applied."""
-        nbits = self.total_width
+        values of ``refs`` at the node: ``poly_fn(letter, *values)`` returns
+        the width-tuple for each of the 2^len(refs) rows, polarity applied."""
+        last = self.layers[-1] if self.layers else None
+        nbits = last.nbits + last.width if last else 0
         if nbits + width > self.max_width:
             raise CapExceededError(f"cascade width {nbits + width} exceeds {self.max_width}")
         reads = tuple(self.layers[ref.layer].nbits + ref.coord for ref in refs)
@@ -743,80 +780,20 @@ class _Compiler:
         self.layers.append(Layer.symbolic(self.base, nbits, width, reads, table))
         return len(self.layers) - 1
 
-    def compile(self, formula: CtlFormula) -> _Ref:
-        cached = self.memo.get(formula)
-        if cached is not None:
-            return cached
-        ref = self._compile(formula)
-        self.memo[formula] = ref
-        return ref
 
-    def _compile(self, formula: CtlFormula) -> _Ref:
-        if isinstance(formula, Lbl):
-            layer = self.add_layer(
-                1, (), lambda letter: (SemiPoly.const(letter.name == formula.name),)
-            )
-            return _Ref(layer, 0)
-        if isinstance(formula, Not):
-            ref = self.compile(formula.sub)
-            return _Ref(ref.layer, ref.coord, not ref.neg)
-        if isinstance(formula, (And, Or)):
-            left = self.compile(formula.left)
-            right = self.compile(formula.right)
-            conj = isinstance(formula, And)
+def _eu_polys(letter: Letter, goal_holds: bool, path_holds: bool) -> tuple[SemiPoly, SemiPoly]:
+    """Coord 0: no witness when the root of the subtree is also constrained;
+    coord 1: the conjunction of the children's coord 0."""
+    every_child = SemiPoly(False, frozenset(2 * j for j in range(letter.arity)))
+    own = every_child if path_holds and not goal_holds else SemiPoly.const(not goal_holds)
+    return (own, every_child)
 
-            def bool_fn(letter, a, b):
-                return (SemiPoly.const(a and b if conj else a or b),)
 
-            return _Ref(self.add_layer(1, (left, right), bool_fn), 0)
-        if isinstance(formula, DirUntil):
-            xs, ys = formula.xs, formula.ys
-
-            def until_fn(letter):
-                if letter.name in ys:
-                    return (SemiPoly.const(0),)
-                selected = frozenset(i - 1 for name, i in xs if name == letter.name)
-                return (SemiPoly(False, selected),)
-
-            # the layer bit is the complement (no-witness) recursion
-            return _Ref(self.add_layer(1, (), until_fn), 0, neg=True)
-        if isinstance(formula, EU):
-            path = self.compile(formula.path)
-            goal = self.compile(formula.goal)
-
-            def eu_fn(letter, goal_holds, path_holds):
-                # coord 0: no witness when the root of the subtree is also
-                # constrained; coord 1: conjunction of the children's coord 0
-                every_child = frozenset(2 * j for j in range(letter.arity))
-                if goal_holds:
-                    s = SemiPoly.const(0)
-                elif not path_holds:
-                    s = SemiPoly.const(1)
-                else:
-                    s = SemiPoly(False, every_child)
-                return (s, SemiPoly(False, every_child))
-
-            pair = self.add_layer(2, (goal, path), eu_fn)
-            children_clear = _Ref(pair, 1)
-
-            def eu_read(letter, goal_holds, clear):
-                return (SemiPoly.const(goal_holds or not clear),)
-
-            return _Ref(self.add_layer(1, (goal, children_clear), eu_read), 0)
-        if isinstance(formula, Next):
-            sub = self.compile(formula.sub)
-            child = formula.child
-
-            def next_fn(letter, sub_holds):
-                own = SemiPoly.const(sub_holds)
-                if letter.arity >= child:
-                    proj = SemiPoly(False, frozenset({2 * (child - 1)}))
-                else:
-                    proj = SemiPoly.const(0)
-                return (own, proj)
-
-            return _Ref(self.add_layer(2, (sub,), next_fn), 1)
-        raise TypeError(f"not a CTL formula: {formula!r}")
+def _next_polys(child: int, letter: Letter, sub_holds: bool) -> tuple[SemiPoly, SemiPoly]:
+    """Coord 0: the subformula at the node; coord 1: coord 0 of its child-th child."""
+    if letter.arity < child:
+        return (SemiPoly.const(sub_holds), SemiPoly.const(0))
+    return (SemiPoly.const(sub_holds), SemiPoly(False, frozenset({2 * (child - 1)})))
 
 
 def ctl_compile(
@@ -830,17 +807,54 @@ def ctl_compile(
     polarity flip, for negation); a direction-sensitive until becomes one
     width-1 semilattice layer.  EU and Next need one width-2 layer each: a
     coordinate projecting information out of the children, which a width-1
-    layer cannot see.  Shared subformulas compile once.  Every layer reads at
-    most two earlier coordinates, so compiling is linear in the formula.
+    layer cannot see.  Shared subformulas compile once, after their children
+    (see ``_subformulas``).  Every layer reads at most two earlier
+    coordinates, so compiling is linear in the formula.
     """
-    _check_formula(formula, alphabet)
+    subs, kids = _subformulas(formula)
+    errors: list[ValueError | None] = []  # per subformula, the first in preorder at or below
+    for sub, at in zip(subs, kids):
+        error = None
+        if isinstance(sub, Lbl) and alphabet.get(sub.name) is None:
+            error = ValueError(f"unknown letter {sub.name!r}")
+        elif isinstance(sub, Next) and sub.child < 1:
+            error = ValueError("child index must be >= 1")
+        elif isinstance(sub, DirUntil):
+            try:
+                UntilSpec(alphabet, sub.xs, sub.ys)
+            except ValueError as invalid:
+                error = invalid
+        for k in at:
+            error = error or errors[k]
+        errors.append(error)
+    if errors[-1] is not None:
+        raise errors[-1]
     compiler = _Compiler(alphabet, max_width)
-    ref = compiler.compile(formula)
+    add_layer = compiler.add_layer
+    refs: list[_Ref] = []  # per subformula, where its bit is
+    for sub, at in zip(subs, kids):
+        args = [refs[k] for k in at]
+        if isinstance(sub, Lbl):
+            ref = _Ref(add_layer(1, (), lambda x: (SemiPoly.const(x.name == sub.name),)), 0)
+        elif isinstance(sub, Not):
+            ref = _Ref(args[0].layer, args[0].coord, not args[0].neg)
+        elif isinstance(sub, (And, Or)):
+            op = operator.and_ if isinstance(sub, And) else operator.or_
+            ref = _Ref(add_layer(1, args, lambda x, a, b: (SemiPoly.const(op(a, b)),)), 0)
+        elif isinstance(sub, DirUntil):
+            # the layer bit is the complement (no-witness) recursion
+            ref = _Ref(add_layer(1, (), lambda x: (_until_poly(sub.xs, sub.ys, x),)), 0, neg=True)
+        elif isinstance(sub, EU):
+            clear = _Ref(add_layer(2, args[::-1], _eu_polys), 1)  # reads goal, then path
+            ref = _Ref(add_layer(
+                1, (args[1], clear), lambda x, goal, clear: (SemiPoly.const(goal or not clear),)
+            ), 0)
+        else:
+            ref = _Ref(add_layer(2, args, functools.partial(_next_polys, sub.child)), 1)
+        refs.append(ref)
+    ref = refs[-1]
     if ref.neg:
-        positive = compiler.add_layer(
-            1, (ref,), lambda letter, holds: (SemiPoly.const(holds),)
-        )
-        ref = _Ref(positive, 0)
+        ref = _Ref(add_layer(1, (ref,), lambda x, holds: (SemiPoly.const(holds),)), 0)
     return Cascade(alphabet, tuple(compiler.layers), (ref.layer, ref.coord))
 
 
@@ -852,41 +866,37 @@ def random_formula(rng: random.Random, alphabet: RankedAlphabet, depth: int) -> 
     names = [letter.name for letter in alphabet.letters]
     max_arity = max(letter.arity for letter in alphabet.letters)
 
-    def random_lbl() -> CtlFormula:
-        return Lbl(rng.choice(names))
+    pairs = [(letter.name, i) for letter in alphabet.letters for i in range(1, letter.arity + 1)]
 
     def random_du() -> CtlFormula:
-        pairs = [
-            (letter.name, i)
-            for letter in alphabet.letters
-            for i in range(1, letter.arity + 1)
-        ]
         xs = frozenset(p for p in pairs if rng.random() < 0.5)
-        ys = frozenset(n for n in names if rng.random() < 0.4)
-        return DirUntil(xs, ys)
+        return DirUntil(xs, frozenset(n for n in names if rng.random() < 0.4))
 
-    def go(budget: int) -> CtlFormula:
-        if budget == 0:
-            return random_du() if rng.random() < 0.3 else random_lbl()
-        kinds = ["lbl", "lbl", "du", "not", "and", "or", "eu"]
-        if max_arity >= 1:
-            kinds.append("next")
-        kind = rng.choice(kinds)
-        if kind == "lbl":
-            return random_lbl()
-        if kind == "du":
-            return random_du()
-        if kind == "not":
-            return Not(go(budget - 1))
-        if kind == "and":
-            return And(go(budget - 1), go(budget - 1))
-        if kind == "or":
-            return Or(go(budget - 1), go(budget - 1))
-        if kind == "eu":
-            return EU(go(budget - 1), go(budget - 1))
-        return Next(rng.randint(1, max_arity), go(budget - 1))
-
-    return go(depth)
+    # Drawn in preorder, as a recursive generator draws: a node's kind (and a
+    # Next's child) first, then its subformulas left to right.
+    kinds = ["lbl", "lbl", "du", "not", "and", "or", "eu"] + ["next"] * (max_arity >= 1)
+    makers = {"not": (Not, 1), "and": (And, 2), "or": (Or, 2), "eu": (EU, 2)}
+    built: list[CtlFormula] = []
+    pending: list = [depth]  # budgets still to draw, and (maker, operands) to apply to built
+    while pending:
+        item = pending.pop()
+        if isinstance(item, tuple):
+            make, count = item
+            built[-count:] = [make(*built[-count:])]
+        elif item == 0:
+            built.append(random_du() if rng.random() < 0.3 else Lbl(rng.choice(names)))
+        else:
+            kind = rng.choice(kinds)
+            if kind == "lbl":
+                built.append(Lbl(rng.choice(names)))
+            elif kind == "du":
+                built.append(random_du())
+            else:
+                make, count = makers.get(kind) or (
+                    functools.partial(Next, rng.randint(1, max_arity)), 1
+                )
+                pending += [(make, count)] + [item - 1] * count
+    return built[0]
 
 
 def random_formula_corpus(

@@ -94,6 +94,7 @@ from .trees import (
     parse_term,
     parse_tree,
     render_tree,
+    tokenize,
 )
 
 # --- text formats -------------------------------------------------------------
@@ -357,12 +358,18 @@ def save_dtta(dtta: Dtta) -> str:
     return "".join(out)
 
 
-def _dtop_var_map(n_states: int, arity: int) -> dict[str, int]:
-    return {
-        f"q{p}.x{j}": Dtop.flat_var(p, j, n_states)
-        for p in range(1, n_states + 1)
-        for j in range(1, arity + 1)
-    }
+_DTOP_VAR = re.compile(r"q([1-9][0-9]*)\.x([1-9][0-9]*)")
+
+
+def _dtop_var_map(text: str, n_states: int, arity: int) -> dict[str, int]:
+    """The variables qP.xJ of a rule for a letter of ``arity`` that ``text``
+    names, with their flat indices: as many as the text has names, at most."""
+    out = {}
+    for name, _ in tokenize(text):
+        match = _DTOP_VAR.fullmatch(name)
+        if match and int(match[1]) <= n_states and int(match[2]) <= arity:
+            out[name] = Dtop.flat_var(int(match[1]), int(match[2]), n_states)
+    return out
 
 
 def load_dtop(text: str) -> Dtop:
@@ -379,12 +386,9 @@ def load_dtop(text: str) -> Dtop:
             _fail(number, f"unknown input letter {name!r}")
         if not 1 <= state <= n_states:
             _fail(number, "state out of range (states are 1..N)")
-        term = parse_term(
-            " ".join(rest),
-            output_alphabet,
-            n_states * letter.arity,
-            _dtop_var_map(n_states, letter.arity),
-        )
+        text = " ".join(rest)
+        var_map = _dtop_var_map(text, n_states, letter.arity)
+        term = parse_term(text, output_alphabet, n_states * letter.arity, var_map)
         return (name, state), term
 
     rules = _arrow_rows(doc, "rule", "Q NAME -> term", rule)
@@ -398,8 +402,8 @@ def save_dtop(dtop: Dtop) -> str:
     out.append(f"init {dtop.initial}\n")
     for letter in dtop.input_alphabet.letters:
         # variable i becomes a leaf with the name that `_dtop_var_map` reads as i
-        var_map = _dtop_var_map(dtop.n_states, letter.arity)
-        named = [Tree(Letter(name, 0)) for name in sorted(var_map, key=var_map.get)]
+        pairs = map(dtop.var_pair, range(1, dtop.n_states * letter.arity + 1))
+        named = [Tree(Letter(f"q{p}.x{j}", 0)) for p, j in pairs]
         for state in range(1, dtop.n_states + 1):
             body = instantiate(dtop.rules[(letter.name, state)].body, named)
             out.append(f"rule {state} {letter.name} -> {render_tree(body)}\n")
@@ -410,6 +414,10 @@ def load_matrix(text: str) -> MatrixHom:
     doc = _Doc(text, "matrix", ("input", "base", "carrier", "names", "op", "width", "tuple"))
     input_alphabet = _parse_letters(doc, "input")
     base = _parse_algebra(doc, "base", _MATRIX_BASE_RESERVED)
+    if base.size > DEFAULT_CARRIER_CAP and not any(x.arity for x in base.alphabet.letters):
+        # a base makes one constant per element; no op rows bound this carrier
+        raise ParseError(f"a base without operations has at most {DEFAULT_CARRIER_CAP} "
+                         f"elements, got {base.size}")
     term_alphabet = with_constants(base).alphabet
     width = _single_int(doc, "width")
 
@@ -783,140 +791,83 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Every command: its words (a group's subcommands follow the group), its
+# handler (None for a group), its help, and its options.  An option is a
+# required name, or (name, default): an int default is typed, False is a
+# flag; or (name, add_argument's keyword arguments).
+_MAX_STATES = ("--max-states", DEFAULT_CARRIER_CAP)
+_MAX_WIDTH = ("--max-width", DEFAULT_WIDTH_CAP)
+_COMMANDS = (
+    ("eval", _cmd_eval, "evaluate a tree in an algebra", ("--lang", "--tree")),
+    ("accepts", _cmd_accepts, "membership test", ("--lang", "--tree")),
+    ("minimize", _cmd_minimize, "syntactic algebra; prints tables", ("--lang",)),
+    ("equiv", _cmd_equiv, "language equality with counterexample", ("--lang", "--other")),
+    ("bool", _cmd_bool, "union/intersection/difference", (
+        ("--kind", {"choices": ("union", "intersection", "difference"), "required": True}),
+        "--lang", "--other",
+    )),
+    ("universal-path", _cmd_universal_path, "universal-path decision", ("--lang", _MAX_STATES)),
+    ("doubly-det", _cmd_doubly_det, "doubly-det decision", ("--lang", _MAX_STATES)),
+    ("mixes", _cmd_mixes, "mixes decision", ("--lang", _MAX_STATES)),
+    ("separate", _cmd_separate, "deterministic top-down separator",
+     ("--lang", "--other", _MAX_STATES)),
+    ("dtop", None, "transducer operations", ()),
+    ("dtop apply", _cmd_dtop_apply, None, ("--dtop", "--tree")),
+    ("dtop preimage", _cmd_dtop_preimage, None, ("--dtop", "--lang", _MAX_STATES)),
+    ("matrix", None, "matrix-power homomorphisms", ()),
+    ("matrix from-dtop", _cmd_matrix_from_dtop, None, ("--dtop", "--base")),
+    ("matrix to-dtops", _cmd_matrix_to_dtops, None, ("--matrix",)),
+    ("matrix flatten", _cmd_matrix_flatten, None, ("--matrix", ("--accept", ""), _MAX_STATES)),
+    ("nest", _cmd_nest, "nesting: annotate then run the top language",
+     ("--top", ("--langs", ""), _MAX_STATES)),
+    ("wreath", None, "wreath products", ()),
+    ("wreath compose", _cmd_wreath_compose, None, (
+        ("--inner", {"required": True, "help": "h: algebra over the base alphabet"}),
+        ("--outer", {"required": True, "help": "g: algebra over the value-annotated alphabet"}),
+    )),
+    ("ctl", None, "CTL on finite trees", ()),
+    ("ctl eval", _cmd_ctl_eval, None, ("--alphabet", "--formula", "--tree")),
+    ("ctl compile", _cmd_ctl_compile, None, ("--alphabet", "--formula", _MAX_WIDTH)),
+    ("ctl verify", _cmd_ctl_verify, None, (
+        "--alphabet", ("--formula", ""), ("--count", 25), ("--max-nodes", 8), _MAX_WIDTH,
+    )),
+    ("structure", None, "finite-algebra structure checks", ()),
+    ("structure congruences", _cmd_structure_congruences, None, ("--lang",)),
+    ("structure orpairs", _cmd_structure_orpairs, None, ("--lang",)),
+    ("structure strongly-abelian", _cmd_structure_strongly_abelian, None, (
+        "--lang", ("--congruence", "full"), ("--arity-bound", 2), ("--depth-bound", 3),
+    )),
+    ("structure lattice-divides", _cmd_structure_lattice_divides, None,
+     ("--lang", ("--polynomials", False))),
+    ("structure orpair-separation", _cmd_structure_orpair_separation, None, ("--lang",)),
+    ("oracle", None, "brute-force agreement suites", ()),
+    ("oracle verify", _cmd_oracle_verify, None, (("--max-nodes", 6), ("--count", 10))),
+)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on the first call and shared after it."""
     parser = _Parser(prog="treelab", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("text", "tsv"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("eval", _cmd_eval, help="evaluate a tree in an algebra")
-    p.add_argument("--lang", required=True)
-    p.add_argument("--tree", required=True)
-
-    p = add("accepts", _cmd_accepts, help="membership test")
-    p.add_argument("--lang", required=True)
-    p.add_argument("--tree", required=True)
-
-    p = add("minimize", _cmd_minimize, help="syntactic algebra; prints tables")
-    p.add_argument("--lang", required=True)
-
-    p = add("equiv", _cmd_equiv, help="language equality with counterexample")
-    p.add_argument("--lang", required=True)
-    p.add_argument("--other", required=True)
-
-    p = add("bool", _cmd_bool, help="union/intersection/difference")
-    p.add_argument("--kind", choices=("union", "intersection", "difference"), required=True)
-    p.add_argument("--lang", required=True)
-    p.add_argument("--other", required=True)
-
-    for name, fn in (
-        ("universal-path", _cmd_universal_path),
-        ("doubly-det", _cmd_doubly_det),
-        ("mixes", _cmd_mixes),
-    ):
-        p = add(name, fn, help=f"{name} decision")
-        p.add_argument("--lang", required=True)
-        p.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
-
-    p = add("separate", _cmd_separate, help="deterministic top-down separator")
-    p.add_argument("--lang", required=True)
-    p.add_argument("--other", required=True)
-    p.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
-
-    p = add("dtop", None, help="transducer operations")
-    dtop_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = dtop_sub.add_parser("apply")
-    q.set_defaults(fn=_cmd_dtop_apply)
-    q.add_argument("--dtop", required=True)
-    q.add_argument("--tree", required=True)
-    q = dtop_sub.add_parser("preimage")
-    q.set_defaults(fn=_cmd_dtop_preimage)
-    q.add_argument("--dtop", required=True)
-    q.add_argument("--lang", required=True)
-    q.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
-
-    p = add("matrix", None, help="matrix-power homomorphisms")
-    matrix_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = matrix_sub.add_parser("from-dtop")
-    q.set_defaults(fn=_cmd_matrix_from_dtop)
-    q.add_argument("--dtop", required=True)
-    q.add_argument("--base", required=True)
-    q = matrix_sub.add_parser("to-dtops")
-    q.set_defaults(fn=_cmd_matrix_to_dtops)
-    q.add_argument("--matrix", required=True)
-    q = matrix_sub.add_parser("flatten")
-    q.set_defaults(fn=_cmd_matrix_flatten)
-    q.add_argument("--matrix", required=True)
-    q.add_argument("--accept", default="")
-    q.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
-
-    p = add("nest", _cmd_nest, help="nesting: annotate then run the top language")
-    p.add_argument("--top", required=True)
-    p.add_argument("--langs", default="")
-    p.add_argument("--max-states", type=int, default=DEFAULT_CARRIER_CAP)
-
-    p = add("wreath", None, help="wreath products")
-    wreath_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = wreath_sub.add_parser("compose")
-    q.set_defaults(fn=_cmd_wreath_compose)
-    q.add_argument("--inner", required=True, help="h: algebra over the base alphabet")
-    q.add_argument("--outer", required=True, help="g: algebra over the value-annotated alphabet")
-
-    p = add("ctl", None, help="CTL on finite trees")
-    ctl_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = ctl_sub.add_parser("eval")
-    q.set_defaults(fn=_cmd_ctl_eval)
-    q.add_argument("--alphabet", required=True)
-    q.add_argument("--formula", required=True)
-    q.add_argument("--tree", required=True)
-    q = ctl_sub.add_parser("compile")
-    q.set_defaults(fn=_cmd_ctl_compile)
-    q.add_argument("--alphabet", required=True)
-    q.add_argument("--formula", required=True)
-    q.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
-    q = ctl_sub.add_parser("verify")
-    q.set_defaults(fn=_cmd_ctl_verify)
-    q.add_argument("--alphabet", required=True)
-    q.add_argument("--formula", default="")
-    q.add_argument("--count", type=int, default=25)
-    q.add_argument("--max-nodes", type=int, default=8)
-    q.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
-
-    p = add("structure", None, help="finite-algebra structure checks")
-    structure_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = structure_sub.add_parser("congruences")
-    q.set_defaults(fn=_cmd_structure_congruences)
-    q.add_argument("--lang", required=True)
-    q = structure_sub.add_parser("orpairs")
-    q.set_defaults(fn=_cmd_structure_orpairs)
-    q.add_argument("--lang", required=True)
-    q = structure_sub.add_parser("strongly-abelian")
-    q.set_defaults(fn=_cmd_structure_strongly_abelian)
-    q.add_argument("--lang", required=True)
-    q.add_argument("--congruence", default="full")
-    q.add_argument("--arity-bound", type=int, default=2)
-    q.add_argument("--depth-bound", type=int, default=3)
-    q = structure_sub.add_parser("lattice-divides")
-    q.set_defaults(fn=_cmd_structure_lattice_divides)
-    q.add_argument("--lang", required=True)
-    q.add_argument("--polynomials", action="store_true")
-    q = structure_sub.add_parser("orpair-separation")
-    q.set_defaults(fn=_cmd_structure_orpair_separation)
-    q.add_argument("--lang", required=True)
-
-    p = add("oracle", None, help="brute-force agreement suites")
-    oracle_sub = p.add_subparsers(dest="subcommand", required=True)
-    q = oracle_sub.add_parser("verify")
-    q.set_defaults(fn=_cmd_oracle_verify)
-    q.add_argument("--max-nodes", type=int, default=6)
-    q.add_argument("--count", type=int, default=10)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, fn, text, options in _COMMANDS:
+        group, _, name = words.rpartition(" ")
+        command = groups[group].add_parser(name, **({} if text is None else {"help": text}))
+        command.set_defaults(fn=fn)
+        if fn is None:
+            groups[name] = command.add_subparsers(dest="subcommand", required=True)
+        for option in options:
+            if isinstance(option, str):
+                command.add_argument(option, required=True)
+            elif isinstance(option[1], dict):
+                command.add_argument(option[0], **option[1])
+            elif option[1] is False:
+                command.add_argument(option[0], action="store_true")
+            elif isinstance(option[1], int):
+                command.add_argument(option[0], type=int, default=option[1])
+            else:
+                command.add_argument(option[0], default=option[1])
     return parser
 
 

@@ -16,8 +16,9 @@ term over ``automata.with_constants(base)``: the base letters plus a constant
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .automata import (
     DEFAULT_CARRIER_CAP,
@@ -29,9 +30,12 @@ from .automata import (
 )
 from .errors import AlphabetMismatchError
 from .trees import (
+    Letter,
     RankedAlphabet,
+    Step,
     Term,
     Tree,
+    fold,
     instantiate,
     preorder,
     require_letters,
@@ -81,29 +85,27 @@ class Dtop:
 def dtop_apply(dtop: Dtop, tree: Tree) -> Tree:
     """The transduction from the initial state; total on input trees.
 
-    Each node is transduced once, from every state, out of the outputs of its
-    children from every state; so the work is linear in the tree, not
-    exponential in its depth.  Nodes are taken in reversed preorder with a
-    stack of outputs, so depth is unbounded.
+    A fold (see ``trees.fold``) whose value at a node is its outputs from
+    states 1..n, made out of its children's: linear in the tree, not
+    exponential in its depth.
     """
     states = range(1, dtop.n_states + 1)
-    rows = {
-        letter.name: (letter, [dtop.rules[(letter.name, q)].body for q in states])
-        for letter in dtop.input_alphabet.letters
-    }
-    nodes = preorder(tree)
-    outputs: list[list[Tree]] = []  # per node, from states 1..n; a first child's on top
-    for node in reversed(nodes):
-        label = node.label
-        letter, bodies = rows.get(label.name, (None, None))
-        if letter is not label and letter != label:
-            require_letters(nodes, dtop.input_alphabet, "letter {} not in the input alphabet")
-        # variable (p, j) has the flat index n*(j-1)+p: entry p-1 of child j-1's outputs
-        env: list[Tree] = []
-        for _ in node.children:
-            env += outputs.pop()
-        outputs.append([instantiate(body, env) for body in bodies])
-    return outputs[0][dtop.initial - 1]
+
+    def compile(letter: Letter) -> Step:
+        bodies = [dtop.rules[(letter.name, q)].body for q in states]
+        arity = range(letter.arity)
+
+        def step(pop) -> list[Tree]:
+            # variable (p, j) has the flat index n*(j-1)+p: entry p-1 of child j-1's outputs
+            env: list[Tree] = []
+            for _ in arity:
+                env += pop()
+            return [instantiate(body, env) for body in bodies]
+
+        return step
+
+    message = "letter {} not in the input alphabet"
+    return fold(tree, dtop.input_alphabet, message, compile)[dtop.initial - 1]
 
 
 def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
@@ -175,16 +177,21 @@ class MatrixHom:
                 )
 
 
+def _matrix_step(mh: MatrixHom, name: str, args: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The tuple of a node from its letter and its children's tuples."""
+    flat = [v for value in args for v in value]
+    return tuple([eval_term_in_algebra(mh.extended, t, flat) for t in mh.tuples[name]])
+
+
 def matrix_hom_eval(mh: MatrixHom, tree: Tree) -> tuple[int, ...]:
-    """Bottom-up tuple semantics."""
-    nodes = preorder(tree)
-    require_letters(nodes, mh.alphabet, "letter {} not in the input alphabet")
-    values: list[tuple[int, ...]] = []  # a node's first child's tuple on top
-    for node in reversed(nodes):
-        flat = tuple(value for _ in node.children for value in values.pop())
-        terms = mh.tuples[node.label.name]
-        values.append(tuple(eval_term_in_algebra(mh.extended, t, flat) for t in terms))
-    return values[0]
+    """Bottom-up tuple semantics: a fold (see ``trees.fold``) by
+    ``_matrix_step``, which ``matrix_power_language`` steps by too."""
+
+    def compile(letter: Letter) -> Step:
+        name, arity = letter.name, range(letter.arity)
+        return lambda pop: _matrix_step(mh, name, [pop() for _ in arity])
+
+    return fold(tree, mh.alphabet, "letter {} not in the input alphabet", compile)
 
 
 def dtop_to_matrix_hom(dtop: Dtop, base: FiniteAlgebra) -> MatrixHom:
@@ -233,9 +240,6 @@ def matrix_power_language(
         if len(t) != mh.width or any(not 0 <= e < mh.base.size for e in t):
             raise ValueError(f"accepting tuple {t} outside the base's width-{mh.width} power")
 
-    def step(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        flat = tuple(v for value in args for v in value)
-        return tuple(eval_term_in_algebra(mh.extended, t, flat) for t in mh.tuples[name])
-
+    step = functools.partial(_matrix_step, mh)
     values, algebra = build(mh.alphabet, step, max_carrier, "flattened carrier")
     return Dbta(algebra, frozenset(i for i, value in enumerate(values) if value in accepting))

@@ -8,6 +8,12 @@ all operations are pure functions.
 A term is a tree whose leaves may also be variables: a ``Var`` is a ``Tree``
 leaf, so every walk over trees (``preorder``, ``==``, ``hash``, ``repr``,
 ``render_tree``, ``hom_apply``) takes term bodies too, without recursion.
+
+``fold`` is the one homomorphism out of the trees: per-letter steps, made
+once per call, over the reversed ``preorder`` with one stack of values.
+``automata.evaluate``, ``hom_apply``, ``transduce.dtop_apply`` and
+``matrix_hom_eval``, ``cascade.cascade_eval``, ``annotate`` and
+``value_annotate`` run through it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlphabetMismatchError, ParseError
 
@@ -156,6 +162,45 @@ def preorder(tree: Tree) -> list[Tree]:
     return out
 
 
+Step = Callable[[Callable[[], object]], object]  # pops its children's values, returns its own
+_NO_STEP = (None, None)
+
+
+def fold(
+    tree: Tree,
+    alphabet: RankedAlphabet,
+    message: str,
+    compile: Callable[[Letter], Step],
+    foreign: Callable[[list[Tree], Tree], Step] | None = None,
+):
+    """The value of ``tree`` under the step ``compile(letter)`` of each
+    letter of ``alphabet``, made once per call (a constant's value too): one
+    pass over the reversed ``preorder`` with one stack of values, so depth is
+    unbounded.  A step is called with the stack's ``pop`` and pops its node's
+    children's values, the first child's first.  A node whose label is not
+    in ``alphabet`` raises AlphabetMismatchError (``message.format(name)``)
+    for the first such node in preorder, or takes ``foreign(nodes, node)``
+    as its step (``nodes`` is the preorder)."""
+    steps = {}
+    for letter in alphabet.letters:
+        step = compile(letter)
+        if not letter.arity:  # a constant's value is made once, and shared
+            step = lambda pop, value=step(None): value
+        steps[letter.name] = (letter, step)
+    nodes = preorder(tree)
+    stack: list = []  # a node's first child's value on top
+    pop, push = stack.pop, stack.append
+    for node in reversed(nodes):
+        label = node.label
+        letter, step = steps.get(label.name, _NO_STEP)
+        if letter is not label and letter != label:
+            if foreign is None:
+                require_letters(nodes, alphabet, message)
+            step = foreign(nodes, node)
+        push(step(pop))
+    return stack[0]
+
+
 def child_positions(nodes: Sequence[Tree]) -> list[tuple[int, ...]]:
     """For a children-first list of nodes, the positions of each node's
     children, in child order.
@@ -187,11 +232,8 @@ def children_first(tree: Tree) -> tuple[list[Tree], list[tuple[int, ...]]]:
     kids: list[tuple[int, ...]] = []
     for k, node in enumerate(nodes):
         arity = len(node.children)
-        if arity:
-            kids.append(tuple(pending[: -arity - 1 : -1]))
-            del pending[-arity:]
-        else:
-            kids.append(())
+        kids.append(tuple(pending[: -arity - 1 : -1]))
+        del pending[len(pending) - arity :]
         pending.append(k)
     return nodes, kids
 
@@ -392,17 +434,18 @@ def require_letters(
 
 def hom_apply(hom: TreeHom, tree: Tree) -> Tree:
     """The image of a tree, or of a term body, whose variables map to
-    themselves."""
-    nodes = preorder(tree)
-    require_letters(nodes, hom.source, "letter {} not in source alphabet", variables=True)
-    images: list[Tree] = []  # a node's first child's image on top
-    for node in reversed(nodes):
-        if node.__class__ is Var:
-            images.append(node)
-            continue
-        args = [images.pop() for _ in node.children]
-        images.append(instantiate(hom.rules[node.label.name].body, args))
-    return images[0]
+    themselves: a fold whose step instantiates a letter's image term."""
+
+    def compile(letter: Letter) -> Step:
+        body, arity = hom.rules[letter.name].body, range(letter.arity)
+        return lambda pop: instantiate(body, [pop() for _ in arity])
+
+    def foreign(nodes: list[Tree], node: Tree) -> Step:
+        require_letters(nodes, hom.source, message, variables=True)
+        return lambda pop: node  # a variable
+
+    message = "letter {} not in source alphabet"
+    return fold(tree, hom.source, message, compile, foreign)
 
 
 # --- parsing and rendering --------------------------------------------------
@@ -411,6 +454,7 @@ _NAME_CHARS = "A-Za-z0-9_@.|'"
 _TOKEN = re.compile(f"[{_NAME_CHARS}]+|[(),]")
 _BAD_CHAR = re.compile(f"[^\\s{_NAME_CHARS}(),]")
 _NOT_NAMES = frozenset(["(", ")", ",", ""])  # "" stands for the end of the input
+_VAR_NAME = re.compile("x[1-9][0-9]*")
 
 
 def tokenize(text: str) -> list[tuple[str, int]]:
@@ -517,9 +561,14 @@ def parse_term(
     nvars: int,
     var_map: Mapping[str, int] | None = None,
 ) -> Term:
-    """Like parse_tree but variable names map to indices; default names x1..xN."""
+    """Like parse_tree but variable names map to indices; default names
+    x1..xN.  Only the default names that the text holds are made, so the
+    work is bounded by the text, not by ``nvars``."""
     if var_map is None:
-        var_map = {f"x{i}": i for i in range(1, nvars + 1)}
+        var_map = {
+            name: int(name[1:]) for name, _ in tokenize(text)
+            if _VAR_NAME.fullmatch(name) and int(name[1:]) <= nvars
+        }
     variables = {name: Var(index) for name, index in var_map.items()}
     return Term(nvars, _read(text, {**alphabet._by_name, **variables}))
 

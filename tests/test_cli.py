@@ -707,6 +707,59 @@ def test_a_dtta_of_a_billion_states_loads_at_once():
     assert time.perf_counter() - start < 1
 
 
+# files of a few lines whose `states`, `width` or `carrier` is a billion: the
+# loaders may build no structure that large before the rows bound it
+BILLION_FILES = {
+    "states": ("dtop", "input a 0\ninput g 1\noutput a 0\noutput h 1\nstates 1000000000\n"
+               "init 1\nrule 1 a -> a\nrule 1 g -> h(q1.x1)\n",
+               "missing rule for (a, 2)"),
+    "width": ("matrix", "input a 0\ninput g 1\nbase c 0\nbase h 1\ncarrier 1\nop c -> 0\n"
+              "op h 0 -> 0\nwidth 1000000000\ntuple a 1 -> c\ntuple g 1 -> h(x1)\n",
+              "letter a needs 1000000000 tuple rows"),
+    "carrier": ("matrix", "input a 0\nbase c 0\ncarrier 1000000000\nop c -> 0\nwidth 1\n"
+                "tuple a 1 -> c\n",
+                "a base without operations has at most 4096 elements, got 1000000000"),
+}
+
+
+@pytest.mark.parametrize("field", BILLION_FILES)
+def test_a_billion_in_a_file_ends_in_a_parse_error_at_once(capsys, tmp_path, field):
+    kind, text, message = BILLION_FILES[field]
+    assert len(text.splitlines()) <= 10
+    path = str(tmp_path / f"big.{kind}")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    argv = {
+        "dtop": ("dtop", "apply", "--dtop", path, "--tree", "a"),
+        "matrix": ("matrix", "flatten", "--matrix", path),
+    }[kind]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# formulas 10^4 deep: the CTL parser and every formula walk use explicit stacks
+LEVELS = [("!", ""), ("X1 ", ""), ("(", " & lbl(f1))"), ("E[lbl(f1) U ", "]"), ("(", ")")] * 2000
+DEEP_FORMULAS = {
+    "mixed": "".join(p for p, _ in LEVELS) + "lbl(f0)" + "".join(s for _, s in LEVELS[::-1]),
+    "negations": "!" * 10_000 + "lbl(f0)",
+    "unclosed": "(" * 10_000 + "lbl(f0)",
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_FORMULAS)
+def test_deep_formulas_end_in_an_exit_code(capsys, shape):
+    formula = DEEP_FORMULAS[shape]
+    for argv in (
+        ("ctl", "eval", "--alphabet", "@sig_pott", "--formula", formula, "--tree", "f1(f0)"),
+        ("ctl", "compile", "--alphabet", "@sig_pott", "--formula", formula),
+        ("ctl", "verify", "--alphabet", "@sig_pott", "--formula", formula, "--max-nodes", "4"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3) and "Traceback" not in err, argv[:2]
+
+
 # one process, many commands: different subcommands and formats, each exit code
 SHARED_PARSER_CALLS = [
     ("eval", "--lang", "@l_pott", "--tree", "f2(f1(f0),f0)"),

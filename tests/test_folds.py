@@ -1,11 +1,12 @@
 """The tree folds against the recursive code they replaced, trees and terms
 too deep for recursion, and a check that no function of the tree, automaton,
-transducer, path, oracle, structure or CLI modules calls itself.
+transducer, path, oracle, structure, CLI or cascade modules calls itself.
 
-The folds walk ``preorder(tree)`` with explicit stacks.  The ``recursive_*``
-functions below are the recursive forms they replaced, kept as references: on
-random trees both must give equal results, and with letters outside the
-alphabet both must raise the same error.
+The folds run through ``trees.fold``: one stack of values over the reversed
+``preorder(tree)``, with per-letter steps.  The ``recursive_*`` functions
+below are recursive forms of the same folds, kept as references: on random
+trees both must give equal results, and with letters outside the alphabet
+both must raise the same error.
 """
 
 import ast
@@ -26,6 +27,7 @@ from treelab.automata import (
 )
 from treelab.cascade import (
     _cascade_step,
+    ann_name,
     annotate,
     cascade_eval,
     cascade_flatten,
@@ -33,6 +35,7 @@ from treelab.cascade import (
     ctl_eval,
     ctl_parse,
     random_formula_corpus,
+    value_annotate,
 )
 from treelab.errors import AlphabetMismatchError
 from treelab.paths import Dtta, dtta_accepts
@@ -108,6 +111,42 @@ def recursive_cascade_eval(cascade, tree):
         raise AlphabetMismatchError(f"letter {tree.label.name} not in the cascade alphabet")
     child_bits = [recursive_cascade_eval(cascade, child) for child in tree.children]
     return _cascade_step(cascade, tree.label.name, child_bits)
+
+
+def recursive_matrix_hom_eval(mh, tree):
+    if tree.label not in mh.alphabet:
+        raise AlphabetMismatchError(f"letter {tree.label.name} not in the input alphabet")
+    flat = tuple(v for child in tree.children for v in recursive_matrix_hom_eval(mh, child))
+    return tuple(eval_term_in_algebra(mh.extended, t, flat) for t in mh.tuples[tree.label.name])
+
+
+def recursive_annotate(langs, tree):
+    def go(node):  # the annotated subtree and its values in each of langs
+        for lang in langs:
+            if node.label not in lang.alphabet:
+                raise AlphabetMismatchError("annotation languages must read the tree's alphabet")
+        kids = [go(child) for child in node.children]
+        values = [
+            lang.algebra.op(node.label.name, [kid[1][i] for kid in kids])
+            for i, lang in enumerate(langs)
+        ]
+        bits = tuple(int(value in lang.accepting) for value, lang in zip(values, langs))
+        label = Letter(ann_name(node.label.name, bits), node.label.arity)
+        return Tree(label, tuple(kid[0] for kid in kids)), values
+
+    return go(tree)[0]
+
+
+def recursive_value_annotate(h, tree):
+    def go(node):  # the annotated subtree and its value under h
+        if node.label not in h.alphabet:
+            raise AlphabetMismatchError(f"letter {node.label.name} not in the algebra's alphabet")
+        kids = [go(child) for child in node.children]
+        value = h.op(node.label.name, [kid[1] for kid in kids])
+        label = Letter(f"{node.label.name}|{value}", node.label.arity)
+        return Tree(label, tuple(kid[0] for kid in kids)), value
+
+    return go(tree)[0]
 
 
 @dataclass(frozen=True)
@@ -217,6 +256,7 @@ def outcome(fn, *args):
 
 def test_folds_match_recursive_forms():
     rng = random.Random(23)
+    more = random.Random(29)  # draws the models added later, leaving rng's stream as it was
     cascades = [ctl_compile(formula, FGAB) for formula, _ in random_formula_corpus(23, FGAB, 10)]
     for trial in range(60):
         tree = random_tree(rng, FGAB, rng.randint(1, 200))
@@ -224,6 +264,12 @@ def test_folds_match_recursive_forms():
         dtops = [random_dtop(rng, 1), random_dtop(rng, 2)]
         hom = random_hom(rng)
         cascade = cascades[trial % len(cascades)]
+        matrix = dtop_to_matrix_hom(dtops[1], algebra)
+        langs = []  # zero, one or two annotation languages
+        for _ in range(trial % 3):
+            size = more.randint(1, 4)
+            accepting = frozenset(e for e in range(size) if more.random() < 0.5)
+            langs.append(Dbta(random_algebra(more, FGAB, size), accepting))
         assert render_tree(tree) == recursive_render_tree(tree)
         for subject in (tree, with_foreign_letters(rng, tree, min(2, tree.size()))):
             pairs = [
@@ -232,6 +278,9 @@ def test_folds_match_recursive_forms():
                 (dtop_apply, recursive_dtop_apply, dtops[1]),
                 (hom_apply, recursive_hom_apply, hom),
                 (cascade_eval, recursive_cascade_eval, cascade),
+                (matrix_hom_eval, recursive_matrix_hom_eval, matrix),
+                (lambda ls, t: annotate(t, ls), recursive_annotate, langs),
+                (lambda h, t: value_annotate(t, h), recursive_value_annotate, algebra),
             ]
             for fold, reference, model in pairs:
                 assert outcome(fold, model, subject) == outcome(reference, model, subject)
@@ -449,7 +498,9 @@ def self_calls(module):
     return found
 
 
-GUARDED_MODULES = ("trees", "automata", "transduce", "paths", "oracle", "structure", "cli")
+GUARDED_MODULES = (
+    "trees", "automata", "transduce", "paths", "oracle", "structure", "cli", "cascade"
+)
 
 
 def test_no_tree_or_term_walk_calls_itself():

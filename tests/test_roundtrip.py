@@ -216,11 +216,12 @@ FORMATS = {
         "matrix", "flatten", "--matrix", path
     )),
 }
-# integers stay small: the loaders still build structures as large as a file's
-# `width`, `states` or `carrier` before its rows bound them (ROADMAP item 3)
+# integers up to a billion too: no loader builds a structure as large as a
+# file's `width`, `states` or `carrier` before its rows bound it
 TOKENS = (
     st.sampled_from(["->", "x1", "@0", "q1.x1", "f(a,", "#", "accept", "op"])
     | st.integers(-2, 40).map(str)
+    | st.integers(-2, 10**9).map(str)
     | st.text(min_size=1, max_size=3)
 )
 

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from test_paths import fgab_dbtas
 
 from treelab.automata import Dbta, FiniteAlgebra, accepts, are_equivalent, reachable
 from treelab.errors import CapExceededError
@@ -53,6 +55,16 @@ def test_minimize_idempotent():
     once = syntactic_algebra(DBTA_POTT_REDUNDANT).minimal
     twice = syntactic_algebra(once).minimal
     assert dbta_isomorphic(once, twice) is not None
+
+
+@settings(max_examples=40)
+@given(fgab_dbtas())
+def test_minimize_is_idempotent_on_random_dbtas(dbta):
+    # a minimal DBTA is its own syntactic algebra, numbered alike, by the identity
+    once = syntactic_algebra(dbta).minimal
+    twice = syntactic_algebra(once)
+    assert twice.minimal == once
+    assert dict(twice.projection) == {e: e for e in range(once.algebra.size)}
 
 
 def test_minimal_recognises_same_language():

@@ -27,6 +27,7 @@ from .trees import (
     hom_apply,
     parse_term,
     parse_tree,
+    parse_word,
     path_words,
     preorder,
     render_tree,

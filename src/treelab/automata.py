@@ -83,10 +83,10 @@ def _require_same_alphabet(a: RankedAlphabet, b: RankedAlphabet) -> None:
         raise AlphabetMismatchError("operation requires equal alphabets")
 
 
-def evaluate(algebra: FiniteAlgebra, tree: Tree) -> int:
-    """The value of the tree: a fold (see ``trees.fold``) whose step for a
-    letter is one lookup in its table, the common arities 1 and 2 indexing
-    it without a loop."""
+def evaluate(algebra: FiniteAlgebra, tree: Tree | list[Letter]) -> int:
+    """The value of a tree or its preorder word: a fold (see ``trees.fold``)
+    whose step for a letter is one lookup in its table, the common arities 1
+    and 2 indexing it without a loop."""
     size = algebra.size
 
     def compile(letter: Letter) -> Step:
@@ -130,7 +130,7 @@ def corpus_values(
     return values
 
 
-def accepts(dbta: Dbta, tree: Tree) -> bool:
+def accepts(dbta: Dbta, tree: Tree | list[Letter]) -> bool:
     return evaluate(dbta.algebra, tree) in dbta.accepting
 
 
@@ -293,7 +293,7 @@ def build(
 
     closure = reach(alphabet, record, cap)
     if closure.capped:
-        raise CapExceededError(f"{what} exceeds {cap}")
+        raise CapExceededError(f"{what} exceeds {cap}", what, len(closure.values), cap)
     if not closure.values:
         return (), FiniteAlgebra(alphabet, 1, {letter.name: (0,) for letter in alphabet.letters})
     values = tuple(sorted(closure.values))

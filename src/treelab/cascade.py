@@ -60,12 +60,12 @@ def _renamed(
     tree: Tree,
     algebras: Sequence[FiniteAlgebra],
     rename: Callable[[str, tuple[int, ...]], str],
-    check: Callable[[list[Tree]], None],
+    check: Callable[[list[Letter]], None],
 ) -> Tree:
     """The tree with each node's letter renamed by ``rename(name, values)``,
     ``values`` being its subtree's values in ``algebras``: a fold (see
     ``trees.fold``) whose value at a node is its renamed subtree and those
-    values, each renamed letter made once.  ``check(nodes)`` raises for a
+    values, each renamed letter made once.  ``check(word)`` raises for a
     tree with a letter that some algebra does not read."""
 
     def compile(letter: Letter) -> Step:
@@ -84,9 +84,9 @@ def _renamed(
 
         return step
 
-    def foreign(nodes: list[Tree], node: Tree) -> Step:
-        check(nodes)
-        return compile(node.label)  # only without algebras, which read every letter
+    def foreign(word: list[Letter], label: Letter) -> Step:
+        check(word)
+        return compile(label)  # only without algebras, which read every letter
 
     letters = algebras[0].alphabet.letters if algebras else ()
     common = tuple(x for x in letters if all(x in algebra.alphabet for algebra in algebras))
@@ -99,9 +99,9 @@ def annotate(tree: Tree, langs: list[Dbta] | tuple[Dbta, ...]) -> Tree:
     def rename(name: str, values: tuple[int, ...]) -> str:
         return ann_name(name, tuple(int(v in lang.accepting) for v, lang in zip(values, langs)))
 
-    def check(nodes: list[Tree]) -> None:
+    def check(word: list[Letter]) -> None:
         for lang in langs:
-            require_letters(nodes, lang.alphabet, message)
+            require_letters(word, lang.alphabet, message)
 
     message = "annotation languages must read the tree's alphabet"
 
@@ -161,7 +161,7 @@ def value_annotate(tree: Tree, h: FiniteAlgebra) -> Tree:
     """t^h: each node labelled with (letter, value of its subtree under h)."""
     message = "letter {} not in the algebra's alphabet"
     return _renamed(tree, [h], lambda name, values: f"{name}|{values[0]}",
-                    lambda nodes: require_letters(nodes, h.alphabet, message))
+                    lambda word: require_letters(word, h.alphabet, message))
 
 
 def sequential_compose(h: FiniteAlgebra, g: FiniteAlgebra) -> FiniteAlgebra:
@@ -664,11 +664,11 @@ def ctl_parse(text: str, alphabet: RankedAlphabet) -> CtlFormula:
 
 
 def ctl_label(
-    formula: CtlFormula, nodes: Sequence[Tree], kids: Sequence[tuple[int, ...]]
+    formula: CtlFormula, nodes: Sequence[Tree | Letter], kids: Sequence[tuple[int, ...]]
 ) -> list[bool]:
     """Whether ``formula`` holds at the subtree of each of ``nodes``, a
-    children-first list whose children sit at the positions ``kids`` (see
-    ``trees.child_positions``), in the same order.
+    children-first list of trees or of a word's letters whose children sit
+    at the positions ``kids`` (see ``trees.children_first``), in the same order.
 
     Bottom-up labelling (Clarke, Emerson and Sistla 1986): one pass over the
     list per distinct subformula, each node's label read off its own and its
@@ -734,9 +734,9 @@ def ctl_label(
     return labels[-1]
 
 
-def ctl_eval(formula: CtlFormula, tree: Tree) -> bool:
-    """Whether ``formula`` holds at the root of ``tree``, by ``ctl_label``
-    over the tree's reversed preorder (``trees.children_first``).
+def ctl_eval(formula: CtlFormula, tree: Tree | list[Letter]) -> bool:
+    """Whether ``formula`` holds at the root of a tree or its preorder word,
+    by ``ctl_label`` over its reversed preorder (``trees.children_first``).
 
     The semantics, by witness nodes: EU holds iff some node w satisfies the
     goal and every node strictly between the root and w satisfies the path,
@@ -767,7 +767,8 @@ class _Compiler:
         last = self.layers[-1] if self.layers else None
         nbits = last.nbits + last.width if last else 0
         if nbits + width > self.max_width:
-            raise CapExceededError(f"cascade width {nbits + width} exceeds {self.max_width}")
+            message = f"cascade width {nbits + width} exceeds {self.max_width}"
+            raise CapExceededError(message, "cascade width", nbits + width, self.max_width)
         reads = tuple(self.layers[ref.layer].nbits + ref.coord for ref in refs)
         rows = [
             tuple(bool(bit) != ref.neg for bit, ref in zip(row, refs))

@@ -92,7 +92,7 @@ from .trees import (
     enumerate_trees,
     instantiate,
     parse_term,
-    parse_tree,
+    parse_word,
     render_tree,
     tokenize,
 )
@@ -365,7 +365,7 @@ def _dtop_var_map(text: str, n_states: int, arity: int) -> dict[str, int]:
     """The variables qP.xJ of a rule for a letter of ``arity`` that ``text``
     names, with their flat indices: as many as the text has names, at most."""
     out = {}
-    for name, _ in tokenize(text):
+    for name in tokenize(text):
         match = _DTOP_VAR.fullmatch(name)
         if match and int(match[1]) <= n_states and int(match[2]) <= arity:
             out[name] = Dtop.flat_var(int(match[1]), int(match[2]), n_states)
@@ -537,15 +537,13 @@ class Report:
 
 def _cmd_eval(ws: Workspace, args, report: Report) -> None:
     dbta = ws.dbta(args.lang)
-    tree = parse_tree(args.tree, dbta.alphabet)
-    value = evaluate(dbta.algebra, tree)
+    value = evaluate(dbta.algebra, parse_word(args.tree, dbta.alphabet))
     report.line("value", dbta.algebra.name_of(value))
 
 
 def _cmd_accepts(ws: Workspace, args, report: Report) -> None:
     dbta = ws.dbta(args.lang)
-    tree = parse_tree(args.tree, dbta.alphabet)
-    report.line("yes" if accepts(dbta, tree) else "no")
+    report.line("yes" if accepts(dbta, parse_word(args.tree, dbta.alphabet)) else "no")
 
 
 def _cmd_minimize(ws: Workspace, args, report: Report) -> None:
@@ -600,8 +598,7 @@ def _cmd_separate(ws: Workspace, args, report: Report) -> None:
 
 def _cmd_dtop_apply(ws: Workspace, args, report: Report) -> None:
     dtop = ws.dtop(args.dtop)
-    tree = parse_tree(args.tree, dtop.input_alphabet)
-    report.line(render_tree(dtop_apply(dtop, tree)))
+    report.line(render_tree(dtop_apply(dtop, parse_word(args.tree, dtop.input_alphabet))))
 
 
 def _cmd_dtop_preimage(ws: Workspace, args, report: Report) -> None:
@@ -665,8 +662,7 @@ def _cmd_wreath_compose(ws: Workspace, args, report: Report) -> None:
 def _cmd_ctl_eval(ws: Workspace, args, report: Report) -> None:
     alphabet = ws.alphabet(args.alphabet)
     formula = ctl_parse(args.formula, alphabet)
-    tree = parse_tree(args.tree, alphabet)
-    report.line("yes" if ctl_eval(formula, tree) else "no")
+    report.line("yes" if ctl_eval(formula, parse_word(args.tree, alphabet)) else "no")
 
 
 def _check_max_width(args) -> None:

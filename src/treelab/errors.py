@@ -17,7 +17,12 @@ class AlphabetMismatchError(TreelabError):
 
 
 class CapExceededError(TreelabError):
-    """A construction grew past its explicit size cap; distinct from a negative verdict."""
+    """A construction grew past its explicit size cap; distinct from a negative verdict.
+    ``stage`` names the construction, ``reached`` the size it reached and ``cap`` the cap."""
+
+    def __init__(self, message: str, stage=None, reached=None, cap=None):
+        super().__init__(message)
+        self.stage, self.reached, self.cap = stage, reached, cap
 
 
 class IncompatiblePartitionError(TreelabError):

@@ -118,7 +118,8 @@ def determinize(nfa: PathNfa, max_states: int = DEFAULT_STATE_CAP) -> Dtta:
                 target_f = frozenset(target)
                 if target_f not in index:
                     if len(index) >= max_states:
-                        raise CapExceededError(f"determinization exceeds {max_states} states")
+                        message = f"determinization exceeds {max_states} states"
+                        raise CapExceededError(message, "determinization", len(index) + 1, max_states)
                     index[target_f] = len(index)
                     worklist.append(target_f)
                 successors.append(index[target_f])

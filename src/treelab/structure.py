@@ -145,7 +145,8 @@ def all_congruences(algebra: FiniteAlgebra, max_carrier: int = 8) -> list[Congru
     so joining each congruence found with each principal one reaches them all.
     """
     if algebra.size > max_carrier:
-        raise CapExceededError(f"congruence enumeration capped at carrier {max_carrier}")
+        message = f"congruence enumeration capped at carrier {max_carrier}"
+        raise CapExceededError(message, "congruence enumeration", algebra.size, max_carrier)
     principals = _principal_congruences(algebra)
     found: set[Congruence] = {Congruence.identity(algebra.size)} | principals
     worklist = list(found)
@@ -235,7 +236,8 @@ def is_minimal_palfy(algebra: FiniteAlgebra, max_functions: int = 20000) -> bool
 
     closure = _polynomials(algebra, 1, max_functions, goal=bad)
     if closure.capped and closure.hit is None:
-        raise CapExceededError("unary polynomial generation hit its cap")
+        message, reached = "unary polynomial generation hit its cap", len(closure.values)
+        raise CapExceededError(message, "unary polynomial generation", reached, max_functions)
     return closure.hit is None
 
 

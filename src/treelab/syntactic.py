@@ -292,7 +292,8 @@ def divides(a: FiniteAlgebra, b: FiniteAlgebra, max_carrier: int = 6) -> Divides
     ``max_carrier`` raise CapExceededError rather than answering.
     """
     if a.size > max_carrier or b.size > max_carrier:
-        raise CapExceededError(f"divides search capped at carrier {max_carrier}")
+        message = f"divides search capped at carrier {max_carrier}"
+        raise CapExceededError(message, "divides search", max(a.size, b.size), max_carrier)
     roles = list(a.alphabet.letters)
     candidates: list[list[str]] = []
     for role in roles:

@@ -82,8 +82,9 @@ class Dtop:
         return Dtop(hom.source, hom.target, 1, 1, rules)
 
 
-def dtop_apply(dtop: Dtop, tree: Tree) -> Tree:
-    """The transduction from the initial state; total on input trees.
+def dtop_apply(dtop: Dtop, tree: Tree | list[Letter]) -> Tree:
+    """The transduction of a tree or its preorder word from the initial
+    state; total on input trees.
 
     A fold (see ``trees.fold``) whose value at a node is its outputs from
     states 1..n, made out of its children's: linear in the tree, not

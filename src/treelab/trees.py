@@ -9,9 +9,11 @@ A term is a tree whose leaves may also be variables: a ``Var`` is a ``Tree``
 leaf, so every walk over trees (``preorder``, ``==``, ``hash``, ``repr``,
 ``render_tree``, ``hom_apply``) takes term bodies too, without recursion.
 
-``fold`` is the one homomorphism out of the trees: per-letter steps, made
-once per call, over the reversed ``preorder`` with one stack of values.
-``automata.evaluate``, ``hom_apply``, ``transduce.dtop_apply`` and
+A tree's preorder word, its labels in ``preorder`` (a ``Var``'s label is
+its ``VarLetter``), spells the tree.  ``parse_word`` reads it from a text
+without building the tree.  ``fold``, the one homomorphism out of the trees
+(per-letter steps made once per call, one stack of values), takes a tree or
+its word; ``automata.evaluate``, ``hom_apply``, ``transduce.dtop_apply`` and
 ``matrix_hom_eval``, ``cascade.cascade_eval``, ``annotate`` and
 ``value_annotate`` run through it.
 """
@@ -32,6 +34,8 @@ MAX_ARITY = 8
 class Letter:
     name: str
     arity: int
+
+    label = property(lambda self: self)  # its own label: a preorder word reads as its nodes
 
 
 @dataclass(frozen=True)
@@ -167,36 +171,35 @@ _NO_STEP = (None, None)
 
 
 def fold(
-    tree: Tree,
+    tree: Tree | list[Letter],
     alphabet: RankedAlphabet,
     message: str,
     compile: Callable[[Letter], Step],
-    foreign: Callable[[list[Tree], Tree], Step] | None = None,
+    foreign: Callable[[list[Letter], Letter], Step] | None = None,
 ):
-    """The value of ``tree`` under the step ``compile(letter)`` of each
-    letter of ``alphabet``, made once per call (a constant's value too): one
-    pass over the reversed ``preorder`` with one stack of values, so depth is
-    unbounded.  A step is called with the stack's ``pop`` and pops its node's
-    children's values, the first child's first.  A node whose label is not
-    in ``alphabet`` raises AlphabetMismatchError (``message.format(name)``)
-    for the first such node in preorder, or takes ``foreign(nodes, node)``
-    as its step (``nodes`` is the preorder)."""
+    """The value of a tree or its preorder word under the step
+    ``compile(letter)`` of each letter of ``alphabet``, made once per call (a
+    constant's value too): one pass over the reversed word with one stack of
+    values, so depth is unbounded.  A step is called with the stack's ``pop``
+    and pops its node's children's values, the first child's first.  A label
+    not in ``alphabet`` raises AlphabetMismatchError (``message.format(name)``)
+    for the first such label in the word, or takes ``foreign(word, label)``
+    as its step."""
     steps = {}
     for letter in alphabet.letters:
         step = compile(letter)
         if not letter.arity:  # a constant's value is made once, and shared
             step = lambda pop, value=step(None): value
         steps[letter.name] = (letter, step)
-    nodes = preorder(tree)
+    word = [node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree
     stack: list = []  # a node's first child's value on top
     pop, push = stack.pop, stack.append
-    for node in reversed(nodes):
-        label = node.label
+    for label in reversed(word):
         letter, step = steps.get(label.name, _NO_STEP)
         if letter is not label and letter != label:
             if foreign is None:
-                require_letters(nodes, alphabet, message)
-            step = foreign(nodes, node)
+                require_letters(word, alphabet, message)
+            step = foreign(word, label)
         push(step(pop))
     return stack[0]
 
@@ -218,20 +221,19 @@ def child_positions(nodes: Sequence[Tree]) -> list[tuple[int, ...]]:
     return out
 
 
-def children_first(tree: Tree) -> tuple[list[Tree], list[tuple[int, ...]]]:
-    """The tree's reversed ``preorder`` (a children-first list) and the
-    positions of each node's children in it, in child order.
+def children_first(tree: Tree | list[Letter]) -> tuple[list, list[tuple[int, ...]]]:
+    """A tree's ``preorder`` or its preorder word, reversed (children first),
+    and the positions of each node's children in it, in child order.
 
     Walking that list, the children of a node are the last entries of a
     stack of the positions whose parent is still to come, its first child on
-    top, so no node is looked up (``child_positions`` looks them up by id).
+    top, so only arities are read (``child_positions`` looks nodes up by id).
     """
-    nodes = preorder(tree)
-    nodes.reverse()
+    nodes = (preorder(tree) if isinstance(tree, Tree) else tree)[::-1]
     pending: list[int] = []  # positions whose parent is still to come
     kids: list[tuple[int, ...]] = []
     for k, node in enumerate(nodes):
-        arity = len(node.children)
+        arity = node.label.arity
         kids.append(tuple(pending[: -arity - 1 : -1]))
         del pending[len(pending) - arity :]
         pending.append(k)
@@ -239,9 +241,9 @@ def children_first(tree: Tree) -> tuple[list[Tree], list[tuple[int, ...]]]:
 
 
 class VarLetter(Letter):
-    """The label of a ``Var``.  The dataclass ``==`` compares classes, so it
-    differs from the letter of the same name, and the folds' letter check
-    rejects a variable leaf over any alphabet."""
+    """The label of a ``Var``, which it keeps as ``var``.  The dataclass
+    ``==`` compares classes, so it differs from the letter of the same name,
+    and the folds' letter check rejects a variable leaf over any alphabet."""
 
 
 class Var(Tree):
@@ -252,7 +254,9 @@ class Var(Tree):
     def __init__(self, index: int):
         if index < 1:
             raise ValueError("variable indices start at 1")
-        object.__setattr__(self, "label", VarLetter(f"x{index}", 0))
+        label = VarLetter(f"x{index}", 0)
+        object.__setattr__(label, "var", self)
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "children", ())
         object.__setattr__(self, "index", index)
 
@@ -422,27 +426,29 @@ class TreeHom:
 
 
 def require_letters(
-    nodes: Sequence[Tree], alphabet: RankedAlphabet, message: str, variables: bool = False
+    nodes: Sequence[Tree | Letter], alphabet: RankedAlphabet, message: str, variables: bool = False
 ) -> None:
     """Raise AlphabetMismatchError(message.format(name)) for the first of
-    ``nodes`` whose label is not in ``alphabet``.  A variable is such a node
-    too, unless ``variables`` is set: only a term body may hold them."""
+    ``nodes`` (or of a word's letters) whose label is not in ``alphabet``.  A
+    variable is such a node too, unless ``variables`` is set: only a term
+    body may hold them."""
     for node in nodes:
-        if node.label not in alphabet and not (variables and node.__class__ is Var):
+        if node.label not in alphabet and not (variables and node.label.__class__ is VarLetter):
             raise AlphabetMismatchError(message.format(node.label.name))
 
 
-def hom_apply(hom: TreeHom, tree: Tree) -> Tree:
-    """The image of a tree, or of a term body, whose variables map to
-    themselves: a fold whose step instantiates a letter's image term."""
+def hom_apply(hom: TreeHom, tree: Tree | list[Letter]) -> Tree:
+    """The image of a tree or a term body, or of its preorder word, whose
+    variables map to themselves: a fold whose step instantiates a letter's
+    image term."""
 
     def compile(letter: Letter) -> Step:
         body, arity = hom.rules[letter.name].body, range(letter.arity)
         return lambda pop: instantiate(body, [pop() for _ in arity])
 
-    def foreign(nodes: list[Tree], node: Tree) -> Step:
-        require_letters(nodes, hom.source, message, variables=True)
-        return lambda pop: node  # a variable
+    def foreign(word: list[Letter], label: Letter) -> Step:
+        require_letters(word, hom.source, message, variables=True)
+        return lambda pop: label.var  # a variable
 
     message = "letter {} not in source alphabet"
     return fold(tree, hom.source, message, compile, foreign)
@@ -451,107 +457,123 @@ def hom_apply(hom: TreeHom, tree: Tree) -> Tree:
 # --- parsing and rendering --------------------------------------------------
 
 _NAME_CHARS = "A-Za-z0-9_@.|'"
-_TOKEN = re.compile(f"[{_NAME_CHARS}]+|[(),]")
 _BAD_CHAR = re.compile(f"[^\\s{_NAME_CHARS}(),]")
 _NOT_NAMES = frozenset(["(", ")", ",", ""])  # "" stands for the end of the input
 _VAR_NAME = re.compile("x[1-9][0-9]*")
 
 
-def tokenize(text: str) -> list[tuple[str, int]]:
-    """The tokens of ``text`` (names and the punctuation ``(),``) with their
-    positions.  A character that belongs to neither raises ParseError at the
-    start of the whitespace before it."""
-    _check_characters(text)
-    return [(match.group(), match.start()) for match in _TOKEN.finditer(text)]
-
-
-def _check_characters(text: str) -> None:
+def tokenize(text: str) -> list[str]:
+    """The tokens of ``text``: names and the punctuation ``(),``.  A
+    character that belongs to neither raises ParseError at the start of the
+    whitespace before it; past that check, ``split`` finds the names once
+    the punctuation is spaced out."""
     bad = _BAD_CHAR.search(text)
     if bad is not None:
         position = len(text[: bad.start()].rstrip())  # where the whitespace before it starts
         raise ParseError(f"unexpected character {bad.group()!r}", position)
+    return text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
 
 
-def _read(text: str, names: Mapping[str, Letter | Var]) -> Tree:
-    """The one reader of ``name`` and ``name(t1,...,tn)`` for the letters and
-    variables that ``names`` maps names to.  A variable ends a term: no
-    ``(`` may follow it.
+def _read(text: str, names: Mapping[str, Letter]) -> list[Letter]:
+    """The one reader of ``name`` and ``name(t1,...,tn)`` for the letters
+    (a ``VarLetter`` for a variable) that ``names`` maps names to: the
+    preorder word of the text.  A variable ends a term: no ``(`` may follow
+    it.  Open nodes wait on an explicit stack, so depth is unbounded.
 
-    Tokens come from one pass of the token pattern and nodes are built on an
-    explicit stack, so depth is unbounded.  A ParseError names the token it
-    stopped at by position: where the token starts, or the length of the text
-    at its end.  A character that is neither a name character, whitespace nor
-    ``(),`` is reported first, wherever it is; see ``tokenize``.
+    A ParseError names the token it stopped at by position: where the token
+    starts, or the length of the text at its end.  A character that is not
+    a name character, whitespace or ``(),`` is reported first; see ``tokenize``.
     """
-    _check_characters(text)
-    tokens = _TOKEN.findall(text)
+    tokens = tokenize(text)
     tokens.append("")  # the end of the input
-    if any(mark in names for mark in _NOT_NAMES):
+    if not names.keys().isdisjoint(_NOT_NAMES):
         names = {name: entry for name, entry in names.items() if name not in _NOT_NAMES}
-    # unfinished nodes: (letter, token index of its name, children read so far)
-    open_nodes: list[tuple[Letter, int, list]] = []
+    word: list[Letter] = []
+    open_nodes: list[list] = []  # unfinished nodes: [letter, token index of its name, commas read]
     i = 0
     while True:
         # a term starts at token i
         name = tokens[i]
-        entry = names.get(name)
-        if entry is None:
+        letter = names.get(name)
+        if letter is None:
             if not name:
                 raise _error(text, i, "unexpected end of input")
             if name in _NOT_NAMES:
                 raise _error(text, i, f"expected a name, got {name!r}")
             raise _error(text, i, f"unknown letter {name!r}")
+        word.append(letter)
         i += 1
         token = tokens[i]
-        if entry.__class__ is Var:
-            node = entry
-        elif token == "(":
-            open_nodes.append((entry, i - 1, []))
+        if token == "(" and letter.__class__ is not VarLetter:
+            open_nodes.append([letter, i - 1, 0])
             i += 1
             continue
-        elif entry.arity:
-            raise _error(text, i - 1, f"arity mismatch: {name} expects {entry.arity}, got 0")
-        else:
-            node = Tree(entry)
-        # the node is complete: give it to its parent, and finish every
-        # parent whose ')' follows
+        if letter.arity:
+            raise _error(text, i - 1, f"arity mismatch: {name} expects {letter.arity}, got 0")
+        # the term is complete: a ',' starts its next sibling, and a ')'
+        # finishes its parent, which had a child more than it read commas
         while open_nodes:
-            letter, at, children = open_nodes[-1]
-            children.append(node)
             i += 1
             if token == ",":
+                open_nodes[-1][2] += 1
                 break
             if token != ")":
                 if not token:
                     raise _error(text, i - 1, "unexpected end of input")
                 raise _error(text, i - 1, f"expected ',' or ')', got {token!r}")
-            open_nodes.pop()
-            if len(children) != letter.arity:
-                raise _error(
-                    text, at,
-                    f"arity mismatch: {letter.name} expects {letter.arity}, got {len(children)}",
-                )
-            node = Tree(letter, tuple(children))
+            letter, at, commas = open_nodes.pop()
+            if commas + 1 != letter.arity:
+                message = f"arity mismatch: {letter.name} expects {letter.arity}, got {commas + 1}"
+                raise _error(text, at, message)
             token = tokens[i]
         else:
             if token:
                 raise _error(text, i, f"trailing input {token!r}")
-            return node
+            return word
+
+
+def _tree(word: list[Letter]) -> Tree:
+    """The tree, or term body, whose preorder word is ``word``: one pass over
+    the reversed word with a stack of the subtrees built, a node's first
+    child on top."""
+    stack: list[Tree] = []
+    for letter in reversed(word):
+        arity = letter.arity
+        if arity:
+            node = Tree(letter, tuple(stack[: -arity - 1 : -1]))
+            del stack[-arity:]
+        else:
+            node = letter.var if letter.__class__ is VarLetter else Tree(letter)
+        stack.append(node)
+    return stack[0]
 
 
 def _error(text: str, token: int, message: str) -> ParseError:
-    tokens = tokenize(text)
-    return ParseError(message, tokens[token][1] if token < len(tokens) else len(text))
+    """A ParseError at the start of token number ``token`` (the first
+    occurrence of its name past the token before), or at the end of the text."""
+    at = 0
+    for k, name in enumerate(tokenize(text)):
+        at = text.index(name, at)
+        if k == token:
+            return ParseError(message, at)
+        at += len(name)
+    return ParseError(message, len(text))
 
 
 def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
     """Parse ``name`` or ``name(t1,...,tn)``; whitespace is insignificant.
 
-    The tree is built without recursion, so its depth is unbounded.  A
-    ParseError gives the position of the token it stopped at (the length of
-    the text at its end); a character that may not occur in a tree is
-    reported first, at the start of the whitespace before it.
+    Built from its word (see ``_read``) without recursion, so depth is
+    unbounded.  A ParseError gives the position of the token it stopped at
+    (the length of the text at its end); a character that may not occur in
+    a tree is reported first, at the start of the whitespace before it.
     """
+    return _tree(_read(text, alphabet._by_name))
+
+
+def parse_word(text: str, alphabet: RankedAlphabet) -> list[Letter]:
+    """The preorder word of what ``parse_tree`` reads, with its checks and
+    ParseErrors, without building the tree: ``fold`` takes it for the tree."""
     return _read(text, alphabet._by_name)
 
 
@@ -566,11 +588,11 @@ def parse_term(
     work is bounded by the text, not by ``nvars``."""
     if var_map is None:
         var_map = {
-            name: int(name[1:]) for name, _ in tokenize(text)
+            name: int(name[1:]) for name in tokenize(text)
             if _VAR_NAME.fullmatch(name) and int(name[1:]) <= nvars
         }
-    variables = {name: Var(index) for name, index in var_map.items()}
-    return Term(nvars, _read(text, {**alphabet._by_name, **variables}))
+    variables = {name: Var(index).label for name, index in var_map.items()}
+    return Term(nvars, _tree(_read(text, {**alphabet._by_name, **variables})))
 
 
 def render_tree(tree: Tree) -> str:

@@ -20,9 +20,13 @@ from treelab.automata import (
     reachable_elements,
     with_constants,
 )
-from treelab.cascade import ann_name, annotated_alphabet, nest
+from treelab.cascade import ann_name, annotated_alphabet, ctl_compile, ctl_parse, nest
 from treelab.cli import save_dbta
 from treelab.errors import CapExceededError
+from treelab.fixtures import L_POTT
+from treelab.paths import determinize, path_nfa
+from treelab.structure import all_congruences
+from treelab.syntactic import divides
 from treelab.transduce import (
     Dtop,
     MatrixHom,
@@ -218,3 +222,33 @@ def test_build_cap_and_dead_algebra():
         build(FGAB, algebra.op, reached - 1, "test carrier")
     values, algebra = build(FG, lambda name, args: 0, 1, "test carrier")
     assert values == () and algebra.size == 1
+
+
+def test_cap_errors_name_stage_reached_and_cap():
+    # the fields beside an unchanged message, at five of the six raise sites
+    algebra = random_algebra(random.Random(1), FGAB, 4)
+    reached = len(reachable_elements(algebra))
+    with pytest.raises(CapExceededError) as caught:
+        build(FGAB, algebra.op, reached - 1, "test carrier")
+    error = caught.value
+    assert str(error) == f"test carrier exceeds {reached - 1}"
+    assert (error.stage, error.reached, error.cap) == ("test carrier", reached, reached - 1)
+    with pytest.raises(CapExceededError) as caught:
+        determinize(path_nfa(L_POTT), max_states=1)
+    error = caught.value
+    assert str(error) == "determinization exceeds 1 states"
+    assert (error.stage, error.reached, error.cap) == ("determinization", 2, 1)
+    with pytest.raises(CapExceededError) as caught:
+        all_congruences(algebra, max_carrier=3)
+    error = caught.value
+    assert str(error) == "congruence enumeration capped at carrier 3"
+    assert (error.stage, error.reached, error.cap) == ("congruence enumeration", 4, 3)
+    with pytest.raises(CapExceededError) as caught:
+        divides(algebra, algebra, max_carrier=2)
+    assert (caught.value.stage, caught.value.reached, caught.value.cap) == ("divides search", 4, 2)
+    formula = ctl_parse("X1 X1 lbl(a)", FGAB)
+    with pytest.raises(CapExceededError) as caught:
+        ctl_compile(formula, FGAB, 1)
+    error = caught.value
+    assert str(error) == f"cascade width {error.reached} exceeds 1"
+    assert error.stage == "cascade width" and error.reached > error.cap == 1

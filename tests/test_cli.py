@@ -32,7 +32,7 @@ from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, dtta_to_dbta, path_nfa
 from treelab.syntactic import dbta_isomorphic
 from treelab.transduce import Dtop, MatrixHom, dtop_to_matrix_hom, matrix_power_language
-from treelab.trees import RankedAlphabet, parse_term
+from treelab.trees import RankedAlphabet, Tree, parse_term, render_tree
 
 
 def run(capsys, *argv):
@@ -259,6 +259,43 @@ def test_deep_trees_on_the_command_line(capsys, tmp_path):
         code, out, err = run(capsys, "ctl", "eval", "--alphabet", "@sig_pott",
                              "--formula", formula, "--tree", spine)
         assert (code, out, err) == (0, verdict + "\n", "")
+
+
+def test_tree_commands_fold_the_text_without_building_the_tree(capsys, tmp_path, monkeypatch):
+    # a random tree of 700 f0, 699 f2 and 601 f1 nodes, built before counting starts
+    rng = random.Random(3)
+    sig = DBTA_POTT.alphabet
+    pool, unary = [Tree(sig["f0"]) for _ in range(700)], 601
+    while len(pool) > 1 or unary:
+        if unary and (len(pool) == 1 or rng.random() < 0.5):
+            at, unary = rng.randrange(len(pool)), unary - 1
+            pool[at] = Tree(sig["f1"], (pool[at],))
+        else:
+            kids = (pool.pop(rng.randrange(len(pool))), pool.pop(rng.randrange(len(pool))))
+            pool.append(Tree(sig["f2"], kids))
+    text = render_tree(pool[0])
+    assert pool[0].size() == 2000
+    rules = {"f2": "f2(x2,x1)", "f1": "f1(x1)", "f0": "f0"}
+    dtop = Dtop(sig, sig, 1, 1, {
+        (letter.name, 1): parse_term(rules[letter.name], sig, letter.arity)
+        for letter in sig.letters
+    })
+    path = tmp_path / "swap.dtop"
+    path.write_text(save_dtop(dtop))
+    built = []  # one entry per Tree made from here on
+    check = Tree.__post_init__
+    monkeypatch.setattr(Tree, "__post_init__", lambda tree: built.append(check(tree)))
+    for argv in (
+        ("eval", "--lang", "@l_pott", "--tree", text),
+        ("accepts", "--lang", "@l_pott", "--tree", text),
+        ("ctl", "eval", "--alphabet", "@sig_pott", "--formula", "E[lbl(f1) U lbl(f0)]",
+         "--tree", text),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err, len(built)) == (0, "", 0), argv
+    code, out, err = run(capsys, "dtop", "apply", "--dtop", str(path), "--tree", text)
+    assert (code, err) == (0, "")
+    assert 0 < len(built) <= out.count(",") + out.count("(") + 1 == 2000
 
 
 def test_deep_terms_in_files(capsys, tmp_path):

@@ -1,6 +1,7 @@
-"""The tree folds against the recursive code they replaced, trees and terms
-too deep for recursion, and a check that no function of the tree, automaton,
-transducer, path, oracle, structure, CLI or cascade modules calls itself.
+"""The tree folds against the recursive code they replaced, the folds of a
+tree's preorder word against those of the tree, trees and terms too deep for
+recursion, and a check that no function of the tree, automaton, transducer,
+path, oracle, structure, CLI or cascade modules calls itself.
 
 The folds run through ``trees.fold``: one stack of values over the reversed
 ``preorder(tree)``, with per-letter steps.  The ``recursive_*`` functions
@@ -16,11 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treelab
 from treelab.automata import (
     Dbta,
     FiniteAlgebra,
+    accepts,
     corpus_values,
     eval_term_in_algebra,
     evaluate,
@@ -34,6 +38,7 @@ from treelab.cascade import (
     ctl_compile,
     ctl_eval,
     ctl_parse,
+    random_formula,
     random_formula_corpus,
     value_annotate,
 )
@@ -51,6 +56,7 @@ from treelab.trees import (
     hom_apply,
     parse_term,
     parse_tree,
+    parse_word,
     path_words,
     preorder,
     render_tree,
@@ -348,6 +354,65 @@ def test_a_variable_leaf_named_like_a_letter_is_foreign():
     for fold in (evaluate, lambda a, t: corpus_values(a, *children_first(t))):
         with pytest.raises(AlphabetMismatchError, match="^letter x1 not in the algebra's alphabet$"):
             fold(algebra, tree)
+
+
+# --- a tree's word folds as the tree does ------------------------------------------------
+
+
+@st.composite
+def alphabets(draw):
+    """A constant c, then one to four letters of arities 0 to 3."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    return RankedAlphabet.of(("c", 0), *((f"l{i}", arity) for i, arity in enumerate(arities)))
+
+
+def linear_body(rng, alphabet, nvars):
+    """A term body of one to four nodes over ``alphabet`` some of whose
+    leaves are variables of 1..nvars, each at most once."""
+    pool = list(range(1, nvars + 1))
+    rng.shuffle(pool)
+
+    def go(node):
+        if not node.children and pool and rng.random() < 0.7:
+            return Var(pool.pop())
+        return Tree(node.label, tuple(go(child) for child in node.children))
+
+    return go(random_tree(rng, alphabet, rng.randint(1, 4)))
+
+
+@settings(max_examples=80)
+@given(alphabets(), st.integers(1, 40), st.integers(1, 2), st.integers(0, 2**16))
+def test_a_word_folds_as_its_tree(alphabet, nodes, n_states, seed):
+    rng = random.Random(seed)
+    tree = random_tree(rng, alphabet, nodes)
+    word = parse_word(render_tree(tree), alphabet)
+    algebra = random_algebra(rng, alphabet, rng.randint(1, 4))
+    dbta = Dbta(algebra, frozenset(e for e in range(algebra.size) if rng.random() < 0.5))
+    assert evaluate(algebra, word) == evaluate(algebra, tree)
+    assert accepts(dbta, word) == accepts(dbta, tree)
+
+    def term(nvars):
+        return Term(nvars, linear_body(rng, alphabet, nvars))
+
+    rules = {
+        (letter.name, q): term(n_states * letter.arity)
+        for letter in alphabet.letters
+        for q in range(1, n_states + 1)
+    }
+    dtop = Dtop(alphabet, alphabet, n_states, rng.randint(1, n_states), rules)
+    assert dtop_apply(dtop, word) == dtop_apply(dtop, tree)
+    formula = random_formula(rng, alphabet, rng.randint(0, 3))
+    assert ctl_eval(formula, word) == ctl_eval(formula, tree)
+    hom = TreeHom(alphabet, alphabet, {letter.name: term(letter.arity) for letter in alphabet.letters})
+    assert hom_apply(hom, word) == hom_apply(hom, tree)
+
+    def image(node):  # the image of a term body, whose variables map to themselves
+        if node.__class__ is Var:
+            return node
+        return substitute(hom.rules[node.label.name], [image(child) for child in node.children])
+
+    body = linear_body(rng, alphabet, 3)
+    assert hom_apply(hom, [node.label for node in preorder(body)]) == image(body)
 
 
 # --- trees too deep for recursion -----------------------------------------------------

@@ -20,10 +20,12 @@ from treelab.trees import (
     hom_apply,
     parse_term,
     parse_tree,
+    parse_word,
     path_words,
     preorder,
     render_tree,
     substitute,
+    tokenize,
     var_occurrences,
 )
 
@@ -384,8 +386,26 @@ def test_reader_matches_recursive_reader_on_mutated_text():
         assert _outcome(parse_term, text, alphabet, 2) == expected, text
         expected = _outcome(_seed_parse_tree, text, alphabet)
         assert _outcome(parse_tree, text, alphabet) == expected, text
+        # the word reader stops at the same token with the same message, or
+        # reads the labels of the same tree in preorder
+        word = _outcome(parse_word, text, alphabet)
+        if expected[0] == "ok":
+            assert word == ("ok", [node.label for node in preorder(expected[1])]), text
+        else:
+            assert word == expected, text
         errors += expected[0] == "error"
     assert 2000 < errors < 4800  # both outcomes are well represented
+
+
+def test_tokenize_matches_the_token_pattern():
+    # names are runs of name characters; any Unicode whitespace separates
+    pattern = re.compile(r"[A-Za-z0-9_@.|']+|[(),]")
+    rng = random.Random(5)
+    pieces = list("(),") + ["f2", "x1", "a.b", "q1.x2", "'|@_"] + list(" \t\n\r\x0b\x0c")
+    pieces += ["\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u3000"]
+    for _ in range(2000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        assert tokenize(text) == pattern.findall(text), repr(text)
 
 
 @pytest.mark.parametrize(

@@ -145,10 +145,14 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     A row's arguments ((x1, y1), ..., (xk, yk)) index a's table at (x1..xk)
     and b's at (y1..yk).  Both indices are built one argument position at a
     time, and the last position pairs a slice of a's table with a slice of
-    b's, so no argument is decoded and no op() call is made per row.
+    b's, so no argument is decoded and no op() call is made per row.  A
+    carrier above DEFAULT_CARRIER_CAP raises CapExceededError at once.
     """
     _require_same_alphabet(a.alphabet, b.alphabet)
     n1, n2 = a.size, b.size
+    if n1 * n2 > DEFAULT_CARRIER_CAP:
+        message = f"product carrier exceeds {DEFAULT_CARRIER_CAP}"
+        raise CapExceededError(message, "product carrier", n1 * n2, DEFAULT_CARRIER_CAP)
     x_digits = [x for x in range(n1) for _ in range(n2)]
     y_digits = list(range(n2)) * n1
     tables: dict[str, tuple[int, ...]] = {}
@@ -366,19 +370,9 @@ def _settle(
         trees[new] = Tree(letter, tuple(map(trees.__getitem__, args)))
         if goal(new):
             return trees[new], trees
-        earlier = tuple(order)
+        older = order[:]
         order.append(new)
-        batch = [(letter, _tuples_with(new, earlier, order, letter.arity)) for letter in operators]
-
-
-def _tuples_with(new, earlier: tuple, settled: Sequence, arity: int) -> Iterator[tuple]:
-    """Each arity-tuple over ``settled`` that contains ``new``, once: grouped by
-    the position i of its first ``new``, with ``earlier`` (``settled`` without
-    ``new``) before i and all of ``settled`` after it."""
-    return itertools.chain.from_iterable(
-        itertools.product(*[earlier] * i, (new,), *[settled] * (arity - 1 - i))
-        for i in range(arity)
-    )
+        batch = [(letter, _fresh_tuples(older, [new], order, letter.arity)) for letter in operators]
 
 
 def smallest_trees(algebra: FiniteAlgebra) -> dict[int, Tree]:

@@ -219,7 +219,9 @@ def _parse_algebra(
     doc: _Doc, letter_keyword: str, reserved: tuple[re.Pattern, str] | None = None
 ) -> FiniteAlgebra:
     """The algebra block of a dbta file, or the base of a matrix file: its
-    letters, `carrier M` (M >= 1), at most one `names` line, and `op` rows."""
+    letters, `carrier M` (M >= 1), at most one `names` line, and `op` rows.
+    Without operations, no op row bounds the carrier, so it is at most
+    DEFAULT_CARRIER_CAP."""
     alphabet = _parse_letters(doc, letter_keyword, reserved)
     size = _single_int(doc, "carrier")
     if size < 1:
@@ -233,7 +235,12 @@ def _parse_algebra(
         if len(row) != size:
             _fail(number, f"`names` must list {size} names")
         names = tuple(row)
-    return FiniteAlgebra(alphabet, size, _parse_ops(doc, alphabet, size), names)
+    tables = _parse_ops(doc, alphabet, size)
+    if size > DEFAULT_CARRIER_CAP and not any(letter.arity for letter in alphabet.letters):
+        owner = "a base" if letter_keyword == "base" else "an algebra"
+        raise ParseError(f"{owner} without operations has at most {DEFAULT_CARRIER_CAP} "
+                         f"elements, got {size}")
+    return FiniteAlgebra(alphabet, size, tables, names)
 
 
 def _arrow_rows(doc: _Doc, keyword: str, usage: str, read) -> dict:
@@ -414,10 +421,6 @@ def load_matrix(text: str) -> MatrixHom:
     doc = _Doc(text, "matrix", ("input", "base", "carrier", "names", "op", "width", "tuple"))
     input_alphabet = _parse_letters(doc, "input")
     base = _parse_algebra(doc, "base", _MATRIX_BASE_RESERVED)
-    if base.size > DEFAULT_CARRIER_CAP and not any(x.arity for x in base.alphabet.letters):
-        # a base makes one constant per element; no op rows bound this carrier
-        raise ParseError(f"a base without operations has at most {DEFAULT_CARRIER_CAP} "
-                         f"elements, got {base.size}")
     term_alphabet = with_constants(base).alphabet
     width = _single_int(doc, "width")
 

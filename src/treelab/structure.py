@@ -349,21 +349,27 @@ def lattice_divides(
 ) -> DividesWitness | None:
     """Does the two-element lattice divide the algebra?
 
-    With the flag, the operation pool is first extended by generated binary
-    polynomials (the lattice only has binary operation roles).  A non-None
-    result is a reconstructible witness.  Used as the necessary-condition
-    screen: a language whose syntactic algebra is divided by the lattice is
-    not definable in the path/chain classes.
+    With the flag, when the letters give no witness, the search runs again on
+    the binary letters and generated binary polynomials, renamed p0, p1, ...
+    (the lattice only has binary roles); a capped generation then raises
+    CapExceededError (exit 3) rather than answer no.  A non-None result is a
+    reconstructible witness.  Used as the necessary-condition screen: a
+    language whose syntactic algebra is divided by the lattice is not
+    definable in the path/chain classes.
     """
-    pool = algebra
-    if use_polynomial_closure:
-        pol2 = generate_polynomials(algebra, 2, max_functions).tables
-        existing = {t for name, t in algebra.tables.items() if algebra.alphabet[name].arity == 2}
-        new = [table for table in pol2 if table not in existing]
-        letters = algebra.alphabet.letters + tuple(Letter(f"p{i}", 2) for i in range(len(new)))
-        tables = {**algebra.tables, **{f"p{i}": table for i, table in enumerate(new)}}
-        pool = FiniteAlgebra(RankedAlphabet(letters), algebra.size, tables)
-    return divides(ALG_LATTICE, pool, max_carrier)
+    witness = divides(ALG_LATTICE, algebra, max_carrier)
+    if witness is not None or not use_polynomial_closure:
+        return witness
+    pol2 = generate_polynomials(algebra, 2, max_functions)
+    own = [algebra.tables[letter.name] for letter in algebra.alphabet.letters if letter.arity == 2]
+    names = [f"p{i}" for i in range(len(own) + len(pol2.tables))]
+    binary = RankedAlphabet(tuple(Letter(name, 2) for name in names))
+    pool = FiniteAlgebra(binary, algebra.size, dict(zip(names, own + list(pol2.tables))))
+    witness = divides(ALG_LATTICE, pool, max_carrier)
+    if witness is None and pol2.capped:
+        message, reached = "binary polynomial generation hit its cap", len(pol2.tables)
+        raise CapExceededError(message, "binary polynomial generation", reached, max_functions)
+    return witness
 
 
 @dataclass(frozen=True)

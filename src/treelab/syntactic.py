@@ -288,53 +288,48 @@ def divides(a: FiniteAlgebra, b: FiniteAlgebra, max_carrier: int = 6) -> Divides
 
     Operation roles of ``a`` (its letters) are assigned to operations of ``b``
     of the same arity; roles may share one operation of ``b``, matching the
-    unindexed reading of division.  Exhaustive and capped: carriers above
+    unindexed reading of division.  A quotient of a subalgebra S isomorphic
+    to ``a`` is a homomorphism h from S onto ``a``, so with S and h fixed each
+    role is checked on its own.  Search order, the witness's tie-break: S by
+    bitmask (element e is bit e), maps h in lexicographic order of the images
+    of S in increasing order, and per role the first operation of ``b`` under
+    which S is closed and h commutes.  The partition lists h's blocks in the
+    order of a's elements.  Exhaustive and capped: carriers above
     ``max_carrier`` raise CapExceededError rather than answering.
     """
     if a.size > max_carrier or b.size > max_carrier:
         message = f"divides search capped at carrier {max_carrier}"
         raise CapExceededError(message, "divides search", max(a.size, b.size), max_carrier)
-    roles = list(a.alphabet.letters)
-    candidates: list[list[str]] = []
-    for role in roles:
+    candidates: dict[str, list[str]] = {}
+    for role in a.alphabet.letters:
         names = [letter.name for letter in b.alphabet.letters if letter.arity == role.arity]
         if not names:
             return None
-        candidates.append(names)
+        candidates[role.name] = names
 
-    for choice in itertools.product(*candidates):
-        assignment = {role.name: picked for role, picked in zip(roles, choice)}
-        for mask in range(1, 1 << b.size):
-            order = [e for e in range(b.size) if mask >> e & 1]
-            if len(order) < a.size:
-                continue
-            index = {element: i for i, element in enumerate(order)}
-            tables = {
-                role.name: tuple(
-                    index.get(b.op(assignment[role.name], args), -1)
-                    for args in itertools.product(order, repeat=role.arity)
+    for mask in range(1, 1 << b.size):
+        subset = [e for e in range(b.size) if mask >> e & 1]
+        if len(subset) < a.size:
+            continue
+        for image in itertools.product(range(a.size), repeat=len(subset)):
+            if len(set(image)) < a.size:
+                continue  # not onto a's carrier
+            h = dict(zip(subset, image))
+            assignment = {}
+            for role in a.alphabet.letters:
+                rows = [
+                    (args, a.op(role.name, [h[x] for x in args]))
+                    for args in itertools.product(subset, repeat=role.arity)
+                ]
+                names = (
+                    name
+                    for name in candidates[role.name]
+                    if all(h.get(b.op(name, args)) == want for args, want in rows)
                 )
-                for role in roles
-            }
-            if any(-1 in table for table in tables.values()):
-                continue  # not closed under the assigned operations
-            sub = FiniteAlgebra(a.alphabet, len(order), tables)
-            translations = _translations(sub)
-            for blocks in _partitions(list(range(len(order)))):
-                if len(blocks) != a.size:
-                    continue
-                classes = [0] * len(order)
-                for number, block in enumerate(blocks):
-                    for i in block:
-                        classes[i] = number
-                classes = _canonical(classes)
-                if _first_incompatible(translations, classes) is not None:
-                    continue
-                quotient = FiniteAlgebra(a.alphabet, a.size, _quotient_tables(sub, classes))
-                if find_isomorphism(a, quotient) is not None:
-                    return DividesWitness(
-                        assignment,
-                        frozenset(order),
-                        tuple(frozenset(order[i] for i in block) for block in blocks),
-                    )
+                assignment[role.name] = next(names, None)
+                if assignment[role.name] is None:
+                    break
+            else:
+                blocks = tuple(frozenset(s for s in subset if h[s] == x) for x in range(a.size))
+                return DividesWitness(assignment, frozenset(subset), blocks)
     return None

@@ -16,6 +16,7 @@ from treelab.automata import (
     FiniteAlgebra,
     build,
     eval_term_in_algebra,
+    product_algebra,
     reachable,
     reachable_elements,
     with_constants,
@@ -23,9 +24,10 @@ from treelab.automata import (
 from treelab.cascade import ann_name, annotated_alphabet, ctl_compile, ctl_parse, nest
 from treelab.cli import save_dbta
 from treelab.errors import CapExceededError
-from treelab.fixtures import L_POTT
+from treelab.fixtures import ALG_POTT, L_POTT
+from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, path_nfa
-from treelab.structure import all_congruences
+from treelab.structure import all_congruences, lattice_divides
 from treelab.syntactic import divides
 from treelab.transduce import (
     Dtop,
@@ -67,20 +69,6 @@ def full_dbta(alphabet, carrier, step, accept):
     return Dbta(algebra, frozenset(i for i, value in enumerate(carrier) if accept(value)))
 
 
-def naive_reachable(algebra):
-    known = set()
-    changed = True
-    while changed:
-        changed = False
-        for letter in algebra.alphabet.letters:
-            for args in itertools.product(sorted(known), repeat=letter.arity):
-                value = algebra.op(letter.name, args)
-                if value not in known:
-                    known.add(value)
-                    changed = True
-    return frozenset(known)
-
-
 def naive_restriction(dbta, elements):
     order = sorted(elements)
     old_to_new = {old: new for new, old in enumerate(order)}
@@ -97,7 +85,7 @@ def naive_restriction(dbta, elements):
 
 def restricted(full):
     """save_dbta(reachable(full).dbta), computed without the kernel."""
-    return save_dbta(naive_restriction(full, naive_reachable(full.algebra)))
+    return save_dbta(naive_restriction(full, frozenset(sweep_reachable(full.algebra))))
 
 
 def test_reachable_matches_naive_fixpoint():
@@ -105,7 +93,7 @@ def test_reachable_matches_naive_fixpoint():
     for trial in range(150):
         alphabet = FG if trial % 5 == 0 else FGAB
         dbta = random_dbta(rng, alphabet, rng.randint(1, 6))
-        elements = naive_reachable(dbta.algebra)
+        elements = frozenset(sweep_reachable(dbta.algebra))
         assert reachable_elements(dbta.algebra) == elements
         result = reachable(dbta)
         assert result.elements == elements
@@ -225,7 +213,7 @@ def test_build_cap_and_dead_algebra():
 
 
 def test_cap_errors_name_stage_reached_and_cap():
-    # the fields beside an unchanged message, at five of the six raise sites
+    # the fields beside an unchanged message, at seven of the eight raise sites
     algebra = random_algebra(random.Random(1), FGAB, 4)
     reached = len(reachable_elements(algebra))
     with pytest.raises(CapExceededError) as caught:
@@ -246,6 +234,21 @@ def test_cap_errors_name_stage_reached_and_cap():
     with pytest.raises(CapExceededError) as caught:
         divides(algebra, algebra, max_carrier=2)
     assert (caught.value.stage, caught.value.reached, caught.value.cap) == ("divides search", 4, 2)
+    with pytest.raises(CapExceededError) as caught:
+        lattice_divides(algebra, use_polynomial_closure=True, max_carrier=3)
+    assert (caught.value.stage, caught.value.reached, caught.value.cap) == ("divides search", 4, 3)
+    with pytest.raises(CapExceededError) as caught:
+        lattice_divides(ALG_POTT, use_polynomial_closure=True, max_functions=5)
+    error = caught.value
+    assert str(error) == "binary polynomial generation hit its cap"
+    assert (error.stage, error.reached, error.cap) == ("binary polynomial generation", 6, 5)
+    constants = RankedAlphabet.of(("a", 0))
+    big, other = (FiniteAlgebra(constants, size, {"a": (0,)}) for size in (80, 60))
+    with pytest.raises(CapExceededError) as caught:
+        product_algebra(big, other)
+    error = caught.value
+    assert str(error) == "product carrier exceeds 4096"
+    assert (error.stage, error.reached, error.cap) == ("product carrier", 4800, 4096)
     formula = ctl_parse("X1 X1 lbl(a)", FGAB)
     with pytest.raises(CapExceededError) as caught:
         ctl_compile(formula, FGAB, 1)

@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from test_acceptance import budget
 
 import treelab
 from treelab import cli, oracle
@@ -756,6 +757,8 @@ BILLION_FILES = {
     "carrier": ("matrix", "input a 0\nbase c 0\ncarrier 1000000000\nop c -> 0\nwidth 1\n"
                 "tuple a 1 -> c\n",
                 "a base without operations has at most 4096 elements, got 1000000000"),
+    "dbta carrier": ("dbta", "letter a 0\ncarrier 1000000000\nop a -> 0\naccept 0\n",
+                     "an algebra without operations has at most 4096 elements, got 1000000000"),
 }
 
 
@@ -769,11 +772,63 @@ def test_a_billion_in_a_file_ends_in_a_parse_error_at_once(capsys, tmp_path, fie
     argv = {
         "dtop": ("dtop", "apply", "--dtop", path, "--tree", "a"),
         "matrix": ("matrix", "flatten", "--matrix", path),
+        "dbta": ("doubly-det", "--lang", path),
     }[kind]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_bool_caps_the_product_carrier_before_building_it(capsys, tmp_path):
+    for size in (80, 60):
+        text = f"letter a 0\ncarrier {size}\nop a -> 0\naccept 0\n"
+        (tmp_path / f"c{size}.dbta").write_text(text, encoding="utf-8")
+    argv = ("--lang", str(tmp_path / "c80.dbta"), "--other", str(tmp_path / "c60.dbta"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bool", "--kind", "union", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (3, "", "cap exceeded: product carrier exceeds 4096\n")
+
+
+def test_lattice_divides_with_polynomials_answers_in_seconds(capsys):
+    with budget(5.0):
+        code, out, err = run(
+            capsys, "structure", "lattice-divides", "--polynomials", "--lang", "@l_pott_redundant"
+        )
+    assert (code, out, err) == (0, "no\n", "")
+
+
+def test_lattice_divides_with_polynomials_over_a_letter_named_like_the_pool(capsys, tmp_path):
+    # p0 is conjunction; with negation it gives disjunction as a polynomial
+    path = tmp_path / "p0.dbta"
+    path.write_text(
+        "letter p0 2\nletter n 1\nletter a 0\ncarrier 2\nop p0 0 0 -> 0\nop p0 0 1 -> 0\n"
+        "op p0 1 0 -> 0\nop p0 1 1 -> 1\nop n 0 -> 1\nop n 1 -> 0\nop a -> 0\naccept 1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "structure", "lattice-divides", "--lang", str(path))
+    assert (code, out, err) == (0, "no\n", "")
+    code, out, err = run(
+        capsys, "structure", "lattice-divides", "--polynomials", "--lang", str(path)
+    )
+    assert (code, out, err) == (0, "yes\n", "")
+
+
+def test_lattice_divides_with_a_capped_polynomial_pool_never_answers_no(capsys, tmp_path):
+    # 2,000 binary polynomials do not close this algebra's clone, and none of
+    # them makes the lattice divide it
+    alphabet = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0))
+    f = (3, 1, 3, 1, 1, 0, 2, 2, 3, 0, 0, 2, 4, 0, 1, 2, 2, 2, 1, 3, 4, 1, 4, 0, 3)
+    algebra = FiniteAlgebra(alphabet, 5, {"f": f, "g": (4, 3, 1, 0, 3), "a": (4,)})
+    path = tmp_path / "capped.dbta"
+    path.write_text(save_dbta(Dbta(algebra, frozenset({0}))), encoding="utf-8")
+    code, out, err = run(capsys, "structure", "lattice-divides", "--lang", str(path))
+    assert (code, out, err) == (0, "no\n", "")
+    code, out, err = run(
+        capsys, "structure", "lattice-divides", "--polynomials", "--lang", str(path)
+    )
+    assert (code, out, err) == (3, "", "cap exceeded: binary polynomial generation hit its cap\n")
 
 
 # formulas 10^4 deep: the CTL parser and every formula walk use explicit stacks

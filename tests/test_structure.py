@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treelab import structure
 from treelab.automata import Dbta, FiniteAlgebra, product_algebra
 from treelab.errors import CapExceededError, IncompatiblePartitionError
 from treelab.fixtures import (
@@ -297,6 +298,16 @@ def test_lattice_divides_witness_reconstructs():
         )
     rebuilt = FiniteAlgebra(ALG_LATTICE.alphabet, 2, tables)
     assert find_isomorphism(ALG_LATTICE, rebuilt) is not None
+
+
+def test_lattice_divides_checks_its_carrier_cap_before_generating_polynomials(monkeypatch):
+    def generate(*args):
+        raise AssertionError("polynomials generated past the carrier cap")
+
+    monkeypatch.setattr(structure, "generate_polynomials", generate)
+    seven = FiniteAlgebra(RankedAlphabet.of(("f", 2)), 7, {"f": (0,) * 49})
+    with pytest.raises(CapExceededError, match="^divides search capped at carrier 6$"):
+        lattice_divides(seven, use_polynomial_closure=True)
 
 
 def test_lattice_divides_true_bool_syntactic():

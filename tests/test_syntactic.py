@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,11 @@ from treelab.fixtures import (
 )
 from treelab.paths import is_universal_path
 from treelab.syntactic import (
+    _canonical,
+    _first_incompatible,
+    _partitions,
+    _quotient_tables,
+    _translations,
     dbta_isomorphic,
     divides,
     find_isomorphism,
@@ -206,6 +212,88 @@ def test_divides_witness_reconstructs():
         for b in sub:
             value = ALG_LATTICE.op(name, (a, b))
             assert value in witness.subuniverse
+
+
+def reference_divides(a, b):
+    """The exhaustive division search: every role assignment, every closed
+    subset, every partition into a.size blocks that is a congruence, and an
+    isomorphism search on each quotient.  True or None."""
+    roles = list(a.alphabet.letters)
+    candidates = [[l.name for l in b.alphabet.letters if l.arity == role.arity] for role in roles]
+    for choice in itertools.product(*candidates):
+        for mask in range(1, 1 << b.size):
+            order = [e for e in range(b.size) if mask >> e & 1]
+            index = {element: i for i, element in enumerate(order)}
+            tables = {
+                role.name: tuple(
+                    index.get(b.op(picked, args), -1)
+                    for args in itertools.product(order, repeat=role.arity)
+                )
+                for role, picked in zip(roles, choice)
+            }
+            if any(-1 in table for table in tables.values()):
+                continue
+            sub = FiniteAlgebra(a.alphabet, len(order), tables)
+            translations = _translations(sub)
+            for blocks in _partitions(list(range(len(order)))):
+                if len(blocks) != a.size:
+                    continue
+                classes = [0] * len(order)
+                for number, block in enumerate(blocks):
+                    for i in block:
+                        classes[i] = number
+                classes = _canonical(classes)
+                if _first_incompatible(translations, classes) is not None:
+                    continue
+                quotient = FiniteAlgebra(a.alphabet, a.size, _quotient_tables(sub, classes))
+                if find_isomorphism(a, quotient) is not None:
+                    return True
+    return None
+
+
+def rebuilt_quotient(a, b, witness):
+    """The quotient that a witness names, read off every argument tuple of its
+    subuniverse; fails unless the subuniverse is closed under the assigned
+    operations and the partition of it is compatible with them."""
+    block_of = {e: i for i, block in enumerate(witness.partition) for e in block}
+    assert set(block_of) == witness.subuniverse and len(witness.partition) == a.size
+    tables = {}
+    for role in a.alphabet.letters:
+        picked = witness.role_assignment[role.name]
+        assert b.alphabet[picked].arity == role.arity
+        rows = {}
+        for args in itertools.product(sorted(witness.subuniverse), repeat=role.arity):
+            value = block_of[b.op(picked, args)]
+            assert rows.setdefault(tuple(block_of[x] for x in args), value) == value
+        keys = itertools.product(range(a.size), repeat=role.arity)
+        tables[role.name] = tuple(map(rows.__getitem__, keys))
+    return FiniteAlgebra(a.alphabet, a.size, tables)
+
+
+MIXED_LETTERS = [("f", 2), ("k", 2), ("g", 1), ("h", 1), ("c", 0), ("d", 0)]
+
+
+def random_algebra(rng, size, letters):
+    tables = {
+        name: tuple(rng.randrange(size) for _ in range(size**arity)) for name, arity in letters
+    }
+    return FiniteAlgebra(RankedAlphabet.of(*letters), size, tables)
+
+
+def test_divides_agrees_with_the_exhaustive_search_and_every_witness_rebuilds():
+    rng = random.Random(19)
+    verdicts = []
+    for _ in range(600):
+        a_letters = rng.sample(MIXED_LETTERS, rng.randint(1, 3))
+        b_letters = rng.sample(MIXED_LETTERS, rng.randint(1, 4))
+        a = random_algebra(rng, rng.randint(1, 3), a_letters)
+        b = random_algebra(rng, rng.randint(1, 5), b_letters)
+        witness = divides(a, b)
+        assert (witness is not None) == (reference_divides(a, b) is not None), (a, b)
+        if witness is not None:
+            assert find_isomorphism(a, rebuilt_quotient(a, b, witness)) is not None
+        verdicts.append(witness is not None)
+    assert 100 <= sum(verdicts) <= 500
 
 
 def test_same_syntactic_core_same_paths_verdicts():

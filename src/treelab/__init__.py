@@ -42,7 +42,6 @@ from .automata import (
     eval_term_in_algebra,
     evaluate,
     is_empty,
-    preimage_tree_hom,
     reachable,
     with_constants,
 )
@@ -70,6 +69,7 @@ from .transduce import (
     matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,
+    preimage_tree_hom,
 )
 from .cascade import (
     Cascade,

@@ -491,23 +491,3 @@ def with_constants(algebra: FiniteAlgebra) -> FiniteAlgebra:
     alphabet = RankedAlphabet(algebra.alphabet.letters + constants)
     return FiniteAlgebra(alphabet, algebra.size, tables, algebra.element_names)
 
-
-def preimage_tree_hom(dbta: Dbta, hom) -> Dbta:
-    """DBTA for the inverse image of the language under a tree homomorphism.
-
-    Same carrier; the table for a source letter is the evaluation of its image
-    term.  accepts(result, t) iff accepts(dbta, hom_apply(hom, t)).
-    """
-    if hom.target != dbta.alphabet:
-        raise AlphabetMismatchError("homomorphism target must match the automaton alphabet")
-    algebra = dbta.algebra
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in hom.source.letters:
-        term: Term = hom.rules[letter.name]
-        rows = [
-            eval_term_in_algebra(algebra, term, env)
-            for env in itertools.product(range(algebra.size), repeat=letter.arity)
-        ]
-        tables[letter.name] = tuple(rows)
-    new_algebra = FiniteAlgebra(hom.source, algebra.size, tables, algebra.element_names)
-    return Dbta(new_algebra, dbta.accepting)

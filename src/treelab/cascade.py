@@ -14,8 +14,7 @@ k, where input j*w + c is coordinate c of child j (children 0-based).  The row
 is chosen by the node's own values of the few earlier flat coordinates the
 layer ``reads``, read as a binary number with the first read most significant.
 On the annotated letter ``name|bits`` the layer therefore acts by the row that
-``bits`` selects; a layer given by explicit polynomials for every annotated
-letter reads every earlier coordinate.
+``bits`` selects.
 """
 
 from __future__ import annotations
@@ -262,25 +261,7 @@ def until_language(spec: UntilSpec) -> tuple[Dbta, dict[str, SemiPoly]]:
 # --- cascades -----------------------------------------------------------------
 
 
-def _split_annotated(alphabet: RankedAlphabet) -> tuple[RankedAlphabet, int]:
-    """(base, nbits) with annotated_alphabet(base, nbits) == alphabet, or
-    (alphabet, 0) when the letter names carry no annotation."""
-    first = alphabet.letters[0].name if alphabet.letters else ""
-    nbits = len(first.rpartition("|")[2]) if "|" in first else 0
-    if nbits:
-        letters = alphabet.letters[:: 1 << nbits]
-        try:
-            base = RankedAlphabet(
-                tuple(Letter(letter.name.rpartition("|")[0], letter.arity) for letter in letters)
-            )
-        except ValueError:  # repeated prefixes: not an annotated alphabet
-            return alphabet, 0
-        if annotated_alphabet(base, nbits) == alphabet:
-            return base, nbits
-    return alphabet, 0
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Layer:
     """One annotation layer, stored symbolically.
 
@@ -289,11 +270,6 @@ class Layer:
     semilattice polynomials the layer applies, where ``row`` spells in binary
     the node's own values of the earlier flat coordinates in ``reads`` (first
     read most significant), so each entry has 2^len(reads) rows.
-
-    ``Layer(alphabet, width, polys)`` takes explicit polynomials for every
-    letter of an annotated alphabet (named as ``annotated_alphabet`` names
-    them, or a plain alphabet for a first layer) and reads every earlier
-    coordinate.  ``Layer.symbolic`` takes the table directly.
     """
 
     base: RankedAlphabet
@@ -302,60 +278,23 @@ class Layer:
     reads: tuple[int, ...]
     table: Mapping[str, tuple[tuple[SemiPoly, ...], ...]]
 
-    def __init__(
-        self,
-        alphabet: RankedAlphabet,
-        width: int,
-        polys: Mapping[str, tuple[SemiPoly, ...]],
-    ):
-        base, nbits = _split_annotated(alphabet)
-        if len(polys) != len(alphabet.letters):
-            raise ValueError("layer must define polynomials for every letter")
-        table: dict[str, tuple[tuple[SemiPoly, ...], ...]] = {}
-        for letter in base.letters:
-            rows = []
-            for bits in itertools.product((0, 1), repeat=nbits):
-                name = ann_name(letter.name, bits)
-                if name not in polys:
-                    raise ValueError(f"bad polynomial tuple for {name}")
-                rows.append(tuple(polys[name]))
-            table[letter.name] = tuple(rows)
-        self._set(base, nbits, width, tuple(range(nbits)), table)
-
-    @classmethod
-    def symbolic(
-        cls,
-        base: RankedAlphabet,
-        nbits: int,
-        width: int,
-        reads: tuple[int, ...],
-        table: Mapping[str, tuple[tuple[SemiPoly, ...], ...]],
-    ) -> "Layer":
-        layer = cls.__new__(cls)
-        layer._set(base, nbits, width, reads, table)
-        return layer
-
-    def _set(self, base, nbits, width, reads, table) -> None:
-        if width < 1:
+    def __post_init__(self):
+        if self.width < 1:
             raise ValueError("layer width must be >= 1")
-        if any(not 0 <= read < nbits for read in reads):
+        if any(not 0 <= read < self.nbits for read in self.reads):
             raise ValueError("layer reads a coordinate outside the earlier bits")
-        if len(table) != len(base.letters):
+        if len(self.table) != len(self.base.letters):
             raise ValueError("layer must define polynomials for every letter")
-        for letter in base.letters:
-            rows = table.get(letter.name)
-            if rows is None or len(rows) != 1 << len(reads):
+        for letter in self.base.letters:
+            rows = self.table.get(letter.name)
+            if rows is None or len(rows) != 1 << len(self.reads):
                 raise ValueError(f"bad polynomial table for {letter.name}")
             for entry in rows:
-                if len(entry) != width:
+                if len(entry) != self.width:
                     raise ValueError(f"bad polynomial tuple for {letter.name}")
                 for poly in entry:
-                    if any(i >= width * letter.arity for i in poly.indices):
+                    if any(i >= self.width * letter.arity for i in poly.indices):
                         raise ValueError(f"polynomial input out of range for {letter.name}")
-        for name, value in (
-            ("base", base), ("nbits", nbits), ("width", width), ("reads", reads), ("table", table)
-        ):
-            object.__setattr__(self, name, value)
 
     @property
     def alphabet(self) -> RankedAlphabet:
@@ -778,7 +717,7 @@ class _Compiler:
             letter.name: tuple(tuple(poly_fn(letter, *values)) for values in rows)
             for letter in self.base.letters
         }
-        self.layers.append(Layer.symbolic(self.base, nbits, width, reads, table))
+        self.layers.append(Layer(self.base, nbits, width, reads, table))
         return len(self.layers) - 1
 
 

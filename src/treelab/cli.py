@@ -668,13 +668,13 @@ def _cmd_ctl_eval(ws: Workspace, args, report: Report) -> None:
     report.line("yes" if ctl_eval(formula, parse_word(args.tree, alphabet)) else "no")
 
 
-def _check_max_width(args) -> None:
-    if args.max_width < 1:
-        raise ParseError(f"--max-width must be >= 1, got {args.max_width}")
+def _require_positive(option: str, value: int) -> None:
+    if value < 1:
+        raise ParseError(f"{option} must be >= 1, got {value}")
 
 
 def _cmd_ctl_compile(ws: Workspace, args, report: Report) -> None:
-    _check_max_width(args)
+    _require_positive("--max-width", args.max_width)
     alphabet = ws.alphabet(args.alphabet)
     cascade = ctl_compile(ctl_parse(args.formula, alphabet), alphabet, args.max_width)
     report.line("layers", len(cascade.layers))
@@ -686,7 +686,7 @@ def _cmd_ctl_compile(ws: Workspace, args, report: Report) -> None:
 
 
 def _cmd_ctl_verify(ws: Workspace, args, report: Report) -> None:
-    _check_max_width(args)
+    _require_positive("--max-width", args.max_width)
     if args.count < 0:
         raise ParseError(f"--count must be >= 0, got {args.count}")
     alphabet = ws.alphabet(args.alphabet)
@@ -737,6 +737,8 @@ def _cmd_structure_orpairs(ws: Workspace, args, report: Report) -> None:
 
 
 def _cmd_structure_strongly_abelian(ws: Workspace, args, report: Report) -> None:
+    _require_positive("--arity-bound", args.arity_bound)
+    _require_positive("--depth-bound", args.depth_bound)
     algebra = ws.dbta(args.lang).algebra
     congruence = _parse_congruence(args.congruence, algebra.size)
     verdict = strongly_abelian_check(algebra, congruence, args.arity_bound, args.depth_bound)

@@ -16,7 +16,6 @@ from .automata import (
     are_equivalent,
     boolean_combine,
     corpus_values,
-    preimage_tree_hom,
     subset_counterexample,
 )
 from .cascade import (
@@ -31,6 +30,7 @@ from .cascade import (
     random_formula_corpus,
 )
 from .paths import Dtta, PathNfa, is_universal_path, mixes
+from .transduce import preimage_tree_hom
 from .trees import (
     Letter,
     PathWord,
@@ -58,6 +58,21 @@ def sweep_reachable(algebra: FiniteAlgebra) -> list[int]:
                     known.add(value)
                     changed = True
     return sorted(known)
+
+
+def _partitions(items: list[int]) -> list[list[list[int]]]:
+    """Every partition of ``items`` into blocks, each exactly once: for each
+    partition of the later items, the first item joins each block in turn,
+    then a block of its own."""
+    partitions: list[list[list[int]]] = [[]]
+    for first in reversed(items):
+        partitions = [
+            part
+            for sub in partitions
+            for part in [sub[:i] + [[first] + sub[i]] + sub[i + 1 :] for i in range(len(sub))]
+            + [[[first]] + sub]
+        ]
+    return partitions
 
 
 def word_realized(dbta: Dbta, reach: list[int], word: PathWord) -> bool:
@@ -140,15 +155,23 @@ def check(ok: bool, suite: str, *detail) -> None:
 
 def universal_path_suite(max_nodes: int) -> int:
     """`is_universal_path` against "every mix of a member is a member" on the
-    trees of at most ``max_nodes`` nodes; the number of trees checked."""
+    trees of at most ``max_nodes`` nodes; the number of trees checked.  A
+    ``no`` verdict's witness must itself be a mix outside the language.  The
+    bounded oracle must agree with a ``yes``, and with a ``no`` whose witness
+    has at most ``max_nodes`` nodes: a larger one it cannot see."""
+    suite = "universal-path-oracle"
     checks = 0
     for name in ("l_true_and", "l_true_or", "l_pott", "l_pair", "l_two"):
         dbta = fixtures.corpus_dbta(name)
-        verdict, _witness = is_universal_path(dbta)
+        verdict, witness = is_universal_path(dbta)
         trees = enumerate_trees(dbta.alphabet, max_nodes)
         reach = sweep_reachable(dbta.algebra)
-        oracle = all(accepts(dbta, tree) for tree in trees if is_mix(dbta, reach, tree))
-        check(verdict == oracle, "universal-path-oracle", "verdict disagrees on", name)
+        if witness is not None:
+            ok = is_mix(dbta, reach, witness) and not accepts(dbta, witness)
+            check(ok, suite, "witness", witness, "is no rejected mix of", name)
+        if witness is None or witness.size() <= max_nodes:
+            oracle = all(accepts(dbta, tree) for tree in trees if is_mix(dbta, reach, tree))
+            check(verdict == oracle, suite, "verdict disagrees on", name)
         checks += len(trees)
     return checks
 

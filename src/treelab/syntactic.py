@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .automata import Dbta, FiniteAlgebra, reach, reachable
 from .errors import CapExceededError
@@ -270,17 +270,6 @@ class DividesWitness:
     role_assignment: Mapping[str, str]  # letter of a -> letter of b
     subuniverse: frozenset[int]
     partition: tuple[frozenset[int], ...]
-
-
-def _partitions(items: list[int]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-        yield [[first]] + sub
 
 
 def divides(a: FiniteAlgebra, b: FiniteAlgebra, max_carrier: int = 6) -> DividesWitness | None:

@@ -12,13 +12,16 @@ into the n-th matrix power of a base algebra.  A polynomial of the base is a
 term over ``automata.with_constants(base)``: the base letters plus a constant
 ``@e`` for each element e.  So it is an ordinary ``Term``, evaluated by
 ``eval_term_in_algebra``, and a DTOP rule over that alphabet is one verbatim.
+
+Preimages are flattens: ``_flatten`` serves ``matrix_power_language`` and
+``dtop_preimage``, and a tree homomorphism's preimage is its one-state DTOP's.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .automata import (
     DEFAULT_CARRIER_CAP,
@@ -35,6 +38,7 @@ from .trees import (
     Step,
     Term,
     Tree,
+    TreeHom,
     fold,
     instantiate,
     preorder,
@@ -109,31 +113,60 @@ def dtop_apply(dtop: Dtop, tree: Tree | list[Letter]) -> Tree:
     return fold(tree, dtop.input_alphabet, message, compile)[dtop.initial - 1]
 
 
+# --- preimages are flattens ----------------------------------------------------
+
+
+def _tuple_step(
+    algebra: FiniteAlgebra, tuples: Mapping[str, tuple[Term, ...]], name: str, args: Sequence
+) -> tuple[int, ...]:
+    """The tuple of a node from its letter and its children's tuples: the
+    letter's terms evaluated in ``algebra``, variables laid out flat."""
+    flat = [v for value in args for v in value]
+    return tuple([eval_term_in_algebra(algebra, t, flat) for t in tuples[name]])
+
+
+def _state_tuples(dtop: Dtop) -> dict[str, tuple[Term, ...]]:
+    """Per input letter, its rules for states 1..n: its tuple as a MatrixHom."""
+    states = range(1, dtop.n_states + 1)
+    return {x.name: tuple(dtop.rules[x.name, q] for q in states) for x in dtop.input_alphabet.letters}
+
+
+def _flatten(
+    alphabet: RankedAlphabet, algebra: FiniteAlgebra, tuples: Mapping[str, tuple[Term, ...]],
+    accept: Callable[[tuple[int, ...]], bool], max_carrier: int, stage: str,
+) -> Dbta:
+    """The DBTA of the tuples that trees reach under ``_tuple_step``, numbered
+    in their lexicographic order (the order of the full power of ``algebra``,
+    restricted); the cap bounds that reached carrier."""
+    step = functools.partial(_tuple_step, algebra, tuples)
+    values, flat = build(alphabet, step, max_carrier, stage)
+    return Dbta(flat, frozenset(i for i, value in enumerate(values) if accept(value)))
+
+
 def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
     """DBTA for the inverse image of a recognized language under a DTOP.
 
     The value of a tree is the map states -> carrier of the given automaton,
     kept as a tuple (index q-1), whose entry at q is the evaluation of the
-    q-output.  Only the maps reached by trees are built, numbered in their
-    lexicographic order (the order of the full carrier of all maps,
-    restricted), and the cap bounds that reached carrier.  Accepting maps send
-    the initial state into the accepting set.
+    q-output: the flatten of ``dtop_to_matrix_hom(dtop, dbta.algebra)``, with
+    the rules evaluated in the automaton's own algebra.  Accepting maps send the
+    initial state into the accepting set.
     """
     if dtop.output_alphabet != dbta.alphabet:
         raise AlphabetMismatchError("automaton must read the transducer's output alphabet")
-    base = dbta.algebra
-    n = dtop.n_states
+    initial, accepting = dtop.initial - 1, dbta.accepting
+    return _flatten(
+        dtop.input_alphabet, dbta.algebra, _state_tuples(dtop),
+        lambda m: m[initial] in accepting, max_carrier, "preimage carrier",
+    )
 
-    def step(name: str, child_maps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        # variable (p, j) has the flat index n*(j-1)+p: entry p-1 of child j-1's map
-        env = tuple(value for m in child_maps for value in m)
-        return tuple(
-            eval_term_in_algebra(base, dtop.rules[(name, q)], env) for q in range(1, n + 1)
-        )
 
-    maps, algebra = build(dtop.input_alphabet, step, max_carrier, "preimage carrier")
-    accepting = frozenset(i for i, m in enumerate(maps) if m[dtop.initial - 1] in dbta.accepting)
-    return Dbta(algebra, accepting)
+def preimage_tree_hom(dbta: Dbta, hom: TreeHom) -> Dbta:
+    """DBTA for the inverse image of the language under a tree homomorphism,
+    a one-state DTOP: accepts(result, t) iff accepts(dbta, hom_apply(hom, t)).
+    Its carrier is the reached elements of the automaton, in increasing order,
+    so it never exceeds the automaton's."""
+    return dtop_preimage(dbta, Dtop.from_hom(hom), dbta.algebra.size)
 
 
 # --- matrix homomorphisms ------------------------------------------------------
@@ -178,19 +211,13 @@ class MatrixHom:
                 )
 
 
-def _matrix_step(mh: MatrixHom, name: str, args: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """The tuple of a node from its letter and its children's tuples."""
-    flat = [v for value in args for v in value]
-    return tuple([eval_term_in_algebra(mh.extended, t, flat) for t in mh.tuples[name]])
-
-
 def matrix_hom_eval(mh: MatrixHom, tree: Tree) -> tuple[int, ...]:
     """Bottom-up tuple semantics: a fold (see ``trees.fold``) by
-    ``_matrix_step``, which ``matrix_power_language`` steps by too."""
+    ``_tuple_step``, which ``matrix_power_language`` steps by too."""
 
     def compile(letter: Letter) -> Step:
         name, arity = letter.name, range(letter.arity)
-        return lambda pop: _matrix_step(mh, name, [pop() for _ in arity])
+        return lambda pop: _tuple_step(mh.extended, mh.tuples, name, [pop() for _ in arity])
 
     return fold(tree, mh.alphabet, "letter {} not in the input alphabet", compile)
 
@@ -201,12 +228,7 @@ def dtop_to_matrix_hom(dtop: Dtop, base: FiniteAlgebra) -> MatrixHom:
     so the rules are the tuples verbatim."""
     if base.alphabet != dtop.output_alphabet:
         raise AlphabetMismatchError("base algebra must read the transducer's output alphabet")
-    n = dtop.n_states
-    tuples = {
-        letter.name: tuple(dtop.rules[(letter.name, q)] for q in range(1, n + 1))
-        for letter in dtop.input_alphabet.letters
-    }
-    return MatrixHom(base, dtop.input_alphabet, n, tuples)
+    return MatrixHom(base, dtop.input_alphabet, dtop.n_states, _state_tuples(dtop))
 
 
 def matrix_hom_to_dtops(mh: MatrixHom) -> tuple[Dtop, FiniteAlgebra]:
@@ -230,17 +252,12 @@ def matrix_power_language(
     mh: MatrixHom, accepting: frozenset[tuple[int, ...]] | set[tuple[int, ...]],
     max_carrier: int = DEFAULT_CARRIER_CAP,
 ) -> Dbta:
-    """Flatten the matrix-power homomorphism into an ordinary DBTA.
-
-    Only the tuples reached by trees are built, numbered in their
-    lexicographic order (the order of the full width-th power, restricted),
-    and the cap bounds that reached carrier.  An accepting tuple must lie in
-    the width-th power of the base; one that no tree reaches accepts nothing.
+    """Flatten the matrix-power homomorphism into an ordinary DBTA (see
+    ``_flatten``).  An accepting tuple must lie in the width-th power of the
+    base; one that no tree reaches accepts nothing.
     """
     for t in accepting:
         if len(t) != mh.width or any(not 0 <= e < mh.base.size for e in t):
             raise ValueError(f"accepting tuple {t} outside the base's width-{mh.width} power")
-
-    step = functools.partial(_matrix_step, mh)
-    values, algebra = build(mh.alphabet, step, max_carrier, "flattened carrier")
-    return Dbta(algebra, frozenset(i for i, value in enumerate(values) if value in accepting))
+    accept = accepting.__contains__
+    return _flatten(mh.alphabet, mh.extended, mh.tuples, accept, max_carrier, "flattened carrier")

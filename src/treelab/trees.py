@@ -21,13 +21,15 @@ its word; ``automata.evaluate``, ``hom_apply``, ``transduce.dtop_apply`` and
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .errors import AlphabetMismatchError, ParseError
+from .errors import AlphabetMismatchError, CapExceededError, ParseError
 
 MAX_ARITY = 8
+MAX_TREE_CORPUS = 1_000_000  # trees that enumerate_trees lists at most
 
 
 @dataclass(frozen=True, order=True)
@@ -629,6 +631,18 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _shapes(alphabet: RankedAlphabet, size: int) -> Iterator[tuple[Letter, tuple[int, ...]]]:
+    """The root letter and the children's sizes of the trees of ``size``
+    nodes, root letter in alphabet order, then sizes lexicographic."""
+    for letter in alphabet.letters:
+        if letter.arity == 0:
+            if size == 1:
+                yield letter, ()
+        elif size - 1 >= letter.arity:
+            for comp in _compositions(size - 1, letter.arity):
+                yield letter, comp
+
+
 def enumerate_trees(alphabet: RankedAlphabet, max_nodes: int) -> list[Tree]:
     """All trees with <= max_nodes nodes, each exactly once.
 
@@ -639,22 +653,32 @@ def enumerate_trees(alphabet: RankedAlphabet, max_nodes: int) -> list[Tree]:
     entry is an earlier entry, the same object (a tree of n nodes is built
     out of the trees listed for the smaller sizes).  So ``child_positions``
     applies, and a fold over the list computes each distinct subtree once.
+
+    The trees are counted per size before any is built; more than
+    ``MAX_TREE_CORPUS`` raises CapExceededError (stage ``tree corpus``).
     """
+    arities = {letter.arity for letter in alphabet.letters}
+    if 0 not in arities:
+        return []  # no tree at all
+    if arities == {0}:
+        max_nodes = min(max_nodes, 1)  # no tree of two nodes or more
+    counts = [0]
+    for size in range(1, max_nodes + 1):
+        counts.append(sum(
+            math.prod(counts[part] for part in comp) for _, comp in _shapes(alphabet, size)
+        ))
+        total = sum(counts)
+        if total > MAX_TREE_CORPUS:
+            message = f"tree corpus exceeds {MAX_TREE_CORPUS}"
+            raise CapExceededError(message, "tree corpus", total, MAX_TREE_CORPUS)
     by_size: list[list[Tree]] = [[]]
     out: list[Tree] = []
     for size in range(1, max_nodes + 1):
-        level: list[Tree] = []
-        for letter in alphabet.letters:
-            arity = letter.arity
-            if arity == 0:
-                if size == 1:
-                    level.append(Tree(letter))
-                continue
-            if size - 1 < arity:
-                continue
-            for comp in _compositions(size - 1, arity):
-                for kids in itertools.product(*(by_size[part] for part in comp)):
-                    level.append(Tree(letter, kids))
+        level = [
+            Tree(letter, kids)
+            for letter, comp in _shapes(alphabet, size)
+            for kids in itertools.product(*(by_size[part] for part in comp))
+        ]
         by_size.append(level)
         out.extend(level)
     return out

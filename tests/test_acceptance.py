@@ -18,7 +18,6 @@ from treelab.automata import (
     boolean_combine,
     complement,
     evaluate,
-    preimage_tree_hom,
     subset_counterexample,
 )
 from treelab.cascade import (
@@ -87,6 +86,7 @@ from treelab.transduce import (
     dtop_to_matrix_hom,
     matrix_hom_eval,
     matrix_hom_to_dtops,
+    preimage_tree_hom,
 )
 from treelab.trees import (
     RankedAlphabet,

@@ -16,7 +16,6 @@ from treelab.automata import (
     corpus_values,
     evaluate,
     is_empty,
-    preimage_tree_hom,
     product_algebra,
     product_witness,
     reachable,
@@ -37,6 +36,7 @@ from treelab.fixtures import (
     SIG_LINE,
     SIG_POTT,
 )
+from treelab.transduce import preimage_tree_hom
 from treelab.trees import (
     Letter,
     RankedAlphabet,

@@ -513,14 +513,26 @@ def test_next_layer_coordinates():
 
 def test_constant_layer_cascade():
     # a single constant layer: always-one bit
-    layer = Layer(
-        SIG_GCD,
-        1,
-        {l.name: (SemiPoly.const(1),) for l in SIG_GCD.letters},
-    )
+    layer = Layer(SIG_GCD, 0, 1, (), {l.name: ((SemiPoly.const(1),),) for l in SIG_GCD.letters})
     cascade = Cascade(SIG_GCD, (layer,), (0, 0))
     for tree in enumerate_trees(SIG_GCD, 4):
         assert cascade_eval(cascade, tree) == (1,)
+
+
+def test_layer_checks_its_table():
+    ones = {l.name: ((SemiPoly.const(1),),) for l in SIG_GCD.letters}
+    reads_c = {**ones, "c": ((SemiPoly(False, frozenset({0})),),)}
+    faults = [
+        ((0, 0, (), ones), "layer width must be >= 1"),
+        ((1, 1, (1,), ones), "layer reads a coordinate outside the earlier bits"),
+        ((0, 1, (), {"g": ones["g"]}), "layer must define polynomials for every letter"),
+        ((1, 1, (0,), ones), "bad polynomial table for g"),
+        ((0, 2, (), ones), "bad polynomial tuple for g"),
+        ((0, 1, (), reads_c), "polynomial input out of range for c"),
+    ]
+    for (nbits, width, reads, table), message in faults:
+        with pytest.raises(ValueError, match=message):
+            Layer(SIG_GCD, nbits, width, reads, table)
 
 
 def test_shared_subformulas_compile_once():
@@ -533,13 +545,30 @@ def test_shared_subformulas_compile_once():
     assert len(cascade.layers) == 5
 
 
+def explicit_layer(base, nbits, width, polys) -> Layer:
+    """The layer that applies ``polys[ann_name(name, bits)]`` on each annotated
+    letter of ``annotated_alphabet(base, nbits)``: one row per bit vector,
+    reading every earlier coordinate."""
+    assert len(polys) == len(base.letters) << nbits
+    table = {
+        letter.name: tuple(
+            tuple(polys[ann_name(letter.name, bits)])
+            for bits in itertools.product((0, 1), repeat=nbits)
+        )
+        for letter in base.letters
+    }
+    return Layer(base, nbits, width, tuple(range(nbits)), table)
+
+
 def test_explicit_layer_over_annotated_alphabet():
     # the second layer copies the first layer's bit at the node: explicit
     # polynomials for every annotated letter, read as a table over that bit
-    first = Layer(SIG_GCD, 1, {l.name: (SemiPoly.const(l.name == "c"),) for l in SIG_GCD.letters})
+    first = explicit_layer(
+        SIG_GCD, 0, 1, {l.name: (SemiPoly.const(l.name == "c"),) for l in SIG_GCD.letters}
+    )
     alphabet = annotated_alphabet(SIG_GCD, 1)
-    copy = Layer(
-        alphabet, 1, {l.name: (SemiPoly.const(l.name.endswith("|1")),) for l in alphabet.letters}
+    copy = explicit_layer(
+        SIG_GCD, 1, 1, {l.name: (SemiPoly.const(l.name.endswith("|1")),) for l in alphabet.letters}
     )
     assert (copy.base, copy.nbits, copy.reads) == (SIG_GCD, 1, (0,))
     assert copy.alphabet == alphabet
@@ -573,7 +602,7 @@ def reference_add_layer(expanded: list):
                 values = [read(ref, bits) for ref in refs]
                 polys[ann_name(letter.name, bits)] = tuple(poly_fn(letter, *values))
         expanded.append(polys)
-        self.layers.append(Layer(annotated_alphabet(self.base, nbits), width, polys))
+        self.layers.append(explicit_layer(self.base, nbits, width, polys))
         return len(self.layers) - 1
 
     return add_layer

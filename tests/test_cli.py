@@ -11,7 +11,7 @@ from test_acceptance import budget
 
 import treelab
 from treelab import cli, oracle
-from treelab.automata import Dbta, FiniteAlgebra, complement, with_constants
+from treelab.automata import Dbta, FiniteAlgebra, accepts, complement, with_constants
 from treelab.cascade import cascade_flatten, ctl_compile, ctl_parse
 from treelab.cli import (
     Workspace,
@@ -33,7 +33,7 @@ from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, dtta_to_dbta, path_nfa
 from treelab.syntactic import dbta_isomorphic
 from treelab.transduce import Dtop, MatrixHom, dtop_to_matrix_hom, matrix_power_language
-from treelab.trees import RankedAlphabet, Tree, parse_term, render_tree
+from treelab.trees import RankedAlphabet, Tree, enumerate_trees, parse_term, render_tree
 
 
 def run(capsys, *argv):
@@ -617,6 +617,9 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 3
     code, _, err = run(capsys, "no-such-command")
     assert code == 1
+    for bound in ("--arity-bound", "--depth-bound"):
+        code, _, err = run(capsys, "structure", "strongly-abelian", "--lang", "@l_pott", bound, "0")
+        assert (code, err) == (2, f"error: {bound} must be >= 1, got 0\n")
 
 
 MALFORMED = [
@@ -940,6 +943,29 @@ def test_universal_path_oracle_reaches_once_per_language(monkeypatch):
     checks = oracle.universal_path_suite(4)
     assert checks > 0
     assert len(calls) == 5 and len({id(a) for a in calls}) == 5
+
+
+def test_oracle_verify_below_the_smallest_witness(capsys):
+    # l_true_or's witness or(zero,zero) has 3 nodes, so smaller corpora cannot see it
+    for bound in ("0", "1", "2"):
+        code, out, err = run(capsys, "oracle", "verify", "--max-nodes", bound, "--count", "1")
+        assert (code, err) == (0, "") and out.endswith("\nok\n") and out.count("suite ") == 7
+
+
+def test_universal_path_oracle_checks_a_witness_itself(monkeypatch):
+    def member_as_witness(dbta):
+        return False, next(t for t in enumerate_trees(dbta.alphabet, 5) if accepts(dbta, t))
+
+    monkeypatch.setattr(oracle, "is_universal_path", member_as_witness)
+    with pytest.raises(oracle.Mismatch, match="witness .* is no rejected mix of l_true_and"):
+        oracle.universal_path_suite(0)
+
+
+def test_tree_corpora_past_the_cap_exit_3_at_once(capsys):
+    expected = (3, "", "cap exceeded: tree corpus exceeds 1000000\n")
+    with budget(2.0):
+        assert run(capsys, "ctl", "verify", "--alphabet", "@sig_bool", "--max-nodes", "16") == expected
+        assert run(capsys, "oracle", "verify", "--max-nodes", "20") == expected
 
 
 def test_oracle_verify_reports_mismatch(capsys, monkeypatch):

@@ -19,6 +19,7 @@ from treelab.fixtures import (
     SIG_POTT,
     corpus_dbta,
 )
+from treelab.oracle import _partitions
 from treelab.paths import is_universal_path
 from treelab.structure import (
     Congruence,
@@ -39,7 +40,6 @@ from treelab.structure import (
 from treelab.syntactic import (
     _all_translations,
     _coarsest_refinement,
-    _partitions,
     find_isomorphism,
     syntactic_algebra,
 )

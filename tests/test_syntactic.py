@@ -20,11 +20,11 @@ from treelab.fixtures import (
     SIG_GCD,
     SIG_POTT,
 )
+from treelab.oracle import _partitions
 from treelab.paths import is_universal_path
 from treelab.syntactic import (
     _canonical,
     _first_incompatible,
-    _partitions,
     _quotient_tables,
     _translations,
     dbta_isomorphic,

@@ -10,6 +10,7 @@ from treelab.automata import (
     accepts,
     are_equivalent,
     boolean_combine,
+    corpus_values,
     eval_term_in_algebra,
     evaluate,
     is_empty,
@@ -27,6 +28,7 @@ from treelab.fixtures import (
     SIG_POTT_K,
     corpus_dbta,
 )
+from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, dtta_to_dbta, is_universal_path, path_nfa
 from treelab.transduce import (
     Dtop,
@@ -37,6 +39,7 @@ from treelab.transduce import (
     matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,
+    preimage_tree_hom,
 )
 from treelab.trees import (
     Letter,
@@ -45,7 +48,9 @@ from treelab.trees import (
     TreeHom,
     Tree,
     Var,
+    child_positions,
     enumerate_trees,
+    hom_apply,
     parse_tree,
     render_tree,
     substitute,
@@ -163,6 +168,79 @@ def test_preimage_cap():
     with pytest.raises(CapExceededError):
         dtop_preimage(K_POTT, DUP_DTOP, max_carrier=1)
     assert dtop_preimage(K_POTT, DUP_DTOP, max_carrier=2).algebra.size == 2
+
+
+FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
+
+
+def full_carrier_preimage(dbta, hom):
+    """The inverse image filled over the automaton's whole carrier: each
+    source letter's table is its image term evaluated on every argument
+    tuple.  The reference for ``preimage_tree_hom``."""
+    algebra = dbta.algebra
+    tables = {
+        letter.name: tuple(
+            eval_term_in_algebra(algebra, hom.rules[letter.name], env)
+            for env in itertools.product(range(algebra.size), repeat=letter.arity)
+        )
+        for letter in hom.source.letters
+    }
+    return Dbta(FiniteAlgebra(hom.source, algebra.size, tables), dbta.accepting)
+
+
+def random_hom(rng, alphabet):
+    """A tree homomorphism of ``alphabet`` into itself whose image terms, up
+    to depth 3, may drop or repeat their variables."""
+
+    def random_body(nvars, depth):
+        leaves = [x for x in alphabet.letters if x.arity == 0]
+        if depth == 0 or rng.random() < 0.3:
+            if nvars and rng.random() < 0.7:
+                return Var(rng.randint(1, nvars))
+            return Tree(rng.choice(leaves))
+        letter = rng.choice(alphabet.letters)
+        return Tree(letter, tuple(random_body(nvars, depth - 1) for _ in range(letter.arity)))
+
+    rules = {x.name: Term(x.arity, random_body(x.arity, 3)) for x in alphabet.letters}
+    return TreeHom(alphabet, alphabet, rules)
+
+
+def test_hom_preimage_is_the_reached_part_of_the_full_carrier_fill():
+    rng = random.Random(20)
+    trees = enumerate_trees(FGAB, 7)
+    kids = child_positions(trees)
+    small = len(enumerate_trees(FGAB, 5))
+    for _ in range(60):
+        size = rng.randint(1, 5)
+        tables = {
+            x.name: tuple(rng.randrange(size) for _ in range(size**x.arity)) for x in FGAB.letters
+        }
+        dbta = Dbta(FiniteAlgebra(FGAB, size, tables), frozenset(rng.sample(range(size), size // 2)))
+        hom = random_hom(rng, FGAB)
+        full = full_carrier_preimage(dbta, hom)
+        pre = preimage_tree_hom(dbta, hom)
+        # element i of the preimage is the i-th reached element of the fill
+        reached = sweep_reachable(full.algebra)
+        assert pre.algebra.size == len(reached) and pre.algebra.element_names is None
+        for letter in FGAB.letters:
+            for args in pre.algebra.arg_tuples(letter.arity):
+                value = pre.algebra.op(letter.name, args)
+                assert reached[value] == full.algebra.op(letter.name, [reached[a] for a in args])
+        values = corpus_values(pre.algebra, trees, kids)
+        full_values = corpus_values(full.algebra, trees, kids)
+        assert [reached[v] for v in values] == full_values
+        assert [v in pre.accepting for v in values] == [v in dbta.accepting for v in full_values]
+        # the fill itself: a tree's value is its image's, on the trees of at most 5 nodes
+        for tree, value in zip(trees[:small], full_values):
+            assert evaluate(dbta.algebra, hom_apply(hom, tree)) == value
+
+
+def test_dtop_preimage_reads_an_output_letter_named_like_a_constant():
+    # rules are evaluated in the automaton's own algebra, not with_constants(...)
+    out = RankedAlphabet.of(("g", 1), ("@0", 0))
+    dbta = Dbta(FiniteAlgebra(out, 2, {"g": (1, 0), "@0": (0,)}), frozenset({1}))
+    pre = dtop_preimage(dbta, Dtop.from_hom(TreeHom.identity(out)))
+    assert [accepts(pre, t) for t in enumerate_trees(out, 4)] == [False, True, False, True]
 
 
 ALG_AND_C = with_constants(ALG_AND)

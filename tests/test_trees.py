@@ -2,10 +2,12 @@ import random
 import re
 
 import pytest
+from test_acceptance import budget
 
-from treelab.errors import ParseError
-from treelab.fixtures import HOM_DUP, SIG_GCD, SIG_LINE, SIG_MONO, SIG_POTT, SIG_POTT_K
+from treelab.errors import CapExceededError, ParseError
+from treelab.fixtures import HOM_DUP, SIG_BOOL, SIG_GCD, SIG_LINE, SIG_MONO, SIG_POTT, SIG_POTT_K
 from treelab.trees import (
+    MAX_TREE_CORPUS,
     Context,
     Letter,
     RankedAlphabet,
@@ -110,6 +112,34 @@ def test_enumerate_gcd_small():
 def test_enumerate_count_matches_recursion(alphabet):
     for bound in (3, 5):
         assert len(enumerate_trees(alphabet, bound)) == count_trees_oracle(alphabet, bound)
+
+
+def test_tree_corpus_is_counted_before_any_tree_is_built(monkeypatch):
+    made = [0]
+    check = Tree.__post_init__
+
+    def counting(self):
+        made[0] += 1
+        check(self)
+
+    monkeypatch.setattr(Tree, "__post_init__", counting)
+    with budget(1.0):
+        with pytest.raises(CapExceededError) as caught:
+            enumerate_trees(SIG_BOOL, 16)
+    error = caught.value
+    assert (str(error), error.stage, error.cap) == (
+        f"tree corpus exceeds {MAX_TREE_CORPUS}", "tree corpus", MAX_TREE_CORPUS
+    )
+    # the trees of at most 12 nodes fit, those of at most 13 do not
+    assert count_trees_oracle(SIG_BOOL, 12) <= MAX_TREE_CORPUS < count_trees_oracle(SIG_BOOL, 13)
+    assert error.reached == count_trees_oracle(SIG_BOOL, 13)
+    assert made[0] == 0
+    # without a constant or without a letter above arity 0, any bound ends at once
+    with budget(1.0):
+        constants = RankedAlphabet.of(("a", 0), ("b", 0))
+        assert [render_tree(t) for t in enumerate_trees(constants, 10**9)] == ["a", "b"]
+        assert enumerate_trees(RankedAlphabet.of(("g", 1), ("f", 2)), 10**9) == []
+        assert enumerate_trees(constants, 0) == []
 
 
 def test_enumerate_no_duplicates_and_bound():

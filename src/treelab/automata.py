@@ -102,14 +102,13 @@ def evaluate(algebra: FiniteAlgebra, tree: Tree | list[Letter]) -> int:
 
 
 def corpus_values(
-    algebra: FiniteAlgebra, nodes: Sequence[Tree], kids: Sequence[tuple[int, ...]]
+    algebra: FiniteAlgebra, letters: Sequence[Letter], kids: Sequence[tuple[int, ...]]
 ) -> list[int]:
-    """The value of the subtree at each of ``nodes``, a children-first list
-    whose children sit at the positions ``kids`` (see
-    ``trees.child_positions``), in the same order.
+    """The value of the subtree at each entry of a node list (see
+    ``trees.children_first`` and ``trees.tree_corpus``), in its order.
 
     Each value is one table lookup on values found earlier, so a subtree
-    shared by many entries (as in ``enumerate_trees``) is folded once.  A
+    shared by many entries (as in ``tree_corpus``) is folded once.  A
     letter outside the algebra's alphabet raises AlphabetMismatchError,
     naming the first such letter in the list.
     """
@@ -118,11 +117,10 @@ def corpus_values(
         letter.name: (letter, algebra.tables[letter.name]) for letter in algebra.alphabet.letters
     }
     values: list[int] = []
-    for node, children in zip(nodes, kids):
-        label = node.label
+    for label, children in zip(letters, kids):
         letter, table = rows.get(label.name, (None, None))
         if letter is not label and letter != label:
-            require_letters(nodes, algebra.alphabet, "letter {} not in the algebra's alphabet")
+            require_letters(letters, algebra.alphabet, "letter {} not in the algebra's alphabet")
         index = 0
         for child in children:
             index = index * size + values[child]

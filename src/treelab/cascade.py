@@ -603,11 +603,10 @@ def ctl_parse(text: str, alphabet: RankedAlphabet) -> CtlFormula:
 
 
 def ctl_label(
-    formula: CtlFormula, nodes: Sequence[Tree | Letter], kids: Sequence[tuple[int, ...]]
+    formula: CtlFormula, letters: Sequence[Letter], kids: Sequence[tuple[int, ...]]
 ) -> list[bool]:
-    """Whether ``formula`` holds at the subtree of each of ``nodes``, a
-    children-first list of trees or of a word's letters whose children sit
-    at the positions ``kids`` (see ``trees.children_first``), in the same order.
+    """Whether ``formula`` holds at the subtree of each entry of a node list
+    (see ``trees.children_first`` and ``trees.tree_corpus``), in its order.
 
     Bottom-up labelling (Clarke, Emerson and Sistla 1986): one pass over the
     list per distinct subformula, each node's label read off its own and its
@@ -618,14 +617,13 @@ def ctl_label(
     label of v is in ys, or some child i has (label, i) in xs and DU holds
     at it.
     """
-    names = [node.label.name for node in nodes]
     subs, args = _subformulas(formula)
     last = {k: j for j, at in enumerate(args) for k in at}  # position -> its last reader
     labels: list[list[bool] | None] = []  # per subformula; None once its last reader is done
     for j, (sub, at) in enumerate(zip(subs, args)):
         below = [labels[k] for k in at]
         if isinstance(sub, Lbl):
-            out = [name == sub.name for name in names]
+            out = [letter.name == sub.name for letter in letters]
         elif isinstance(sub, Not):
             out = [not holds for holds in below[0]]
         elif isinstance(sub, And):
@@ -656,7 +654,8 @@ def ctl_label(
             for name, child in sub.xs:
                 steps.setdefault(name, []).append(child - 1)
             out = []
-            for name, children in zip(names, kids):
+            for letter, children in zip(letters, kids):
+                name = letter.name
                 if name in sub.ys:
                     out.append(True)
                     continue
@@ -675,7 +674,7 @@ def ctl_label(
 
 def ctl_eval(formula: CtlFormula, tree: Tree | list[Letter]) -> bool:
     """Whether ``formula`` holds at the root of a tree or its preorder word,
-    by ``ctl_label`` over its reversed preorder (``trees.children_first``).
+    by ``ctl_label`` over its node list (``trees.children_first``).
 
     The semantics, by witness nodes: EU holds iff some node w satisfies the
     goal and every node strictly between the root and w satisfies the path,

@@ -88,13 +88,13 @@ from .trees import (
     RankedAlphabet,
     Term,
     Tree,
-    child_positions,
-    enumerate_trees,
     instantiate,
     parse_term,
     parse_word,
     render_tree,
     tokenize,
+    tree_at,
+    tree_corpus,
 )
 
 # --- text formats -------------------------------------------------------------
@@ -696,15 +696,14 @@ def _cmd_ctl_verify(ws: Workspace, args, report: Report) -> None:
     else:
         seed = int(os.environ.get("TREELAB_SEED", "0"))
         corpus = random_formula_corpus(seed, alphabet, args.count, max_width=args.max_width)
-    trees = enumerate_trees(alphabet, args.max_nodes)
-    kids = child_positions(trees)
+    letters, kids = tree_corpus(alphabet, args.max_nodes)
     for formula, cascade in corpus:
-        tree = ctl_disagreement(formula, cascade, trees, kids)
-        if tree is not None:
-            report.line("MISMATCH", ctl_render(formula), render_tree(tree))
+        at = ctl_disagreement(formula, cascade, letters, kids)
+        if at is not None:
+            report.line("MISMATCH", ctl_render(formula), render_tree(tree_at(letters, kids, at)))
             return
-    checked = len(corpus) * len(trees)
-    report.line("agree", "on", checked, "checks", f"({len(corpus)} formulas, {len(trees)} trees)")
+    checked = len(corpus) * len(letters)
+    report.line("agree", "on", checked, "checks", f"({len(corpus)} formulas, {len(letters)} trees)")
 
 
 def _parse_congruence(text: str, size: int) -> Congruence:

@@ -35,12 +35,13 @@ from .trees import (
     Letter,
     PathWord,
     Tree,
-    child_positions,
     enumerate_trees,
     hom_apply,
     parse_tree,
     path_words,
     render_tree,
+    tree_at,
+    tree_corpus,
 )
 
 
@@ -125,18 +126,16 @@ def dtta_accepts_word(dtta: Dtta, word: PathWord) -> bool:
 
 
 def ctl_disagreement(
-    formula: CtlFormula, cascade: Cascade, trees: list[Tree], kids: list[tuple[int, ...]]
-) -> Tree | None:
-    """The first of ``trees`` (as listed by ``enumerate_trees``, with their
-    ``child_positions``) on which the flattened cascade and the labelling of
-    ``formula`` disagree, or None.  Both run once over the whole list."""
+    formula: CtlFormula, cascade: Cascade, letters: list[Letter], kids: list[tuple[int, ...]]
+) -> int | None:
+    """The position of the first entry of a node list (``trees.tree_corpus``)
+    on which the flattened cascade and the labelling of ``formula``
+    disagree, or None.  Both run once over the whole list."""
     flat = cascade_flatten(cascade)
-    values = corpus_values(flat.algebra, trees, kids)
-    labels = ctl_label(formula, trees, kids)
-    for tree, value, holds in zip(trees, values, labels):
-        if (value in flat.accepting) != holds:
-            return tree
-    return None
+    values = corpus_values(flat.algebra, letters, kids)
+    labels = ctl_label(formula, letters, kids)
+    pairs = enumerate(zip(values, labels))
+    return next((k for k, (value, holds) in pairs if (value in flat.accepting) != holds), None)
 
 
 # --- oracle verify ---------------------------------------------------------------
@@ -226,12 +225,12 @@ def suites(max_nodes: int, count: int, seed: int) -> Iterator[tuple[str, int]]:
 
     checks = 0
     for alphabet in (fixtures.SIG_POTT, fixtures.SIG_GCD):
-        trees = enumerate_trees(alphabet, max_nodes)
-        kids = child_positions(trees)
+        letters, kids = tree_corpus(alphabet, max_nodes)
         for formula, cascade in random_formula_corpus(seed, alphabet, count):
-            tree = ctl_disagreement(formula, cascade, trees, kids)
-            check(tree is None, "ctl-compile-vs-eval", ctl_render(formula), tree)
-            checks += len(trees)
+            at = ctl_disagreement(formula, cascade, letters, kids)
+            if at is not None:
+                check(False, "ctl-compile-vs-eval", ctl_render(formula), tree_at(letters, kids, at))
+            checks += len(letters)
     yield "ctl-compile-vs-eval", checks
 
     checks = 0

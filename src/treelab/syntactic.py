@@ -283,42 +283,55 @@ def divides(a: FiniteAlgebra, b: FiniteAlgebra, max_carrier: int = 6) -> Divides
     bitmask (element e is bit e), maps h in lexicographic order of the images
     of S in increasing order, and per role the first operation of ``b`` under
     which S is closed and h commutes.  The partition lists h's blocks in the
-    order of a's elements.  Exhaustive and capped: carriers above
+    order of a's elements.  h is assigned element by element and a partial
+    map is dropped once it fails (see ``_open_roles``), so the first complete
+    one is the first in that order.  Exhaustive and capped: carriers above
     ``max_carrier`` raise CapExceededError rather than answering.
     """
     if a.size > max_carrier or b.size > max_carrier:
         message = f"divides search capped at carrier {max_carrier}"
         raise CapExceededError(message, "divides search", max(a.size, b.size), max_carrier)
-    candidates: dict[str, list[str]] = {}
-    for role in a.alphabet.letters:
-        names = [letter.name for letter in b.alphabet.letters if letter.arity == role.arity]
-        if not names:
-            return None
-        candidates[role.name] = names
-
+    candidates = {  # a role without one fails every map at once
+        role.name: [letter.name for letter in b.alphabet.letters if letter.arity == role.arity]
+        for role in a.alphabet.letters
+    }
     for mask in range(1, 1 << b.size):
         subset = [e for e in range(b.size) if mask >> e & 1]
         if len(subset) < a.size:
             continue
-        for image in itertools.product(range(a.size), repeat=len(subset)):
-            if len(set(image)) < a.size:
-                continue  # not onto a's carrier
-            h = dict(zip(subset, image))
-            assignment = {}
-            for role in a.alphabet.letters:
-                rows = [
-                    (args, a.op(role.name, [h[x] for x in args]))
-                    for args in itertools.product(subset, repeat=role.arity)
-                ]
-                names = (
-                    name
-                    for name in candidates[role.name]
-                    if all(h.get(b.op(name, args)) == want for args, want in rows)
-                )
-                assignment[role.name] = next(names, None)
-                if assignment[role.name] is None:
-                    break
-            else:
-                blocks = tuple(frozenset(s for s in subset if h[s] == x) for x in range(a.size))
-                return DividesWitness(assignment, frozenset(subset), blocks)
+        h: dict[int, int] = {}  # subset[:len(h)] -> a's elements
+        alive = [candidates]  # per mapped prefix, the operations each role may still take
+        value = 0  # the next image to try for subset[len(h)]
+        while value < a.size or h:
+            if value < a.size:
+                h[subset[len(h)]] = value
+                alive.append(_open_roles(a, b, mask, h, alive[-1]))
+                if alive[-1] is not None and len(h) < len(subset):
+                    value = 0
+                    continue
+                if alive[-1] is not None:
+                    blocks = tuple(frozenset(s for s in subset if h[s] == x) for x in range(a.size))
+                    assignment = {role: names[0] for role, names in alive[-1].items()}
+                    return DividesWitness(assignment, frozenset(subset), blocks)
+            alive.pop()  # the last image failed, or the element before has none left
+            value = h.popitem()[1] + 1
     return None
+
+
+def _open_roles(a: FiniteAlgebra, b: FiniteAlgebra, mask: int, h: dict[int, int], alive: dict):
+    """Per role of ``a``, the operations of ``alive`` that send each tuple of
+    mapped elements into the subset ``mask``, where h, once it maps the value,
+    gives the role's; None if a role has none left or h can no longer be onto."""
+    if len(set(h.values())) + mask.bit_count() - len(h) < a.size:
+        return None
+    left = {}
+    for role in a.alphabet.letters:
+        rows = [(args, a.op(role.name, [h[x] for x in args]))
+                for args in itertools.product(h, repeat=role.arity)]
+        left[role.name] = [name for name in alive[role.name] if all(
+            mask >> (out := b.op(name, args)) & 1 and h.get(out, want) == want
+            for args, want in rows
+        )]
+        if not left[role.name]:
+            return None
+    return left

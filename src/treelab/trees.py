@@ -16,6 +16,10 @@ without building the tree.  ``fold``, the one homomorphism out of the trees
 its word; ``automata.evaluate``, ``hom_apply``, ``transduce.dtop_apply`` and
 ``matrix_hom_eval``, ``cascade.cascade_eval``, ``annotate`` and
 ``value_annotate`` run through it.
+
+A node list, letters children first with each one's child positions, is the
+other form: ``children_first`` gives a tree's, ``tree_corpus`` that of every
+tree up to a size without making a ``Tree``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
 
 MAX_ARITY = 8
-MAX_TREE_CORPUS = 1_000_000  # trees that enumerate_trees lists at most
+MAX_TREE_CORPUS = 1_000_000  # entries of a tree_corpus at most: a letter and a child tuple each
 
 
 @dataclass(frozen=True, order=True)
@@ -206,40 +210,38 @@ def fold(
     return stack[0]
 
 
-def child_positions(nodes: Sequence[Tree]) -> list[tuple[int, ...]]:
-    """For a children-first list of nodes, the positions of each node's
-    children, in child order.
-
-    Children-first means every child of every node is an earlier entry, the
-    same object: a tree's reversed ``preorder``, or ``enumerate_trees``.  A
-    node listed twice is found at its first position.  A fold over the list
-    can then read its children's values by position.
-    """
-    at: dict[int, int] = {}
-    out: list[tuple[int, ...]] = []
-    for k, node in enumerate(nodes):
-        out.append(tuple([at[id(child)] for child in node.children]))
-        at.setdefault(id(node), k)
-    return out
+NodeList = tuple[list[Letter], list[tuple[int, ...]]]  # letters, children first; child positions
 
 
-def children_first(tree: Tree | list[Letter]) -> tuple[list, list[tuple[int, ...]]]:
-    """A tree's ``preorder`` or its preorder word, reversed (children first),
-    and the positions of each node's children in it, in child order.
+def children_first(tree: Tree | list[Letter]) -> NodeList:
+    """The node list of a tree or its preorder word: the word reversed
+    (children first), and the positions of each node's children in it, in
+    child order.
 
     Walking that list, the children of a node are the last entries of a
     stack of the positions whose parent is still to come, its first child on
-    top, so only arities are read (``child_positions`` looks nodes up by id).
+    top, so only arities are read.
     """
-    nodes = (preorder(tree) if isinstance(tree, Tree) else tree)[::-1]
+    letters = ([node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree)[::-1]
     pending: list[int] = []  # positions whose parent is still to come
     kids: list[tuple[int, ...]] = []
-    for k, node in enumerate(nodes):
-        arity = node.label.arity
+    for k, letter in enumerate(letters):
+        arity = letter.arity
         kids.append(tuple(pending[: -arity - 1 : -1]))
         del pending[len(pending) - arity :]
         pending.append(k)
-    return nodes, kids
+    return letters, kids
+
+
+def tree_at(letters: Sequence[Letter], kids: Sequence[tuple[int, ...]], at: int) -> Tree:
+    """The tree at position ``at`` of a node list, built from its preorder
+    word: one ``Tree`` per node, whatever the list shares."""
+    word, stack = [], [at]
+    while stack:
+        k = stack.pop()
+        word.append(letters[k])
+        stack += kids[k][::-1]
+    return _tree(word)
 
 
 class VarLetter(Letter):
@@ -622,9 +624,9 @@ def render_tree(tree: Tree) -> str:
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Ordered tuples of positive integers with the given sum, lexicographic."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
+    if parts == 0:
+        if total == 0:
+            yield ()
         return
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
@@ -635,53 +637,53 @@ def _shapes(alphabet: RankedAlphabet, size: int) -> Iterator[tuple[Letter, tuple
     """The root letter and the children's sizes of the trees of ``size``
     nodes, root letter in alphabet order, then sizes lexicographic."""
     for letter in alphabet.letters:
-        if letter.arity == 0:
-            if size == 1:
-                yield letter, ()
-        elif size - 1 >= letter.arity:
-            for comp in _compositions(size - 1, letter.arity):
-                yield letter, comp
+        for comp in _compositions(size - 1, letter.arity):
+            yield letter, comp
 
 
-def enumerate_trees(alphabet: RankedAlphabet, max_nodes: int) -> list[Tree]:
-    """All trees with <= max_nodes nodes, each exactly once.
+def tree_corpus(alphabet: RankedAlphabet, max_nodes: int) -> NodeList:
+    """All trees with <= max_nodes nodes, each exactly once, as one
+    children-first node list: entry k is the tree with root ``letters[k]``
+    whose children are the earlier entries at ``kids[k]``.  No ``Tree`` is
+    made; ``tree_at`` builds one entry's.
 
     Order: by node count, then root letter in alphabet order, then child size
     composition (lexicographic), then recursively the same order per child.
+    A fold over the list computes each distinct subtree once.
 
-    The list is children-first, with shared children: every child of every
-    entry is an earlier entry, the same object (a tree of n nodes is built
-    out of the trees listed for the smaller sizes).  So ``child_positions``
-    applies, and a fold over the list computes each distinct subtree once.
-
-    The trees are counted per size before any is built; more than
+    The trees are counted per size before any is listed; more than
     ``MAX_TREE_CORPUS`` raises CapExceededError (stage ``tree corpus``).
     """
     arities = {letter.arity for letter in alphabet.letters}
     if 0 not in arities:
-        return []  # no tree at all
+        return [], []  # no tree at all
     if arities == {0}:
         max_nodes = min(max_nodes, 1)  # no tree of two nodes or more
-    counts = [0]
+    by_size = [range(0)]  # the positions of the trees of each size
     for size in range(1, max_nodes + 1):
-        counts.append(sum(
-            math.prod(counts[part] for part in comp) for _, comp in _shapes(alphabet, size)
-        ))
-        total = sum(counts)
-        if total > MAX_TREE_CORPUS:
+        end = by_size[-1].stop + sum(
+            math.prod(len(by_size[part]) for part in comp) for _, comp in _shapes(alphabet, size)
+        )
+        if end > MAX_TREE_CORPUS:
             message = f"tree corpus exceeds {MAX_TREE_CORPUS}"
-            raise CapExceededError(message, "tree corpus", total, MAX_TREE_CORPUS)
-    by_size: list[list[Tree]] = [[]]
-    out: list[Tree] = []
+            raise CapExceededError(message, "tree corpus", end, MAX_TREE_CORPUS)
+        by_size.append(range(by_size[-1].stop, end))
+    letters, kids = [], []  # a NodeList
     for size in range(1, max_nodes + 1):
-        level = [
-            Tree(letter, kids)
-            for letter, comp in _shapes(alphabet, size)
-            for kids in itertools.product(*(by_size[part] for part in comp))
-        ]
-        by_size.append(level)
-        out.extend(level)
-    return out
+        for letter, comp in _shapes(alphabet, size):
+            listed = len(kids)
+            kids += itertools.product(*(by_size[part] for part in comp))
+            letters += itertools.repeat(letter, len(kids) - listed)
+    return letters, kids
+
+
+def enumerate_trees(alphabet: RankedAlphabet, max_nodes: int) -> list[Tree]:
+    """The trees of ``tree_corpus``'s entries, in its order and under its
+    cap, each child the earlier entry itself: children-first, shared."""
+    trees: list[Tree] = []
+    for letter, children in zip(*tree_corpus(alphabet, max_nodes)):
+        trees.append(Tree(letter, tuple([trees[k] for k in children])))
+    return trees
 
 
 def enumerate_contexts(alphabet: RankedAlphabet, max_nodes: int) -> list[Context]:
@@ -700,20 +702,10 @@ def enumerate_contexts(alphabet: RankedAlphabet, max_nodes: int) -> list[Context
     for size in range(1, max_nodes + 1):
         level: list[Tree] = []
         for letter in alphabet.letters:
-            arity = letter.arity
-            if arity == 0:
-                continue
-            for hole_at in range(arity):
+            for hole_at in range(letter.arity):
                 # size-1 nodes split over children; the hole child may use 0
                 for ctx_size in range(0, size):
-                    rest = size - 1 - ctx_size
-                    if arity == 1:
-                        if rest != 0:
-                            continue
-                        sibling_comps = [()]
-                    else:
-                        sibling_comps = list(_compositions(rest, arity - 1)) if rest >= arity - 1 else []
-                    for comp in sibling_comps:
+                    for comp in _compositions(size - 1 - ctx_size, letter.arity - 1):
                         sib_lists = [trees_by_size.get(part, []) for part in comp]
                         for ctx_body in by_size[ctx_size]:
                             for sibs in itertools.product(*sib_lists):

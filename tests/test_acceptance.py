@@ -93,10 +93,10 @@ from treelab.trees import (
     Term,
     Tree,
     Var,
-    child_positions,
     enumerate_trees,
     parse_tree,
     render_tree,
+    tree_corpus,
 )
 
 
@@ -347,14 +347,14 @@ def test_criterion_9_ctl_compilation():
     with budget(120.0) as b:
         for alphabet in (SIG_POTT, SIG_GCD):
             trees = enumerate_trees(alphabet, 8)
-            kids = child_positions(trees)
+            letters, kids = tree_corpus(alphabet, 8)
             corpus = random_formula_corpus(1234, alphabet, 100, max_depth=3)
             for formula, cascade in corpus:
                 if is_direction_sensitive(formula):
                     assert all(layer.width == 1 for layer in cascade.layers), ctl_render(formula)
                 flat = cascade_flatten(cascade)
                 # ctl_eval on each tree, as one labelling of the whole corpus
-                for tree, holds in zip(trees, ctl_label(formula, trees, kids)):
+                for tree, holds in zip(trees, ctl_label(formula, letters, kids)):
                     assert accepts(flat, tree) == holds, (ctl_render(formula), render_tree(tree))
                 checked_formulas += 1
     assert checked_formulas == 200

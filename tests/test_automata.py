@@ -42,12 +42,13 @@ from treelab.trees import (
     RankedAlphabet,
     Tree,
     TreeHom,
-    child_positions,
+    children_first,
     enumerate_trees,
     hom_apply,
     parse_tree,
     preorder,
     render_tree,
+    tree_corpus,
 )
 
 
@@ -388,11 +389,11 @@ def algebras(draw):
 @given(algebras())
 def test_corpus_fold_agrees_with_evaluate(algebra):
     trees = enumerate_trees(algebra.alphabet, 6)
-    values = corpus_values(algebra, trees, child_positions(trees))
+    values = corpus_values(algebra, *tree_corpus(algebra.alphabet, 6))
     assert values == [evaluate(algebra, tree) for tree in trees]
     nodes = preorder(trees[-1])
     nodes.reverse()
-    assert corpus_values(algebra, nodes, child_positions(nodes)) == [
+    assert corpus_values(algebra, *children_first(trees[-1])) == [
         evaluate(algebra, node) for node in nodes
     ]
 
@@ -407,22 +408,21 @@ def test_corpus_fold_looks_up_once_per_tree():
 
     rng = random.Random(4)
     for alphabet in (SIG_POTT, SIG_GCD, RANDOM_ALPHABETS[1]):
-        trees = enumerate_trees(alphabet, 7)
-        kids = child_positions(trees)
+        letters, kids = tree_corpus(alphabet, 7)
         for size in (1, 3, 6):
             plain = random_algebra(rng, alphabet, size)
             counting = FiniteAlgebra(alphabet, size, {
                 name: CountingTable(table) for name, table in plain.tables.items()
             })
             lookups[0] = 0
-            values = corpus_values(counting, trees, kids)
-            assert lookups[0] == len(trees)
-            assert values == corpus_values(plain, trees, kids)
+            values = corpus_values(counting, letters, kids)
+            assert lookups[0] == len(letters)
+            assert values == corpus_values(plain, letters, kids)
 
 
 def test_corpus_fold_names_the_first_foreign_letter():
     algebra = random_algebra(random.Random(2), SIG_POTT, 3)
-    leaf, odd = Tree(Letter("u", 0)), Tree(Letter("f1", 2), (Tree(SIG_POTT["f0"]),) * 2)
-    nodes = [Tree(SIG_POTT["f0"]), odd.children[0], odd, leaf]
+    f0 = SIG_POTT["f0"]
+    letters, kids = [f0, f0, Letter("f1", 2), Letter("u", 0)], [(), (), (1, 1), ()]
     with pytest.raises(AlphabetMismatchError, match="^letter f1 not in the algebra's alphabet$"):
-        corpus_values(algebra, nodes, child_positions(nodes))
+        corpus_values(algebra, letters, kids)

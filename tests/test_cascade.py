@@ -51,10 +51,10 @@ from treelab.fixtures import (
 from treelab.trees import (
     RankedAlphabet,
     Tree,
-    child_positions,
     enumerate_trees,
     parse_tree,
     render_tree,
+    tree_corpus,
 )
 
 
@@ -390,7 +390,7 @@ def test_ctl_eval_agrees_with_oracle_on_random_trees(alphabet):
 def test_ctl_label_on_the_corpus_agrees_with_oracle(case):
     alphabet, formula = case
     corpus = enumerate_trees(alphabet, 5)
-    labels = ctl_label(formula, corpus, child_positions(corpus))
+    labels = ctl_label(formula, *tree_corpus(alphabet, 5))
     assert labels == [ctl_oracle(formula, tree) for tree in corpus]
 
 

@@ -453,6 +453,33 @@ def test_ctl_verify_reports_the_first_mismatch(capsys, monkeypatch):
     )
 
 
+
+def test_ctl_verify_builds_no_tree_but_the_printed_one(capsys, monkeypatch):
+    verify = ("ctl", "verify", "--alphabet")
+    single = ("--formula", "E[lbl(g) U X2 lbl(d)]", "--max-nodes", "7")
+    other = ctl_parse("E[lbl(g) U X2 lbl(d)] | X1 X1 lbl(c)", SIG_GCD)
+    later = cascade_flatten(ctl_compile(other, SIG_GCD))
+    built = []  # one entry per Tree made from here on
+    check = Tree.__post_init__
+    monkeypatch.setattr(Tree, "__post_init__", lambda tree: built.append(check(tree)))
+    code, out, err = run(capsys, *verify, "@sig_pott", "--max-nodes", "8")
+    assert (code, err, len(built)) == (0, "", 0) and out.startswith("agree on ")
+    # the MISMATCH cases of test_ctl_verify_reports_the_first_mismatch
+    monkeypatch.setenv("TREELAB_SEED", "3")
+    for flatten, argv in (
+        (lambda c, *a: complement(cascade_flatten(c, *a)), ("@sig_gcd", *single)),
+        (lambda c, *a: complement(cascade_flatten(c, *a)),
+         ("@sig_pott", "--count", "7", "--max-nodes", "6")),
+        (lambda c, *a: later, ("@sig_gcd", *single)),
+    ):
+        monkeypatch.setattr(oracle, "cascade_flatten", flatten)
+        built.clear()
+        code, out, err = run(capsys, *verify, *argv)
+        assert (code, err) == (0, "") and out.startswith("MISMATCH "), argv
+        printed = out.split()[-1]
+        assert len(built) <= printed.count("(") + printed.count(",") + 1, (printed, len(built))
+
+
 def test_ctl_verify_folds_each_automaton_once_over_the_corpus(capsys, monkeypatch):
     lookups = [0]
 

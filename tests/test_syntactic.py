@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from test_acceptance import budget
 from test_paths import fgab_dbtas
 
 from treelab.automata import Dbta, FiniteAlgebra, accepts, are_equivalent, reachable
@@ -294,6 +295,17 @@ def test_divides_agrees_with_the_exhaustive_search_and_every_witness_rebuilds():
             assert find_isomorphism(a, rebuilt_quotient(a, b, witness)) is not None
         verdicts.append(witness is not None)
     assert 100 <= sum(verdicts) <= 500
+
+
+
+def test_divides_drops_a_partial_map_that_already_fails():
+    # no division: every map of the whole 6-element carrier (6**6 of them) is
+    # out, and listing each before checking it took about 40 ms per pair
+    rng = random.Random(21)
+    letters = [("f", 2), ("g", 1)]
+    pairs = [(random_algebra(rng, 6, letters), random_algebra(rng, 6, letters)) for _ in range(6)]
+    with budget(0.1):
+        assert [divides(a, b) for a, b in pairs] == [None] * 6
 
 
 def test_same_syntactic_core_same_paths_verdicts():

@@ -45,15 +45,15 @@ from treelab.trees import (
     Letter,
     RankedAlphabet,
     Term,
-    TreeHom,
     Tree,
+    TreeHom,
     Var,
-    child_positions,
     enumerate_trees,
     hom_apply,
     parse_tree,
     render_tree,
     substitute,
+    tree_corpus,
 )
 
 DUP_DTOP = Dtop.from_hom(HOM_DUP)
@@ -208,7 +208,7 @@ def random_hom(rng, alphabet):
 def test_hom_preimage_is_the_reached_part_of_the_full_carrier_fill():
     rng = random.Random(20)
     trees = enumerate_trees(FGAB, 7)
-    kids = child_positions(trees)
+    letters, kids = tree_corpus(FGAB, 7)
     small = len(enumerate_trees(FGAB, 5))
     for _ in range(60):
         size = rng.randint(1, 5)
@@ -226,8 +226,8 @@ def test_hom_preimage_is_the_reached_part_of_the_full_carrier_fill():
             for args in pre.algebra.arg_tuples(letter.arity):
                 value = pre.algebra.op(letter.name, args)
                 assert reached[value] == full.algebra.op(letter.name, [reached[a] for a in args])
-        values = corpus_values(pre.algebra, trees, kids)
-        full_values = corpus_values(full.algebra, trees, kids)
+        values = corpus_values(pre.algebra, letters, kids)
+        full_values = corpus_values(full.algebra, letters, kids)
         assert [reached[v] for v in values] == full_values
         assert [v in pre.accepting for v in values] == [v in dbta.accepting for v in full_values]
         # the fill itself: a tree's value is its image's, on the trees of at most 5 nodes

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -15,7 +16,6 @@ from treelab.trees import (
     Tree,
     Var,
     apply_context,
-    child_positions,
     children_first,
     enumerate_contexts,
     enumerate_trees,
@@ -28,6 +28,8 @@ from treelab.trees import (
     render_tree,
     substitute,
     tokenize,
+    tree_at,
+    tree_corpus,
     var_occurrences,
 )
 
@@ -148,6 +150,48 @@ def test_enumerate_no_duplicates_and_bound():
     assert all(t.size() <= 6 for t in trees)
 
 
+def child_positions(nodes):
+    """Reference: for a children-first list of ``Tree`` nodes, the positions
+    of each node's children, found by id; a node listed twice is found at its
+    first position.  A parents-first list raises KeyError."""
+    at, out = {}, []
+    for k, node in enumerate(nodes):
+        out.append(tuple([at[id(child)] for child in node.children]))
+        at.setdefault(id(node), k)
+    return out
+
+
+def trees_by_size(alphabet, max_nodes):
+    """Reference: every tree of at most ``max_nodes`` nodes, one ``Tree``
+    each, built size by size from the trees of the smaller sizes: root letter
+    in alphabet order, then the children's sizes lexicographic."""
+    by_size, out = [[]], []
+    for size in range(1, max_nodes + 1):
+        level = [
+            Tree(letter, kids)
+            for letter in alphabet.letters
+            for sizes in itertools.product(range(1, size), repeat=letter.arity)
+            if sum(sizes) == size - 1
+            for kids in itertools.product(*(by_size[part] for part in sizes))
+        ]
+        by_size.append(level)
+        out.extend(level)
+    return out
+
+
+@pytest.mark.parametrize("alphabet", [SIG_POTT, SIG_GCD, SIG_BOOL, SIG_MONO, SIG_POTT_K])
+def test_tree_corpus_is_the_node_list_of_the_trees_built_by_size(alphabet):
+    reference = trees_by_size(alphabet, 7)
+    letters, kids = tree_corpus(alphabet, 7)
+    assert letters == [tree.label for tree in reference]
+    assert kids == child_positions(reference)
+    trees = enumerate_trees(alphabet, 7)
+    assert trees == reference
+    assert all(trees[c] is child for tree, children in zip(trees, kids)
+               for c, child in zip(children, tree.children))
+    assert [tree_at(letters, kids, k) for k in range(len(letters))] == reference
+
+
 @pytest.mark.parametrize("alphabet", [SIG_POTT, SIG_GCD, SIG_MONO, SIG_POTT_K])
 def test_enumerate_is_children_first_with_shared_children(alphabet):
     trees = enumerate_trees(alphabet, 7)
@@ -156,9 +200,10 @@ def test_enumerate_is_children_first_with_shared_children(alphabet):
         # every child is an earlier entry, the very same object
         assert all(seen.get(id(child), k) < k for child in tree.children), render_tree(tree)
         seen[id(tree)] = k
-    kids = child_positions(trees)
+    letters, kids = tree_corpus(alphabet, 7)
     assert len(kids) == len(trees)
-    for tree, children in zip(trees, kids):
+    for tree, letter, children in zip(trees, letters, kids):
+        assert tree.label is letter
         assert tuple(trees[c] for c in children) == tree.children
         assert all(trees[c] is child for c, child in zip(children, tree.children))
 
@@ -166,8 +211,9 @@ def test_enumerate_is_children_first_with_shared_children(alphabet):
 def test_child_positions_of_a_reversed_preorder():
     shared = parse_tree("f2(f0,f1(f0))", SIG_POTT)
     tree = Tree(SIG_POTT["f2"], (shared, Tree(SIG_POTT["f1"], (shared,))))
-    nodes, stacked = children_first(tree)
-    assert nodes == preorder(tree)[::-1]
+    letters, stacked = children_first(tree)
+    nodes = preorder(tree)[::-1]
+    assert letters == [node.label for node in nodes]
     kids = child_positions(nodes)
     for positions in (kids, stacked):
         for k, (node, children) in enumerate(zip(nodes, positions)):
@@ -177,12 +223,15 @@ def test_child_positions_of_a_reversed_preorder():
     first = next(k for k, node in enumerate(nodes) if node is shared)
     assert kids[-1][0] == kids[kids[-1][1]][0] == first
     assert stacked[-1][0] != stacked[stacked[-1][1]][0]
+    assert tree_at(letters, stacked, len(letters) - 1) == tree
     with pytest.raises(KeyError):
         child_positions(preorder(tree))  # parents first: not children-first
     for tree in enumerate_trees(SIG_POTT_K, 6):
-        # parsed afresh, no node is shared: the same positions
-        nodes, stacked = children_first(parse_tree(render_tree(tree), SIG_POTT_K))
-        assert stacked == child_positions(nodes)
+        # parsed afresh, no node is shared: the same positions, from the word too
+        fresh = parse_tree(render_tree(tree), SIG_POTT_K)
+        letters, stacked = children_first(fresh)
+        assert stacked == child_positions(preorder(fresh)[::-1])
+        assert children_first(parse_word(render_tree(tree), SIG_POTT_K)) == (letters, stacked)
 
 
 def test_path_words_examples():

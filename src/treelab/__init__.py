@@ -19,12 +19,10 @@ from .trees import (
     RankedAlphabet,
     Term,
     Tree,
-    TreeHom,
     Var,
     apply_context,
     enumerate_contexts,
     enumerate_trees,
-    hom_apply,
     parse_term,
     parse_tree,
     parse_word,
@@ -69,7 +67,6 @@ from .transduce import (
     matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,
-    preimage_tree_hom,
 )
 from .cascade import (
     Cascade,

@@ -569,9 +569,7 @@ def _cmd_bool(ws: Workspace, args, report: Report) -> None:
 
 
 def _cmd_universal_path(ws: Workspace, args, report: Report) -> None:
-    verdict, witness = is_universal_path(
-        ws.dbta(args.lang), args.max_states, args.max_states
-    )
+    verdict, witness = is_universal_path(ws.dbta(args.lang), args.max_states)
     if verdict:
         report.line("yes")
     else:
@@ -579,19 +577,17 @@ def _cmd_universal_path(ws: Workspace, args, report: Report) -> None:
 
 
 def _cmd_doubly_det(ws: Workspace, args, report: Report) -> None:
-    verdict = is_doubly_deterministic(ws.dbta(args.lang), args.max_states, args.max_states)
+    verdict = is_doubly_deterministic(ws.dbta(args.lang), args.max_states)
     report.line("yes" if verdict else "no")
 
 
 def _cmd_mixes(ws: Workspace, args, report: Report) -> None:
-    closure = mixes(ws.dbta(args.lang), args.max_states, args.max_states)
+    closure = mixes(ws.dbta(args.lang), args.max_states)
     report.blob(save_dbta(closure))
 
 
 def _cmd_separate(ws: Workspace, args, report: Report) -> None:
-    separator = separate_topdown(
-        ws.dbta(args.lang), ws.dbta(args.other), args.max_states, args.max_states
-    )
+    separator = separate_topdown(ws.dbta(args.lang), ws.dbta(args.other), args.max_states)
     if separator is None:
         report.line("none")
     else:

@@ -6,7 +6,8 @@ Depth convention: the root has depth 0, so "even depth" includes the root.
 from __future__ import annotations
 
 from .automata import Dbta, FiniteAlgebra, product_algebra
-from .trees import RankedAlphabet, Term, Tree, TreeHom, Var
+from .transduce import Dtop
+from .trees import RankedAlphabet, Term, Tree, Var
 
 # unary numerals: s/1, z/0; L_EVEN = even node count
 SIG_MONO = RankedAlphabet.of(("s", 1), ("z", 0))
@@ -99,13 +100,16 @@ L_ROOT_G = Dbta(ALG_ROOT_G, frozenset({1}))
 L_EMPTY_GCD = Dbta(ALG_ROOT_G, frozenset())
 L_FULL_GCD = Dbta(ALG_ROOT_G, frozenset({0, 1}))
 
-# duplicating homomorphism: f0 -> f0, f1(x) -> f2(x,x); lines become balanced trees
-HOM_DUP = TreeHom(
+# duplicating homomorphism, a one-state DTOP: f0 -> f0, f1(x) -> f2(x,x);
+# lines become balanced trees
+HOM_DUP = Dtop(
     SIG_LINE,
     SIG_POTT_K,
+    1,
+    1,
     {
-        "f0": Term(0, Tree(SIG_POTT_K["f0"])),
-        "f1": Term(1, Tree(SIG_POTT_K["f2"], (Var(1), Var(1)))),
+        ("f0", 1): Term(0, Tree(SIG_POTT_K["f0"])),
+        ("f1", 1): Term(1, Tree(SIG_POTT_K["f2"], (Var(1), Var(1)))),
     },
 )
 

@@ -30,13 +30,12 @@ from .cascade import (
     random_formula_corpus,
 )
 from .paths import Dtta, PathNfa, is_universal_path, mixes
-from .transduce import preimage_tree_hom
+from .transduce import dtop_apply, dtop_preimage
 from .trees import (
     Letter,
     PathWord,
     Tree,
     enumerate_trees,
-    hom_apply,
     parse_tree,
     path_words,
     render_tree,
@@ -204,9 +203,9 @@ def suites(max_nodes: int, count: int, seed: int) -> Iterator[tuple[str, int]]:
     yield "boolean-ops", checks
 
     checks = 0
-    pre = preimage_tree_hom(fixtures.K_POTT, fixtures.HOM_DUP)
+    pre = dtop_preimage(fixtures.K_POTT, fixtures.HOM_DUP)
     for tree in enumerate_trees(fixtures.SIG_LINE, max_nodes):
-        image = hom_apply(fixtures.HOM_DUP, tree)
+        image = dtop_apply(fixtures.HOM_DUP, tree)
         check(accepts(pre, tree) == accepts(fixtures.K_POTT, image), "hom-preimage", tree)
         checks += 1
     yield "hom-preimage", checks

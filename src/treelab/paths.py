@@ -207,37 +207,27 @@ def dtta_to_dbta(dtta: Dtta, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
     return Dbta(algebra, accepting)
 
 
-def mixes(
-    dbta: Dbta,
-    max_states: int = DEFAULT_STATE_CAP,
-    max_carrier: int = DEFAULT_CARRIER_CAP,
-) -> Dbta:
+def mixes(dbta: Dbta, max_states: int = DEFAULT_STATE_CAP) -> Dbta:
     """The set of path mixes of the language: every path word of a member
-    tree occurs in some member.  Least universal path language containing it."""
-    return dtta_to_dbta(determinize(path_nfa(dbta), max_states), max_carrier)
+    tree occurs in some member.  Least universal path language containing it.
+    The one cap bounds both the determinized states and the subset carrier,
+    here and in every decision below built on this closure."""
+    return dtta_to_dbta(determinize(path_nfa(dbta), max_states), max_states)
 
 
-def is_universal_path(
-    dbta: Dbta,
-    max_states: int = DEFAULT_STATE_CAP,
-    max_carrier: int = DEFAULT_CARRIER_CAP,
-) -> tuple[bool, Tree | None]:
+def is_universal_path(dbta: Dbta, max_states: int = DEFAULT_STATE_CAP) -> tuple[bool, Tree | None]:
     """True iff the language equals its mix closure; on False, a minimal path
     mix outside the language."""
-    closure = mixes(dbta, max_states, max_carrier)
+    closure = mixes(dbta, max_states)
     witness = subset_counterexample(closure, dbta)
     return (witness is None, witness)
 
 
-def is_doubly_deterministic(
-    dbta: Dbta,
-    max_states: int = DEFAULT_STATE_CAP,
-    max_carrier: int = DEFAULT_CARRIER_CAP,
-) -> bool:
+def is_doubly_deterministic(dbta: Dbta, max_states: int = DEFAULT_STATE_CAP) -> bool:
     """Both the language and its complement are universal path languages."""
-    if not is_universal_path(dbta, max_states, max_carrier)[0]:
+    if not is_universal_path(dbta, max_states)[0]:
         return False
-    return is_universal_path(complement(dbta), max_states, max_carrier)[0]
+    return is_universal_path(complement(dbta), max_states)[0]
 
 
 @dataclass(frozen=True)
@@ -252,12 +242,7 @@ class Separator:
     accepts_side: int
 
 
-def separate_topdown(
-    d0: Dbta,
-    d1: Dbta,
-    max_states: int = DEFAULT_STATE_CAP,
-    max_carrier: int = DEFAULT_CARRIER_CAP,
-) -> Separator | None:
+def separate_topdown(d0: Dbta, d1: Dbta, max_states: int = DEFAULT_STATE_CAP) -> Separator | None:
     """A deterministic top-down separator, or None when none exists.
 
     By leastness of the mix closure, a separator accepting d0's side exists
@@ -268,7 +253,7 @@ def separate_topdown(
         raise AlphabetMismatchError("separation requires a common alphabet")
     for side, (inside, outside) in enumerate(((d0, d1), (d1, d0))):
         dtta = determinize(path_nfa(inside), max_states)
-        if product_witness(dtta_to_dbta(dtta, max_carrier), outside, operator.and_) is None:
+        if product_witness(dtta_to_dbta(dtta, max_states), outside, operator.and_) is None:
             return Separator(dtta, side)
     return None
 
@@ -277,11 +262,10 @@ def mix_elements(
     algebra: FiniteAlgebra,
     elements: frozenset[int] | set[int],
     max_states: int = DEFAULT_STATE_CAP,
-    max_carrier: int = DEFAULT_CARRIER_CAP,
 ) -> frozenset[int]:
     """mix_A(B): reachable elements whose some witness tree is a path mix of
     trees with values in B."""
-    closure = mixes(Dbta(algebra, frozenset(elements)), max_states, max_carrier)
+    closure = mixes(Dbta(algebra, frozenset(elements)), max_states)
     other = closure.algebra
 
     def step(name: str, args: tuple[tuple[int, int], ...]) -> tuple[int, int]:

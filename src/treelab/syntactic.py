@@ -15,13 +15,19 @@ coarsest refinements, compatibility tests and quotients.  The closure is
 Freese's worklist (R. Freese, Computing congruences efficiently, Algebra
 Universalis 59, 2008): only pairs that merge two classes are mapped on.  Class
 lists are numbered by least element, so each partition has one class list.
+
+Isomorphism and division are one search, ``_onto_maps``: maps from a subset
+of one carrier onto another, assigned element by element, under which each
+operation role of the target still has an operation of the source that
+commutes.  An isomorphism is such a map from the whole carrier, each letter
+its own role.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .automata import Dbta, FiniteAlgebra, reach, reachable
 from .errors import CapExceededError
@@ -154,11 +160,13 @@ def find_isomorphism(
     b: FiniteAlgebra,
     accepting: tuple[frozenset[int], frozenset[int]] | None = None,
 ) -> tuple[int, ...] | None:
-    """A carrier bijection making all letter tables commute, or None.
+    """The lexicographically first carrier bijection making all letter tables
+    commute, or None.
 
-    Backtracking with per-assignment consistency pruning; feasible for
-    carriers up to about 10.  With ``accepting`` the bijection must also match
-    the two accepting sets.
+    A bijection between carriers of one size is a map from all of a's carrier
+    onto b's, so this is ``_onto_maps`` with each letter as its own role.
+    With ``accepting`` the bijection must also match the two accepting sets:
+    an image that breaks them is dropped as it is tried.
     """
     if a.size != b.size:
         return None
@@ -166,43 +174,13 @@ def find_isomorphism(
         (l.name, l.arity) for l in b.alphabet.letters
     }:
         return None
-    size = a.size
-    image: list[int | None] = [None] * size
-    used = [False] * size
-
-    def consistent() -> bool:
-        if accepting is not None:
-            fa, fb = accepting
-            for e in range(size):
-                if image[e] is not None and (e in fa) != (image[e] in fb):
-                    return False
-        for letter in a.alphabet.letters:
-            for args in itertools.product(range(size), repeat=letter.arity):
-                mapped = tuple(image[arg] for arg in args)
-                if any(m is None for m in mapped):
-                    continue
-                target = image[a.op(letter.name, args)]
-                if target is not None and target != b.op(letter.name, mapped):  # type: ignore[arg-type]
-                    return False
-        return True
-
-    def assign(element: int) -> bool:
-        if element == size:
-            return True
-        for candidate in range(size):
-            if used[candidate]:
-                continue
-            image[element] = candidate
-            used[candidate] = True
-            if consistent() and assign(element + 1):
-                return True
-            image[element] = None
-            used[candidate] = False
-        return False
-
-    if assign(0):
-        return tuple(image)  # type: ignore[arg-type]
-    return None
+    fits = None
+    if accepting is not None:
+        fa, fb = accepting
+        fits = lambda element, image: (element in fa) == (image in fb)
+    roles = {letter.name: [letter.name] for letter in b.alphabet.letters}
+    found = next(_onto_maps(b, a, range(a.size), roles, fits), None)
+    return None if found is None else tuple(found[0].values())
 
 
 def dbta_isomorphic(d1: Dbta, d2: Dbta) -> tuple[int, ...] | None:
@@ -283,10 +261,10 @@ def divides(a: FiniteAlgebra, b: FiniteAlgebra, max_carrier: int = 6) -> Divides
     bitmask (element e is bit e), maps h in lexicographic order of the images
     of S in increasing order, and per role the first operation of ``b`` under
     which S is closed and h commutes.  The partition lists h's blocks in the
-    order of a's elements.  h is assigned element by element and a partial
-    map is dropped once it fails (see ``_open_roles``), so the first complete
-    one is the first in that order.  Exhaustive and capped: carriers above
-    ``max_carrier`` raise CapExceededError rather than answering.
+    order of a's elements.  The maps h come from ``_onto_maps``, which drops
+    a partial map once it fails, so the first complete one is the first in
+    that order.  Exhaustive and capped: carriers above ``max_carrier`` raise
+    CapExceededError rather than answering.
     """
     if a.size > max_carrier or b.size > max_carrier:
         message = f"divides search capped at carrier {max_carrier}"
@@ -299,23 +277,44 @@ def divides(a: FiniteAlgebra, b: FiniteAlgebra, max_carrier: int = 6) -> Divides
         subset = [e for e in range(b.size) if mask >> e & 1]
         if len(subset) < a.size:
             continue
-        h: dict[int, int] = {}  # subset[:len(h)] -> a's elements
-        alive = [candidates]  # per mapped prefix, the operations each role may still take
-        value = 0  # the next image to try for subset[len(h)]
-        while value < a.size or h:
-            if value < a.size:
-                h[subset[len(h)]] = value
-                alive.append(_open_roles(a, b, mask, h, alive[-1]))
-                if alive[-1] is not None and len(h) < len(subset):
-                    value = 0
-                    continue
-                if alive[-1] is not None:
-                    blocks = tuple(frozenset(s for s in subset if h[s] == x) for x in range(a.size))
-                    assignment = {role: names[0] for role, names in alive[-1].items()}
-                    return DividesWitness(assignment, frozenset(subset), blocks)
-            alive.pop()  # the last image failed, or the element before has none left
-            value = h.popitem()[1] + 1
+        for h, roles in _onto_maps(a, b, subset, candidates):
+            blocks = tuple(frozenset(s for s in subset if h[s] == x) for x in range(a.size))
+            assignment = {role: names[0] for role, names in roles.items()}
+            return DividesWitness(assignment, frozenset(subset), blocks)
     return None
+
+
+def _onto_maps(
+    a: FiniteAlgebra, b: FiniteAlgebra, subset: Sequence[int], roles: dict[str, list[str]],
+    fits: Callable[[int, int], bool] | None = None,
+) -> Iterator[tuple[dict[int, int], dict[str, list[str]]]]:
+    """The maps h from ``subset`` of b's carrier onto a's carrier under which
+    each role of a (a letter) can take one of its ``roles``, operations of b:
+    one that sends the subset into itself and commutes with h.  Each map
+    comes with the operations each role can take, in lexicographic order of
+    the images of the subset in increasing order.  With ``fits``, an image
+    that fails ``fits(element, image)`` is not tried.  h is assigned element
+    by element, and a partial map is dropped once it fails (see
+    ``_open_roles``).
+    """
+    mask = sum(1 << e for e in subset)
+    h: dict[int, int] = {}  # subset[:len(h)] -> a's elements
+    alive = [roles]  # per mapped prefix, the operations each role may still take
+    value = 0  # the next image to try for subset[len(h)]
+    while value < a.size or h:
+        if value < a.size:
+            if fits is not None and not fits(subset[len(h)], value):
+                value += 1
+                continue
+            h[subset[len(h)]] = value
+            alive.append(_open_roles(a, b, mask, h, alive[-1]))
+            if alive[-1] is not None and len(h) < len(subset):
+                value = 0
+                continue
+            if alive[-1] is not None:
+                yield dict(h), alive[-1]
+        alive.pop()  # the last image failed or was yielded, or the element before has none left
+        value = h.popitem()[1] + 1
 
 
 def _open_roles(a: FiniteAlgebra, b: FiniteAlgebra, mask: int, h: dict[int, int], alive: dict):

@@ -5,6 +5,8 @@ variables name (state, child) pairs.  Variables are stored flat: the pair
 (p, j) with states numbered 1..n is the index n*(j-1) + p.  That same flat
 convention is the variable layout of matrix-power operation tuples, which
 makes the two constructive directions of the correspondence index-stable.
+A tree homomorphism, a letter-to-term substitution, is a one-state DTOP:
+``Dtop(source, target, 1, 1, {(name, 1): term})``, where (1, j) is x_j.
 
 Matrix powers are never materialized as operation sets; a MatrixHom is the
 finite presentation (one tuple of polynomials per letter) of a homomorphism
@@ -14,7 +16,7 @@ term over ``automata.with_constants(base)``: the base letters plus a constant
 ``eval_term_in_algebra``, and a DTOP rule over that alphabet is one verbatim.
 
 Preimages are flattens: ``_flatten`` serves ``matrix_power_language`` and
-``dtop_preimage``, and a tree homomorphism's preimage is its one-state DTOP's.
+``dtop_preimage``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .trees import (
     Step,
     Term,
     Tree,
-    TreeHom,
+    Var,
+    VarLetter,
     fold,
     instantiate,
     preorder,
@@ -67,6 +70,14 @@ class Dtop:
                         f"rule for ({letter.name}, {state}) must declare "
                         f"{self.n_states * letter.arity} variables"
                     )
+                for node in rule.nodes:
+                    if node.label not in self.output_alphabet and node.__class__ is not Var:
+                        raise ValueError(
+                            f"rule for ({letter.name}, {state}) uses letter "
+                            f"{node.label.name} outside the output alphabet"
+                        )
+        if len(self.rules) != self.n_states * len(self.input_alphabet.letters):
+            raise ValueError("rules for unknown letters or states")
 
     def var_pair(self, index: int) -> tuple[int, int]:
         """Flat variable index -> (state, child)."""
@@ -79,22 +90,19 @@ class Dtop:
     def with_initial(self, state: int) -> "Dtop":
         return Dtop(self.input_alphabet, self.output_alphabet, self.n_states, state, self.rules)
 
-    @staticmethod
-    def from_hom(hom) -> "Dtop":
-        """A tree homomorphism is exactly a one-state DTOP."""
-        rules = {(name, 1): term for name, term in hom.rules.items()}
-        return Dtop(hom.source, hom.target, 1, 1, rules)
-
 
 def dtop_apply(dtop: Dtop, tree: Tree | list[Letter]) -> Tree:
-    """The transduction of a tree or its preorder word from the initial
-    state; total on input trees.
+    """The transduction of a tree or a term body, or of its preorder word,
+    from the initial state; total on input trees.
 
     A fold (see ``trees.fold``) whose value at a node is its outputs from
     states 1..n, made out of its children's: linear in the tree, not
-    exponential in its depth.
+    exponential in its depth.  Out of state q a variable leaf x_i becomes
+    the variable q.x_i, whose flat index is n*(i-1) + q, as in the rules; so
+    a one-state DTOP, a tree homomorphism, maps each variable to itself.
     """
-    states = range(1, dtop.n_states + 1)
+    n = dtop.n_states
+    states = range(1, n + 1)
 
     def compile(letter: Letter) -> Step:
         bodies = [dtop.rules[(letter.name, q)].body for q in states]
@@ -109,8 +117,14 @@ def dtop_apply(dtop: Dtop, tree: Tree | list[Letter]) -> Tree:
 
         return step
 
+    def foreign(word: list[Letter], label: Letter) -> Step:
+        if label.__class__ is not VarLetter:
+            require_letters(word, dtop.input_alphabet, message, variables=True)
+        outputs = [Var(n * (label.var.index - 1) + q) for q in states]
+        return lambda pop: outputs
+
     message = "letter {} not in the input alphabet"
-    return fold(tree, dtop.input_alphabet, message, compile)[dtop.initial - 1]
+    return fold(tree, dtop.input_alphabet, message, compile, foreign)[dtop.initial - 1]
 
 
 # --- preimages are flattens ----------------------------------------------------
@@ -159,14 +173,6 @@ def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP
         dtop.input_alphabet, dbta.algebra, _state_tuples(dtop),
         lambda m: m[initial] in accepting, max_carrier, "preimage carrier",
     )
-
-
-def preimage_tree_hom(dbta: Dbta, hom: TreeHom) -> Dbta:
-    """DBTA for the inverse image of the language under a tree homomorphism,
-    a one-state DTOP: accepts(result, t) iff accepts(dbta, hom_apply(hom, t)).
-    Its carrier is the reached elements of the automaton, in increasing order,
-    so it never exceeds the automaton's."""
-    return dtop_preimage(dbta, Dtop.from_hom(hom), dbta.algebra.size)
 
 
 # --- matrix homomorphisms ------------------------------------------------------

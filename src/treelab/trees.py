@@ -1,19 +1,20 @@
 """Ranked trees and the machinery around them.
 
-Alphabets, trees, terms with numbered variables, one-hole contexts, root-to-leaf
-path words, and tree homomorphisms.  Also the bounded enumerators that the rest
-of the package uses as brute-force oracle substrate.  All values are immutable;
-all operations are pure functions.
+Alphabets, trees, terms with numbered variables, one-hole contexts and
+root-to-leaf path words.  Also the bounded enumerators that the rest of the
+package uses as brute-force oracle substrate.  All values are immutable; all
+operations are pure functions.  A tree homomorphism is a one-state
+``transduce.Dtop``.
 
 A term is a tree whose leaves may also be variables: a ``Var`` is a ``Tree``
 leaf, so every walk over trees (``preorder``, ``==``, ``hash``, ``repr``,
-``render_tree``, ``hom_apply``) takes term bodies too, without recursion.
+``render_tree``) takes term bodies too, without recursion.
 
 A tree's preorder word, its labels in ``preorder`` (a ``Var``'s label is
 its ``VarLetter``), spells the tree.  ``parse_word`` reads it from a text
 without building the tree.  ``fold``, the one homomorphism out of the trees
 (per-letter steps made once per call, one stack of values), takes a tree or
-its word; ``automata.evaluate``, ``hom_apply``, ``transduce.dtop_apply`` and
+its word; ``automata.evaluate``, ``transduce.dtop_apply`` and
 ``matrix_hom_eval``, ``cascade.cascade_eval``, ``annotate`` and
 ``value_annotate`` run through it.
 
@@ -210,6 +211,18 @@ def fold(
     return stack[0]
 
 
+def require_letters(
+    nodes: Sequence[Tree | Letter], alphabet: RankedAlphabet, message: str, variables: bool = False
+) -> None:
+    """Raise AlphabetMismatchError(message.format(name)) for the first of
+    ``nodes`` (or of a word's letters) whose label is not in ``alphabet``.  A
+    variable is such a node too, unless ``variables`` is set: only a term
+    body may hold them."""
+    for node in nodes:
+        if node.label not in alphabet and not (variables and node.label.__class__ is VarLetter):
+            raise AlphabetMismatchError(message.format(node.label.name))
+
+
 NodeList = tuple[list[Letter], list[tuple[int, ...]]]  # letters, children first; child positions
 
 
@@ -392,70 +405,6 @@ def enumerate_path_words(alphabet: RankedAlphabet, max_len: int) -> list[PathWor
             for leaf in leaves:
                 out.append(tuple(prefix) + (leaf,))
     return out
-
-
-# --- tree homomorphisms -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TreeHom:
-    """Letter-to-term substitution; terms may duplicate or drop their variables."""
-
-    source: RankedAlphabet
-    target: RankedAlphabet
-    rules: Mapping[str, Term]  # source letter name -> term over target
-
-    def __post_init__(self):
-        for letter in self.source.letters:
-            term = self.rules.get(letter.name)
-            if term is None:
-                raise ValueError(f"no image term for letter {letter.name}")
-            if term.nvars != letter.arity:
-                raise ValueError(f"image of {letter.name} must have {letter.arity} variables")
-            body = preorder(term.body)
-            require_letters(body, self.target, "letter {} not in target alphabet", variables=True)
-        if len(self.rules) != len(self.source.letters):
-            raise ValueError("rules for unknown letters")
-
-    @staticmethod
-    def identity(alphabet: RankedAlphabet) -> "TreeHom":
-        rules = {
-            letter.name: Term(
-                letter.arity,
-                Tree(letter, tuple(Var(i) for i in range(1, letter.arity + 1))),
-            )
-            for letter in alphabet.letters
-        }
-        return TreeHom(alphabet, alphabet, rules)
-
-
-def require_letters(
-    nodes: Sequence[Tree | Letter], alphabet: RankedAlphabet, message: str, variables: bool = False
-) -> None:
-    """Raise AlphabetMismatchError(message.format(name)) for the first of
-    ``nodes`` (or of a word's letters) whose label is not in ``alphabet``.  A
-    variable is such a node too, unless ``variables`` is set: only a term
-    body may hold them."""
-    for node in nodes:
-        if node.label not in alphabet and not (variables and node.label.__class__ is VarLetter):
-            raise AlphabetMismatchError(message.format(node.label.name))
-
-
-def hom_apply(hom: TreeHom, tree: Tree | list[Letter]) -> Tree:
-    """The image of a tree or a term body, or of its preorder word, whose
-    variables map to themselves: a fold whose step instantiates a letter's
-    image term."""
-
-    def compile(letter: Letter) -> Step:
-        body, arity = hom.rules[letter.name].body, range(letter.arity)
-        return lambda pop: instantiate(body, [pop() for _ in arity])
-
-    def foreign(word: list[Letter], label: Letter) -> Step:
-        require_letters(word, hom.source, message, variables=True)
-        return lambda pop: label.var  # a variable
-
-    message = "letter {} not in source alphabet"
-    return fold(tree, hom.source, message, compile, foreign)
 
 
 # --- parsing and rendering --------------------------------------------------

@@ -83,10 +83,10 @@ from treelab.syntactic import dbta_isomorphic, syntactic_algebra, term_definable
 from treelab.transduce import (
     Dtop,
     dtop_apply,
+    dtop_preimage,
     dtop_to_matrix_hom,
     matrix_hom_eval,
     matrix_hom_to_dtops,
-    preimage_tree_hom,
 )
 from treelab.trees import (
     RankedAlphabet,
@@ -155,7 +155,7 @@ def test_criterion_2_polynomial_equivalence_witness():
 
 def test_criterion_3_tree_homomorphism_preimage():
     with budget(1.0) as b:
-        pre = preimage_tree_hom(K_POTT, HOM_DUP)
+        pre = dtop_preimage(K_POTT, HOM_DUP)
         equal, _ = are_equivalent(pre, L_LINE_EVEN)
         assert equal
     report(3, f"preimage of K under the duplicating hom is exactly L_LINE_EVEN ({b.elapsed:.2f}s)")

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_transduce import identity_dtop
 
 from treelab.automata import (
     Dbta,
@@ -36,15 +37,13 @@ from treelab.fixtures import (
     SIG_LINE,
     SIG_POTT,
 )
-from treelab.transduce import preimage_tree_hom
+from treelab.transduce import dtop_apply, dtop_preimage
 from treelab.trees import (
     Letter,
     RankedAlphabet,
     Tree,
-    TreeHom,
     children_first,
     enumerate_trees,
-    hom_apply,
     parse_tree,
     preorder,
     render_tree,
@@ -188,22 +187,22 @@ def test_reachable_excludes_junk():
 
 
 def test_preimage_hom_paper_case():
-    pre = preimage_tree_hom(K_POTT, HOM_DUP)
+    pre = dtop_preimage(K_POTT, HOM_DUP)
     equal, _ = are_equivalent(pre, L_LINE_EVEN)
     assert equal
 
 
 def test_preimage_identity_hom():
-    ident = TreeHom.identity(SIG_POTT)
-    pre = preimage_tree_hom(DBTA_POTT, ident)
+    ident = identity_dtop(SIG_POTT)
+    pre = dtop_preimage(DBTA_POTT, ident)
     equal, _ = are_equivalent(pre, DBTA_POTT)
     assert equal
 
 
 def test_preimage_pointwise_agreement():
-    pre = preimage_tree_hom(K_POTT, HOM_DUP)
+    pre = dtop_preimage(K_POTT, HOM_DUP)
     for tree in enumerate_trees(SIG_LINE, 7):
-        assert accepts(pre, tree) == accepts(K_POTT, hom_apply(HOM_DUP, tree))
+        assert accepts(pre, tree) == accepts(K_POTT, dtop_apply(HOM_DUP, tree))
 
 
 def test_subset_counterexample():

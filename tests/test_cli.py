@@ -64,7 +64,7 @@ def test_dtta_roundtrip():
 
 
 def test_dtop_roundtrip():
-    dtop = Dtop.from_hom(HOM_DUP)
+    dtop = HOM_DUP
     text = save_dtop(dtop)
     again = load_dtop(text)
     assert again == dtop
@@ -72,7 +72,7 @@ def test_dtop_roundtrip():
 
 
 def test_matrix_roundtrip():
-    mh = dtop_to_matrix_hom(Dtop.from_hom(HOM_DUP), K_POTT.algebra)
+    mh = dtop_to_matrix_hom(HOM_DUP, K_POTT.algebra)
     text = save_matrix(mh)
     again = load_matrix(text)
     assert again == mh
@@ -230,7 +230,7 @@ def test_path_commands_without_constants(capsys, tmp_path):
 
 def test_dtop_apply_file(capsys, tmp_path):
     path = tmp_path / "dup.dtop"
-    path.write_text(save_dtop(Dtop.from_hom(HOM_DUP)))
+    path.write_text(save_dtop(HOM_DUP))
     code, out, _ = run(capsys, "dtop", "apply", "--dtop", str(path), "--tree", "f1(f1(f0))")
     assert code == 0 and out == "f2(f2(f0,f0),f2(f0,f0))\n"
 
@@ -326,7 +326,7 @@ def test_deep_terms_in_files(capsys, tmp_path):
 
 def test_dtop_preimage_file(capsys, tmp_path):
     path = tmp_path / "dup.dtop"
-    path.write_text(save_dtop(Dtop.from_hom(HOM_DUP)))
+    path.write_text(save_dtop(HOM_DUP))
     code, out, _ = run(capsys, "dtop", "preimage", "--dtop", str(path), "--lang", "@k_pott")
     assert code == 0
     pre = load_dbta(out)
@@ -357,7 +357,7 @@ MATRIX_DUP_FLAT = (
 
 def test_matrix_pipeline(capsys, tmp_path):
     dtop_path = tmp_path / "dup.dtop"
-    dtop_path.write_text(save_dtop(Dtop.from_hom(HOM_DUP)))
+    dtop_path.write_text(save_dtop(HOM_DUP))
     assert run(
         capsys, "matrix", "from-dtop", "--dtop", str(dtop_path), "--base", "@k_pott"
     ) == (0, MATRIX_DUP, "")
@@ -374,7 +374,7 @@ def test_matrix_pipeline(capsys, tmp_path):
 
 def test_matrix_flatten_accept_outside_base(capsys, tmp_path):
     matrix_path = tmp_path / "dup.matrix"
-    matrix_path.write_text(save_matrix(dtop_to_matrix_hom(Dtop.from_hom(HOM_DUP), K_POTT.algebra)))
+    matrix_path.write_text(save_matrix(dtop_to_matrix_hom(HOM_DUP, K_POTT.algebra)))
     code, out, err = run(capsys, "matrix", "flatten", "--matrix", str(matrix_path), "--accept", "7")
     assert code == 2 and out == ""
     assert "outside 0..2" in err and "Traceback" not in err
@@ -384,7 +384,7 @@ def test_option_groups(capsys, tmp_path):
     # an `a,b;c,d` value: chunks split at `;` and stripped, empty ones skipped
     abelian = ("structure", "strongly-abelian", "--lang", "@l_pott", "--congruence")
     assert run(capsys, *abelian, " 0 ; 1;;2 ") == run(capsys, *abelian, "identity")
-    mh = dtop_to_matrix_hom(Dtop.from_hom(HOM_DUP), K_POTT.algebra)
+    mh = dtop_to_matrix_hom(HOM_DUP, K_POTT.algebra)
     path = tmp_path / "dup.matrix"
     path.write_text(save_matrix(mh))
     flatten = ("matrix", "flatten", "--matrix", str(path), "--accept")

@@ -50,10 +50,8 @@ from treelab.trees import (
     RankedAlphabet,
     Term,
     Tree,
-    TreeHom,
     Var,
     children_first,
-    hom_apply,
     parse_term,
     parse_tree,
     parse_word,
@@ -103,13 +101,6 @@ def recursive_render_tree(tree):
     if not tree.children:
         return tree.label.name
     return f"{tree.label.name}({','.join(recursive_render_tree(c) for c in tree.children)})"
-
-
-def recursive_hom_apply(hom, tree):
-    if tree.label not in hom.source:
-        raise AlphabetMismatchError(f"letter {tree.label.name} not in source alphabet")
-    images = [recursive_hom_apply(hom, child) for child in tree.children]
-    return recursive_substitute(hom.rules[tree.label.name], images)
 
 
 def recursive_cascade_eval(cascade, tree):
@@ -225,11 +216,12 @@ def random_dtop(rng, n):
 
 
 def random_hom(rng):
+    """A tree homomorphism: a one-state DTOP."""
     rules = {
-        letter.name: Term(letter.arity, random_linear_term(rng, letter.arity))
+        (letter.name, 1): Term(letter.arity, random_linear_term(rng, letter.arity))
         for letter in FGAB.letters
     }
-    return TreeHom(FGAB, FGAB, rules)
+    return Dtop(FGAB, FGAB, 1, 1, rules)
 
 
 def with_foreign_letters(rng, tree, count):
@@ -282,7 +274,7 @@ def test_folds_match_recursive_forms():
                 (evaluate, recursive_evaluate, algebra),
                 (dtop_apply, recursive_dtop_apply, dtops[0]),
                 (dtop_apply, recursive_dtop_apply, dtops[1]),
-                (hom_apply, recursive_hom_apply, hom),
+                (dtop_apply, recursive_dtop_apply, hom),
                 (cascade_eval, recursive_cascade_eval, cascade),
                 (matrix_hom_eval, recursive_matrix_hom_eval, matrix),
                 (lambda ls, t: annotate(t, ls), recursive_annotate, langs),
@@ -328,7 +320,6 @@ VARIABLE_LEAF_FOLDS = {
         ALGEBRA,
         "the algebra's alphabet",
     ),
-    "dtop_apply": (dtop_apply, DTOP, "the input alphabet"),
     "cascade_eval": (
         cascade_eval, ctl_compile(ctl_parse("lbl(a)", FGAB), FGAB), "the cascade alphabet"
     ),
@@ -342,6 +333,16 @@ def test_a_variable_leaf_is_a_foreign_letter(name):
     fold, model, alphabet = VARIABLE_LEAF_FOLDS[name]
     with pytest.raises(AlphabetMismatchError, match=f"^letter x1 not in {alphabet}$"):
         fold(model, Tree(F, (Var(1), Tree(A))))
+
+
+def test_a_variable_leaf_is_a_state_variable_of_dtop_apply():
+    # the body of the term f(x1, a): out of state q, x1 is the variable q.x1,
+    # flat index q with two states; a letter outside the alphabet still fails
+    constants = [substitute(DTOP.rules["a", q], []) for q in (1, 2)]
+    image = recursive_substitute(DTOP.rules["f", DTOP.initial], [Var(1), Var(2), *constants])
+    assert dtop_apply(DTOP, Tree(F, (Var(1), Tree(A)))) == image
+    with pytest.raises(AlphabetMismatchError, match="^letter u not in the input alphabet$"):
+        dtop_apply(DTOP, Tree(F, (Var(1), Tree(Letter("u", 0)))))
 
 
 def test_a_variable_leaf_named_like_a_letter_is_foreign():
@@ -403,16 +404,18 @@ def test_a_word_folds_as_its_tree(alphabet, nodes, n_states, seed):
     assert dtop_apply(dtop, word) == dtop_apply(dtop, tree)
     formula = random_formula(rng, alphabet, rng.randint(0, 3))
     assert ctl_eval(formula, word) == ctl_eval(formula, tree)
-    hom = TreeHom(alphabet, alphabet, {letter.name: term(letter.arity) for letter in alphabet.letters})
-    assert hom_apply(hom, word) == hom_apply(hom, tree)
+    hom = Dtop(alphabet, alphabet, 1, 1, {
+        (letter.name, 1): term(letter.arity) for letter in alphabet.letters
+    })
+    assert dtop_apply(hom, word) == dtop_apply(hom, tree)
 
     def image(node):  # the image of a term body, whose variables map to themselves
         if node.__class__ is Var:
             return node
-        return substitute(hom.rules[node.label.name], [image(child) for child in node.children])
+        return substitute(hom.rules[node.label.name, 1], [image(child) for child in node.children])
 
     body = linear_body(rng, alphabet, 3)
-    assert hom_apply(hom, [node.label for node in preorder(body)]) == image(body)
+    assert dtop_apply(hom, [node.label for node in preorder(body)]) == image(body)
 
 
 # --- trees too deep for recursion -----------------------------------------------------
@@ -489,10 +492,10 @@ def test_deep_tree_transductions(spine):
     image = "g(" * DEPTH + "b" + ")" * DEPTH
     dtop = Dtop(FGAB, FGAB, 1, 1, {(name, 1): term for name, term in terms.items()})
     by_dtop = dtop_apply(dtop, spine)
-    by_hom = hom_apply(TreeHom(FGAB, FGAB, terms), spine)
-    assert render_tree(by_dtop) == render_tree(by_hom) == image
+    again = dtop_apply(dtop, spine)
+    assert render_tree(by_dtop) == render_tree(again) == image
     # two deep trees built apart: equal, with equal hashes; the spine differs at the leaf
-    assert by_dtop is not by_hom and by_dtop == by_hom and hash(by_dtop) == hash(by_hom)
+    assert by_dtop is not again and by_dtop == again and hash(by_dtop) == hash(again)
     assert by_dtop != spine and not by_dtop == spine
 
 
@@ -525,11 +528,12 @@ def test_deep_terms():
     assert render_tree(substitute(term, [Tree(A), Tree(B)])) == text.replace("x2", "b")
     # f -> f(x2,x1), g -> g(x1), a <-> b; the variables map to themselves
     rules = {"f": "f(x2,x1)", "g": "g(x1)", "a": "b", "b": "a"}
-    hom = TreeHom(FGAB, FGAB, {
-        letter.name: parse_term(rules[letter.name], FGAB, letter.arity) for letter in FGAB.letters
+    hom = Dtop(FGAB, FGAB, 1, 1, {
+        (letter.name, 1): parse_term(rules[letter.name], FGAB, letter.arity)
+        for letter in FGAB.letters
     })
     image = "g(" * TERM_DEPTH + "f(b,x2)" + ")" * TERM_DEPTH
-    assert Term(2, hom_apply(hom, term.body)) == parse_term(image, FGAB, 2)
+    assert Term(2, dtop_apply(hom, term.body)) == parse_term(image, FGAB, 2)
 
 
 # --- no function calls itself ----------------------------------------------------------
@@ -538,7 +542,6 @@ def test_deep_terms():
 RECURSION_ALLOWED = {
     "trees._compositions": "at most MAX_ARITY + 1 deep: one level per part, one for the end",
     "automata._fresh_tuples": "at most MAX_ARITY deep: one level per argument",
-    "syntactic.find_isomorphism.assign": "at most the carrier size deep",
 }
 
 

@@ -170,6 +170,61 @@ def test_find_isomorphism_rejects_different():
     assert find_isomorphism(ALG_SEMILATTICE, constant) is None
 
 
+def brute_isomorphism(a, b, accepting=None):
+    """The lexicographically first carrier bijection under which every letter
+    table commutes and, with ``accepting``, the accepting sets match, found
+    among all permutations; None if there is none."""
+    letters = {(x.name, x.arity) for x in a.alphabet.letters}
+    if a.size != b.size or letters != {(x.name, x.arity) for x in b.alphabet.letters}:
+        return None
+    for image in itertools.permutations(range(a.size)):
+        if accepting is not None:
+            fa, fb = accepting
+            if any((e in fa) != (image[e] in fb) for e in range(a.size)):
+                continue
+        if all(
+            image[a.op(x.name, args)] == b.op(x.name, [image[e] for e in args])
+            for x in a.alphabet.letters
+            for args in a.arg_tuples(x.arity)
+        ):
+            return image
+    return None
+
+
+def test_find_isomorphism_is_the_first_bijection_of_the_brute_force():
+    rng = random.Random(22)
+    letters = [("f", 2), ("g", 1), ("c", 0), ("d", 0)]
+    found = {"plain": 0, "accepting": 0}
+    for trial in range(1000):
+        size = rng.randint(1, 5)
+        a = random_algebra(rng, size, letters)
+        fa = frozenset(e for e in range(size) if rng.random() < 0.5)
+        if trial % 2:  # a permuted copy, its accepting set the image of a's or not
+            perm = rng.sample(range(size), size)
+            back = {image: e for e, image in enumerate(perm)}
+            tables = {
+                name: tuple(
+                    perm[a.op(name, [back[x] for x in args])]
+                    for args in itertools.product(range(size), repeat=arity)
+                )
+                for name, arity in letters
+            }
+            b = FiniteAlgebra(a.alphabet, size, tables)
+            fb = frozenset(perm[e] for e in fa)
+        else:
+            b = random_algebra(rng, size, letters)
+            fb = fa
+        if rng.random() < 0.3:
+            fb = frozenset(e for e in range(size) if rng.random() < 0.5)
+        plain = find_isomorphism(a, b)
+        assert plain == brute_isomorphism(a, b), (a, b)
+        matched = dbta_isomorphic(Dbta(a, fa), Dbta(b, fb))
+        assert matched == brute_isomorphism(a, b, (fa, fb)), (a, b, fa, fb)
+        found["plain"] += plain is not None
+        found["accepting"] += matched is not None
+    assert 500 <= found["plain"] < 1000 and 250 <= found["accepting"] < found["plain"]
+
+
 def test_divides_semilattice_in_lattice():
     witness = divides(ALG_SEMILATTICE, ALG_LATTICE)
     assert witness is not None
@@ -247,7 +302,7 @@ def reference_divides(a, b):
                 if _first_incompatible(translations, classes) is not None:
                     continue
                 quotient = FiniteAlgebra(a.alphabet, a.size, _quotient_tables(sub, classes))
-                if find_isomorphism(a, quotient) is not None:
+                if brute_isomorphism(a, quotient) is not None:
                     return True
     return None
 
@@ -292,7 +347,7 @@ def test_divides_agrees_with_the_exhaustive_search_and_every_witness_rebuilds():
         witness = divides(a, b)
         assert (witness is not None) == (reference_divides(a, b) is not None), (a, b)
         if witness is not None:
-            assert find_isomorphism(a, rebuilt_quotient(a, b, witness)) is not None
+            assert brute_isomorphism(a, rebuilt_quotient(a, b, witness)) is not None
         verdicts.append(witness is not None)
     assert 100 <= sum(verdicts) <= 500
 

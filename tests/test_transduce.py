@@ -39,35 +39,56 @@ from treelab.transduce import (
     matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,
-    preimage_tree_hom,
 )
 from treelab.trees import (
     Letter,
     RankedAlphabet,
     Term,
     Tree,
-    TreeHom,
     Var,
     enumerate_trees,
-    hom_apply,
     parse_tree,
     render_tree,
     substitute,
     tree_corpus,
 )
 
-DUP_DTOP = Dtop.from_hom(HOM_DUP)
+
+def identity_dtop(alphabet):
+    """The identity tree homomorphism of ``alphabet``, a one-state DTOP."""
+    rules = {
+        (x.name, 1): Term(x.arity, Tree(x, tuple(map(Var, range(1, x.arity + 1)))))
+        for x in alphabet.letters
+    }
+    return Dtop(alphabet, alphabet, 1, 1, rules)
 
 
 def test_dup_dtop_balances():
-    out = dtop_apply(DUP_DTOP, parse_tree("f1(f1(f0))", SIG_LINE))
+    out = dtop_apply(HOM_DUP, parse_tree("f1(f1(f0))", SIG_LINE))
     assert render_tree(out) == "f2(f2(f0,f0),f2(f0,f0))"
 
 
 def test_identity_dtop():
-    ident = Dtop.from_hom(TreeHom.identity(SIG_POTT_K))
+    ident = identity_dtop(SIG_POTT_K)
     for tree in enumerate_trees(SIG_POTT_K, 6):
         assert dtop_apply(ident, tree) == tree
+
+
+def test_dtop_rules_use_only_output_letters():
+    # zz is no output letter: dtop_apply would write it, dtop_preimage could not read it
+    zz = Tree(Letter("zz", 1), (Var(1),))
+    rules = {("f0", 1): Term(0, Tree(SIG_POTT_K["f0"])), ("f1", 1): Term(1, zz)}
+    with pytest.raises(ValueError, match=r"^rule for \(f1, 1\) uses letter zz outside"):
+        Dtop(SIG_LINE, SIG_POTT_K, 1, 1, rules)
+
+
+def test_dtop_has_no_rules_for_unknown_letters_or_states():
+    f0, f1 = HOM_DUP.rules["f0", 1], HOM_DUP.rules["f1", 1]
+    rules = {("f0", 1): f0, ("f1", 1): f1}
+    for extra in (("f0", 2), ("f1", 2)), (("g", 1),):
+        with pytest.raises(ValueError, match="^rules for unknown letters or states$"):
+            Dtop(SIG_LINE, SIG_POTT_K, 1, 1, {**rules, **{key: f0 for key in extra}})
+    assert Dtop(SIG_LINE, SIG_POTT_K, 1, 1, rules).rules == rules
 
 
 SIG_AB = RankedAlphabet.of(("a", 1), ("b", 1), ("z", 0))
@@ -145,29 +166,29 @@ def test_dtop_apply_is_linear_in_depth():
 
 
 def test_preimage_dup_is_line_even():
-    pre = dtop_preimage(K_POTT, DUP_DTOP)
+    pre = dtop_preimage(K_POTT, HOM_DUP)
     equal, _ = are_equivalent(pre, L_LINE_EVEN)
     assert equal
 
 
 def test_preimage_identity():
-    ident = Dtop.from_hom(TreeHom.identity(SIG_POTT_K))
+    ident = identity_dtop(SIG_POTT_K)
     pre = dtop_preimage(K_POTT, ident)
     equal, _ = are_equivalent(pre, K_POTT)
     assert equal
 
 
 def test_preimage_pointwise():
-    pre = dtop_preimage(K_POTT, DUP_DTOP)
+    pre = dtop_preimage(K_POTT, HOM_DUP)
     for tree in enumerate_trees(SIG_LINE, 7):
-        assert accepts(pre, tree) == accepts(K_POTT, dtop_apply(DUP_DTOP, tree))
+        assert accepts(pre, tree) == accepts(K_POTT, dtop_apply(HOM_DUP, tree))
 
 
 def test_preimage_cap():
     # the cap bounds the reached carrier (2 maps), not all 3 maps
     with pytest.raises(CapExceededError):
-        dtop_preimage(K_POTT, DUP_DTOP, max_carrier=1)
-    assert dtop_preimage(K_POTT, DUP_DTOP, max_carrier=2).algebra.size == 2
+        dtop_preimage(K_POTT, HOM_DUP, max_carrier=1)
+    assert dtop_preimage(K_POTT, HOM_DUP, max_carrier=2).algebra.size == 2
 
 
 FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
@@ -176,33 +197,40 @@ FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
 def full_carrier_preimage(dbta, hom):
     """The inverse image filled over the automaton's whole carrier: each
     source letter's table is its image term evaluated on every argument
-    tuple.  The reference for ``preimage_tree_hom``."""
+    tuple.  The reference for a one-state ``dtop_preimage``."""
     algebra = dbta.algebra
     tables = {
         letter.name: tuple(
-            eval_term_in_algebra(algebra, hom.rules[letter.name], env)
+            eval_term_in_algebra(algebra, hom.rules[letter.name, 1], env)
             for env in itertools.product(range(algebra.size), repeat=letter.arity)
         )
-        for letter in hom.source.letters
+        for letter in hom.input_alphabet.letters
     }
-    return Dbta(FiniteAlgebra(hom.source, algebra.size, tables), dbta.accepting)
+    return Dbta(FiniteAlgebra(hom.input_alphabet, algebra.size, tables), dbta.accepting)
 
 
-def random_hom(rng, alphabet):
-    """A tree homomorphism of ``alphabet`` into itself whose image terms, up
-    to depth 3, may drop or repeat their variables."""
+def random_body(rng, alphabet, nvars, depth):
+    """A term body over ``alphabet`` of depth at most ``depth`` whose
+    variables x1..x{nvars} may be dropped or repeated."""
+    leaves = [x for x in alphabet.letters if x.arity == 0]
+    if depth == 0 or rng.random() < 0.3:
+        if nvars and rng.random() < 0.7:
+            return Var(rng.randint(1, nvars))
+        return Tree(rng.choice(leaves))
+    letter = rng.choice(alphabet.letters)
+    children = [random_body(rng, alphabet, nvars, depth - 1) for _ in range(letter.arity)]
+    return Tree(letter, tuple(children))
 
-    def random_body(nvars, depth):
-        leaves = [x for x in alphabet.letters if x.arity == 0]
-        if depth == 0 or rng.random() < 0.3:
-            if nvars and rng.random() < 0.7:
-                return Var(rng.randint(1, nvars))
-            return Tree(rng.choice(leaves))
-        letter = rng.choice(alphabet.letters)
-        return Tree(letter, tuple(random_body(nvars, depth - 1) for _ in range(letter.arity)))
 
-    rules = {x.name: Term(x.arity, random_body(x.arity, 3)) for x in alphabet.letters}
-    return TreeHom(alphabet, alphabet, rules)
+def random_hom(rng, alphabet, n_states=1, depth=3):
+    """A DTOP of ``alphabet`` into itself whose rule terms, up to ``depth``,
+    may drop or repeat their variables; with one state, a tree homomorphism."""
+    rules = {
+        (x.name, q): Term(n_states * x.arity, random_body(rng, alphabet, n_states * x.arity, depth))
+        for x in alphabet.letters
+        for q in range(1, n_states + 1)
+    }
+    return Dtop(alphabet, alphabet, n_states, 1, rules)
 
 
 def test_hom_preimage_is_the_reached_part_of_the_full_carrier_fill():
@@ -218,7 +246,7 @@ def test_hom_preimage_is_the_reached_part_of_the_full_carrier_fill():
         dbta = Dbta(FiniteAlgebra(FGAB, size, tables), frozenset(rng.sample(range(size), size // 2)))
         hom = random_hom(rng, FGAB)
         full = full_carrier_preimage(dbta, hom)
-        pre = preimage_tree_hom(dbta, hom)
+        pre = dtop_preimage(dbta, hom)
         # element i of the preimage is the i-th reached element of the fill
         reached = sweep_reachable(full.algebra)
         assert pre.algebra.size == len(reached) and pre.algebra.element_names is None
@@ -232,14 +260,28 @@ def test_hom_preimage_is_the_reached_part_of_the_full_carrier_fill():
         assert [v in pre.accepting for v in values] == [v in dbta.accepting for v in full_values]
         # the fill itself: a tree's value is its image's, on the trees of at most 5 nodes
         for tree, value in zip(trees[:small], full_values):
-            assert evaluate(dbta.algebra, hom_apply(hom, tree)) == value
+            assert evaluate(dbta.algebra, dtop_apply(hom, tree)) == value
+
+
+def test_dtop_apply_of_a_substitution_substitutes_the_state_outputs():
+    # d(t[s1..sk]) = d(t)[q.xi := d from q (si)], q.xi being the flat variable n*(i-1)+q
+    rng = random.Random(22)
+    trees = enumerate_trees(FGAB, 4)
+    for _ in range(500):
+        n, k = rng.randint(1, 3), rng.randint(0, 3)
+        dtop = random_hom(rng, FGAB, n, 2).with_initial(rng.randint(1, n))
+        term = Term(k, random_body(rng, FGAB, k, 2))
+        args = [rng.choice(trees) for _ in range(k)]
+        outs = [dtop_apply(dtop.with_initial(q), arg) for arg in args for q in range(1, n + 1)]
+        image = Term(n * k, dtop_apply(dtop, term.body))
+        assert dtop_apply(dtop, substitute(term, args)) == substitute(image, outs)
 
 
 def test_dtop_preimage_reads_an_output_letter_named_like_a_constant():
     # rules are evaluated in the automaton's own algebra, not with_constants(...)
     out = RankedAlphabet.of(("g", 1), ("@0", 0))
     dbta = Dbta(FiniteAlgebra(out, 2, {"g": (1, 0), "@0": (0,)}), frozenset({1}))
-    pre = dtop_preimage(dbta, Dtop.from_hom(TreeHom.identity(out)))
+    pre = dtop_preimage(dbta, identity_dtop(out))
     assert [accepts(pre, t) for t in enumerate_trees(out, 4)] == [False, True, False, True]
 
 
@@ -331,7 +373,7 @@ def test_matrix_hom_roundtrip_through_dtops():
 
 
 def test_matrix_hom_width_one_reduces_to_evaluate():
-    ident = Dtop.from_hom(TreeHom.identity(SIG_POTT_K))
+    ident = identity_dtop(SIG_POTT_K)
     mh = dtop_to_matrix_hom(ident, K_POTT.algebra)
     assert mh.width == 1
     for tree in enumerate_trees(SIG_POTT_K, 6):
@@ -353,7 +395,7 @@ def test_matrix_hom_constant_tuples():
 
 
 def test_matrix_power_language_trivial_accepting():
-    mh = dtop_to_matrix_hom(Dtop.from_hom(TreeHom.identity(SIG_POTT_K)), K_POTT.algebra)
+    mh = dtop_to_matrix_hom(identity_dtop(SIG_POTT_K), K_POTT.algebra)
     none = matrix_power_language(mh, set())
     assert is_empty(none) is None
     everything = matrix_power_language(mh, {(v,) for v in range(3)})

@@ -4,9 +4,11 @@ import re
 
 import pytest
 from test_acceptance import budget
+from test_transduce import identity_dtop
 
 from treelab.errors import CapExceededError, ParseError
 from treelab.fixtures import HOM_DUP, SIG_BOOL, SIG_GCD, SIG_LINE, SIG_MONO, SIG_POTT, SIG_POTT_K
+from treelab.transduce import Dtop, dtop_apply
 from treelab.trees import (
     MAX_TREE_CORPUS,
     Context,
@@ -19,7 +21,6 @@ from treelab.trees import (
     children_first,
     enumerate_contexts,
     enumerate_trees,
-    hom_apply,
     parse_term,
     parse_tree,
     parse_word,
@@ -272,38 +273,36 @@ def test_context_requires_single_occurrence():
 
 def test_hom_dup_balances_lines():
     line = parse_tree("f1(f1(f0))", SIG_LINE)
-    image = hom_apply(HOM_DUP, line)
+    image = dtop_apply(HOM_DUP, line)
     assert render_tree(image) == "f2(f2(f0,f0),f2(f0,f0))"
 
 
 def test_identity_hom():
-    from treelab.trees import TreeHom
-
-    ident = TreeHom.identity(SIG_POTT)
+    ident = identity_dtop(SIG_POTT)
     for tree in enumerate_trees(SIG_POTT, 5):
-        assert hom_apply(ident, tree) == tree
+        assert dtop_apply(ident, tree) == tree
 
 
 def test_constant_dropping_hom():
-    from treelab.trees import TreeHom
-
     sig_ac = RankedAlphabet.of(("a", 1), ("c", 0))
-    dropper = TreeHom(
+    dropper = Dtop(
         sig_ac,
         sig_ac,
-        {"c": Term(0, Tree(Letter("c", 0))), "a": Term(1, Tree(Letter("c", 0)))},
+        1,
+        1,
+        {("c", 1): Term(0, Tree(Letter("c", 0))), ("a", 1): Term(1, Tree(Letter("c", 0)))},
     )
-    assert hom_apply(dropper, parse_tree("a(a(c))", sig_ac)) == parse_tree("c", sig_ac)
+    assert dtop_apply(dropper, parse_tree("a(a(c))", sig_ac)) == parse_tree("c", sig_ac)
 
 
 def test_hom_commutes_with_context_substitution():
     contexts = [c for c in enumerate_contexts(SIG_LINE, 3)]
     trees = [t for t in enumerate_trees(SIG_LINE, 3)]
     for ctx in contexts:
-        image_ctx = Term(1, hom_apply(HOM_DUP, ctx.term.body))
+        image_ctx = Term(1, dtop_apply(HOM_DUP, ctx.term.body))
         for tree in trees:
-            left = hom_apply(HOM_DUP, apply_context(ctx, tree))
-            right = substitute(image_ctx, [hom_apply(HOM_DUP, tree)])
+            left = dtop_apply(HOM_DUP, apply_context(ctx, tree))
+            right = substitute(image_ctx, [dtop_apply(HOM_DUP, tree)])
             assert left == right
 
 

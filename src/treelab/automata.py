@@ -210,6 +210,20 @@ class Reach:
     hit: Hashable | None  # the first value that met the goal
     derivations: Mapping[Hashable, tuple[Letter, tuple]]  # stepped value -> first (letter, args)
 
+    def replay(self, known: dict, make: Callable[[Letter, tuple], Hashable]) -> Hashable:
+        """The hit rebuilt by ``make(letter, rebuilt args)`` along its
+        derivation, from ``known``, which maps the seeds to their rebuilt
+        forms; ``known`` gains the hit's ancestors and nothing more."""
+        needed = {self.hit}
+        for value in reversed(self.values):
+            if value in needed and value not in known:
+                needed.update(self.derivations[value][1])
+        for value in self.values:
+            if value in needed and value not in known:
+                letter, args = self.derivations[value]
+                known[value] = make(letter, tuple(map(known.__getitem__, args)))
+        return known[self.hit]
+
 
 def reach(
     alphabet: RankedAlphabet,

@@ -33,8 +33,6 @@ from .automata import (
 from .errors import AlphabetMismatchError, CapExceededError
 from .trees import RankedAlphabet, Tree, preorder
 
-DEFAULT_STATE_CAP = DEFAULT_CARRIER_CAP
-
 
 @dataclass(frozen=True)
 class PathNfa:
@@ -95,7 +93,7 @@ def path_nfa(dbta: Dbta) -> PathNfa:
     )
 
 
-def determinize(nfa: PathNfa, max_states: int = DEFAULT_STATE_CAP) -> Dtta:
+def determinize(nfa: PathNfa, max_states: int = DEFAULT_CARRIER_CAP) -> Dtta:
     """Subset construction over the path alphabet; complete, with the empty
     subset as rejecting sink.  Raises CapExceededError past max_states."""
     initial = frozenset(nfa.initial)
@@ -207,7 +205,7 @@ def dtta_to_dbta(dtta: Dtta, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
     return Dbta(algebra, accepting)
 
 
-def mixes(dbta: Dbta, max_states: int = DEFAULT_STATE_CAP) -> Dbta:
+def mixes(dbta: Dbta, max_states: int = DEFAULT_CARRIER_CAP) -> Dbta:
     """The set of path mixes of the language: every path word of a member
     tree occurs in some member.  Least universal path language containing it.
     The one cap bounds both the determinized states and the subset carrier,
@@ -215,7 +213,7 @@ def mixes(dbta: Dbta, max_states: int = DEFAULT_STATE_CAP) -> Dbta:
     return dtta_to_dbta(determinize(path_nfa(dbta), max_states), max_states)
 
 
-def is_universal_path(dbta: Dbta, max_states: int = DEFAULT_STATE_CAP) -> tuple[bool, Tree | None]:
+def is_universal_path(dbta: Dbta, max_states: int = DEFAULT_CARRIER_CAP) -> tuple[bool, Tree | None]:
     """True iff the language equals its mix closure; on False, a minimal path
     mix outside the language."""
     closure = mixes(dbta, max_states)
@@ -223,7 +221,7 @@ def is_universal_path(dbta: Dbta, max_states: int = DEFAULT_STATE_CAP) -> tuple[
     return (witness is None, witness)
 
 
-def is_doubly_deterministic(dbta: Dbta, max_states: int = DEFAULT_STATE_CAP) -> bool:
+def is_doubly_deterministic(dbta: Dbta, max_states: int = DEFAULT_CARRIER_CAP) -> bool:
     """Both the language and its complement are universal path languages."""
     if not is_universal_path(dbta, max_states)[0]:
         return False
@@ -242,7 +240,7 @@ class Separator:
     accepts_side: int
 
 
-def separate_topdown(d0: Dbta, d1: Dbta, max_states: int = DEFAULT_STATE_CAP) -> Separator | None:
+def separate_topdown(d0: Dbta, d1: Dbta, max_states: int = DEFAULT_CARRIER_CAP) -> Separator | None:
     """A deterministic top-down separator, or None when none exists.
 
     By leastness of the mix closure, a separator accepting d0's side exists
@@ -261,7 +259,7 @@ def separate_topdown(d0: Dbta, d1: Dbta, max_states: int = DEFAULT_STATE_CAP) ->
 def mix_elements(
     algebra: FiniteAlgebra,
     elements: frozenset[int] | set[int],
-    max_states: int = DEFAULT_STATE_CAP,
+    max_states: int = DEFAULT_CARRIER_CAP,
 ) -> frozenset[int]:
     """mix_A(B): reachable elements whose some witness tree is a path mix of
     trees with values in B."""

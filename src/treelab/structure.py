@@ -3,11 +3,14 @@
 Polynomial generation, the minimality test (every unary polynomial constant or
 bijective), or-pairs and their separation by path mixes, the bounded strongly
 abelian check, and the two-element-lattice divisor screen.  The bounded checks
-are labelled: a bounded pass is not a proof.
+are labelled: a bounded pass is not a proof.  Polynomials are closed by
+``reach`` on the clone kernel of ``syntactic``, over just the points a check
+reads: an or/and pair reads four, so carriers up to 8 are exact.
 
-Congruences are computed by the congruence engine in ``syntactic``: one table
-of basic translations per algebra serves principal congruences, joins,
-compatibility tests and quotients (see the notes there).
+A congruence is the class list of the congruence engine in ``syntactic``: one
+table of basic translations per algebra serves principal congruences, joins,
+compatibility tests and quotients (see the notes there), and ``reach`` joins
+principal congruences into the whole lattice.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automata import Dbta, FiniteAlgebra, Reach, reach, reachable
+from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, Reach, reach, reachable
 from .errors import CapExceededError, IncompatiblePartitionError
 from .fixtures import ALG_LATTICE
 from .paths import mix_elements
 from .syntactic import (
     DividesWitness,
     _all_translations,
+    _canonical,
     _clone,
     _closure,
     _first_incompatible,
@@ -34,79 +38,71 @@ from .trees import Letter, RankedAlphabet
 
 @dataclass(frozen=True)
 class Congruence:
-    """A partition of the carrier compatible with all operations.
-
-    Blocks are canonical: internally sorted, ordered by least element.  The
-    identity congruence is all singletons; the full one has a single block.
+    """A partition of the carrier compatible with all operations, as the
+    congruence engine's class list: element e is in class ``classes[e]``, and
+    classes (and ``blocks``) go by least element, so each partition has one
+    list.  The identity congruence is all singletons; the full one, one block.
     """
 
-    size: int
-    blocks: tuple[frozenset[int], ...]
+    classes: tuple[int, ...]
 
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block or block & seen:
-                raise ValueError("blocks must be nonempty and disjoint")
-            seen |= block
-        if seen != set(range(self.size)):
-            raise ValueError("blocks must cover the carrier")
-        mins = [min(block) for block in self.blocks]
-        if mins != sorted(mins):
-            raise ValueError("blocks must be ordered by least element")
+    @property
+    def size(self) -> int:
+        return len(self.classes)
+
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        members: list[set[int]] = [set() for _ in range(max(self.classes, default=-1) + 1)]
+        for element, cls in enumerate(self.classes):
+            members[cls].add(element)
+        return tuple(map(frozenset, members))
 
     @staticmethod
     def from_blocks(size: int, blocks) -> "Congruence":
-        canonical = tuple(
-            sorted((frozenset(block) for block in blocks if block), key=min)
-        )
-        return Congruence(size, canonical)
+        labels: dict[int, int] = {}
+        for index, block in enumerate(blocks):
+            for element in block:
+                if labels.setdefault(element, index) != index:
+                    raise ValueError("blocks must be nonempty and disjoint")
+        if labels.keys() != set(range(size)):
+            raise ValueError("blocks must cover the carrier")
+        return Congruence.from_classes([labels[e] for e in range(size)])
 
     @staticmethod
-    def from_classes(classes: list[int]) -> "Congruence":
-        groups: dict[int, set[int]] = {}
-        for element, cls in enumerate(classes):
-            groups.setdefault(cls, set()).add(element)
-        return Congruence.from_blocks(len(classes), groups.values())
+    def from_classes(classes) -> "Congruence":
+        return Congruence(tuple(_canonical(classes)))
 
     @staticmethod
     def identity(size: int) -> "Congruence":
-        return Congruence.from_blocks(size, [{e} for e in range(size)])
+        return Congruence(tuple(range(size)))
 
     @staticmethod
     def full(size: int) -> "Congruence":
-        return Congruence.from_blocks(size, [set(range(size))])
+        return Congruence((0,) * size)
 
-    def class_of(self) -> list[int]:
-        out = [0] * self.size
-        for index, block in enumerate(self.blocks):
-            for element in block:
-                out[element] = index
-        return out
+    def class_of(self) -> tuple[int, ...]:
+        return self.classes
 
     def relates(self, a: int, b: int) -> bool:
-        classes = self.class_of()
-        return classes[a] == classes[b]
+        return self.classes[a] == self.classes[b]
 
     def refines(self, other: "Congruence") -> bool:
-        theirs = other.class_of()
-        return all(
-            theirs[a] == theirs[b]
-            for block in self.blocks
-            for a in block
-            for b in block
-        )
+        theirs: dict[int, int] = {}
+        return all(theirs.setdefault(mine, t) == t for mine, t in zip(self.classes, other.classes))
 
     def is_identity(self) -> bool:
-        return len(self.blocks) == self.size
+        return len(set(self.classes)) == self.size
 
     def is_full(self) -> bool:
-        return len(self.blocks) == 1
+        return len(set(self.classes)) == 1
 
     def join(self, other: "Congruence") -> "Congruence":
-        blocks = self.blocks + other.blocks
-        pairs = [(min(block), element) for block in blocks for element in block]
-        return Congruence.from_classes(_closure(self.size, pairs))
+        labels, first = list(self.classes), {}  # first: other's class -> its least element
+        for element, cls in enumerate(other.classes):
+            kept, merged = labels[first.setdefault(cls, element)], labels[element]
+            if kept != merged:
+                labels = [kept if label == merged else label for label in labels]
+        return Congruence.from_classes(labels)
 
 
 def is_compatible(algebra: FiniteAlgebra, congruence: Congruence) -> bool:
@@ -116,17 +112,16 @@ def is_compatible(algebra: FiniteAlgebra, congruence: Congruence) -> bool:
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Congruence:
     """Finest congruence relating a and b: the closure of the pair under the
     basic translations (Freese's worklist)."""
-    maps = _all_translations(algebra)
-    return Congruence.from_classes(_closure(algebra.size, [(a, b)], maps))
+    return Congruence(tuple(_closure(algebra.size, [(a, b)], _all_translations(algebra))))
 
 
-def _principal_congruences(algebra: FiniteAlgebra) -> set[Congruence]:
-    """The principal congruences of all pairs of distinct elements."""
+def _principal_congruences(algebra: FiniteAlgebra) -> list[Congruence]:
+    """The distinct principal congruences of pairs of distinct elements."""
     maps = _all_translations(algebra)
-    return {
-        Congruence.from_classes(_closure(algebra.size, [pair], maps))
+    return list(dict.fromkeys(
+        Congruence(tuple(_closure(algebra.size, [pair], maps)))
         for pair in itertools.combinations(range(algebra.size), 2)
-    }
+    ))
 
 
 def blocks_key(congruence: Congruence) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -139,24 +134,19 @@ def blocks_key(congruence: Congruence) -> tuple[tuple[int, tuple[int, ...]], ...
 
 
 def all_congruences(algebra: FiniteAlgebra, max_carrier: int = 8) -> list[Congruence]:
-    """The whole congruence lattice: joins of principal congruences.
-
-    Every congruence is the join of the principal congruences of its pairs,
-    so joining each congruence found with each principal one reaches them all.
-    """
-    if algebra.size > max_carrier:
+    """The whole congruence lattice.  Every congruence is the join of the
+    principal congruences of its pairs, so ``reach`` finds them all from the
+    identity and the principals, one unary letter joining on each principal;
+    its cap, n**n class lists, is never hit."""
+    size = algebra.size
+    if size > max_carrier:
         message = f"congruence enumeration capped at carrier {max_carrier}"
-        raise CapExceededError(message, "congruence enumeration", algebra.size, max_carrier)
+        raise CapExceededError(message, "congruence enumeration", size, max_carrier)
     principals = _principal_congruences(algebra)
-    found: set[Congruence] = {Congruence.identity(algebra.size)} | principals
-    worklist = list(found)
-    while worklist:
-        current = worklist.pop()
-        for other in principals:
-            joined = current.join(other)
-            if joined not in found:
-                found.add(joined)
-                worklist.append(joined)
+    joins = {f"p{i}": principal for i, principal in enumerate(principals)}
+    letters = RankedAlphabet(tuple(Letter(name, 1) for name in joins))
+    step = lambda name, args: args[0].join(joins[name])
+    found = reach(letters, step, size**size, [Congruence.identity(size)] + principals).values
     return sorted(
         found,
         key=lambda c: (len(c.blocks), tuple(sorted(min(b) for b in c.blocks)), blocks_key(c)),
@@ -166,11 +156,7 @@ def all_congruences(algebra: FiniteAlgebra, max_carrier: int = 8) -> list[Congru
 def minimal_nontrivial_congruences(algebra: FiniteAlgebra) -> list[Congruence]:
     """Inclusion-minimal non-identity congruences (all of them are principal)."""
     principals = _principal_congruences(algebra)
-    nontrivial = [c for c in principals if not c.is_identity()]
-    minimal = []
-    for candidate in nontrivial:
-        if not any(other != candidate and other.refines(candidate) for other in nontrivial):
-            minimal.append(candidate)
+    minimal = [c for c in principals if not any(o != c and o.refines(c) for o in principals)]
     return sorted(minimal, key=blocks_key)
 
 
@@ -221,7 +207,7 @@ def generate_polynomials(
 
 
 def _polynomials(algebra, arity, max_functions, max_rounds=None, goal=None) -> Reach:
-    projections, step = _clone(algebra, arity)
+    projections, step = _clone(algebra, list(algebra.arg_tuples(arity)))
     constants = [(c,) * algebra.size**arity for c in range(algebra.size)]
     return reach(algebra.alphabet, step, max_functions, projections + constants, goal, max_rounds)
 
@@ -244,36 +230,44 @@ def is_minimal_palfy(algebra: FiniteAlgebra, max_functions: int = 20000) -> bool
 @dataclass(frozen=True)
 class PairReport:
     """Ordered pairs on which some binary polynomial acts like the Boolean
-    operation, each with a witness table; capped generation is flagged."""
+    operation, each with a witness table; ``capped``: some pair was left
+    undecided by a closure that hit its cap."""
 
     pairs: tuple[tuple[int, int, tuple[int, ...]], ...]
     capped: bool
 
 
-def _binary_pairs(algebra: FiniteAlgebra, pattern, max_functions: int) -> PairReport:
-    pol2 = generate_polynomials(algebra, 2, max_functions)
-    size = algebra.size
-    found = []
-    for a0 in range(size):
-        for a1 in range(size):
-            if a0 == a1:
-                continue
-            expected = pattern(a0, a1)
-            for table in pol2.tables:
-                if tuple(table[x * size + y] for x in (a0, a1) for y in (a0, a1)) == expected:
-                    found.append((a0, a1, table))
-                    break
-    return PairReport(tuple(found), pol2.capped)
+def _binary_pairs(algebra: FiniteAlgebra, pattern) -> PairReport:
+    """Per ordered pair, ``reach`` over the binary polynomials restricted to
+    its four points, up to the pattern; a hit is replayed over all points."""
+    size, found, capped = algebra.size, [], False
+    projections, step = _clone(algebra, list(algebra.arg_tuples(2)))
+    tables = projections + [(c,) * size**2 for c in range(size)]
+    make = lambda letter, args: step(letter.name, args)
+    for a0, a1 in itertools.permutations(range(size), 2):
+        seeds, four_step = _clone(algebra, list(itertools.product((a0, a1), repeat=2)))
+        seeds += [(c,) * 4 for c in range(size)]
+        closure = reach(
+            algebra.alphabet, four_step, DEFAULT_CARRIER_CAP, seeds, pattern(a0, a1).__eq__
+        )
+        if closure.hit is not None:
+            found.append((a0, a1, closure.replay(dict(zip(seeds, tables)), make)))
+        capped = capped or (closure.capped and closure.hit is None)
+    return PairReport(tuple(found), capped)
 
 
-def or_pairs(algebra: FiniteAlgebra, max_functions: int = 20000) -> PairReport:
+def or_pairs(algebra: FiniteAlgebra) -> PairReport:
     """Pairs (a0, a1) where some binary polynomial restricts to disjunction
-    under a0 ~ 0, a1 ~ 1."""
-    return _binary_pairs(algebra, lambda a0, a1: (a0, a1, a1, a1), max_functions)
+    under a0 ~ 0, a1 ~ 1, in lexicographic order, each with such a polynomial's
+    table.  Only its four points {a0, a1}**2 are closed, at most n**4 values
+    under the carrier cap, so carriers up to 8 are exact; ``capped`` flags a
+    pair whose closure hit the cap before the pattern."""
+    return _binary_pairs(algebra, lambda a0, a1: (a0, a1, a1, a1))
 
 
-def and_pairs(algebra: FiniteAlgebra, max_functions: int = 20000) -> PairReport:
-    return _binary_pairs(algebra, lambda a0, a1: (a0, a0, a0, a1), max_functions)
+def and_pairs(algebra: FiniteAlgebra) -> PairReport:
+    """As ``or_pairs``, for conjunction."""
+    return _binary_pairs(algebra, lambda a0, a1: (a0, a0, a0, a1))
 
 
 # --- strongly abelian check -----------------------------------------------------
@@ -395,7 +389,7 @@ class SeparationReport:
         return tuple(entry for entry in self.entries if not entry.separable)
 
 
-def orpair_separation(dbta: Dbta, max_functions: int = 20000) -> SeparationReport:
+def orpair_separation(dbta: Dbta) -> SeparationReport:
     """Per or-pair of the reachable algebra, the mix-closure separation test.
 
     A pair (a0, a1) is separable by a deterministic top-down automaton iff
@@ -403,17 +397,11 @@ def orpair_separation(dbta: Dbta, max_functions: int = 20000) -> SeparationRepor
     inseparable pair certifies the language is not a path language.
     """
     restricted = reachable(dbta).dbta.algebra
-    report = or_pairs(restricted, max_functions)
-    entries = []
-    mixes_of: dict[int, frozenset[int]] = {}
-
-    def mix_of(element: int) -> frozenset[int]:
-        if element not in mixes_of:
-            mixes_of[element] = mix_elements(restricted, {element})
-        return mixes_of[element]
-
-    for a0, a1, witness in report.pairs:
-        mix0, mix1 = mix_of(a0), mix_of(a1)
-        separable = (a0 not in mix1) or (a1 not in mix0)
-        entries.append(SeparationEntry(a0, a1, witness, separable, mix0, mix1))
-    return SeparationReport(tuple(entries), report.capped)
+    report = or_pairs(restricted)
+    paired = dict.fromkeys(element for a0, a1, _ in report.pairs for element in (a0, a1))
+    mix = {element: mix_elements(restricted, {element}) for element in paired}
+    entries = tuple(
+        SeparationEntry(a0, a1, witness, a0 not in mix[a1] or a1 not in mix[a0], mix[a0], mix[a1])
+        for a0, a1, witness in report.pairs
+    )
+    return SeparationReport(entries, report.capped)

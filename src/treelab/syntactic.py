@@ -16,6 +16,9 @@ Freese's worklist (R. Freese, Computing congruences efficiently, Algebra
 Universalis 59, 2008): only pairs that merge two classes are mapped on.  Class
 lists are numbered by least element, so each partition has one class list.
 
+Term definability and the polynomial checks of ``structure`` share one clone
+kernel, ``_clone``: tables over a list of argument tuples, closed by ``reach``.
+
 Isomorphism and division are one search, ``_onto_maps``: maps from a subset
 of one carrier onto another, assigned element by element, under which each
 operation role of the target still has an operation of the source that
@@ -190,19 +193,19 @@ def dbta_isomorphic(d1: Dbta, d2: Dbta) -> tuple[int, ...] | None:
 # --- term definability ------------------------------------------------------
 
 
-def _clone(algebra: FiniteAlgebra, arity: int) -> tuple[list[tuple[int, ...]], Callable]:
-    """The arity-ary projections, as tables over the argument tuples in
-    lexicographic order, and the ``reach`` step that applies a letter to tables."""
+def _clone(algebra: FiniteAlgebra, points: Sequence[tuple]) -> tuple[list[tuple], Callable]:
+    """The projections, as tables over ``points`` (argument tuples of one
+    length), and the ``reach`` step that applies a letter to tables.  Letters
+    act point by point, so the closure is the clone restricted to the points."""
     size = algebra.size
-    envs = list(itertools.product(range(size), repeat=arity))
 
     def step(name: str, args: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        index = args[0] if args else [0] * len(envs)
+        index = args[0] if args else [0] * len(points)
         for part in args[1:]:
             index = [i * size + e for i, e in zip(index, part)]
         return tuple(map(algebra.tables[name].__getitem__, index))
 
-    return list(zip(*envs)), step
+    return list(zip(*points)), step
 
 
 def term_definable(
@@ -223,7 +226,7 @@ def term_definable(
         raise ValueError("depth_cap must be >= 1")
     if len(target) != algebra.size**arity:
         raise ValueError("target table has wrong length")
-    projections, step = _clone(algebra, arity)
+    projections, step = _clone(algebra, list(algebra.arg_tuples(arity)))
     bodies: dict[tuple[int, ...], Tree] = {}
     for i, table in enumerate(projections, start=1):
         bodies.setdefault(table, Var(i))
@@ -233,11 +236,7 @@ def term_definable(
     closure = reach(algebra.alphabet, step, every_table, list(bodies), goal.__eq__, depth_cap - 1)
     if closure.hit is None:
         return None
-    for table in closure.values:
-        if table not in bodies:
-            letter, args = closure.derivations[table]
-            bodies[table] = Tree(letter, tuple(map(bodies.__getitem__, args)))
-    return Term(arity, bodies[closure.hit])
+    return Term(arity, closure.replay(bodies, Tree))
 
 
 # --- division ---------------------------------------------------------------

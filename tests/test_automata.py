@@ -28,16 +28,13 @@ from treelab.errors import AlphabetMismatchError
 from treelab.fixtures import (
     ALG_POTT,
     DBTA_POTT,
-    HOM_DUP,
-    K_POTT,
-    L_LINE_EVEN,
     L_PAIR,
     L_TWO,
     SIG_GCD,
     SIG_LINE,
     SIG_POTT,
 )
-from treelab.transduce import dtop_apply, dtop_preimage
+from treelab.transduce import dtop_preimage
 from treelab.trees import (
     Letter,
     RankedAlphabet,
@@ -186,23 +183,11 @@ def test_reachable_excludes_junk():
         assert accepts(result.dbta, tree) == accepts(padded, tree)
 
 
-def test_preimage_hom_paper_case():
-    pre = dtop_preimage(K_POTT, HOM_DUP)
-    equal, _ = are_equivalent(pre, L_LINE_EVEN)
-    assert equal
-
-
 def test_preimage_identity_hom():
     ident = identity_dtop(SIG_POTT)
     pre = dtop_preimage(DBTA_POTT, ident)
     equal, _ = are_equivalent(pre, DBTA_POTT)
     assert equal
-
-
-def test_preimage_pointwise_agreement():
-    pre = dtop_preimage(K_POTT, HOM_DUP)
-    for tree in enumerate_trees(SIG_LINE, 7):
-        assert accepts(pre, tree) == accepts(K_POTT, dtop_apply(HOM_DUP, tree))
 
 
 def test_subset_counterexample():

@@ -563,17 +563,6 @@ def test_structure_commands(capsys):
 
 
 PINNED_REPORTS = {
-    ("structure", "congruences", "--lang", "@l_pair"): (
-        "congruences 6\nminimal-nontrivial 1\ncongruence 0,1,2,3\ncongruence 0;1,2,3\n"
-        "congruence 0,2,3;1\ncongruence 0,1;2,3\ncongruence 0;1;2,3\ncongruence 0;1;2;3\n"
-    ),
-    ("structure", "congruences", "--lang", "@l_true_bool"): (
-        "congruences 2\nminimal-nontrivial 1\ncongruence 0,1\ncongruence 0;1\n"
-    ),
-    ("structure", "congruences", "--lang", "@l_pott_redundant"): (
-        "congruences 5\nminimal-nontrivial 2\ncongruence 0,1,2,3,4,5\ncongruence 0,2,4;1,3,5\n"
-        "congruence 0,1;2,3;4,5\ncongruence 0;1;2;3;4,5\ncongruence 0;1;2;3;4;5\n"
-    ),
     ("minimize", "--lang", "@l_pair"): (
         "carrier 4\nletter g 2\nletter c 0\nletter d 0\ncarrier 4\nnames c d ok sink\n"
         + "".join(
@@ -625,9 +614,62 @@ ORPAIRS = {
     "l_full_gcd": "orpairs 0\n",
 }
 
+# `structure congruences` on each corpus language: the lattice, coarsest first
+TWO_CLASSES = "congruences 2\nminimal-nontrivial 1\ncongruence 0,1\ncongruence 0;1\n"
+THREE_ONE_BLOCK = "congruences 2\nminimal-nontrivial 1\ncongruence 0,1,2\ncongruence 0;1;2\n"
+FOUR_PAIR = (
+    "congruences 6\nminimal-nontrivial 1\ncongruence 0,1,2,3\ncongruence 0;1,2,3\n"
+    "congruence 0,2,3;1\ncongruence 0,1;2,3\ncongruence 0;1;2,3\ncongruence 0;1;2;3\n"
+)
+CONGRUENCES = {
+    "l_even": TWO_CLASSES,
+    "l_pott": THREE_ONE_BLOCK,
+    "l_pott_redundant": (
+        "congruences 5\nminimal-nontrivial 2\ncongruence 0,1,2,3,4,5\ncongruence 0,2,4;1,3,5\n"
+        "congruence 0,1;2,3;4,5\ncongruence 0;1;2;3;4,5\ncongruence 0;1;2;3;4;5\n"
+    ),
+    "k_pott": THREE_ONE_BLOCK,
+    "l_line_even": TWO_CLASSES,
+    "l_true_and": TWO_CLASSES,
+    "l_true_or": TWO_CLASSES,
+    "l_true_bool": TWO_CLASSES,
+    "l_pair": FOUR_PAIR,
+    "l_two": FOUR_PAIR,
+    "l_root_g": TWO_CLASSES,
+    "l_empty_gcd": TWO_CLASSES,
+    "l_full_gcd": TWO_CLASSES,
+}
+
+# `structure orpair-separation` on each corpus language, a pair per or-pair
+ORPAIR_SEPARATION = {
+    "l_even": "all-separable\n",
+    "l_pott": "pair 0 2 separable\npair 1 2 separable\nall-separable\n",
+    "l_pott_redundant": (
+        "pair 0 4 separable\npair 1 5 separable\npair 2 4 separable\npair 3 5 separable\n"
+        "all-separable\n"
+    ),
+    "k_pott": "pair 0 2 separable\npair 1 2 separable\nall-separable\n",
+    "l_line_even": "all-separable\n",
+    "l_true_and": "pair 1 0 separable\nall-separable\n",
+    "l_true_or": "pair 0 1 separable\nall-separable\n",
+    "l_true_bool": "pair 0 1 inseparable\npair 1 0 inseparable\nhas-inseparable\n",
+    "l_pair": "all-separable\n",
+    "l_two": "all-separable\n",
+    "l_root_g": "all-separable\n",
+    "l_empty_gcd": "all-separable\n",
+    "l_full_gcd": "all-separable\n",
+}
+
 for name, _ in CORPUS:
-    PINNED_REPORTS["structure", "strongly-abelian", "--lang", f"@{name}"] = STRONGLY_ABELIAN[name]
-    PINNED_REPORTS["structure", "orpairs", "--lang", f"@{name}"] = ORPAIRS[name]
+    lang = ("--lang", f"@{name}")
+    PINNED_REPORTS["structure", "strongly-abelian", *lang] = STRONGLY_ABELIAN[name]
+    PINNED_REPORTS["structure", "orpairs", *lang] = ORPAIRS[name]
+    PINNED_REPORTS["structure", "congruences", *lang] = CONGRUENCES[name]
+    PINNED_REPORTS["structure", "orpair-separation", *lang] = ORPAIR_SEPARATION[name]
+    # the two-element lattice divides only l_true_bool's algebra, pool or not
+    divides = "yes\n" if name == "l_true_bool" else "no\n"
+    PINNED_REPORTS["structure", "lattice-divides", *lang] = divides
+    PINNED_REPORTS["structure", "lattice-divides", *lang, "--polynomials"] = divides
 
 
 @pytest.mark.parametrize("argv", list(PINNED_REPORTS))
@@ -819,6 +861,32 @@ def test_bool_caps_the_product_carrier_before_building_it(capsys, tmp_path):
     code, out, err = run(capsys, "bool", "--kind", "union", *argv)
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (3, "", "cap exceeded: product carrier exceeds 4096\n")
+
+
+# f, g, a, b on three elements: the binary clone is all 3**9 = 19,683 tables,
+# and every ordered pair is an or-pair
+FOURTEEN_ROWS = (
+    "letter f 2\nletter g 1\nletter a 0\nletter b 0\ncarrier 3\n"
+    + "".join(
+        f"op f {x} {y} -> {v}\n"
+        for (x, y), v in zip(itertools.product(range(3), repeat=2), (0, 2, 0, 1, 0, 1, 1, 1, 2))
+    )
+    + "op g 0 -> 1\nop g 1 -> 0\nop g 2 -> 0\nop a -> 1\nop b -> 0\naccept 0\n"
+)
+
+
+def test_pair_checks_on_a_full_binary_clone_answer_in_seconds(capsys, tmp_path):
+    path = tmp_path / "fourteen.dbta"
+    path.write_text(FOURTEEN_ROWS, encoding="utf-8")
+    pairs = list(itertools.permutations(range(3), 2))
+    with budget(2.0):
+        code, out, err = run(capsys, "structure", "orpairs", "--lang", str(path))
+    assert (code, err) == (0, "")
+    assert out == "orpairs 6\n" + "".join(f"orpair {a0} {a1}\n" for a0, a1 in pairs)
+    with budget(2.0):
+        code, out, err = run(capsys, "structure", "orpair-separation", "--lang", str(path))
+    assert (code, err) == (0, "")
+    assert out == "".join(f"pair {a0} {a1} inseparable\n" for a0, a1 in pairs) + "has-inseparable\n"
 
 
 def test_lattice_divides_with_polynomials_answers_in_seconds(capsys):

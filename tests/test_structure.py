@@ -507,3 +507,139 @@ def test_congruence_engine_matches_the_sweeps():
             every = (Congruence.from_blocks(size, b) for b in _partitions(list(range(size))))
             lattice = {c for c in every if sweep_is_compatible(algebra, c)}
             assert set(all_congruences(algebra)) == lattice
+
+
+# --- pair checks and the lattice against the forms they replaced -----------------
+#
+# ``scan_pairs`` is the earlier pair check: it generated the whole binary clone
+# and scanned four entries of each table per pair.  ``worklist_congruences`` is
+# the earlier lattice enumeration, a hand-written worklist of joins with the
+# principal congruences.  Both are kept as references.
+
+FGA = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0))
+FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
+PATTERNS = (
+    (or_pairs, lambda a0, a1: (a0, a1, a1, a1)),
+    (and_pairs, lambda a0, a1: (a0, a0, a0, a1)),
+)
+
+
+def random_algebra(rng, alphabet, size):
+    return FiniteAlgebra(alphabet, size, {
+        letter.name: tuple(rng.randrange(size) for _ in range(size**letter.arity))
+        for letter in alphabet.letters
+    })
+
+
+def four_points(table, size, a0, a1):
+    return tuple(table[x * size + y] for x in (a0, a1) for y in (a0, a1))
+
+
+def scan_pairs(algebra, tables, pattern):
+    """The ordered pairs on which some table of ``tables`` restricts to the pattern."""
+    return [
+        (a0, a1)
+        for a0, a1 in itertools.permutations(range(algebra.size), 2)
+        if any(four_points(table, algebra.size, a0, a1) == pattern(a0, a1) for table in tables)
+    ]
+
+
+def assert_pairs_match_the_scan(algebra):
+    pol2 = generate_polynomials(algebra, 2)
+    assert not pol2.capped
+    for check, pattern in PATTERNS:
+        report = check(algebra)
+        assert not report.capped
+        assert [(a0, a1) for a0, a1, _ in report.pairs] == scan_pairs(algebra, pol2.tables, pattern)
+        for a0, a1, table in report.pairs:  # each witness is a binary polynomial with the pattern
+            assert table in pol2 and four_points(table, algebra.size, a0, a1) == pattern(a0, a1)
+
+
+def test_pairs_match_the_full_clone_scan_on_every_two_element_algebra():
+    for f, g, a in itertools.product(
+        itertools.product(range(2), repeat=4), itertools.product(range(2), repeat=2), range(2)
+    ):
+        assert_pairs_match_the_scan(FiniteAlgebra(FGA, 2, {"f": f, "g": g, "a": (a,)}))
+
+
+def test_pairs_match_the_full_clone_scan_on_three_elements():
+    # seeds whose binary clone has under 2,000 tables (89, 225 and 333), so the
+    # scan finishes; most seeds give all 3**9 tables
+    for seed in (16, 22, 36):
+        assert_pairs_match_the_scan(random_algebra(random.Random(seed), FGAB, 3))
+
+
+def test_pairs_are_exact_where_the_full_clone_scan_was_capped():
+    # the full binary clone runs to 4**16 tables and more; the pair checks close
+    # at most size**4 values per pair, under the carrier cap
+    for size in (4, 5, 6):
+        algebra = random_algebra(random.Random(size), FGAB, size)
+        pol2 = generate_polynomials(algebra, 2, max_functions=2000)
+        assert pol2.capped
+        for check, pattern in PATTERNS:
+            report = check(algebra)
+            assert not report.capped
+            pairs = [(a0, a1) for a0, a1, _ in report.pairs]
+            assert set(scan_pairs(algebra, pol2.tables, pattern)) <= set(pairs)
+            for a0, a1, table in report.pairs:
+                assert len(table) == size**2
+                assert four_points(table, size, a0, a1) == pattern(a0, a1)
+
+
+def worklist_congruences(algebra):
+    principals = {
+        principal_congruence(algebra, a, b)
+        for a, b in itertools.combinations(range(algebra.size), 2)
+    }
+    found = {Congruence.identity(algebra.size)} | principals
+    worklist = list(found)
+    while worklist:
+        current = worklist.pop()
+        for other in principals:
+            joined = current.join(other)
+            if joined not in found:
+                found.add(joined)
+                worklist.append(joined)
+    return found
+
+
+def test_all_congruences_match_the_worklist():
+    rng = random.Random(23)
+    for size in range(1, 9):
+        for alphabet in (FGAB, RankedAlphabet.of(("g", 1), ("k", 1), ("a", 0))):
+            algebra = random_algebra(rng, alphabet, size)
+            congruences = all_congruences(algebra)
+            assert len(set(congruences)) == len(congruences)
+            assert set(congruences) == worklist_congruences(algebra)
+    # over a constant alone every partition is a congruence: Bell(8) = 4,140 of them
+    constants_only = FiniteAlgebra(RankedAlphabet.of(("c", 0)), 8, {"c": (0,)})
+    congruences = all_congruences(constants_only)
+    assert len(congruences) == 4140
+    assert set(congruences) == worklist_congruences(constants_only)
+
+
+def test_congruence_is_its_class_list():
+    congruence = Congruence.from_blocks(5, [{3, 1}, {4}, {0, 2}])
+    assert congruence.classes == (0, 1, 0, 1, 2) and congruence.size == 5
+    assert congruence.blocks == (frozenset({0, 2}), frozenset({1, 3}), frozenset({4}))
+    assert congruence == Congruence.from_classes([7, 3, 7, 3, 1])
+    assert congruence.relates(1, 3) and not congruence.relates(0, 1)
+    assert congruence.join(Congruence.from_blocks(5, [{0, 4}, {1}, {2}, {3}])) == (
+        Congruence.from_blocks(5, [{0, 2, 4}, {1, 3}])
+    )
+    assert Congruence.identity(3).blocks == (frozenset({0}), frozenset({1}), frozenset({2}))
+    assert Congruence.full(3).blocks == (frozenset({0, 1, 2}),)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([{0, 1}, {1, 2}], "blocks must be nonempty and disjoint"),  # overlapping
+    ([{0, 1}, {2}, {2, 0}], "blocks must be nonempty and disjoint"),
+    ([{0, 5}, {0, 1, 2}], "blocks must be nonempty and disjoint"),  # overlap outranks range
+    ([{0, 1}], "blocks must cover the carrier"),  # uncovering
+    ([{0, 1}, set(), {2}, {3}], "blocks must cover the carrier"),  # 3 is out of range
+    ([{-1, 0}, {1, 2}], "blocks must cover the carrier"),
+    ([], "blocks must cover the carrier"),
+], ids=["overlap", "overlap-last", "overlap-and-range", "uncovering", "range", "negative", "none"])
+def test_from_blocks_errors(blocks, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Congruence.from_blocks(3, blocks)

@@ -210,11 +210,14 @@ class Reach:
     hit: Hashable | None  # the first value that met the goal
     derivations: Mapping[Hashable, tuple[Letter, tuple]]  # stepped value -> first (letter, args)
 
-    def replay(self, known: dict, make: Callable[[Letter, tuple], Hashable]) -> Hashable:
-        """The hit rebuilt by ``make(letter, rebuilt args)`` along its
-        derivation, from ``known``, which maps the seeds to their rebuilt
-        forms; ``known`` gains the hit's ancestors and nothing more."""
-        needed = {self.hit}
+    def replay(
+        self, target: Hashable, known: dict, make: Callable[[Letter, tuple], Hashable]
+    ) -> Hashable:
+        """The found value ``target`` rebuilt by ``make(letter, rebuilt args)``
+        along its derivation, from ``known``, which maps the seeds (and any
+        value rebuilt before) to their rebuilt forms; ``known`` gains the
+        target's ancestors and nothing more."""
+        needed = {target}
         for value in reversed(self.values):
             if value in needed and value not in known:
                 needed.update(self.derivations[value][1])
@@ -222,7 +225,7 @@ class Reach:
             if value in needed and value not in known:
                 letter, args = self.derivations[value]
                 known[value] = make(letter, tuple(map(known.__getitem__, args)))
-        return known[self.hit]
+        return known[target]
 
 
 def reach(

@@ -27,9 +27,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
-from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build
+from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, corpus_values
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
-from .trees import Letter, RankedAlphabet, Step, Tree, children_first, fold, require_letters
+from .trees import Letter, RankedAlphabet, Step, Tree, children_first, fold, require_letters, tree_at
 
 DEFAULT_WIDTH_CAP = 16
 
@@ -59,37 +59,22 @@ def _renamed(
     tree: Tree,
     algebras: Sequence[FiniteAlgebra],
     rename: Callable[[str, tuple[int, ...]], str],
-    check: Callable[[list[Letter]], None],
+    message: str,
 ) -> Tree:
     """The tree with each node's letter renamed by ``rename(name, values)``,
-    ``values`` being its subtree's values in ``algebras``: a fold (see
-    ``trees.fold``) whose value at a node is its renamed subtree and those
-    values, each renamed letter made once.  ``check(word)`` raises for a
-    tree with a letter that some algebra does not read."""
-
-    def compile(letter: Letter) -> Step:
-        name, arity = letter.name, range(letter.arity)
-        labels: dict[tuple[int, ...], Letter] = {}  # values -> the renamed letter
-
-        def step(pop) -> tuple[Tree, tuple[int, ...]]:
-            kids = [pop() for _ in arity]
-            values = tuple(
-                [algebra.op(name, [kid[1][i] for kid in kids]) for i, algebra in enumerate(algebras)]
-            )
-            label = labels.get(values)
-            if label is None:
-                label = labels[values] = Letter(rename(name, values), letter.arity)
-            return Tree(label, tuple([kid[0] for kid in kids])), values
-
-        return step
-
-    def foreign(word: list[Letter], label: Letter) -> Step:
-        check(word)
-        return compile(label)  # only without algebras, which read every letter
-
-    letters = algebras[0].alphabet.letters if algebras else ()
-    common = tuple(x for x in letters if all(x in algebra.alphabet for algebra in algebras))
-    return fold(tree, RankedAlphabet(common), "", compile, foreign)[0]
+    ``values`` being its subtree's values in ``algebras``: the node list (see
+    ``trees.children_first``) is folded once per algebra, and each distinct
+    (letter, values) renamed once.  A letter that some algebra does not read
+    raises AlphabetMismatchError (``message``) for the first such algebra
+    and the first such letter in preorder."""
+    if not algebras:
+        return tree
+    letters, kids = children_first(tree)
+    for algebra in algebras:
+        require_letters(letters[::-1], algebra.alphabet, message)
+    keys = list(zip(letters, zip(*[corpus_values(h, letters, kids) for h in algebras])))
+    labels = {key: Letter(rename(key[0].name, key[1]), key[0].arity) for key in set(keys)}
+    return tree_at([labels[key] for key in keys], kids, len(keys) - 1)
 
 
 def annotate(tree: Tree, langs: list[Dbta] | tuple[Dbta, ...]) -> Tree:
@@ -98,13 +83,8 @@ def annotate(tree: Tree, langs: list[Dbta] | tuple[Dbta, ...]) -> Tree:
     def rename(name: str, values: tuple[int, ...]) -> str:
         return ann_name(name, tuple(int(v in lang.accepting) for v, lang in zip(values, langs)))
 
-    def check(word: list[Letter]) -> None:
-        for lang in langs:
-            require_letters(word, lang.alphabet, message)
-
     message = "annotation languages must read the tree's alphabet"
-
-    return _renamed(tree, [lang.algebra for lang in langs], rename, check)
+    return _renamed(tree, [lang.algebra for lang in langs], rename, message)
 
 
 def nest(
@@ -158,9 +138,8 @@ def value_annotated_alphabet(base: RankedAlphabet, size: int) -> RankedAlphabet:
 
 def value_annotate(tree: Tree, h: FiniteAlgebra) -> Tree:
     """t^h: each node labelled with (letter, value of its subtree under h)."""
-    message = "letter {} not in the algebra's alphabet"
-    return _renamed(tree, [h], lambda name, values: f"{name}|{values[0]}",
-                    lambda word: require_letters(word, h.alphabet, message))
+    rename = lambda name, values: f"{name}|{values[0]}"
+    return _renamed(tree, [h], rename, "letter {} not in the algebra's alphabet")
 
 
 def sequential_compose(h: FiniteAlgebra, g: FiniteAlgebra) -> FiniteAlgebra:

@@ -5,7 +5,9 @@ bijective), or-pairs and their separation by path mixes, the bounded strongly
 abelian check, and the two-element-lattice divisor screen.  The bounded checks
 are labelled: a bounded pass is not a proof.  Polynomials are closed by
 ``reach`` on the clone kernel of ``syntactic``, over just the points a check
-reads: an or/and pair reads four, so carriers up to 8 are exact.
+reads, and each check is a goal that stops the closure at its answer.  An
+unordered pair's four points serve both its orders, so one closure gives
+its or- and and-pairs, and carriers up to 8 are exact.
 
 A congruence is the class list of the congruence engine in ``syntactic``: one
 table of basic translations per algebra serves principal congruences, joins,
@@ -80,9 +82,6 @@ class Congruence:
     def full(size: int) -> "Congruence":
         return Congruence((0,) * size)
 
-    def class_of(self) -> tuple[int, ...]:
-        return self.classes
-
     def relates(self, a: int, b: int) -> bool:
         return self.classes[a] == self.classes[b]
 
@@ -106,7 +105,7 @@ class Congruence:
 
 
 def is_compatible(algebra: FiniteAlgebra, congruence: Congruence) -> bool:
-    return _first_incompatible(_translations(algebra), congruence.class_of()) is None
+    return _first_incompatible(_translations(algebra), congruence.classes) is None
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Congruence:
@@ -164,7 +163,7 @@ def quotient(algebra: FiniteAlgebra, congruence: Congruence) -> FiniteAlgebra:
     """Quotient algebra on the blocks; raises if the partition is incompatible."""
     if congruence.size != algebra.size:
         raise ValueError("partition size does not match the carrier")
-    classes = congruence.class_of()
+    classes = congruence.classes
     letter = _first_incompatible(_translations(algebra), classes)
     if letter is not None:
         raise IncompatiblePartitionError(f"partition is not compatible with {letter}")
@@ -237,37 +236,47 @@ class PairReport:
     capped: bool
 
 
-def _binary_pairs(algebra: FiniteAlgebra, pattern) -> PairReport:
-    """Per ordered pair, ``reach`` over the binary polynomials restricted to
-    its four points, up to the pattern; a hit is replayed over all points."""
-    size, found, capped = algebra.size, [], False
+def _lattice_pairs(algebra: FiniteAlgebra) -> tuple[PairReport, PairReport]:
+    """The or- and and-pairs: per pair a0 < a1, one ``reach`` over the binary
+    polynomials restricted to its four points, up to both the join
+    (a0, a1, a1, a1) and the meet (a0, a0, a0, a1); each is replayed over all
+    points.  Letters act point by point, so the closure of (a1, a0), whose
+    points are these reversed, is this one reversed table by table, found in
+    the same order: a join here is an and-pair (a1, a0), a meet an or-pair."""
+    size, ors, ands, capped = algebra.size, [], [], False
     projections, step = _clone(algebra, list(algebra.arg_tuples(2)))
     tables = projections + [(c,) * size**2 for c in range(size)]
     make = lambda letter, args: step(letter.name, args)
-    for a0, a1 in itertools.permutations(range(size), 2):
+    for a0, a1 in itertools.combinations(range(size), 2):
         seeds, four_step = _clone(algebra, list(itertools.product((a0, a1), repeat=2)))
         seeds += [(c,) * 4 for c in range(size)]
-        closure = reach(
-            algebra.alphabet, four_step, DEFAULT_CARRIER_CAP, seeds, pattern(a0, a1).__eq__
-        )
-        if closure.hit is not None:
-            found.append((a0, a1, closure.replay(dict(zip(seeds, tables)), make)))
-        capped = capped or (closure.capped and closure.hit is None)
-    return PairReport(tuple(found), capped)
+        join, meet = (a0, a1, a1, a1), (a0, a0, a0, a1)
+        missing = {join, meet}  # not yet found; the goal holds once both are
+        goal = lambda table: missing.discard(table) or not missing
+        closure = reach(algebra.alphabet, four_step, DEFAULT_CARRIER_CAP, seeds, goal)
+        known = dict(zip(seeds, tables))
+        for pattern, forward, backward in ((join, ors, ands), (meet, ands, ors)):
+            if pattern not in missing:
+                witness = closure.replay(pattern, known, make)
+                forward.append((a0, a1, witness))
+                backward.append((a1, a0, witness))
+        capped = capped or (closure.capped and bool(missing))
+    return PairReport(tuple(sorted(ors)), capped), PairReport(tuple(sorted(ands)), capped)
 
 
 def or_pairs(algebra: FiniteAlgebra) -> PairReport:
     """Pairs (a0, a1) where some binary polynomial restricts to disjunction
     under a0 ~ 0, a1 ~ 1, in lexicographic order, each with such a polynomial's
-    table.  Only its four points {a0, a1}**2 are closed, at most n**4 values
+    table.  Only the four points {a0, a1}**2 are closed, at most n**4 values
     under the carrier cap, so carriers up to 8 are exact; ``capped`` flags a
-    pair whose closure hit the cap before the pattern."""
-    return _binary_pairs(algebra, lambda a0, a1: (a0, a1, a1, a1))
+    pair whose closure hit the cap before the pattern.  One closure per
+    unordered pair also gives the and-pairs (see ``_lattice_pairs``)."""
+    return _lattice_pairs(algebra)[0]
 
 
 def and_pairs(algebra: FiniteAlgebra) -> PairReport:
     """As ``or_pairs``, for conjunction."""
-    return _binary_pairs(algebra, lambda a0, a1: (a0, a0, a0, a1))
+    return _lattice_pairs(algebra)[1]
 
 
 # --- strongly abelian check -----------------------------------------------------
@@ -305,30 +314,37 @@ def strongly_abelian_check(
     """Bounded search for a violation of the strongly abelian implication:
     f(a0..an) = f(b0..bn) forces f(a0, c1..cn) = f(b0, c1..cn) whenever the
     tuples are congruence-related position by position.  Raises
-    IncompatiblePartitionError when the partition is not a congruence."""
+    IncompatiblePartitionError when the partition is not a congruence.  Per
+    arity, ``reach`` generates the bounded polynomials in the order of
+    ``generate_polynomials`` only up to the first table with a violation, and
+    reports its first (left, then right, then tail, lexicographically)."""
     if arity_bound < 1 or depth_bound < 1:
         raise ValueError("bounds must be >= 1")
     if not is_compatible(algebra, congruence):
         raise IncompatiblePartitionError("partition is not a congruence")
-    size = algebra.size
-    classes = congruence.class_of()
+    classes = congruence.classes
+    members = [sorted(block) for block in congruence.blocks]
     for arity in range(2, arity_bound + 1):
-        pol = generate_polynomials(algebra, arity, max_functions, max_rounds=depth_bound)
-        for table in pol.tables:
-            f = dict(zip(itertools.product(range(size), repeat=arity), table))
-            for left in f:  # in lexicographic order
-                for right in f:
-                    related = all(classes[x] == classes[y] for x, y in zip(left, right))
-                    if not related or f[left] != f[right]:
+        points, related = list(algebra.arg_tuples(arity)), {}  # class tuple -> its points
+        for point in points:
+            related.setdefault(tuple([classes[x] for x in point]), []).append(point)
+        violations: list[AbelianViolation] = []
+
+        def violated(table: tuple[int, ...]) -> bool:
+            f = dict(zip(points, table))
+            for left in points:
+                key = tuple([classes[x] for x in left])
+                for right in related[key]:
+                    if f[right] != f[left]:
                         continue
-                    block = [congruence.blocks[classes[left[i]]] for i in range(1, arity)]
-                    for tail in itertools.product(*[sorted(b) for b in block]):
+                    for tail in itertools.product(*[members[c] for c in key[1:]]):
                         if f[(left[0],) + tail] != f[(right[0],) + tail]:
-                            return AbelianVerdict(
-                                AbelianViolation(table, arity, left, right, tail),
-                                arity_bound,
-                                depth_bound,
-                            )
+                            violations.append(AbelianViolation(table, arity, left, right, tail))
+                            return True
+            return False
+
+        if _polynomials(algebra, arity, max_functions, depth_bound, violated).hit is not None:
+            return AbelianVerdict(violations[0], arity_bound, depth_bound)
     return AbelianVerdict(None, arity_bound, depth_bound)
 
 

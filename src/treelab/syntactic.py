@@ -236,7 +236,7 @@ def term_definable(
     closure = reach(algebra.alphabet, step, every_table, list(bodies), goal.__eq__, depth_cap - 1)
     if closure.hit is None:
         return None
-    return Term(arity, closure.replay(bodies, Tree))
+    return Term(arity, closure.replay(closure.hit, bodies, Tree))
 
 
 # --- division ---------------------------------------------------------------

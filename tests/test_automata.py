@@ -233,6 +233,8 @@ BRUTE_NODES = 7
 
 
 def random_algebra(rng, alphabet, size):
+    """Tables drawn cell by cell, letters in alphabet order: the one seeded
+    draw of the test modules."""
     tables = {
         letter.name: tuple(rng.randrange(size) for _ in range(size**letter.arity))
         for letter in alphabet.letters

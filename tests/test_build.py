@@ -10,6 +10,7 @@ import itertools
 import random
 
 import pytest
+from test_automata import random_algebra
 
 from treelab.automata import (
     Dbta,
@@ -40,14 +41,6 @@ from treelab.trees import Letter, RankedAlphabet, Term, Tree, Var
 FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
 FG = RankedAlphabet.of(("f", 2), ("g", 1))
 OPERATORS = [letter for letter in FGAB.letters if letter.arity]
-
-
-def random_algebra(rng, alphabet, size):
-    tables = {
-        letter.name: tuple(rng.randrange(size) for _ in range(size**letter.arity))
-        for letter in alphabet.letters
-    }
-    return FiniteAlgebra(alphabet, size, tables)
 
 
 def random_dbta(rng, alphabet, size):

@@ -889,6 +889,18 @@ def test_pair_checks_on_a_full_binary_clone_answer_in_seconds(capsys, tmp_path):
     assert out == "".join(f"pair {a0} {a1} inseparable\n" for a0, a1 in pairs) + "has-inseparable\n"
 
 
+def test_strongly_abelian_check_stops_at_its_first_violation(capsys, tmp_path):
+    # at depth 4 the binary clone is all 19,683 tables, and filling it first
+    # took minutes; the violation is in round 1
+    path = tmp_path / "fourteen.dbta"
+    path.write_text(FOURTEEN_ROWS, encoding="utf-8")
+    with budget(2.0):
+        code, out, err = run(
+            capsys, "structure", "strongly-abelian", "--depth-bound", "4", "--lang", str(path)
+        )
+    assert (code, out, err) == (0, "violated arity 2 left 0,0 right 1,1 tail 0\n", "")
+
+
 def test_lattice_divides_with_polynomials_answers_in_seconds(capsys):
     with budget(5.0):
         code, out, err = run(

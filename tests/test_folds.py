@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_automata import random_algebra
 
 import treelab
 from treelab.automata import (
@@ -180,14 +181,6 @@ def random_tree(rng, alphabet, nodes):
         return Tree(letter, tuple(grow(size) for size in sizes))
 
     return grow(nodes)
-
-
-def random_algebra(rng, alphabet, size):
-    tables = {
-        letter.name: tuple(rng.randrange(size) for _ in range(size**letter.arity))
-        for letter in alphabet.letters
-    }
-    return FiniteAlgebra(alphabet, size, tables)
 
 
 def random_linear_term(rng, nvars):
@@ -492,10 +485,12 @@ def test_deep_tree_transductions(spine):
     image = "g(" * DEPTH + "b" + ")" * DEPTH
     dtop = Dtop(FGAB, FGAB, 1, 1, {(name, 1): term for name, term in terms.items()})
     by_dtop = dtop_apply(dtop, spine)
-    parsed = parse_tree(image, FGAB)
+    built = Tree(B)
+    for _ in range(DEPTH):
+        built = Tree(G, (built,))
     assert render_tree(by_dtop) == image
     # two deep trees built apart: equal, with equal hashes; the spine differs at the leaf
-    assert by_dtop is not parsed and by_dtop == parsed and hash(by_dtop) == hash(parsed)
+    assert by_dtop is not built and by_dtop == built and hash(by_dtop) == hash(built)
     assert by_dtop != spine and not by_dtop == spine
 
 

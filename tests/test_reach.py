@@ -13,7 +13,9 @@ import collections
 import itertools
 import random
 
-from treelab.automata import Dbta, FiniteAlgebra, build, reach
+from test_automata import random_algebra
+
+from treelab.automata import Dbta, build, reach
 from treelab.fixtures import ALG_POTT
 from treelab.oracle import sweep_reachable
 from treelab.paths import PathNfa, path_nfa
@@ -27,14 +29,6 @@ SIGNATURES = [
     RankedAlphabet.of(("g", 1), ("k", 1), ("a", 0)),
     RankedAlphabet.of(("h", 3), ("c", 0)),
 ]
-
-
-def random_algebra(rng, alphabet, size):
-    tables = {
-        letter.name: tuple(rng.randrange(size) for _ in range(size**letter.arity))
-        for letter in alphabet.letters
-    }
-    return FiniteAlgebra(alphabet, size, tables)
 
 
 def algebras(seed):

@@ -1,10 +1,12 @@
+import collections
 import itertools
 import random
 
 import pytest
+from test_automata import random_algebra
 
 from treelab import structure
-from treelab.automata import Dbta, FiniteAlgebra, product_algebra
+from treelab.automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, product_algebra, reach
 from treelab.errors import CapExceededError, IncompatiblePartitionError
 from treelab.fixtures import (
     ALG_AND,
@@ -22,7 +24,10 @@ from treelab.fixtures import (
 from treelab.oracle import _partitions
 from treelab.paths import is_universal_path
 from treelab.structure import (
+    AbelianVerdict,
+    AbelianViolation,
     Congruence,
+    PairReport,
     all_congruences,
     and_pairs,
     blocks_key,
@@ -39,6 +44,7 @@ from treelab.structure import (
 )
 from treelab.syntactic import (
     _all_translations,
+    _clone,
     _coarsest_refinement,
     find_isomorphism,
     syntactic_algebra,
@@ -421,7 +427,7 @@ def sweep_refine_partition(algebra, initial):
 
 
 def sweep_is_compatible(algebra, congruence):
-    classes = congruence.class_of()
+    classes = congruence.classes
     for letter in algebra.alphabet.letters:
         for args in itertools.product(range(algebra.size), repeat=letter.arity):
             for position in range(letter.arity):
@@ -435,7 +441,7 @@ def sweep_is_compatible(algebra, congruence):
 
 
 def sweep_quotient(algebra, congruence):
-    classes = congruence.class_of()
+    classes = congruence.classes
     tables = {}
     for letter in algebra.alphabet.letters:
         rows = {}
@@ -524,13 +530,6 @@ PATTERNS = (
 )
 
 
-def random_algebra(rng, alphabet, size):
-    return FiniteAlgebra(alphabet, size, {
-        letter.name: tuple(rng.randrange(size) for _ in range(size**letter.arity))
-        for letter in alphabet.letters
-    })
-
-
 def four_points(table, size, a0, a1):
     return tuple(table[x * size + y] for x in (a0, a1) for y in (a0, a1))
 
@@ -584,6 +583,120 @@ def test_pairs_are_exact_where_the_full_clone_scan_was_capped():
             for a0, a1, table in report.pairs:
                 assert len(table) == size**2
                 assert four_points(table, size, a0, a1) == pattern(a0, a1)
+
+
+def ordered_pair_closures(algebra, pattern):
+    """The form the pair checks had before one closure served both orders of
+    a pair: per ordered pair, ``reach`` over the binary polynomials restricted
+    to its four points, up to the pattern; a hit is replayed over all points."""
+    size, found, capped = algebra.size, [], False
+    projections, step = _clone(algebra, list(algebra.arg_tuples(2)))
+    tables = projections + [(c,) * size**2 for c in range(size)]
+    make = lambda letter, args: step(letter.name, args)
+    for a0, a1 in itertools.permutations(range(size), 2):
+        seeds, four_step = _clone(algebra, list(itertools.product((a0, a1), repeat=2)))
+        seeds += [(c,) * 4 for c in range(size)]
+        closure = reach(
+            algebra.alphabet, four_step, DEFAULT_CARRIER_CAP, seeds, pattern(a0, a1).__eq__
+        )
+        if closure.hit is not None:
+            found.append((a0, a1, closure.replay(closure.hit, dict(zip(seeds, tables)), make)))
+        capped = capped or (closure.capped and closure.hit is None)
+    return PairReport(tuple(found), capped)
+
+
+def assert_pairs_match_the_ordered_closures(algebra):
+    ors, ands = or_pairs(algebra), and_pairs(algebra)
+    for report, (_, pattern) in zip((ors, ands), PATTERNS):
+        assert report == ordered_pair_closures(algebra, pattern)
+    mirror = tuple(sorted((a1, a0, table) for a0, a1, table in ors.pairs))
+    assert ands == PairReport(mirror, ors.capped)
+    return ors
+
+
+FG = RankedAlphabet.of(("f", 2), ("g", 1))
+
+
+def two_valued_algebra(rng, size):
+    """f and g take values in one random 2-set: small four-point clones, so
+    carriers up to 8 close in milliseconds, with or-pairs only inside it."""
+    image = rng.sample(range(size), min(2, size))
+    return FiniteAlgebra(FG, size, {
+        "f": tuple(rng.choice(image) for _ in range(size * size)),
+        "g": tuple(rng.choice(image) for _ in range(size)),
+    })
+
+
+def test_pairs_match_one_closure_per_ordered_pair():
+    rng = random.Random(6)
+    counts = [
+        len(assert_pairs_match_the_ordered_closures(two_valued_algebra(rng, size)).pairs)
+        for size in range(2, 9)
+    ]
+    assert counts == [2, 1, 2, 0, 2, 2, 0]  # at carrier 3, (a0, a1) is an or-pair but (a1, a0) not
+    for seed in range(6):  # random tables: some pairs at carrier 2, all six at 3
+        for size in (2, 3):
+            assert_pairs_match_the_ordered_closures(random_algebra(random.Random(seed), FGAB, size))
+
+
+@pytest.mark.parametrize("odd", ["j", "m"])
+def test_pairs_match_one_closure_per_ordered_pair_where_capped(odd):
+    # max and min on the chain 0 < ... < 9, but on {8, 9} j is min too (or m is
+    # max too): j and m settle every pair in round 1 except (8, 9), whose join
+    # (or meet) is left to r.  r comes first, so that closure fills up fast,
+    # here past the carrier cap
+    cells = list(itertools.product(range(10), repeat=2))
+    rng, swap = random.Random(4), lambda letter, x, y: odd == letter and {x, y} == {8, 9}
+    algebra = FiniteAlgebra(RankedAlphabet.of(("r", 2), ("j", 2), ("m", 2)), 10, {
+        "r": tuple(rng.randrange(10) for _ in cells),
+        "j": tuple(min(x, y) if swap("j", x, y) else max(x, y) for x, y in cells),
+        "m": tuple(max(x, y) if swap("m", x, y) else min(x, y) for x, y in cells),
+    })
+    ors = assert_pairs_match_the_ordered_closures(algebra)
+    missing = (8, 9) if odd == "j" else (9, 8)
+    assert ors.capped and len(ors.pairs) == 89 and missing not in [pair[:2] for pair in ors.pairs]
+
+
+def generated_then_scanned(algebra, congruence, arity_bound, depth_bound, max_functions):
+    """The strongly abelian check as it was before it stopped at its answer:
+    all bounded polynomials first, then the first violation in their order."""
+    size, classes = algebra.size, congruence.classes
+    for arity in range(2, arity_bound + 1):
+        pol = generate_polynomials(algebra, arity, max_functions, max_rounds=depth_bound)
+        for table in pol.tables:
+            f = dict(zip(itertools.product(range(size), repeat=arity), table))
+            for left in f:
+                for right in f:
+                    related = all(classes[x] == classes[y] for x, y in zip(left, right))
+                    if not related or f[left] != f[right]:
+                        continue
+                    block = [congruence.blocks[classes[left[i]]] for i in range(1, arity)]
+                    for tail in itertools.product(*[sorted(b) for b in block]):
+                        if f[(left[0],) + tail] != f[(right[0],) + tail]:
+                            violation = AbelianViolation(table, arity, left, right, tail)
+                            return AbelianVerdict(violation, arity_bound, depth_bound)
+    return AbelianVerdict(None, arity_bound, depth_bound)
+
+
+# (arity bound, depth bound, max_functions): on the algebras below, each
+# setting caps some generation at its depth, and the 50-, 7- and 60-table
+# settings some at their table count
+ABELIAN_GRID = ((2, 1, 20000), (2, 2, 20000), (2, 3, 50), (3, 1, 20000), (2, 2, 7), (3, 2, 60))
+
+
+def test_strongly_abelian_check_matches_generate_then_scan():
+    rng, verdicts = random.Random(11), collections.Counter()
+    mc, ha = RankedAlphabet.of(("m", 2), ("c", 0)), RankedAlphabet.of(("h", 3), ("a", 0))
+    signatures = ((FGAB, 3), (mc, 3), (ha, 2))
+    for alphabet, largest in signatures:
+        for size in range(1, largest + 1):
+            algebra = random_algebra(rng, alphabet, size)
+            for congruence in all_congruences(algebra):
+                for bounds in ABELIAN_GRID:
+                    verdict = strongly_abelian_check(algebra, congruence, *bounds)
+                    assert verdict == generated_then_scanned(algebra, congruence, *bounds)
+                    verdicts[verdict.passed_bounded] += 1
+    assert verdicts == {True: 54, False: 24}
 
 
 def worklist_congruences(algebra):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from test_acceptance import budget
+from test_automata import random_algebra
 from test_paths import fgab_dbtas
 
 from treelab.automata import Dbta, FiniteAlgebra, accepts, are_equivalent, reachable
@@ -197,7 +198,7 @@ def test_find_isomorphism_is_the_first_bijection_of_the_brute_force():
     found = {"plain": 0, "accepting": 0}
     for trial in range(1000):
         size = rng.randint(1, 5)
-        a = random_algebra(rng, size, letters)
+        a = random_algebra(rng, RankedAlphabet.of(*letters), size)
         fa = frozenset(e for e in range(size) if rng.random() < 0.5)
         if trial % 2:  # a permuted copy, its accepting set the image of a's or not
             perm = rng.sample(range(size), size)
@@ -212,7 +213,7 @@ def test_find_isomorphism_is_the_first_bijection_of_the_brute_force():
             b = FiniteAlgebra(a.alphabet, size, tables)
             fb = frozenset(perm[e] for e in fa)
         else:
-            b = random_algebra(rng, size, letters)
+            b = random_algebra(rng, RankedAlphabet.of(*letters), size)
             fb = fa
         if rng.random() < 0.3:
             fb = frozenset(e for e in range(size) if rng.random() < 0.5)
@@ -329,21 +330,14 @@ def rebuilt_quotient(a, b, witness):
 MIXED_LETTERS = [("f", 2), ("k", 2), ("g", 1), ("h", 1), ("c", 0), ("d", 0)]
 
 
-def random_algebra(rng, size, letters):
-    tables = {
-        name: tuple(rng.randrange(size) for _ in range(size**arity)) for name, arity in letters
-    }
-    return FiniteAlgebra(RankedAlphabet.of(*letters), size, tables)
-
-
 def test_divides_agrees_with_the_exhaustive_search_and_every_witness_rebuilds():
     rng = random.Random(19)
     verdicts = []
     for _ in range(600):
         a_letters = rng.sample(MIXED_LETTERS, rng.randint(1, 3))
         b_letters = rng.sample(MIXED_LETTERS, rng.randint(1, 4))
-        a = random_algebra(rng, rng.randint(1, 3), a_letters)
-        b = random_algebra(rng, rng.randint(1, 5), b_letters)
+        a = random_algebra(rng, RankedAlphabet.of(*a_letters), rng.randint(1, 3))
+        b = random_algebra(rng, RankedAlphabet.of(*b_letters), rng.randint(1, 5))
         witness = divides(a, b)
         assert (witness is not None) == (reference_divides(a, b) is not None), (a, b)
         if witness is not None:
@@ -358,7 +352,8 @@ def test_divides_drops_a_partial_map_that_already_fails():
     # out, and listing each before checking it took about 40 ms per pair
     rng = random.Random(21)
     letters = [("f", 2), ("g", 1)]
-    pairs = [(random_algebra(rng, 6, letters), random_algebra(rng, 6, letters)) for _ in range(6)]
+    alphabet = RankedAlphabet.of(*letters)
+    pairs = [(random_algebra(rng, alphabet, 6), random_algebra(rng, alphabet, 6)) for _ in range(6)]
     with budget(0.1):
         assert [divides(a, b) for a, b in pairs] == [None] * 6
 

@@ -29,6 +29,7 @@ from .trees import (
     path_words,
     preorder,
     render_tree,
+    tree_of,
 )
 from .automata import (
     Dbta,
@@ -64,6 +65,7 @@ from .transduce import (
     dtop_apply,
     dtop_preimage,
     dtop_to_matrix_hom,
+    dtop_word,
     matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,

@@ -76,9 +76,9 @@ from .syntactic import syntactic_algebra
 from .transduce import (
     Dtop,
     MatrixHom,
-    dtop_apply,
     dtop_preimage,
     dtop_to_matrix_hom,
+    dtop_word,
     matrix_hom_to_dtops,
     matrix_power_language,
 )
@@ -597,7 +597,7 @@ def _cmd_separate(ws: Workspace, args, report: Report) -> None:
 
 def _cmd_dtop_apply(ws: Workspace, args, report: Report) -> None:
     dtop = ws.dtop(args.dtop)
-    report.line(render_tree(dtop_apply(dtop, parse_word(args.tree, dtop.input_alphabet))))
+    report.line(render_tree(dtop_word(dtop, parse_word(args.tree, dtop.input_alphabet))))
 
 
 def _cmd_dtop_preimage(ws: Workspace, args, report: Report) -> None:

@@ -30,7 +30,7 @@ from .cascade import (
     random_formula_corpus,
 )
 from .paths import Dtta, PathNfa, is_universal_path, mixes
-from .transduce import dtop_apply, dtop_preimage
+from .transduce import dtop_preimage, dtop_word
 from .trees import (
     Letter,
     PathWord,
@@ -205,7 +205,7 @@ def suites(max_nodes: int, count: int, seed: int) -> Iterator[tuple[str, int]]:
     checks = 0
     pre = dtop_preimage(fixtures.K_POTT, fixtures.HOM_DUP)
     for tree in enumerate_trees(fixtures.SIG_LINE, max_nodes):
-        image = dtop_apply(fixtures.HOM_DUP, tree)
+        image = dtop_word(fixtures.HOM_DUP, tree)
         check(accepts(pre, tree) == accepts(fixtures.K_POTT, image), "hom-preimage", tree)
         checks += 1
     yield "hom-preimage", checks

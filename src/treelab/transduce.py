@@ -7,6 +7,9 @@ convention is the variable layout of matrix-power operation tuples, which
 makes the two constructive directions of the correspondence index-stable.
 A tree homomorphism, a letter-to-term substitution, is a one-state DTOP:
 ``Dtop(source, target, 1, 1, {(name, 1): term})``, where (1, j) is x_j.
+``dtop_word`` runs a DTOP top-down over a tree's preorder word and writes
+the output's word, running only the states asked for; ``dtop_apply`` builds
+the tree of that word.  ``matrix_hom_eval`` is a fold (see ``trees.fold``).
 
 Matrix powers are never materialized as operation sets; a MatrixHom is the
 finite presentation (one tuple of polynomials per letter) of a homomorphism
@@ -33,7 +36,7 @@ from .automata import (
     eval_term_in_algebra,
     with_constants,
 )
-from .errors import AlphabetMismatchError
+from .errors import AlphabetMismatchError, CapExceededError
 from .trees import (
     Letter,
     RankedAlphabet,
@@ -42,10 +45,11 @@ from .trees import (
     Tree,
     Var,
     VarLetter,
+    children_first,
     fold,
-    instantiate,
     preorder,
     require_letters,
+    tree_of,
 )
 
 
@@ -91,40 +95,81 @@ class Dtop:
         return Dtop(self.input_alphabet, self.output_alphabet, self.n_states, state, self.rules)
 
 
-def dtop_apply(dtop: Dtop, tree: Tree | list[Letter]) -> Tree:
-    """The transduction of a tree or a term body, or of its preorder word,
-    from the initial state; total on input trees.
+MAX_DTOP_OUTPUT = 1_000_000  # letters of a transduction's output at most
 
-    A fold (see ``trees.fold``) whose value at a node is its outputs from
-    states 1..n, made out of its children's: linear in the tree, not
-    exponential in its depth.  Out of state q a variable leaf x_i becomes
-    the variable q.x_i, whose flat index is n*(i-1) + q, as in the rules; so
-    a one-state DTOP, a tree homomorphism, maps each variable to itself.
+
+def _program(dtop: Dtop, body: Tree) -> tuple[list[Letter], list, tuple[int, int] | None]:
+    """A rule body as ``dtop_word`` runs it: the letters before its first
+    variable; the rest as stack items, last first: each variable (p, j) as
+    (p-1, j-1) and each nonempty run of letters; and the first variable as
+    (p-1, j-1), or None."""
+    items: list = [[]]  # runs of letters and variables, in preorder
+    for node in preorder(body):
+        if node.__class__ is Var:
+            p, j = dtop.var_pair(node.index)
+            items += [(p - 1, j - 1), []]
+        else:
+            items[-1].append(node.label)
+    rest = [item for item in reversed(items[1:]) if item != []]
+    return items[0], rest[:-1], rest[-1] if rest else None
+
+
+def dtop_word(dtop: Dtop, tree: Tree | list[Letter]) -> list[Letter]:
+    """The preorder word of the transduction of a tree or a term body, or of
+    its preorder word, from the initial state.
+
+    One pass checks every letter, so the first foreign letter in preorder is
+    reported also where the transduction deletes it.  Then a stack writes
+    the word top-down: the pair (q, v) writes the body of v's rule in state
+    q, each variable (p, j) in it the pair (p, v's j-th child), the first one
+    at once; a run of letters is written as it is.  So only the states asked
+    for at a node run there, and a deleted subtree is never visited.  Out of
+    state q a variable leaf x_i writes the variable q.x_i, flat index
+    n*(i-1) + q, so a tree homomorphism maps each variable to itself.  An
+    output past ``MAX_DTOP_OUTPUT`` letters raises CapExceededError (stage
+    ``dtop output``): a copying DTOP doubles it per level.
     """
-    n = dtop.n_states
+    n, alphabet = dtop.n_states, dtop.input_alphabet
     states = range(1, n + 1)
+    word = [node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree
+    rows = {}  # per distinct label of the word, by id: its programs in states 1..n
+    for key, label in dict(zip(map(id, word), word)).items():
+        if label in alphabet:
+            rows[key] = [_program(dtop, dtop.rules[label.name, q].body) for q in states]
+        elif label.__class__ is VarLetter:
+            rows[key] = [([Var(n * (label.var.index - 1) + q).label], (), None) for q in states]
+        else:
+            require_letters(word, alphabet, "letter {} not in the input alphabet", variables=True)
+    letters, kids = children_first(word)
+    out: list[Letter] = []
+    write, cap = out.extend, MAX_DTOP_OUTPUT
+    stack: list = [(dtop.initial - 1, len(letters) - 1)]  # the root is listed last
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        if item.__class__ is list:
+            write(item)
+            continue
+        q, v = item
+        while True:
+            head, rest, first = rows[id(letters[v])][q]
+            write(head)
+            if len(out) > cap:
+                raise CapExceededError(f"dtop output exceeds {cap}", "dtop output", len(out), cap)
+            if first is None:
+                break
+            children = kids[v]
+            if rest:
+                for entry in rest:
+                    push(entry if entry.__class__ is list else (entry[0], children[entry[1]]))
+            q, v = first[0], children[first[1]]
+    return out
 
-    def compile(letter: Letter) -> Step:
-        bodies = [dtop.rules[(letter.name, q)].body for q in states]
-        arity = range(letter.arity)
 
-        def step(pop) -> list[Tree]:
-            # variable (p, j) has the flat index n*(j-1)+p: entry p-1 of child j-1's outputs
-            env: list[Tree] = []
-            for _ in arity:
-                env += pop()
-            return [instantiate(body, env) for body in bodies]
-
-        return step
-
-    def foreign(word: list[Letter], label: Letter) -> Step:
-        if label.__class__ is not VarLetter:
-            require_letters(word, dtop.input_alphabet, message, variables=True)
-        outputs = [Var(n * (label.var.index - 1) + q) for q in states]
-        return lambda pop: outputs
-
-    message = "letter {} not in the input alphabet"
-    return fold(tree, dtop.input_alphabet, message, compile, foreign)[dtop.initial - 1]
+def dtop_apply(dtop: Dtop, tree: Tree | list[Letter]) -> Tree:
+    """The transduction of a tree or a term body, or of its preorder word:
+    the tree of ``dtop_word``'s word, one ``Tree`` per output node."""
+    return tree_of(dtop_word(dtop, tree))
 
 
 # --- preimages are flattens ----------------------------------------------------

@@ -12,11 +12,12 @@ leaf, so every walk over trees (``preorder``, ``==``, ``hash``, ``repr``,
 
 A tree's preorder word, its labels in ``preorder`` (a ``Var``'s label is
 its ``VarLetter``), spells the tree.  ``parse_word`` reads it from a text
-without building the tree.  ``fold``, the one homomorphism out of the trees
-(per-letter steps made once per call, one stack of values), takes a tree or
-its word; ``automata.evaluate``, ``transduce.dtop_apply`` and
-``matrix_hom_eval``, ``cascade.cascade_eval``, ``annotate`` and
-``value_annotate`` run through it.
+without building the tree, ``tree_of`` builds the tree from it, and
+``render_tree`` writes either.  ``fold``, the one homomorphism out of the
+trees (per-letter steps made once per call, one stack of values), takes a
+tree or its word; ``automata.evaluate``, ``transduce.matrix_hom_eval`` and
+``cascade.cascade_eval`` run through it.  ``transduce.dtop_word`` writes a
+transduction's word top-down instead.
 
 A node list, letters children first with each one's child positions, is the
 other form: ``children_first`` gives a tree's, ``tree_corpus`` that of every
@@ -182,7 +183,6 @@ def fold(
     alphabet: RankedAlphabet,
     message: str,
     compile: Callable[[Letter], Step],
-    foreign: Callable[[list[Letter], Letter], Step] | None = None,
 ):
     """The value of a tree or its preorder word under the step
     ``compile(letter)`` of each letter of ``alphabet``, made once per call (a
@@ -190,8 +190,7 @@ def fold(
     values, so depth is unbounded.  A step is called with the stack's ``pop``
     and pops its node's children's values, the first child's first.  A label
     not in ``alphabet`` raises AlphabetMismatchError (``message.format(name)``)
-    for the first such label in the word, or takes ``foreign(word, label)``
-    as its step."""
+    for the first such label in the word."""
     steps = {}
     for letter in alphabet.letters:
         step = compile(letter)
@@ -204,9 +203,7 @@ def fold(
     for label in reversed(word):
         letter, step = steps.get(label.name, _NO_STEP)
         if letter is not label and letter != label:
-            if foreign is None:
-                require_letters(word, alphabet, message)
-            step = foreign(word, label)
+            require_letters(word, alphabet, message)
         push(step(pop))
     return stack[0]
 
@@ -238,11 +235,15 @@ def children_first(tree: Tree | list[Letter]) -> NodeList:
     letters = ([node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree)[::-1]
     pending: list[int] = []  # positions whose parent is still to come
     kids: list[tuple[int, ...]] = []
+    listed, pend = kids.append, pending.append
     for k, letter in enumerate(letters):
         arity = letter.arity
-        kids.append(tuple(pending[: -arity - 1 : -1]))
-        del pending[len(pending) - arity :]
-        pending.append(k)
+        if arity:
+            listed(tuple(pending[: -arity - 1 : -1]))
+            del pending[-arity:]
+        else:
+            listed(())
+        pend(k)
     return letters, kids
 
 
@@ -254,7 +255,7 @@ def tree_at(letters: Sequence[Letter], kids: Sequence[tuple[int, ...]], at: int)
         k = stack.pop()
         word.append(letters[k])
         stack += kids[k][::-1]
-    return _tree(word)
+    return tree_of(word)
 
 
 class VarLetter(Letter):
@@ -485,7 +486,7 @@ def _read(text: str, names: Mapping[str, Letter]) -> list[Letter]:
             return word
 
 
-def _tree(word: list[Letter]) -> Tree:
+def tree_of(word: list[Letter]) -> Tree:
     """The tree, or term body, whose preorder word is ``word``: one pass over
     the reversed word with a stack of the subtrees built, a node's first
     child on top."""
@@ -521,7 +522,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
     (the length of the text at its end); a character that may not occur in
     a tree is reported first, at the start of the whitespace before it.
     """
-    return _tree(_read(text, alphabet._by_name))
+    return tree_of(_read(text, alphabet._by_name))
 
 
 def parse_word(text: str, alphabet: RankedAlphabet) -> list[Letter]:
@@ -545,18 +546,20 @@ def parse_term(
             if _VAR_NAME.fullmatch(name) and int(name[1:]) <= nvars
         }
     variables = {name: Var(index).label for name, index in var_map.items()}
-    return Term(nvars, _tree(_read(text, {**alphabet._by_name, **variables})))
+    return Term(nvars, tree_of(_read(text, {**alphabet._by_name, **variables})))
 
 
-def render_tree(tree: Tree) -> str:
-    """Canonical text; constants carry no parentheses.  parse o render = id."""
+def render_tree(tree: Tree | list[Letter]) -> str:
+    """Canonical text of a tree or its preorder word; constants carry no
+    parentheses.  parse o render = id.  Only the letters' arities are read,
+    so a word is written without building its tree."""
     out: list[str] = []
     left: list[int] = []  # children still to render, per open node
-    for node in preorder(tree):
-        out.append(node.label.name)
-        if node.children:
+    for letter in [node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree:
+        out.append(letter.name)
+        if letter.arity:
             out.append("(")
-            left.append(len(node.children))
+            left.append(letter.arity)
             continue
         while left:
             if left[-1] > 1:

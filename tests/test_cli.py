@@ -8,6 +8,7 @@ import time
 
 import pytest
 from test_acceptance import budget
+from test_folds import UNCALLED_STATE, UNCALLED_STATE_INPUT
 
 import treelab
 from treelab import cli, oracle
@@ -32,7 +33,13 @@ from treelab.fixtures import CORPUS, DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_
 from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, dtta_to_dbta, path_nfa
 from treelab.syntactic import dbta_isomorphic
-from treelab.transduce import Dtop, MatrixHom, dtop_to_matrix_hom, matrix_power_language
+from treelab.transduce import (
+    MAX_DTOP_OUTPUT,
+    Dtop,
+    MatrixHom,
+    dtop_to_matrix_hom,
+    matrix_power_language,
+)
 from treelab.trees import RankedAlphabet, Tree, enumerate_trees, parse_term, render_tree
 
 
@@ -297,6 +304,37 @@ def test_tree_commands_fold_the_text_without_building_the_tree(capsys, tmp_path,
     code, out, err = run(capsys, "dtop", "apply", "--dtop", str(path), "--tree", text)
     assert (code, err) == (0, "")
     assert 0 < len(built) <= out.count(",") + out.count("(") + 1 == 2000
+
+
+def test_dtop_apply_builds_no_tree_past_the_dtop_file(capsys, tmp_path, monkeypatch):
+    # the transduction's word is rendered as it is written: no Tree is made
+    # once the DTOP file is loaded (its rule bodies are Trees)
+    path = tmp_path / "uncalled.dtop"
+    path.write_text(save_dtop(UNCALLED_STATE))
+    built = []  # one entry per Tree made since the DTOP file was loaded
+    check = Tree.__post_init__
+    monkeypatch.setattr(Tree, "__post_init__", lambda tree: built.append(check(tree)))
+    load = cli.load_dtop
+
+    def load_then_count_afresh(text):
+        dtop = load(text)
+        built.clear()
+        return dtop
+
+    monkeypatch.setattr(cli, "load_dtop", load_then_count_afresh)
+    argv = ("dtop", "apply", "--dtop", str(path), "--tree", UNCALLED_STATE_INPUT)
+    assert run(capsys, *argv) == (0, UNCALLED_STATE_INPUT + "\n", "")
+    assert not built
+
+
+def test_a_copying_dtop_past_the_output_cap_exits_3(capsys, tmp_path):
+    # HOM_DUP doubles the output per level: 2**41 - 1 nodes from a line of 40 f1
+    path = tmp_path / "dup.dtop"
+    path.write_text(save_dtop(HOM_DUP))
+    line = "f1(" * 40 + "f0" + ")" * 40
+    with budget(2.0):
+        code, out, err = run(capsys, "dtop", "apply", "--dtop", str(path), "--tree", line)
+    assert (code, out, err) == (3, "", f"cap exceeded: dtop output exceeds {MAX_DTOP_OUTPUT}\n")
 
 
 def test_deep_terms_in_files(capsys, tmp_path):

@@ -7,7 +7,9 @@ The folds run through ``trees.fold``: one stack of values over the reversed
 ``preorder(tree)``, with per-letter steps.  The ``recursive_*`` functions
 below are recursive forms of the same folds, kept as references: on random
 trees both must give equal results, and with letters outside the alphabet
-both must raise the same error.
+both must raise the same error.  ``dtop_apply`` is no fold: it builds the
+tree of the word that ``dtop_word`` writes top-down, and is held to its
+recursive form all the same.
 """
 
 import ast
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_automata import random_algebra
+from test_transduce import SIG_FGA, fga
 
 import treelab
 from treelab.automata import (
@@ -45,7 +48,14 @@ from treelab.cascade import (
 )
 from treelab.errors import AlphabetMismatchError
 from treelab.paths import Dtta, dtta_accepts
-from treelab.transduce import Dtop, MatrixHom, dtop_apply, dtop_to_matrix_hom, matrix_hom_eval
+from treelab.transduce import (
+    Dtop,
+    MatrixHom,
+    dtop_apply,
+    dtop_to_matrix_hom,
+    dtop_word,
+    matrix_hom_eval,
+)
 from treelab.trees import (
     Letter,
     RankedAlphabet,
@@ -60,6 +70,7 @@ from treelab.trees import (
     preorder,
     render_tree,
     substitute,
+    tree_of,
 )
 
 FGAB = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0), ("b", 0))
@@ -348,6 +359,148 @@ def test_a_variable_leaf_named_like_a_letter_is_foreign():
     for fold in (evaluate, lambda a, t: corpus_values(a, *children_first(t))):
         with pytest.raises(AlphabetMismatchError, match="^letter x1 not in the algebra's alphabet$"):
             fold(algebra, tree)
+
+
+# --- the transduction kernel against the recursive form ---------------------------------
+
+
+def recursive_term_dtop_apply(dtop, body):
+    """``recursive_dtop_apply`` on a tree or a term body: out of state q, a
+    variable leaf x_i is the variable q.x_i, whose flat index is n*(i-1) + q."""
+    n, states = dtop.n_states, range(1, dtop.n_states + 1)
+
+    def run(node):
+        if node.__class__ is Var:
+            return [Var(n * (node.index - 1) + q) for q in states]
+        if node.label not in dtop.input_alphabet:
+            raise AlphabetMismatchError(f"letter {node.label.name} not in the input alphabet")
+        env = []
+        for child in node.children:
+            env += run(child)
+        return [recursive_substitute(dtop.rules[(node.label.name, q)], env) for q in states]
+
+    return run(body)[dtop.initial - 1]
+
+
+def output_size(dtop, body):
+    """The number of nodes of the transduction, counted bottom-up per state."""
+    states = range(1, dtop.n_states + 1)
+
+    def run(node):
+        if node.__class__ is Var:
+            return [1 for _ in states]
+        env = []
+        for child in node.children:
+            env += run(child)
+        rules = [dtop.rules[(node.label.name, q)].body for q in states]
+        return [sum(env[x.index - 1] if x.__class__ is Var else 1 for x in preorder(body))
+                for body in rules]
+
+    return run(body)[dtop.initial - 1]
+
+
+def random_rule_body(rng, nvars, depth=2):
+    """A term body over FGAB of depth at most ``depth``, mostly a letter at
+    the root, whose leaves are mostly variables of 1..nvars, drawn with
+    replacement: a rule that copies, drops and permutes its variables."""
+    if depth == 0 or rng.random() < (0.1 if depth == 2 else 0.3):
+        if nvars and rng.random() < 0.8:
+            return Var(rng.randint(1, nvars))
+        return Tree(rng.choice((A, B)))
+    letter = rng.choice((F, G))
+    return Tree(letter, tuple(random_rule_body(rng, nvars, depth - 1) for _ in range(letter.arity)))
+
+
+def test_dtop_word_matches_the_recursive_form():
+    # on trees, and on term bodies with variable leaves; outputs of at most 5,000 nodes
+    rng = random.Random(31)
+    compared = copying = deleting = permuting = 0
+    for trial in range(300):
+        n = rng.randint(1, 3)
+        rules = {
+            (x.name, q): Term(n * x.arity, random_rule_body(rng, n * x.arity))
+            for x in FGAB.letters
+            for q in range(1, n + 1)
+        }
+        dtop = Dtop(FGAB, FGAB, n, rng.randint(1, n), rules)
+        if trial % 2:
+            subject = random_rule_body(rng, rng.randint(1, 3), rng.randint(2, 9))
+        else:
+            subject = random_tree(rng, FGAB, rng.randint(1, 60))
+        if output_size(dtop, subject) > 5000:
+            continue
+        compared += 1
+        used = [
+            [x.index for x in preorder(rule.body) if x.__class__ is Var] for rule in rules.values()
+        ]
+        copying += any(len(set(v)) < len(v) for v in used)
+        deleting += any(len(set(v)) < rule.nvars for v, rule in zip(used, rules.values()))
+        permuting += any(a > b for v in used for a, b in zip(v, v[1:]))
+        expected = recursive_term_dtop_apply(dtop, subject)
+        word = dtop_word(dtop, subject)
+        assert word == [node.label for node in preorder(expected)]
+        assert dtop_word(dtop, [node.label for node in preorder(subject)]) == word
+        assert dtop_apply(dtop, subject) == expected
+        assert render_tree(word) == render_tree(tree_of(word)) == render_tree(expected)
+    assert compared >= 250 and min(copying, deleting, permuting) >= 100
+
+
+def test_a_foreign_letter_only_in_a_deleted_subtree_is_reported():
+    # the walk never visits the second child that f(x1, x2) -> x1 drops, and
+    # f(x2, x1) meets the later foreign letter v first: the letter check
+    # still names the first foreign letter in preorder
+    f, g, a, b = FGAB.letters
+    rules = {("g", 1): Term(1, Tree(g, (Var(1),))), ("a", 1): Term(0, Tree(a)),
+             ("b", 1): Term(0, Tree(b))}
+    drop = Dtop(FGAB, FGAB, 1, 1, {**rules, ("f", 1): Term(2, Var(1))})
+    swap = Dtop(FGAB, FGAB, 1, 1, {**rules, ("f", 1): Term(2, Tree(f, (Var(2), Var(1))))})
+    v = Tree(g, (Tree(Letter("v", 0)),))
+    g2 = Tree(Letter("g", 2), (Tree(a), Tree(b)))
+    for foreign, name in ((Tree(Letter("u", 0)), "u"), (g2, "g")):
+        for hom, tree in (
+            (drop, Tree(f, (Tree(a), Tree(g, (foreign,))))),
+            (swap, Tree(f, (Tree(g, (foreign,)), v))),
+        ):
+            error = ("error", f"letter {name} not in the input alphabet")
+            assert outcome(recursive_dtop_apply, hom, tree) == error
+            for subject in (tree, [node.label for node in preorder(tree)]):
+                assert outcome(dtop_word, hom, subject) == error
+                assert outcome(dtop_apply, hom, subject) == error
+
+
+# state 1 copies the tree; state 2, which state 1 never asks for, doubles each g
+UNCALLED_STATE = Dtop(
+    SIG_FGA,
+    SIG_FGA,
+    2,
+    1,
+    {
+        ("f", 1): Term(4, fga("f", Dtop.flat_var(1, 1, 2), Dtop.flat_var(1, 2, 2))),
+        ("f", 2): Term(4, fga("f", Dtop.flat_var(2, 1, 2), Dtop.flat_var(2, 2, 2))),
+        ("g", 1): Term(2, fga("g", Dtop.flat_var(1, 1, 2))),
+        ("g", 2): Term(2, Tree(SIG_FGA["g"], (fga("g", Dtop.flat_var(2, 1, 2)),))),
+        ("a", 1): Term(0, fga("a")),
+        ("a", 2): Term(0, fga("a")),
+    },
+)
+
+
+# f with two g-chains, 1,002 nodes: running state 2 as well would make 2,999 Trees
+UNCALLED_STATE_INPUT = f"f({'g(' * 500}a{')' * 500},{'g(' * 499}a{')' * 499})"
+
+
+def test_dtop_apply_makes_one_tree_per_output_node(monkeypatch):
+    tree = parse_tree(UNCALLED_STATE_INPUT, SIG_FGA)
+    word = parse_word(UNCALLED_STATE_INPUT, SIG_FGA)
+    built = []  # one entry per Tree made from here on
+    check = Tree.__post_init__
+    monkeypatch.setattr(Tree, "__post_init__", lambda tree: built.append(check(tree)))
+    for subject in (tree, word):
+        built.clear()
+        assert dtop_apply(UNCALLED_STATE, subject) == tree
+        assert len(built) == tree.size() == 1002
+        built.clear()
+        assert dtop_word(UNCALLED_STATE, subject) == word and not built
 
 
 # --- a tree's word folds as the tree does ------------------------------------------------

@@ -31,11 +31,13 @@ from treelab.fixtures import (
 from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, dtta_to_dbta, is_universal_path, path_nfa
 from treelab.transduce import (
+    MAX_DTOP_OUTPUT,
     Dtop,
     MatrixHom,
     dtop_apply,
     dtop_preimage,
     dtop_to_matrix_hom,
+    dtop_word,
     matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,
@@ -48,6 +50,7 @@ from treelab.trees import (
     Var,
     enumerate_trees,
     parse_tree,
+    parse_word,
     render_tree,
     substitute,
     tree_corpus,
@@ -275,6 +278,17 @@ def test_dtop_apply_of_a_substitution_substitutes_the_state_outputs():
         outs = [dtop_apply(dtop.with_initial(q), arg) for arg in args for q in range(1, n + 1)]
         image = Term(n * k, dtop_apply(dtop, term.body))
         assert dtop_apply(dtop, substitute(term, args)) == substitute(image, outs)
+
+
+def test_a_copying_dtop_stops_at_the_output_cap():
+    # HOM_DUP doubles the output per level: 2**41 - 1 nodes from a line of 40 f1
+    line = parse_word("f1(" * 40 + "f0" + ")" * 40, SIG_LINE)
+    with pytest.raises(CapExceededError) as caught:
+        dtop_word(HOM_DUP, line)
+    error = caught.value
+    assert (error.stage, error.cap) == ("dtop output", MAX_DTOP_OUTPUT)
+    assert MAX_DTOP_OUTPUT < error.reached <= MAX_DTOP_OUTPUT + 1
+    assert str(error) == f"dtop output exceeds {MAX_DTOP_OUTPUT}"
 
 
 def test_dtop_preimage_reads_an_output_letter_named_like_a_constant():

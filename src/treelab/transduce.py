@@ -95,14 +95,14 @@ class Dtop:
         return Dtop(self.input_alphabet, self.output_alphabet, self.n_states, state, self.rules)
 
 
-MAX_DTOP_OUTPUT = 1_000_000  # letters of a transduction's output at most
+MAX_DTOP_OUTPUT = 1_000_000  # letters of a transduction's output past its linear share
 
 
 def _program(dtop: Dtop, body: Tree) -> tuple[list[Letter], list, tuple[int, int] | None]:
     """A rule body as ``dtop_word`` runs it: the letters before its first
     variable; the rest as stack items, last first: each variable (p, j) as
     (p-1, j-1) and each nonempty run of letters; and the first variable as
-    (p-1, j-1), or None."""
+    (p-1, j-1), or None.  Only a bare variable has no letters before it."""
     items: list = [[]]  # runs of letters and variables, in preorder
     for node in preorder(body):
         if node.__class__ is Var:
@@ -123,11 +123,17 @@ def dtop_word(dtop: Dtop, tree: Tree | list[Letter]) -> list[Letter]:
     the word top-down: the pair (q, v) writes the body of v's rule in state
     q, each variable (p, j) in it the pair (p, v's j-th child), the first one
     at once; a run of letters is written as it is.  So only the states asked
-    for at a node run there, and a deleted subtree is never visited.  Out of
-    state q a variable leaf x_i writes the variable q.x_i, flat index
-    n*(i-1) + q, so a tree homomorphism maps each variable to itself.  An
-    output past ``MAX_DTOP_OUTPUT`` letters raises CapExceededError (stage
-    ``dtop output``): a copying DTOP doubles it per level.
+    for at a node run there, and a deleted subtree is never visited.  A rule
+    whose body is a bare variable writes nothing: a chain of them is followed
+    once per pair, and then jumped, so every pair run writes a letter and the
+    work is linear in the input and the output.  Out of state q a variable
+    leaf x_i writes the variable q.x_i, flat index n*(i-1) + q, so a tree
+    homomorphism maps each variable to itself.
+
+    A DTOP whose rule bodies name each child once at most writes no more
+    than the input's length times its longest rule body.  The output may pass
+    that by ``MAX_DTOP_OUTPUT`` letters; past it, CapExceededError is raised
+    (stage ``dtop output``): a copying DTOP doubles its output per level.
     """
     n, alphabet = dtop.n_states, dtop.input_alphabet
     states = range(1, n + 1)
@@ -140,29 +146,53 @@ def dtop_word(dtop: Dtop, tree: Tree | list[Letter]) -> list[Letter]:
             rows[key] = [([Var(n * (label.var.index - 1) + q).label], (), None) for q in states]
         else:
             require_letters(word, alphabet, "letter {} not in the input alphabet", variables=True)
+    longest = max(
+        len(head) + sum(len(item) for item in rest if item.__class__ is list)
+        for row in rows.values() for head, rest, _ in row
+    )
+    cap = MAX_DTOP_OUTPUT + len(word) * longest
     letters, kids = children_first(word)
+    ends: dict[int, tuple[int, int]] = {}  # bare-variable pair, as v*n + q -> its chain's end
+
+    def chain_end(q: int, v: int) -> tuple[int, int]:
+        """The first pair down from (q, v) whose rule is not a bare variable;
+        each pair on the way keeps it, so a chain is followed once."""
+        chain = []
+        while (key := v * n + q) not in ends:
+            head, _, first = rows[id(letters[v])][q]
+            if head:
+                break
+            chain.append(key)
+            q, v = first[0], kids[v][first[1]]
+        end = ends.get(key, (q, v))
+        for bare in chain:
+            ends[bare] = end
+        return end
+
     out: list[Letter] = []
-    write, cap = out.extend, MAX_DTOP_OUTPUT
+    write = out.extend
     stack: list = [(dtop.initial - 1, len(letters) - 1)]  # the root is listed last
     pop, push = stack.pop, stack.append
     while stack:
         item = pop()
         if item.__class__ is list:
             write(item)
-            continue
-        q, v = item
-        while True:
-            head, rest, first = rows[id(letters[v])][q]
-            write(head)
-            if len(out) > cap:
-                raise CapExceededError(f"dtop output exceeds {cap}", "dtop output", len(out), cap)
-            if first is None:
-                break
-            children = kids[v]
-            if rest:
+        else:
+            q, v = item
+            while True:
+                head, rest, first = rows[id(letters[v])][q]
+                if not head:
+                    q, v = chain_end(q, v)
+                    head, rest, first = rows[id(letters[v])][q]
+                write(head)
+                if first is None or len(out) > cap:
+                    break
+                children = kids[v]
                 for entry in rest:
                     push(entry if entry.__class__ is list else (entry[0], children[entry[1]]))
-            q, v = first[0], children[first[1]]
+                q, v = first[0], children[first[1]]
+        if len(out) > cap:
+            raise CapExceededError(f"dtop output exceeds {cap}", "dtop output", len(out), cap)
     return out
 
 

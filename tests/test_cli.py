@@ -328,13 +328,15 @@ def test_dtop_apply_builds_no_tree_past_the_dtop_file(capsys, tmp_path, monkeypa
 
 
 def test_a_copying_dtop_past_the_output_cap_exits_3(capsys, tmp_path):
-    # HOM_DUP doubles the output per level: 2**41 - 1 nodes from a line of 40 f1
+    # HOM_DUP doubles the output per level: 2**41 - 1 nodes from a line of 40
+    # f1; its rules write one letter at most, so the cap is MAX_DTOP_OUTPUT + 41
     path = tmp_path / "dup.dtop"
     path.write_text(save_dtop(HOM_DUP))
     line = "f1(" * 40 + "f0" + ")" * 40
     with budget(2.0):
         code, out, err = run(capsys, "dtop", "apply", "--dtop", str(path), "--tree", line)
-    assert (code, out, err) == (3, "", f"cap exceeded: dtop output exceeds {MAX_DTOP_OUTPUT}\n")
+    cap = MAX_DTOP_OUTPUT + 41
+    assert (code, out, err) == (3, "", f"cap exceeded: dtop output exceeds {cap}\n")
 
 
 def test_deep_terms_in_files(capsys, tmp_path):

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import budget
 from test_automata import random_algebra
 from test_transduce import SIG_FGA, fga
 
@@ -47,6 +48,7 @@ from treelab.cascade import (
     value_annotate,
 )
 from treelab.errors import AlphabetMismatchError
+from treelab.fixtures import SIG_LINE, SIG_POTT_K
 from treelab.paths import Dtta, dtta_accepts
 from treelab.transduce import (
     Dtop,
@@ -414,7 +416,7 @@ def random_rule_body(rng, nvars, depth=2):
 def test_dtop_word_matches_the_recursive_form():
     # on trees, and on term bodies with variable leaves; outputs of at most 5,000 nodes
     rng = random.Random(31)
-    compared = copying = deleting = permuting = 0
+    compared = copying = deleting = permuting = bare = 0
     for trial in range(300):
         n = rng.randint(1, 3)
         rules = {
@@ -436,13 +438,37 @@ def test_dtop_word_matches_the_recursive_form():
         copying += any(len(set(v)) < len(v) for v in used)
         deleting += any(len(set(v)) < rule.nvars for v, rule in zip(used, rules.values()))
         permuting += any(a > b for v in used for a, b in zip(v, v[1:]))
+        bare += any(rule.body.__class__ is Var for rule in rules.values())
         expected = recursive_term_dtop_apply(dtop, subject)
         word = dtop_word(dtop, subject)
         assert word == [node.label for node in preorder(expected)]
         assert dtop_word(dtop, [node.label for node in preorder(subject)]) == word
         assert dtop_apply(dtop, subject) == expected
         assert render_tree(word) == render_tree(tree_of(word)) == render_tree(expected)
-    assert compared >= 250 and min(copying, deleting, permuting) >= 100
+    assert compared >= 250 and min(copying, deleting, permuting) >= 100 and bare >= 50
+
+
+# state 1 writes f2(q1.x1, q2.x1) at each f1; state 2's f1 rule is the bare
+# variable q2.x1, so every pair state 1 asks for heads a chain to the leaf
+BARE_CHAIN = Dtop(SIG_LINE, SIG_POTT_K, 2, 1, {
+    ("f1", 1): Term(2, Tree(SIG_POTT_K["f2"], (Var(1), Var(2)))),
+    ("f1", 2): Term(2, Var(2)),
+    ("f0", 1): Term(0, Tree(SIG_POTT_K["f0"])),
+    ("f0", 2): Term(0, Tree(SIG_POTT_K["f0"])),
+})
+
+
+def test_a_chain_of_bare_variables_is_followed_once():
+    # 2*depth + 1 letters out; walking each chain anew takes depth**2 / 2 steps
+    for depth in range(40):
+        line = parse_tree("f1(" * depth + "f0" + ")" * depth, SIG_LINE)
+        expected = recursive_dtop_apply(BARE_CHAIN, line)
+        assert dtop_word(BARE_CHAIN, line) == [node.label for node in preorder(expected)]
+    depth = 10_000
+    line = parse_word("f1(" * depth + "f0" + ")" * depth, SIG_LINE)
+    with budget(2.0):
+        word = dtop_word(BARE_CHAIN, line)
+    assert render_tree(word) == "f2(" * depth + "f0" + ",f0)" * depth
 
 
 def test_a_foreign_letter_only_in_a_deleted_subtree_is_reported():

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from treelab import transduce
 from treelab.automata import (
     Dbta,
     FiniteAlgebra,
@@ -281,14 +282,32 @@ def test_dtop_apply_of_a_substitution_substitutes_the_state_outputs():
 
 
 def test_a_copying_dtop_stops_at_the_output_cap():
-    # HOM_DUP doubles the output per level: 2**41 - 1 nodes from a line of 40 f1
+    # HOM_DUP doubles the output per level: 2**41 - 1 nodes from a line of 40
+    # f1; its rules write one letter at most, so the cap is MAX_DTOP_OUTPUT + 41
     line = parse_word("f1(" * 40 + "f0" + ")" * 40, SIG_LINE)
     with pytest.raises(CapExceededError) as caught:
         dtop_word(HOM_DUP, line)
     error = caught.value
-    assert (error.stage, error.cap) == ("dtop output", MAX_DTOP_OUTPUT)
-    assert MAX_DTOP_OUTPUT < error.reached <= MAX_DTOP_OUTPUT + 1
-    assert str(error) == f"dtop output exceeds {MAX_DTOP_OUTPUT}"
+    cap = MAX_DTOP_OUTPUT + 41
+    assert (error.stage, error.cap, error.reached) == ("dtop output", cap, cap + 1)
+    assert str(error) == f"dtop output exceeds {cap}"
+
+
+def test_the_output_cap_grows_with_the_input(monkeypatch):
+    # with 50 letters past the linear share, a relabelling and a DTOP that
+    # writes three letters per node still run on 201 letters; HOM_DUP stops
+    monkeypatch.setattr(transduce, "MAX_DTOP_OUTPUT", 50)
+    line = parse_word("f1(" * 200 + "f0" + ")" * 200, SIG_LINE)
+    f1, f0 = SIG_LINE.letters
+    triple = Dtop(SIG_LINE, SIG_LINE, 1, 1, {
+        ("f1", 1): Term(1, Tree(f1, (Tree(f1, (Tree(f1, (Var(1),)),)),))),
+        ("f0", 1): Term(0, Tree(f0)),
+    })
+    assert dtop_word(identity_dtop(SIG_LINE), line) == line
+    assert render_tree(dtop_word(triple, line)) == "f1(" * 600 + "f0" + ")" * 600
+    with pytest.raises(CapExceededError) as caught:
+        dtop_word(HOM_DUP, parse_word("f1(" * 40 + "f0" + ")" * 40, SIG_LINE))
+    assert (caught.value.cap, caught.value.reached) == (50 + 41, 50 + 42)
 
 
 def test_dtop_preimage_reads_an_output_letter_named_like_a_constant():

@@ -75,7 +75,6 @@ from .cascade import (
     CtlFormula,
     Layer,
     SemiPoly,
-    UntilSpec,
     annotate,
     cascade_eval,
     cascade_flatten,

@@ -25,7 +25,7 @@ import operator
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, corpus_values
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
@@ -55,36 +55,25 @@ def annotated_alphabet(base: RankedAlphabet, nbits: int) -> RankedAlphabet:
     return RankedAlphabet(letters)
 
 
-def _renamed(
-    tree: Tree,
-    algebras: Sequence[FiniteAlgebra],
-    rename: Callable[[str, tuple[int, ...]], str],
-    message: str,
-) -> Tree:
-    """The tree with each node's letter renamed by ``rename(name, values)``,
-    ``values`` being its subtree's values in ``algebras``: the node list (see
-    ``trees.children_first``) is folded once per algebra, and each distinct
-    (letter, values) renamed once.  A letter that some algebra does not read
-    raises AlphabetMismatchError (``message``) for the first such algebra
-    and the first such letter in preorder."""
-    if not algebras:
+def annotate(tree: Tree, langs: list[Dbta] | tuple[Dbta, ...]) -> Tree:
+    """Extend each node's label with the membership bits of its own subtree.
+
+    The node list (see ``trees.children_first``) is folded once per language,
+    and each distinct (letter, values) renamed once.  A letter that some
+    language does not read raises AlphabetMismatchError for the first such
+    language and the first such letter in preorder."""
+    if not langs:
         return tree
     letters, kids = children_first(tree)
-    for algebra in algebras:
-        require_letters(letters[::-1], algebra.alphabet, message)
-    keys = list(zip(letters, zip(*[corpus_values(h, letters, kids) for h in algebras])))
-    labels = {key: Letter(rename(key[0].name, key[1]), key[0].arity) for key in set(keys)}
-    return tree_at([labels[key] for key in keys], kids, len(keys) - 1)
-
-
-def annotate(tree: Tree, langs: list[Dbta] | tuple[Dbta, ...]) -> Tree:
-    """Extend each node's label with the membership bits of its own subtree."""
-
-    def rename(name: str, values: tuple[int, ...]) -> str:
-        return ann_name(name, tuple(int(v in lang.accepting) for v, lang in zip(values, langs)))
-
     message = "annotation languages must read the tree's alphabet"
-    return _renamed(tree, [lang.algebra for lang in langs], rename, message)
+    for lang in langs:
+        require_letters(letters[::-1], lang.alphabet, message)
+    keys = list(zip(letters, zip(*[corpus_values(lang.algebra, letters, kids) for lang in langs])))
+    labels = {}
+    for letter, values in set(keys):
+        bits = tuple(int(v in lang.accepting) for v, lang in zip(values, langs))
+        labels[letter, values] = Letter(ann_name(letter.name, bits), letter.arity)
+    return tree_at([labels[key] for key in keys], kids, len(keys) - 1)
 
 
 def nest(
@@ -134,12 +123,6 @@ def value_annotated_alphabet(base: RankedAlphabet, size: int) -> RankedAlphabet:
         for value in range(size)
     )
     return RankedAlphabet(letters)
-
-
-def value_annotate(tree: Tree, h: FiniteAlgebra) -> Tree:
-    """t^h: each node labelled with (letter, value of its subtree under h)."""
-    rename = lambda name, values: f"{name}|{values[0]}"
-    return _renamed(tree, [h], rename, "letter {} not in the algebra's alphabet")
 
 
 def sequential_compose(h: FiniteAlgebra, g: FiniteAlgebra) -> FiniteAlgebra:
@@ -192,22 +175,24 @@ class SemiPoly:
 
 
 @dataclass(frozen=True)
-class UntilSpec:
+class DirUntil:
     """X until Y: some node has label in Y and every proper ancestor w with the
     witness in its i-th subtree satisfies (label(w), i) in X."""
 
-    alphabet: RankedAlphabet
     xs: frozenset[tuple[str, int]]
     ys: frozenset[str]
 
-    def __post_init__(self):
-        for name, child in self.xs:
-            letter = self.alphabet.get(name)
-            if letter is None or not 1 <= child <= letter.arity:
-                raise ValueError(f"pair ({name},{child}) does not respect the alphabet")
-        for name in self.ys:
-            if self.alphabet.get(name) is None:
-                raise ValueError(f"letter {name} not in the alphabet")
+
+def _check_until(alphabet: RankedAlphabet, until: DirUntil) -> None:
+    """Raise ValueError unless every pair of xs names a letter of the
+    alphabet and one of its children, and every letter of ys is in it."""
+    for name, child in until.xs:
+        letter = alphabet.get(name)
+        if letter is None or not 1 <= child <= letter.arity:
+            raise ValueError(f"pair ({name},{child}) does not respect the alphabet")
+    for name in until.ys:
+        if alphabet.get(name) is None:
+            raise ValueError(f"letter {name} not in the alphabet")
 
 
 def _until_poly(xs: frozenset[tuple[str, int]], ys: frozenset[str], letter: Letter) -> SemiPoly:
@@ -218,22 +203,24 @@ def _until_poly(xs: frozenset[tuple[str, int]], ys: frozenset[str], letter: Lett
     return SemiPoly(False, frozenset(i - 1 for name, i in xs if name == letter.name))
 
 
-def until_language(spec: UntilSpec) -> tuple[Dbta, dict[str, SemiPoly]]:
-    """The until language, plus the per-letter semilattice polynomials that
-    recognize its complement.
+def until_language(alphabet: RankedAlphabet, until: DirUntil) -> tuple[Dbta, dict[str, SemiPoly]]:
+    """The until language over ``alphabet``, plus the per-letter semilattice
+    polynomials that recognize its complement.  A pair or letter outside the
+    alphabet raises ValueError.
 
     The complement bit h satisfies: h = 0 on Y-letters, otherwise the
     conjunction of h over the children selected by X (empty conjunction = 1).
     """
+    _check_until(alphabet, until)
     polys: dict[str, SemiPoly] = {}
     tables: dict[str, tuple[int, ...]] = {}
-    for letter in spec.alphabet.letters:
-        poly = polys[letter.name] = _until_poly(spec.xs, spec.ys, letter)
+    for letter in alphabet.letters:
+        poly = polys[letter.name] = _until_poly(until.xs, until.ys, letter)
         tables[letter.name] = tuple(
             poly.eval(args)
             for args in itertools.product((0, 1), repeat=letter.arity)
         )
-    algebra = FiniteAlgebra(spec.alphabet, 2, tables)
+    algebra = FiniteAlgebra(alphabet, 2, tables)
     return Dbta(algebra, frozenset({0})), polys
 
 
@@ -300,12 +287,8 @@ class Cascade:
             raise ValueError("output coordinate out of range")
 
     @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(layer.width for layer in self.layers)
-
-    @property
     def total_width(self) -> int:
-        return sum(self.widths)
+        return sum(layer.width for layer in self.layers)
 
     def output_flat(self) -> int:
         layer_index, coord = self.output
@@ -338,10 +321,6 @@ def cascade_eval(cascade: Cascade, tree: Tree) -> tuple[int, ...]:
 
     message = "letter {} not in the cascade alphabet"
     return fold(tree, cascade.base_alphabet, message, compile)
-
-
-def cascade_accepts(cascade: Cascade, tree: Tree) -> bool:
-    return cascade_eval(cascade, tree)[cascade.output_flat()] == 1
 
 
 def cascade_flatten(cascade: Cascade, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
@@ -397,12 +376,6 @@ class Next:
 class EU:
     path: "CtlFormula"
     goal: "CtlFormula"
-
-
-@dataclass(frozen=True)
-class DirUntil:
-    xs: frozenset[tuple[str, int]]
-    ys: frozenset[str]
 
 
 CtlFormula = Union[Lbl, Not, And, Or, Next, EU, DirUntil]
@@ -473,7 +446,11 @@ _CTL_NAME = re.compile(r"[A-Za-z0-9_@]+")
 
 def ctl_parse(text: str, alphabet: RankedAlphabet) -> CtlFormula:
     """Grammar: atoms lbl(NAME); unary ! and X<digit>; & over |, both
-    left-associative; E[ f U g ]; DU[ a.1, b.2 ; c, d ]."""
+    left-associative; E[ f U g ]; DU[ a.1, b.2 ; c, d ].
+
+    A NAME holds only [A-Za-z0-9_@], fewer characters than a letter name may
+    hold in files and trees: a letter such as ``a'`` cannot be tested, and
+    ``lbl(a')`` raises ParseError on the unexpected character."""
     tokens: list[tuple[str, int]] = []
     pos = 0
     while pos < len(text):
@@ -739,7 +716,7 @@ def ctl_compile(
             error = ValueError("child index must be >= 1")
         elif isinstance(sub, DirUntil):
             try:
-                UntilSpec(alphabet, sub.xs, sub.ys)
+                _check_until(alphabet, sub)
             except ValueError as invalid:
                 error = invalid
         for k in at:

@@ -17,6 +17,9 @@ Formats (all: `#` starts a comment, blank lines ignored, save order canonical):
              constant @E per element E, with variables xK; no base letter
              may be named xK or @E
 
+A letter NAME holds only the characters A-Za-z0-9_@.|' (the ones the tree
+syntax spells), so every tree a command prints reads back.
+
 `--lang`-style options take a file path, or `@name` for a builtin fixture
 (e.g. @l_pott, @l_true_and, @sig_gcd).  Exit codes: 0 ok (negative verdicts
 included), 1 usage, 2 parse, 3 cap.  Identical inputs produce byte-identical
@@ -84,6 +87,7 @@ from .transduce import (
 )
 from .trees import (
     MAX_ARITY,
+    _NAME_CHARS,
     Letter,
     RankedAlphabet,
     Term,
@@ -153,7 +157,9 @@ def _parse_letters(
     doc: _Doc, keyword: str, reserved: tuple[re.Pattern, str] | None = None
 ) -> RankedAlphabet:
     """The `keyword NAME ARITY` rows; ``reserved`` is a pattern of names a
-    term would read as something else, and what it reads them as."""
+    term would read as something else, and what it reads them as.  A name
+    must be one that the tree syntax can spell (see ``trees.tokenize``):
+    that check comes last in a row."""
     letters: dict[str, Letter] = {}
     for number, row in doc.take(keyword):
         if len(row) != 2 or not row[1].isdecimal():
@@ -164,6 +170,8 @@ def _parse_letters(
             _fail(number, f"arity of {row[0]} out of range 0..{MAX_ARITY}")
         if reserved is not None and reserved[0].fullmatch(row[0]):
             _fail(number, f"{keyword} letter {row[0]!r} reads as {reserved[1]}")
+        if not re.fullmatch(f"[{_NAME_CHARS}]+", row[0]):
+            _fail(number, f"letter name {row[0]!r} has a character outside [{_NAME_CHARS}]")
         letters[row[0]] = Letter(row[0], int(row[1]))
     if not letters:
         raise ParseError(f"no `{keyword}` lines found")
@@ -487,7 +495,7 @@ class Workspace:
         try:
             with open(ref, "r", encoding="utf-8") as handle:
                 return handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {ref}: {exc}") from exc
 
     def _load(self, bound: dict, ref: str, load, builtin: str = ""):
@@ -669,6 +677,15 @@ def _require_positive(option: str, value: int) -> None:
         raise ParseError(f"{option} must be >= 1, got {value}")
 
 
+def _seed() -> int:
+    """TREELAB_SEED, 0 when unset; a value that is not an integer is a ParseError."""
+    text = os.environ.get("TREELAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"TREELAB_SEED must be an integer, got {text!r}") from None
+
+
 def _cmd_ctl_compile(ws: Workspace, args, report: Report) -> None:
     _require_positive("--max-width", args.max_width)
     alphabet = ws.alphabet(args.alphabet)
@@ -690,8 +707,7 @@ def _cmd_ctl_verify(ws: Workspace, args, report: Report) -> None:
         formula = ctl_parse(args.formula, alphabet)
         corpus = [(formula, ctl_compile(formula, alphabet, args.max_width))]
     else:
-        seed = int(os.environ.get("TREELAB_SEED", "0"))
-        corpus = random_formula_corpus(seed, alphabet, args.count, max_width=args.max_width)
+        corpus = random_formula_corpus(_seed(), alphabet, args.count, max_width=args.max_width)
     letters, kids = tree_corpus(alphabet, args.max_nodes)
     for formula, cascade in corpus:
         at = ctl_disagreement(formula, cascade, letters, kids)
@@ -771,8 +787,7 @@ def _cmd_structure_orpair_separation(ws: Workspace, args, report: Report) -> Non
 
 
 def _cmd_oracle_verify(ws: Workspace, args, report: Report) -> None:
-    seed = int(os.environ.get("TREELAB_SEED", "0"))
-    for suite, checks in oracle_suites(args.max_nodes, args.count, seed):
+    for suite, checks in oracle_suites(args.max_nodes, args.count, _seed()):
         report.line("suite", f"{suite}:", checks, "checks")
     report.line("ok")
 

@@ -29,7 +29,7 @@ from .cascade import (
     nest,
     random_formula_corpus,
 )
-from .paths import Dtta, PathNfa, is_universal_path, mixes
+from .paths import is_universal_path, mixes
 from .transduce import dtop_preimage, dtop_word
 from .trees import (
     Letter,
@@ -60,21 +60,6 @@ def sweep_reachable(algebra: FiniteAlgebra) -> list[int]:
     return sorted(known)
 
 
-def _partitions(items: list[int]) -> list[list[list[int]]]:
-    """Every partition of ``items`` into blocks, each exactly once: for each
-    partition of the later items, the first item joins each block in turn,
-    then a block of its own."""
-    partitions: list[list[list[int]]] = [[]]
-    for first in reversed(items):
-        partitions = [
-            part
-            for sub in partitions
-            for part in [sub[:i] + [[first] + sub[i]] + sub[i + 1 :] for i in range(len(sub))]
-            + [[[first]] + sub]
-        ]
-    return partitions
-
-
 def word_realized(dbta: Dbta, reach: list[int], word: PathWord) -> bool:
     """Some member tree shows the path word.  Dynamic programming from the leaf
     up over the values a tree can take while it shows the rest of the word on
@@ -99,29 +84,6 @@ def is_mix(dbta: Dbta, reach: list[int], tree: Tree) -> bool:
         key=lambda word: [f"{s[0].name}.{s[1]}" if isinstance(s, tuple) else s.name for s in word],
     )
     return all(word_realized(dbta, reach, word) for word in words)
-
-
-def nfa_accepts_word(nfa: PathNfa, word: PathWord) -> bool:
-    current = set(nfa.initial)
-    for symbol in word[:-1]:
-        letter, index = symbol  # type: ignore[misc]
-        nxt: set[int] = set()
-        for state in current:
-            nxt |= nfa.transitions.get((state, letter.name, index), frozenset())
-        current = nxt
-    leaf = word[-1]
-    assert isinstance(leaf, Letter)
-    return any((state, leaf.name) in nfa.leaf_accept for state in current)
-
-
-def dtta_accepts_word(dtta: Dtta, word: PathWord) -> bool:
-    state = dtta.initial
-    for symbol in word[:-1]:
-        letter, index = symbol  # type: ignore[misc]
-        state = dtta.delta[(state, letter.name)][index - 1]
-    leaf = word[-1]
-    assert isinstance(leaf, Letter)
-    return (state, leaf.name) in dtta.leaf_ok
 
 
 def ctl_disagreement(

@@ -82,18 +82,9 @@ class Congruence:
     def full(size: int) -> "Congruence":
         return Congruence((0,) * size)
 
-    def relates(self, a: int, b: int) -> bool:
-        return self.classes[a] == self.classes[b]
-
     def refines(self, other: "Congruence") -> bool:
         theirs: dict[int, int] = {}
         return all(theirs.setdefault(mine, t) == t for mine, t in zip(self.classes, other.classes))
-
-    def is_identity(self) -> bool:
-        return len(set(self.classes)) == self.size
-
-    def is_full(self) -> bool:
-        return len(set(self.classes)) == 1
 
     def join(self, other: "Congruence") -> "Congruence":
         labels, first = list(self.classes), {}  # first: other's class -> its least element
@@ -386,10 +377,7 @@ def lattice_divides(
 class SeparationEntry:
     a0: int
     a1: int
-    witness: tuple[int, ...]  # the or-pair polynomial table
     separable: bool
-    mix_of_a0: frozenset[int]
-    mix_of_a1: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -400,9 +388,6 @@ class SeparationReport:
     @property
     def all_separable(self) -> bool:
         return all(entry.separable for entry in self.entries)
-
-    def inseparable(self) -> tuple[SeparationEntry, ...]:
-        return tuple(entry for entry in self.entries if not entry.separable)
 
 
 def orpair_separation(dbta: Dbta) -> SeparationReport:
@@ -417,7 +402,7 @@ def orpair_separation(dbta: Dbta) -> SeparationReport:
     paired = dict.fromkeys(element for a0, a1, _ in report.pairs for element in (a0, a1))
     mix = {element: mix_elements(restricted, {element}) for element in paired}
     entries = tuple(
-        SeparationEntry(a0, a1, witness, a0 not in mix[a1] or a1 not in mix[a0], mix[a0], mix[a1])
-        for a0, a1, witness in report.pairs
+        SeparationEntry(a0, a1, a0 not in mix[a1] or a1 not in mix[a0])
+        for a0, a1, _ in report.pairs
     )
     return SeparationReport(entries, report.capped)

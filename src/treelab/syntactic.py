@@ -186,10 +186,6 @@ def find_isomorphism(
     return None if found is None else tuple(found[0].values())
 
 
-def dbta_isomorphic(d1: Dbta, d2: Dbta) -> tuple[int, ...] | None:
-    return find_isomorphism(d1.algebra, d2.algebra, (d1.accepting, d2.accepting))
-
-
 # --- term definability ------------------------------------------------------
 
 

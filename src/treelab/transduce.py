@@ -91,9 +91,6 @@ class Dtop:
     def flat_var(state: int, child: int, n_states: int) -> int:
         return n_states * (child - 1) + state
 
-    def with_initial(self, state: int) -> "Dtop":
-        return Dtop(self.input_alphabet, self.output_alphabet, self.n_states, state, self.rules)
-
 
 MAX_DTOP_OUTPUT = 1_000_000  # letters of a transduction's output past its linear share
 

@@ -1,10 +1,10 @@
 """Ranked trees and the machinery around them.
 
-Alphabets, trees, terms with numbered variables, one-hole contexts and
-root-to-leaf path words.  Also the bounded enumerators that the rest of the
-package uses as brute-force oracle substrate.  All values are immutable; all
-operations are pure functions.  A tree homomorphism is a one-state
-``transduce.Dtop``.
+Alphabets, trees, terms with numbered variables, one-hole contexts and the
+root-to-leaf path words of a tree.  Also the bounded enumerators of trees and
+contexts that the rest of the package uses as brute-force oracle substrate.
+All values are immutable; all operations are pure functions.  A tree
+homomorphism is a one-state ``transduce.Dtop``.
 
 A term is a tree whose leaves may also be variables: a ``Var`` is a ``Tree``
 leaf, so every walk over trees (``preorder``, ``==``, ``hash``, ``repr``,
@@ -88,9 +88,6 @@ class RankedAlphabet:
     def constants(self) -> tuple[Letter, ...]:
         return tuple(letter for letter in self.letters if letter.arity == 0)
 
-    def index(self, name: str) -> int:
-        return self.letters.index(self[name])
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Tree:
@@ -147,10 +144,6 @@ class Tree:
 
     def leaf_count(self) -> int:
         return sum(not node.children for node in preorder(self))
-
-    def subtrees(self) -> Iterator["Tree"]:
-        """All subtrees in preorder, the tree itself first."""
-        return iter(preorder(self))
 
 
 def preorder(tree: Tree) -> list[Tree]:
@@ -366,18 +359,6 @@ PathSym = Union[Letter, tuple[Letter, int]]
 PathWord = tuple[PathSym, ...]
 
 
-def path_alphabet(alphabet: RankedAlphabet) -> tuple[list[tuple[Letter, int]], list[Letter]]:
-    """The path alphabet of a ranked alphabet: step symbols and leaf symbols."""
-    steps = [
-        (letter, i)
-        for letter in alphabet.letters
-        if letter.arity >= 1
-        for i in range(1, letter.arity + 1)
-    ]
-    leaves = [letter for letter in alphabet.letters if letter.arity == 0]
-    return steps, leaves
-
-
 def path_words(tree: Tree) -> frozenset[PathWord]:
     """One word per root-to-leaf path: (label, child index) steps, then the leaf label."""
     words: set[PathWord] = set()
@@ -395,17 +376,6 @@ def path_words(tree: Tree) -> frozenset[PathWord]:
                 path.append((parent, i + 1))
                 break
     return frozenset(words)
-
-
-def enumerate_path_words(alphabet: RankedAlphabet, max_len: int) -> list[PathWord]:
-    """All well-formed path words of length <= max_len, in deterministic order."""
-    steps, leaves = path_alphabet(alphabet)
-    out: list[PathWord] = []
-    for length in range(1, max_len + 1):
-        for prefix in itertools.product(steps, repeat=length - 1):
-            for leaf in leaves:
-                out.append(tuple(prefix) + (leaf,))
-    return out
 
 
 # --- parsing and rendering --------------------------------------------------

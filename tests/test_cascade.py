@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import is_direction_sensitive, value_annotate
 
 from treelab.automata import Dbta, FiniteAlgebra, accepts, are_equivalent, evaluate
 from treelab.cascade import (
@@ -17,11 +18,9 @@ from treelab.cascade import (
     Not,
     Or,
     SemiPoly,
-    UntilSpec,
     ann_name,
     annotate,
     annotated_alphabet,
-    cascade_accepts,
     cascade_eval,
     cascade_flatten,
     ctl_compile,
@@ -33,7 +32,6 @@ from treelab.cascade import (
     random_formula_corpus,
     sequential_compose,
     until_language,
-    value_annotate,
     value_annotated_alphabet,
     _Compiler,
 )
@@ -61,7 +59,7 @@ from treelab.trees import (
 # --- independent oracles -------------------------------------------------------
 
 
-def until_oracle(spec: UntilSpec, tree) -> bool:
+def until_oracle(spec: DirUntil, tree) -> bool:
     """Witness-node search straight from the definition."""
 
     def walk(node, ancestors):
@@ -217,20 +215,20 @@ def test_sequential_compose_trivial_outer():
 
 
 def test_until_full_when_ys_everything():
-    spec = UntilSpec(SIG_GCD, frozenset(), frozenset({"g", "c", "d"}))
-    lang, _ = until_language(spec)
+    spec = DirUntil(frozenset(), frozenset({"g", "c", "d"}))
+    lang, _ = until_language(SIG_GCD, spec)
     assert all(accepts(lang, t) for t in enumerate_trees(SIG_GCD, 5))
 
 
 def test_until_empty_when_ys_empty():
-    spec = UntilSpec(SIG_GCD, frozenset({("g", 1), ("g", 2)}), frozenset())
-    lang, _ = until_language(spec)
+    spec = DirUntil(frozenset({("g", 1), ("g", 2)}), frozenset())
+    lang, _ = until_language(SIG_GCD, spec)
     assert all(not accepts(lang, t) for t in enumerate_trees(SIG_GCD, 5))
 
 
 def test_until_gcd_example():
-    spec = UntilSpec(SIG_GCD, frozenset({("g", 1)}), frozenset({"c"}))
-    lang, _ = until_language(spec)
+    spec = DirUntil(frozenset({("g", 1)}), frozenset({"c"}))
+    lang, _ = until_language(SIG_GCD, spec)
     assert accepts(lang, parse_tree("g(c,d)", SIG_GCD))
     assert accepts(lang, parse_tree("c", SIG_GCD))
     assert not accepts(lang, parse_tree("g(d,c)", SIG_GCD))
@@ -238,19 +236,32 @@ def test_until_gcd_example():
 
 def test_until_matches_witness_oracle():
     specs = [
-        UntilSpec(SIG_GCD, frozenset({("g", 1)}), frozenset({"c"})),
-        UntilSpec(SIG_GCD, frozenset({("g", 1), ("g", 2)}), frozenset({"d"})),
-        UntilSpec(SIG_POTT, frozenset({("f1", 1)}), frozenset({"f0"})),
+        (SIG_GCD, DirUntil(frozenset({("g", 1)}), frozenset({"c"}))),
+        (SIG_GCD, DirUntil(frozenset({("g", 1), ("g", 2)}), frozenset({"d"}))),
+        (SIG_POTT, DirUntil(frozenset({("f1", 1)}), frozenset({"f0"}))),
     ]
-    for spec in specs:
-        lang, _ = until_language(spec)
-        for tree in enumerate_trees(spec.alphabet, 6):
+    for alphabet, spec in specs:
+        lang, _ = until_language(alphabet, spec)
+        for tree in enumerate_trees(alphabet, 6):
             assert accepts(lang, tree) == until_oracle(spec, tree)
 
 
+def test_until_refuses_pairs_and_letters_outside_the_alphabet():
+    for xs, ys, message in (
+        ({("g", 3)}, set(), "pair (g,3) does not respect the alphabet"),
+        ({("h", 1)}, set(), "pair (h,1) does not respect the alphabet"),
+        (set(), {"h"}, "letter h not in the alphabet"),
+    ):
+        spec = DirUntil(frozenset(xs), frozenset(ys))
+        for build in (until_language, lambda alphabet, spec: ctl_compile(spec, alphabet)):
+            with pytest.raises(ValueError) as caught:
+                build(SIG_GCD, spec)
+            assert str(caught.value) == message
+
+
 def test_until_complement_polys_are_semilattice_tables():
-    spec = UntilSpec(SIG_GCD, frozenset({("g", 2)}), frozenset({"c"}))
-    lang, polys = until_language(spec)
+    spec = DirUntil(frozenset({("g", 2)}), frozenset({"c"}))
+    lang, polys = until_language(SIG_GCD, spec)
     for letter in SIG_GCD.letters:
         poly = polys[letter.name]
         assert isinstance(poly, SemiPoly)
@@ -423,7 +434,7 @@ def test_compile_dir_until_equals_until_language():
     formula = DirUntil(frozenset({("g", 1)}), frozenset({"c"}))
     cascade = ctl_compile(formula, SIG_GCD)
     flat = cascade_flatten(cascade)
-    lang, _ = until_language(UntilSpec(SIG_GCD, formula.xs, formula.ys))
+    lang, _ = until_language(SIG_GCD, formula)
     equal, _ = are_equivalent(flat, lang)
     assert equal
 
@@ -435,17 +446,6 @@ def test_compile_random_formulas_agree_with_eval():
             flat = cascade_flatten(ctl_compile(formula, alphabet))
             for tree in trees:
                 assert accepts(flat, tree) == ctl_eval(formula, tree), ctl_render(formula)
-
-
-def is_direction_sensitive(formula) -> bool:
-    """Next- and EU-free: the fragment matching wreath powers of the semilattice."""
-    if isinstance(formula, (Lbl, DirUntil)):
-        return True
-    if isinstance(formula, Not):
-        return is_direction_sensitive(formula.sub)
-    if isinstance(formula, (And, Or)):
-        return is_direction_sensitive(formula.left) and is_direction_sensitive(formula.right)
-    return False
 
 
 def test_direction_sensitive_fragment_compiles_width_one():
@@ -498,7 +498,7 @@ def test_cascade_eval_matches_flatten():
         cascade = ctl_compile(formula, SIG_POTT)
         flat = cascade_flatten(cascade)
         for tree in enumerate_trees(SIG_POTT, 8):
-            assert cascade_accepts(cascade, tree) == accepts(flat, tree)
+            assert (cascade_eval(cascade, tree)[cascade.output_flat()] == 1) == accepts(flat, tree)
 
 
 def test_next_layer_coordinates():
@@ -507,8 +507,8 @@ def test_next_layer_coordinates():
     bits = cascade_eval(cascade, tree)
     # output bit: second child is an f0-leaf
     assert bits[cascade.output_flat()] == 1
-    assert not cascade_accepts(cascade, parse_tree("f1(f0)", SIG_POTT))
-    assert not cascade_accepts(cascade, parse_tree("f0", SIG_POTT))
+    for other in ("f1(f0)", "f0"):
+        assert cascade_eval(cascade, parse_tree(other, SIG_POTT))[cascade.output_flat()] == 0
 
 
 def test_constant_layer_cascade():
@@ -574,7 +574,7 @@ def test_explicit_layer_over_annotated_alphabet():
     assert copy.alphabet == alphabet
     cascade = Cascade(SIG_GCD, (first, copy), (1, 0))
     for tree in enumerate_trees(SIG_GCD, 4):
-        assert cascade_accepts(cascade, tree) == (tree.label.name == "c")
+        assert (cascade_eval(cascade, tree)[cascade.output_flat()] == 1) == (tree.label.name == "c")
     with pytest.raises(ValueError, match="does not chain"):
         Cascade(SIG_GCD, (copy,), (0, 0))
 

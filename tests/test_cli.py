@@ -32,7 +32,7 @@ from treelab.errors import ParseError
 from treelab.fixtures import CORPUS, DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_AND, SIG_GCD
 from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, dtta_to_dbta, path_nfa
-from treelab.syntactic import dbta_isomorphic
+from treelab.syntactic import find_isomorphism
 from treelab.transduce import (
     MAX_DTOP_OUTPUT,
     Dtop,
@@ -163,7 +163,9 @@ def test_minimize_pott(capsys):
     assert code == 0
     assert out.startswith("carrier 3\n")
     body = out.split("\n", 1)[1]
-    assert dbta_isomorphic(load_dbta(body), DBTA_POTT) is not None
+    minimal = load_dbta(body)
+    accepting = (minimal.accepting, DBTA_POTT.accepting)
+    assert find_isomorphism(minimal.algebra, DBTA_POTT.algebra, accepting) is not None
 
 
 def test_universal_path_verdicts(capsys):
@@ -785,6 +787,9 @@ MALFORMED += [
      "line 4: element out of carrier range"),
     ("matrix", "input a 0\nbase c 0\ncarrier 1\nop d -> 0\nwidth 1\ntuple a 1 -> c\n",
      "line 4: unknown letter 'd'"),
+    # a name the tree syntax cannot spell: a witness printed with it would not read back
+    ("dbta", "letter a,b 0\ncarrier 1\nop a,b -> 0\naccept 0\n",
+     "line 1: letter name 'a,b' has a character outside [A-Za-z0-9_@.|']"),
 ]
 
 
@@ -821,6 +826,20 @@ def test_op_row_checks_in_order(row, message):
     with pytest.raises(ParseError) as caught:
         load_dbta(OP_ROWS.format(row + "\n"))
     assert str(caught.value) == message
+
+
+def test_a_seed_that_is_no_integer_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("TREELAB_SEED", "abc")
+    for argv in (("ctl", "verify", "--alphabet", "@sig_pott"), ("oracle", "verify")):
+        assert run(capsys, *argv) == (2, "", "error: TREELAB_SEED must be an integer, got 'abc'\n")
+
+
+def test_a_file_that_is_no_utf8_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "bad.dbta"
+    path.write_bytes(b"\xff")
+    code, out, err = run(capsys, "minimize", "--lang", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
 
 def test_op_rows_read_non_decimal_integers():

@@ -45,7 +45,6 @@ from treelab.cascade import (
     ctl_parse,
     random_formula,
     random_formula_corpus,
-    value_annotate,
 )
 from treelab.errors import AlphabetMismatchError
 from treelab.fixtures import SIG_LINE, SIG_POTT_K
@@ -144,18 +143,6 @@ def recursive_annotate(langs, tree):
         bits = tuple(int(value in lang.accepting) for value, lang in zip(values, langs))
         label = Letter(ann_name(node.label.name, bits), node.label.arity)
         return Tree(label, tuple(kid[0] for kid in kids)), values
-
-    return go(tree)[0]
-
-
-def recursive_value_annotate(h, tree):
-    def go(node):  # the annotated subtree and its value under h
-        if node.label not in h.alphabet:
-            raise AlphabetMismatchError(f"letter {node.label.name} not in the algebra's alphabet")
-        kids = [go(child) for child in node.children]
-        value = h.op(node.label.name, [kid[1] for kid in kids])
-        label = Letter(f"{node.label.name}|{value}", node.label.arity)
-        return Tree(label, tuple(kid[0] for kid in kids)), value
 
     return go(tree)[0]
 
@@ -284,7 +271,6 @@ def test_folds_match_recursive_forms():
                 (cascade_eval, recursive_cascade_eval, cascade),
                 (matrix_hom_eval, recursive_matrix_hom_eval, matrix),
                 (lambda ls, t: annotate(t, ls), recursive_annotate, langs),
-                (lambda h, t: value_annotate(t, h), recursive_value_annotate, algebra),
             ]
             for fold, reference, model in pairs:
                 assert outcome(fold, model, subject) == outcome(reference, model, subject)
@@ -609,8 +595,7 @@ def test_deep_tree_parse_render_and_walks(spine):
     assert all(node.children == (child,) for node, child in zip(nodes, nodes[1:]))
     assert spine.size() == DEPTH + 1
     assert spine.leaf_count() == 1
-    subtrees = list(spine.subtrees())
-    assert subtrees[0] is spine and subtrees[-1].label == A and len(subtrees) == DEPTH + 1
+    assert nodes[0] is spine and len(nodes) == DEPTH + 1
     assert path_words(spine) == frozenset({((G, 1),) * DEPTH + (A,)})
     assert repr(spine) == (
         "Tree(label=Letter(name='g', arity=1), children=(" * DEPTH

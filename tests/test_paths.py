@@ -1,4 +1,6 @@
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,13 +31,7 @@ from treelab.fixtures import (
     SIG_MONO,
     corpus_dbta,
 )
-from treelab.oracle import (
-    dtta_accepts_word,
-    is_mix,
-    nfa_accepts_word,
-    sweep_reachable,
-    word_realized,
-)
+from treelab.oracle import is_mix, sweep_reachable, word_realized
 from treelab.paths import (
     Dtta,
     determinize,
@@ -49,12 +45,49 @@ from treelab.paths import (
     separate_topdown,
 )
 from treelab.trees import (
+    Letter,
     RankedAlphabet,
-    enumerate_path_words,
     enumerate_trees,
     path_words,
     render_tree,
 )
+
+
+# --- path words, and the automata run on them ----------------------------------
+
+
+def enumerate_path_words(alphabet, max_len):
+    """All well-formed path words of length <= max_len, in deterministic order:
+    (letter, child) steps, then a constant."""
+    steps = [(letter, i) for letter in alphabet.letters for i in range(1, letter.arity + 1)]
+    leaves = alphabet.constants
+    out = []
+    for length in range(1, max_len + 1):
+        for prefix in itertools.product(steps, repeat=length - 1):
+            for leaf in leaves:
+                out.append(tuple(prefix) + (leaf,))
+    return out
+
+
+def nfa_accepts_word(nfa, word):
+    current = set(nfa.initial)
+    for letter, index in word[:-1]:
+        nxt = set()
+        for state in current:
+            nxt |= nfa.transitions.get((state, letter.name, index), frozenset())
+        current = nxt
+    leaf = word[-1]
+    assert isinstance(leaf, Letter)
+    return any((state, leaf.name) in nfa.leaf_accept for state in current)
+
+
+def dtta_accepts_word(dtta, word):
+    state = dtta.initial
+    for letter, index in word[:-1]:
+        state = dtta.delta[(state, letter.name)][index - 1]
+    leaf = word[-1]
+    assert isinstance(leaf, Letter)
+    return (state, leaf.name) in dtta.leaf_ok
 
 
 # --- the independent path-word oracle (treelab.oracle) -------------------------

@@ -22,14 +22,12 @@ from treelab.fixtures import (
     SIG_GCD,
     SIG_POTT,
 )
-from treelab.oracle import _partitions
 from treelab.paths import is_universal_path
 from treelab.syntactic import (
     _canonical,
     _first_incompatible,
     _quotient_tables,
     _translations,
-    dbta_isomorphic,
     divides,
     find_isomorphism,
     syntactic_algebra,
@@ -41,7 +39,9 @@ from treelab.trees import RankedAlphabet, enumerate_trees, render_tree
 def test_minimize_pott_redundant_gives_printed_tables():
     result = syntactic_algebra(DBTA_POTT_REDUNDANT)
     assert result.minimal.algebra.size == 3
-    assert dbta_isomorphic(result.minimal, DBTA_POTT) is not None
+    minimal = result.minimal
+    accepting = (minimal.accepting, DBTA_POTT.accepting)
+    assert find_isomorphism(minimal.algebra, DBTA_POTT.algebra, accepting) is not None
 
 
 def test_minimize_names_each_class_by_its_least_element():
@@ -62,7 +62,8 @@ def test_minimize_full_language_is_one_element():
 def test_minimize_idempotent():
     once = syntactic_algebra(DBTA_POTT_REDUNDANT).minimal
     twice = syntactic_algebra(once).minimal
-    assert dbta_isomorphic(once, twice) is not None
+    accepting = (once.accepting, twice.accepting)
+    assert find_isomorphism(once.algebra, twice.algebra, accepting) is not None
 
 
 @settings(max_examples=40)
@@ -219,7 +220,7 @@ def test_find_isomorphism_is_the_first_bijection_of_the_brute_force():
             fb = frozenset(e for e in range(size) if rng.random() < 0.5)
         plain = find_isomorphism(a, b)
         assert plain == brute_isomorphism(a, b), (a, b)
-        matched = dbta_isomorphic(Dbta(a, fa), Dbta(b, fb))
+        matched = find_isomorphism(a, b, (fa, fb))
         assert matched == brute_isomorphism(a, b, (fa, fb)), (a, b, fa, fb)
         found["plain"] += plain is not None
         found["accepting"] += matched is not None
@@ -271,6 +272,21 @@ def test_divides_witness_reconstructs():
             assert value in witness.subuniverse
 
 
+def partitions(items):
+    """Every partition of ``items`` into blocks, each exactly once: for each
+    partition of the later items, the first item joins each block in turn,
+    then a block of its own."""
+    out = [[]]
+    for first in reversed(items):
+        out = [
+            part
+            for sub in out
+            for part in [sub[:i] + [[first] + sub[i]] + sub[i + 1 :] for i in range(len(sub))]
+            + [[[first]] + sub]
+        ]
+    return out
+
+
 def reference_divides(a, b):
     """The exhaustive division search: every role assignment, every closed
     subset, every partition into a.size blocks that is a congruence, and an
@@ -292,7 +308,7 @@ def reference_divides(a, b):
                 continue
             sub = FiniteAlgebra(a.alphabet, len(order), tables)
             translations = _translations(sub)
-            for blocks in _partitions(list(range(len(order)))):
+            for blocks in partitions(list(range(len(order)))):
                 if len(blocks) != a.size:
                     continue
                 classes = [0] * len(order)
@@ -397,5 +413,6 @@ def test_same_syntactic_core_same_paths_verdicts():
         ),
         lnor.accepting,
     )
-    assert dbta_isomorphic(land, renamed) is not None
+    accepting = (land.accepting, renamed.accepting)
+    assert find_isomorphism(land.algebra, renamed.algebra, accepting) is not None
     assert is_universal_path(L_TRUE_AND)[0] == is_universal_path(not_or)[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -273,10 +274,11 @@ def test_dtop_apply_of_a_substitution_substitutes_the_state_outputs():
     trees = enumerate_trees(FGAB, 4)
     for _ in range(500):
         n, k = rng.randint(1, 3), rng.randint(0, 3)
-        dtop = random_hom(rng, FGAB, n, 2).with_initial(rng.randint(1, n))
+        dtop = dataclasses.replace(random_hom(rng, FGAB, n, 2), initial=rng.randint(1, n))
         term = Term(k, random_body(rng, FGAB, k, 2))
         args = [rng.choice(trees) for _ in range(k)]
-        outs = [dtop_apply(dtop.with_initial(q), arg) for arg in args for q in range(1, n + 1)]
+        states = [dataclasses.replace(dtop, initial=q) for q in range(1, n + 1)]
+        outs = [dtop_apply(from_q, arg) for arg in args for from_q in states]
         image = Term(n * k, dtop_apply(dtop, term.body))
         assert dtop_apply(dtop, substitute(term, args)) == substitute(image, outs)
 
@@ -384,7 +386,7 @@ def test_matrix_hom_diagram_identity_on_generated_pairs():
         for tree in trees:
             value = matrix_hom_eval(mh, tree)
             expected = tuple(
-                evaluate(base.algebra, dtop_apply(dtop.with_initial(q), tree))
+                evaluate(base.algebra, dtop_apply(dataclasses.replace(dtop, initial=q), tree))
                 for q in range(1, dtop.n_states + 1)
             )
             assert value == expected
@@ -401,7 +403,7 @@ def test_matrix_hom_roundtrip_through_dtops():
         for tree in trees:
             value = matrix_hom_eval(mh, tree)
             for q in range(1, mh.width + 1):
-                out = dtop_apply(back.with_initial(q), tree)
+                out = dtop_apply(dataclasses.replace(back, initial=q), tree)
                 assert evaluate(extended, out) == value[q - 1]
 
 
@@ -508,7 +510,7 @@ def test_path_dtop_theorem_backward():
 
         def slice_language(coordinate, value):
             return dtop_preimage(
-                Dbta(extended, frozenset({value})), dtop.with_initial(coordinate)
+                Dbta(extended, frozenset({value})), dataclasses.replace(dtop, initial=coordinate)
             )
 
         # each 1-slice is a universal path language (and its complement is the 0-slice)
@@ -538,7 +540,7 @@ def test_matrix_flatten_intersection_of_two_universal():
     flat = matrix_power_language(mh, accepting_both)
     dtop, extended = matrix_hom_to_dtops(mh)
     pieces = [
-        dtop_preimage(Dbta(extended, frozenset({1})), dtop.with_initial(q))
+        dtop_preimage(Dbta(extended, frozenset({1})), dataclasses.replace(dtop, initial=q))
         for q in range(1, mh.width + 1)
     ]
     expected = pieces[0]

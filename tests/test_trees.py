@@ -522,9 +522,9 @@ def test_reader_variables_end_a_term():
 def test_alphabet_lookup_by_name():
     alphabet = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0))
     assert alphabet.get("g") == Letter("g", 1) and alphabet.get("h") is None
-    assert alphabet.index("a") == 2
+    assert alphabet["a"] == Letter("a", 0)
     with pytest.raises(KeyError):
-        alphabet.index("h")
+        alphabet["h"]
     assert Letter("g", 1) in alphabet and Letter("g", 2) not in alphabet
     assert alphabet == RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0))
     assert hash(alphabet) == hash(RankedAlphabet(alphabet.letters))

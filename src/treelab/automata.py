@@ -7,7 +7,8 @@ the entry for (e1,...,en) sits at index e1*m^(n-1) + ... + en.
 
 Constructions find values with one of two kernels: ``reach``, a semi-naive
 closure by generations, and ``_settle``, which settles least trees in Knuth
-order.  ``build`` is ``reach`` followed by a fill of the tables.
+order.  ``build`` is ``reach`` followed by a fill of the tables over the
+reached values; ``tabulate`` fills them over a whole carrier.
 """
 
 from __future__ import annotations
@@ -285,6 +286,15 @@ def _fresh_tuples(older: list, newer: list, pool: list, arity: int) -> Iterator[
     else:
         heads = ((x, *rest) for x in older for rest in _fresh_tuples(older, newer, pool, arity - 1))
     return itertools.chain(heads, itertools.product(newer, *[pool] * (arity - 1)))
+
+
+def tabulate(alphabet: RankedAlphabet, domain: Sequence, op: Callable) -> dict[str, tuple]:
+    """Each letter's table over the whole carrier ``domain``, its i-th value
+    standing for element i: ``op(name, args)`` per argument tuple, in table order."""
+    return {
+        x.name: tuple(op(x.name, args) for args in itertools.product(domain, repeat=x.arity))
+        for x in alphabet.letters
+    }
 
 
 def build(

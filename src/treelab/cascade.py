@@ -15,6 +15,10 @@ is chosen by the node's own values of the few earlier flat coordinates the
 layer ``reads``, read as a binary number with the first read most significant.
 On the annotated letter ``name|bits`` the layer therefore acts by the row that
 ``bits`` selects.
+
+A CTL formula names a letter by a whole word of the letter-name characters
+(``trees._NAME_CHARS``) less ``.`` and ``|``, which its grammar spells; lbl,
+DU, E, U and X<k> are keywords only as whole words, so ``Ea`` is a name.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, corpus_values
+from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, corpus_values, tabulate
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
-from .trees import Letter, RankedAlphabet, Step, Tree, children_first, fold, require_letters, tree_at
+from .trees import (
+    _NAME_CHARS, Letter, RankedAlphabet, Step, Tree, children_first, fold, require_letters, tree_at,
+)
 
 DEFAULT_WIDTH_CAP = 16
 
@@ -43,16 +49,15 @@ def ann_name(base: str, bits: tuple[int, ...]) -> str:
     return f"{base}|{''.join(str(b) for b in bits)}"
 
 
+def _labelled(base: RankedAlphabet, labels: Sequence[tuple[int, ...]]) -> RankedAlphabet:
+    """base x labels, letter-major: ``ann_name(name, label)``, arity inherited."""
+    pairs = [(ann_name(x.name, label), x.arity) for x in base.letters for label in labels]
+    return RankedAlphabet.of(*pairs)
+
+
 def annotated_alphabet(base: RankedAlphabet, nbits: int) -> RankedAlphabet:
     """base x 2^nbits, letter-major then bits in binary order; arity inherited."""
-    if nbits == 0:
-        return base
-    letters = tuple(
-        Letter(ann_name(letter.name, bits), letter.arity)
-        for letter in base.letters
-        for bits in itertools.product((0, 1), repeat=nbits)
-    )
-    return RankedAlphabet(letters)
+    return _labelled(base, list(itertools.product((0, 1), repeat=nbits)))
 
 
 def annotate(tree: Tree, langs: list[Dbta] | tuple[Dbta, ...]) -> Tree:
@@ -117,12 +122,7 @@ def nest(
 
 def value_annotated_alphabet(base: RankedAlphabet, size: int) -> RankedAlphabet:
     """base x carrier, letters named name|value."""
-    letters = tuple(
-        Letter(f"{letter.name}|{value}", letter.arity)
-        for letter in base.letters
-        for value in range(size)
-    )
-    return RankedAlphabet(letters)
+    return _labelled(base, [(value,) for value in range(size)])
 
 
 def sequential_compose(h: FiniteAlgebra, g: FiniteAlgebra) -> FiniteAlgebra:
@@ -135,18 +135,14 @@ def sequential_compose(h: FiniteAlgebra, g: FiniteAlgebra) -> FiniteAlgebra:
     base = h.alphabet
     if g.alphabet != value_annotated_alphabet(base, h.size):
         raise AlphabetMismatchError("outer algebra must read the value-annotated alphabet")
+
+    def step(name: str, args: tuple[int, ...]) -> int:
+        b_value = h.op(name, [arg % h.size for arg in args])
+        a_value = g.op(ann_name(name, (b_value,)), [arg // h.size for arg in args])
+        return a_value * h.size + b_value
+
     size = g.size * h.size
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in base.letters:
-        rows = []
-        for combo in itertools.product(range(size), repeat=letter.arity):
-            a_args = [arg // h.size for arg in combo]
-            b_args = [arg % h.size for arg in combo]
-            b_value = h.op(letter.name, b_args)
-            a_value = g.op(f"{letter.name}|{b_value}", a_args)
-            rows.append(a_value * h.size + b_value)
-        tables[letter.name] = tuple(rows)
-    return FiniteAlgebra(base, size, tables)
+    return FiniteAlgebra(base, size, tabulate(base, range(size), step))
 
 
 # --- until languages ----------------------------------------------------------
@@ -212,16 +208,9 @@ def until_language(alphabet: RankedAlphabet, until: DirUntil) -> tuple[Dbta, dic
     conjunction of h over the children selected by X (empty conjunction = 1).
     """
     _check_until(alphabet, until)
-    polys: dict[str, SemiPoly] = {}
-    tables: dict[str, tuple[int, ...]] = {}
-    for letter in alphabet.letters:
-        poly = polys[letter.name] = _until_poly(until.xs, until.ys, letter)
-        tables[letter.name] = tuple(
-            poly.eval(args)
-            for args in itertools.product((0, 1), repeat=letter.arity)
-        )
-    algebra = FiniteAlgebra(alphabet, 2, tables)
-    return Dbta(algebra, frozenset({0})), polys
+    polys = {letter.name: _until_poly(until.xs, until.ys, letter) for letter in alphabet.letters}
+    tables = tabulate(alphabet, (0, 1), lambda name, args: polys[name].eval(args))
+    return Dbta(FiniteAlgebra(alphabet, 2, tables), frozenset({0})), polys
 
 
 # --- cascades -----------------------------------------------------------------
@@ -439,28 +428,24 @@ def ctl_render(formula: CtlFormula) -> str:
     return texts[-1]
 
 
-_CTL_TOKEN = re.compile(r"\s*(lbl|DU|E|U|X\d+|[A-Za-z0-9_@]+|\[|\]|[()!&|;,.])")
+_CTL_NAME = re.compile("[" + _NAME_CHARS.replace(".", "").replace("|", "") + "]+")
+# a token, or in group 2 a character that starts none
+_CTL_TOKEN = re.compile(rf"\s*(?:({_CTL_NAME.pattern}|\[|\]|[()!&|;,.])|(\S))")
 _CTL_NEXT = re.compile(r"X\d+")
-_CTL_NAME = re.compile(r"[A-Za-z0-9_@]+")
 
 
 def ctl_parse(text: str, alphabet: RankedAlphabet) -> CtlFormula:
-    """Grammar: atoms lbl(NAME); unary ! and X<digit>; & over |, both
+    """Grammar: atoms lbl(NAME); unary ! and X<k>, k >= 1; & over |, both
     left-associative; E[ f U g ]; DU[ a.1, b.2 ; c, d ].
 
-    A NAME holds only [A-Za-z0-9_@], fewer characters than a letter name may
-    hold in files and trees: a letter such as ``a'`` cannot be tested, and
-    ``lbl(a')`` raises ParseError on the unexpected character."""
+    A NAME or keyword is a whole word of the name characters less ``.`` and
+    ``|`` (see the module docstring): ``lbl(Ea)`` names ``Ea``, and a glued
+    ``X1lbl(a)`` is the one word ``X1lbl``, which is refused."""
     tokens: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        match = _CTL_TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-            break
+    for match in _CTL_TOKEN.finditer(text):  # each match starts where the last one ended
+        if match.group(2) is not None:
+            raise ParseError(f"unexpected character {match.group(2)!r}", match.start())
         tokens.append((match.group(1), match.start(1)))
-        pos = match.end()
 
     at = 0
 

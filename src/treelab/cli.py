@@ -21,9 +21,10 @@ A letter NAME holds only the characters A-Za-z0-9_@.|' (the ones the tree
 syntax spells), so every tree a command prints reads back.
 
 `--lang`-style options take a file path, or `@name` for a builtin fixture
-(e.g. @l_pott, @l_true_and, @sig_gcd).  Exit codes: 0 ok (negative verdicts
-included), 1 usage, 2 parse, 3 cap.  Identical inputs produce byte-identical
-reports; TREELAB_SEED fixes the randomized formula corpus.
+(e.g. @l_pott, @l_true_and, @sig_gcd).  --max-width, --arity-bound and
+--depth-bound must be >= 1, --count, --max-nodes and --max-states >= 0.  Exit
+codes: 0 ok (negative verdicts included), 1 usage, 2 parse, 3 cap.  Identical
+inputs produce byte-identical reports; TREELAB_SEED fixes the formula corpus.
 """
 
 from __future__ import annotations
@@ -672,11 +673,6 @@ def _cmd_ctl_eval(ws: Workspace, args, report: Report) -> None:
     report.line("yes" if ctl_eval(formula, parse_word(args.tree, alphabet)) else "no")
 
 
-def _require_positive(option: str, value: int) -> None:
-    if value < 1:
-        raise ParseError(f"{option} must be >= 1, got {value}")
-
-
 def _seed() -> int:
     """TREELAB_SEED, 0 when unset; a value that is not an integer is a ParseError."""
     text = os.environ.get("TREELAB_SEED", "0")
@@ -687,7 +683,6 @@ def _seed() -> int:
 
 
 def _cmd_ctl_compile(ws: Workspace, args, report: Report) -> None:
-    _require_positive("--max-width", args.max_width)
     alphabet = ws.alphabet(args.alphabet)
     cascade = ctl_compile(ctl_parse(args.formula, alphabet), alphabet, args.max_width)
     report.line("layers", len(cascade.layers))
@@ -699,9 +694,6 @@ def _cmd_ctl_compile(ws: Workspace, args, report: Report) -> None:
 
 
 def _cmd_ctl_verify(ws: Workspace, args, report: Report) -> None:
-    _require_positive("--max-width", args.max_width)
-    if args.count < 0:
-        raise ParseError(f"--count must be >= 0, got {args.count}")
     alphabet = ws.alphabet(args.alphabet)
     if args.formula:
         formula = ctl_parse(args.formula, alphabet)
@@ -709,11 +701,11 @@ def _cmd_ctl_verify(ws: Workspace, args, report: Report) -> None:
     else:
         corpus = random_formula_corpus(_seed(), alphabet, args.count, max_width=args.max_width)
     letters, kids = tree_corpus(alphabet, args.max_nodes)
-    for formula, cascade in corpus:
-        at = ctl_disagreement(formula, cascade, letters, kids)
-        if at is not None:
-            report.line("MISMATCH", ctl_render(formula), render_tree(tree_at(letters, kids, at)))
-            return
+    found = ctl_disagreement(corpus, letters, kids)
+    if found is not None:
+        formula, at = found
+        report.line("MISMATCH", ctl_render(formula), render_tree(tree_at(letters, kids, at)))
+        return
     checked = len(corpus) * len(letters)
     report.line("agree", "on", checked, "checks", f"({len(corpus)} formulas, {len(letters)} trees)")
 
@@ -748,8 +740,6 @@ def _cmd_structure_orpairs(ws: Workspace, args, report: Report) -> None:
 
 
 def _cmd_structure_strongly_abelian(ws: Workspace, args, report: Report) -> None:
-    _require_positive("--arity-bound", args.arity_bound)
-    _require_positive("--depth-bound", args.depth_bound)
     algebra = ws.dbta(args.lang).algebra
     congruence = _parse_congruence(args.congruence, algebra.size)
     verdict = strongly_abelian_check(algebra, congruence, args.arity_bound, args.depth_bound)
@@ -882,6 +872,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The least value of each integer option, checked in this order before any command runs.
+_LEAST = {"--max-width": 1, "--count": 0, "--max-nodes": 0, "--max-states": 0,
+          "--arity-bound": 1, "--depth-bound": 1}
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code (see the module docstring).
 
@@ -895,6 +890,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     report = Report(args.format)
     try:
+        for option, least in _LEAST.items():
+            value = getattr(args, option[2:].replace("-", "_"), least)
+            if value < least:
+                raise ParseError(f"{option} must be >= {least}, got {value}")
         args.fn(Workspace(), args, report)
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

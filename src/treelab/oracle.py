@@ -17,6 +17,7 @@ from .automata import (
     boolean_combine,
     corpus_values,
     subset_counterexample,
+    tabulate,
 )
 from .cascade import (
     Cascade,
@@ -87,16 +88,18 @@ def is_mix(dbta: Dbta, reach: list[int], tree: Tree) -> bool:
 
 
 def ctl_disagreement(
-    formula: CtlFormula, cascade: Cascade, letters: list[Letter], kids: list[tuple[int, ...]]
-) -> int | None:
-    """The position of the first entry of a node list (``trees.tree_corpus``)
-    on which the flattened cascade and the labelling of ``formula``
-    disagree, or None.  Both run once over the whole list."""
-    flat = cascade_flatten(cascade)
-    values = corpus_values(flat.algebra, letters, kids)
-    labels = ctl_label(formula, letters, kids)
-    pairs = enumerate(zip(values, labels))
-    return next((k for k, (value, holds) in pairs if (value in flat.accepting) != holds), None)
+    corpus: list[tuple[CtlFormula, Cascade]], letters: list[Letter], kids: list[tuple[int, ...]]
+) -> tuple[CtlFormula, int] | None:
+    """The first formula of ``corpus`` whose flattened cascade and labelling,
+    each run once over a node list (``trees.tree_corpus``), disagree on an
+    entry, and the position of its first such entry; None when all agree."""
+    for formula, cascade in corpus:
+        flat = cascade_flatten(cascade)
+        values = corpus_values(flat.algebra, letters, kids)
+        for at, (value, holds) in enumerate(zip(values, ctl_label(formula, letters, kids))):
+            if (value in flat.accepting) != holds:
+                return formula, at
+    return None
 
 
 # --- oracle verify ---------------------------------------------------------------
@@ -187,23 +190,19 @@ def suites(max_nodes: int, count: int, seed: int) -> Iterator[tuple[str, int]]:
     checks = 0
     for alphabet in (fixtures.SIG_POTT, fixtures.SIG_GCD):
         letters, kids = tree_corpus(alphabet, max_nodes)
-        for formula, cascade in random_formula_corpus(seed, alphabet, count):
-            at = ctl_disagreement(formula, cascade, letters, kids)
-            if at is not None:
-                check(False, "ctl-compile-vs-eval", ctl_render(formula), tree_at(letters, kids, at))
-            checks += len(letters)
+        corpus = random_formula_corpus(seed, alphabet, count)
+        found = ctl_disagreement(corpus, letters, kids)
+        if found is not None:
+            formula, at = found
+            check(False, "ctl-compile-vs-eval", ctl_render(formula), tree_at(letters, kids, at))
+        checks += len(corpus) * len(letters)
     yield "ctl-compile-vs-eval", checks
 
     checks = 0
     langs = [fixtures.L_TRUE_AND]
     annotated = annotated_alphabet(fixtures.SIG_AND, 1)
     # top = "the root's own annotation bit is set"
-    tables = {
-        letter.name: tuple(
-            int(letter.name.endswith("|1")) for _ in range(2**letter.arity)
-        )
-        for letter in annotated.letters
-    }
+    tables = tabulate(annotated, (0, 1), lambda name, args: int(name.endswith("|1")))
     top = Dbta(FiniteAlgebra(annotated, 2, tables), frozenset({1}))
     nested = nest(langs, top)
     for tree in enumerate_trees(fixtures.SIG_AND, max_nodes):

@@ -43,7 +43,6 @@ class PathNfa:
     """
 
     alphabet: RankedAlphabet
-    states: frozenset[int]
     initial: frozenset[int]
     transitions: Mapping[tuple[int, str, int], frozenset[int]]
     leaf_accept: frozenset[tuple[int, str]]
@@ -86,7 +85,6 @@ def path_nfa(dbta: Dbta) -> PathNfa:
     elements = frozenset(reach(algebra.alphabet, step, algebra.size).values)
     return PathNfa(
         algebra.alphabet,
-        elements,
         frozenset(dbta.accepting & elements),
         {key: frozenset(value) for key, value in transitions.items()},
         frozenset((algebra.op(leaf.name, ()), leaf.name) for leaf in algebra.alphabet.constants),

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .automata import Dbta, FiniteAlgebra, reach, reachable
+from .automata import Dbta, FiniteAlgebra, reach, reachable, tabulate
 from .errors import CapExceededError
 from .trees import Term, Tree, Var
 
@@ -128,13 +128,7 @@ def _representatives(classes: list[int]) -> list[int]:
 def _quotient_tables(algebra: FiniteAlgebra, classes: list[int]) -> dict[str, tuple[int, ...]]:
     """Letter tables on the classes of a congruence, read off representatives."""
     reps = _representatives(classes)
-    return {
-        letter.name: tuple(
-            classes[algebra.op(letter.name, args)]
-            for args in itertools.product(reps, repeat=letter.arity)
-        )
-        for letter in algebra.alphabet.letters
-    }
+    return tabulate(algebra.alphabet, reps, lambda name, args: classes[algebra.op(name, args)])
 
 
 def syntactic_algebra(dbta: Dbta) -> SyntacticResult:

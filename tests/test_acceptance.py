@@ -9,24 +9,19 @@ import dataclasses
 import random
 import time
 
-import pytest
-
 from treelab.automata import (
     Dbta,
     FiniteAlgebra,
     accepts,
     are_equivalent,
-    boolean_combine,
     complement,
     evaluate,
     subset_counterexample,
 )
 from treelab.cascade import (
-    EU,
     And,
     DirUntil,
     Lbl,
-    Next,
     Not,
     Or,
     annotate,
@@ -63,12 +58,10 @@ from treelab.fixtures import (
     SIG_POTT,
 )
 from treelab.paths import (
-    determinize,
     dtta_accepts,
     is_doubly_deterministic,
     is_universal_path,
     mixes,
-    path_nfa,
     separate_topdown,
 )
 from treelab.oracle import is_mix, sweep_reachable
@@ -95,7 +88,6 @@ from treelab.trees import (
     Tree,
     Var,
     enumerate_trees,
-    parse_tree,
     render_tree,
     tree_corpus,
 )

@@ -38,7 +38,6 @@ from treelab.transduce import dtop_preimage
 from treelab.trees import (
     Letter,
     RankedAlphabet,
-    Tree,
     children_first,
     enumerate_trees,
     parse_tree,

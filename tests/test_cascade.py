@@ -29,6 +29,7 @@ from treelab.cascade import (
     ctl_parse,
     ctl_render,
     nest,
+    random_formula,
     random_formula_corpus,
     sequential_compose,
     until_language,
@@ -41,7 +42,6 @@ from treelab.fixtures import (
     ALG_AND,
     DBTA_POTT,
     L_TRUE_AND,
-    L_TRUE_OR,
     SIG_AND,
     SIG_GCD,
     SIG_POTT,
@@ -51,7 +51,6 @@ from treelab.trees import (
     Tree,
     enumerate_trees,
     parse_tree,
-    render_tree,
     tree_corpus,
 )
 
@@ -302,6 +301,25 @@ def test_ctl_parse_errors():
         ctl_parse("DU[g.3 ; c]", SIG_GCD)
     with pytest.raises(ParseError):
         ctl_parse("lbl(f0) &", SIG_POTT)
+
+
+# each name but g begins with a keyword of the formula grammar, or holds '
+KEYWORD_NAMES = RankedAlphabet.of(
+    ("Ea", 0), ("Ub", 0), ("lblx", 0), ("DUP", 0), ("X12y", 0), ("a'", 0), ("g", 2)
+)
+
+
+def test_ctl_render_parses_back():
+    rng = random.Random(27)
+    for alphabet in (KEYWORD_NAMES, SIG_POTT, SIG_GCD):
+        for _ in range(200):
+            formula = random_formula(rng, alphabet, rng.randint(0, 4))
+            assert ctl_parse(ctl_render(formula), alphabet) == formula, ctl_render(formula)
+    assert ctl_parse("X1 lbl(X12y) & lbl(lblx)", KEYWORD_NAMES) == And(
+        Next(1, Lbl("X12y")), Lbl("lblx")
+    )
+    with pytest.raises(ParseError, match="'X1lbl'"):
+        ctl_parse("X1lbl(Ea)", KEYWORD_NAMES)
 
 
 def test_ctl_eval_paper_cases():

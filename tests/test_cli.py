@@ -8,6 +8,7 @@ import time
 
 import pytest
 from test_acceptance import budget
+from test_cascade import KEYWORD_NAMES
 from test_folds import UNCALLED_STATE, UNCALLED_STATE_INPUT
 
 import treelab
@@ -29,7 +30,7 @@ from treelab.cli import (
     save_matrix,
 )
 from treelab.errors import ParseError
-from treelab.fixtures import CORPUS, DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, L_TRUE_AND, SIG_GCD
+from treelab.fixtures import CORPUS, DBTA_POTT, HOM_DUP, K_POTT, L_PAIR, SIG_GCD
 from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, dtta_to_dbta, path_nfa
 from treelab.syntactic import find_isomorphism
@@ -589,6 +590,32 @@ def test_ctl_rejects_bad_width_and_count(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: --") and "Traceback" not in err
+
+
+def test_ctl_names_a_letter_by_its_whole_word(capsys, tmp_path):
+    path = tmp_path / "keywords.alphabet"
+    path.write_text(save_alphabet(KEYWORD_NAMES))
+    ctl_eval = ("ctl", "eval", "--alphabet", str(path), "--formula")
+    for name in ("Ea", "Ub", "lblx", "DUP", "X12y", "a'"):
+        assert run(capsys, *ctl_eval, f"lbl({name})", "--tree", name) == (0, "yes\n", "")
+        assert run(capsys, *ctl_eval, f"lbl({name})", "--tree", "g(Ea,Ub)") == (0, "no\n", "")
+    tree = ("--tree", "g(Ea,X12y)")
+    assert run(capsys, *ctl_eval, "E[lbl(Ub) U lbl(Ea)]", *tree) == (0, "yes\n", "")
+    assert run(capsys, *ctl_eval, "DU[g.1 ; Ea]", *tree) == (0, "yes\n", "")
+    assert run(capsys, *ctl_eval, "DU[g.2 ; Ea]", *tree) == (0, "no\n", "")
+    assert run(capsys, *ctl_eval, "X2 lbl(X12y)", *tree) == (0, "yes\n", "")
+
+
+def test_integer_options_below_their_least_value(capsys):
+    for argv, message in (
+        (("mixes", "--lang", "@l_pott", "--max-states", "-1"), "--max-states must be >= 0, got -1"),
+        (("ctl", "verify", "--alphabet", "@sig_pott", "--max-nodes", "-1"),
+         "--max-nodes must be >= 0, got -1"),
+        (("oracle", "verify", "--max-nodes", "2", "--count", "-1"), "--count must be >= 0, got -1"),
+        (("ctl", "verify", "--alphabet", "@sig_pott", "--count", "-1", "--max-width", "0"),
+         "--max-width must be >= 1, got 0"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_structure_commands(capsys):

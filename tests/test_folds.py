@@ -1,7 +1,8 @@
 """The tree folds against the recursive code they replaced, the folds of a
 tree's preorder word against those of the tree, trees and terms too deep for
-recursion, and a check that no function of the tree, automaton, transducer,
-path, oracle, structure, CLI or cascade modules calls itself.
+recursion, a check that no function of the tree, automaton, transducer,
+path, oracle, structure, CLI or cascade modules calls itself, and one that no
+library or test module imports a name it never reads.
 
 The folds run through ``trees.fold``: one stack of values over the reversed
 ``preorder(tree)``, with per-letter steps.  The ``recursive_*`` functions
@@ -734,3 +735,30 @@ GUARDED_MODULES = (
 def test_no_tree_or_term_walk_calls_itself():
     found = [name for module in GUARDED_MODULES for name in self_calls(module)]
     assert sorted(found) == sorted(RECURSION_ALLOWED)
+
+
+# --- no module imports a name it never reads -------------------------------------------
+
+
+def unused_imports(path):
+    """The names that the top-level imports of the module at ``path`` bind
+    and that no name in it reads.  ``from __future__`` imports bind none."""
+    module = ast.parse(path.read_text())
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in module.body
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's __init__ imports its exports, which it never reads itself
+    sources = sorted(Path(treelab.__file__).parent.glob("*.py"))
+    paths = [path for path in sources if path.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    found = {path.name: unused_imports(path) for path in paths}
+    assert {name: names for name, names in found.items() if names} == {}

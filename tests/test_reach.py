@@ -153,7 +153,6 @@ def old_path_nfa(dbta):
     )
     return PathNfa(
         algebra.alphabet,
-        elements,
         frozenset(dbta.accepting & elements),
         {key: frozenset(value) for key, value in transitions.items()},
         leaf_accept,

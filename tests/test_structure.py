@@ -15,11 +15,9 @@ from treelab.fixtures import (
     ALG_PARITY_POTT,
     ALG_POTT,
     ALG_SEMILATTICE,
-    DBTA_POTT,
     L_TRUE_AND,
     L_TRUE_BOOL,
     L_TRUE_OR,
-    SIG_POTT,
     corpus_dbta,
 )
 from treelab.paths import is_universal_path

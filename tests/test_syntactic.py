@@ -7,7 +7,7 @@ from test_acceptance import budget
 from test_automata import random_algebra
 from test_paths import fgab_dbtas
 
-from treelab.automata import Dbta, FiniteAlgebra, accepts, are_equivalent, reachable
+from treelab.automata import Dbta, FiniteAlgebra, are_equivalent, reachable
 from treelab.errors import CapExceededError
 from treelab.fixtures import (
     ALG_LATTICE,
@@ -33,7 +33,7 @@ from treelab.syntactic import (
     syntactic_algebra,
     term_definable,
 )
-from treelab.trees import RankedAlphabet, enumerate_trees, render_tree
+from treelab.trees import RankedAlphabet, render_tree
 
 
 def test_minimize_pott_redundant_gives_printed_tables():

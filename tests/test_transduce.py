@@ -31,7 +31,7 @@ from treelab.fixtures import (
     corpus_dbta,
 )
 from treelab.oracle import sweep_reachable
-from treelab.paths import determinize, dtta_to_dbta, is_universal_path, path_nfa
+from treelab.paths import determinize, is_universal_path, path_nfa
 from treelab.transduce import (
     MAX_DTOP_OUTPUT,
     Dtop,

@@ -4,7 +4,8 @@ Formats (all: `#` starts a comment, blank lines ignored, save order canonical):
 
   alphabet   letter NAME ARITY
   dbta       letter lines; carrier M; optional `names ...`;
-             `op NAME e1 .. en -> e` for every tuple (lexicographic);
+             `op NAME e1 .. en -> e` for every tuple (saved in lexicographic
+             order, read in any order; of faulty rows, the first is reported);
              `accept e1 e2 ...`
   dtta       letter lines; states N; init Q;
              `delta Q NAME -> q1 .. qn` per state and non-constant letter;
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import os
 import re
 import sys
@@ -115,14 +115,20 @@ class _Doc:
     its keyword, `#` comments and blank lines dropped, in file order."""
 
     def __init__(self, text: str, kind: str, keywords: tuple[str, ...]):
-        self.rows: dict[str, list[tuple[int, list[str]]]] = {}
-        for number, line in enumerate(text.splitlines(), start=1):
-            fields = line.split("#", 1)[0].split()
+        self.rows: dict[str, list[tuple[int, list[str]]]] = {key: [] for key in keywords}
+        unknown = set()
+        lines = text.splitlines()
+        if "#" in text:
+            lines = [line.split("#", 1)[0] for line in lines]
+        for number, line in enumerate(lines, start=1):
+            fields = line.split()
             if fields:
-                self.rows.setdefault(fields[0], []).append((number, fields[1:]))
-        unknown = self.rows.keys() - set(keywords)
+                try:
+                    self.rows[fields[0]].append((number, fields[1:]))
+                except KeyError:
+                    unknown.add(fields[0])
         if unknown:
-            raise ParseError(f"unexpected keyword {sorted(unknown)[0]!r} in {kind} file")
+            raise ParseError(f"unexpected keyword {min(unknown)!r} in {kind} file")
 
     def take(self, keyword: str) -> list[tuple[int, list[str]]]:
         return self.rows.get(keyword, [])
@@ -179,39 +185,54 @@ def _parse_letters(
     return RankedAlphabet(tuple(letters.values()))
 
 
+def _op_row_fault(number: int, row: list[str], cells: dict, size: int) -> None:
+    """Raise the error of an `op` row that ``_parse_ops`` refused, checked in
+    the order: shape, letter, integers, argument count, range, duplicate (a
+    row that passes the other checks is a duplicate)."""
+    if len(row) < 3 or row[-2] != "->":
+        _fail(number, "expected `op NAME e1 .. en -> e`")
+    if row[0] not in cells:
+        _fail(number, f"unknown letter {row[0]!r}")
+    arity = cells[row[0]][0]
+    elements = [_int(number, x, "carrier element") for x in (*row[1:-2], row[-1])]
+    if len(elements) != arity + 1:
+        _fail(number, f"{row[0]} takes {arity} arguments")
+    if not all(0 <= x < size for x in elements):
+        _fail(number, "element out of carrier range")
+    _fail(number, f"duplicate op row for {row[0]} {tuple(elements[:-1])}")
+
+
 def _parse_ops(
     doc: _Doc, alphabet: RankedAlphabet, size: int
 ) -> dict[str, tuple[int, ...]]:
     """Each letter's table from the `op` rows, filled by index: the row
     `op f e1 .. en -> e` is entry e1·size^(n-1) + .. + en of f's table.
 
-    Rows are checked in file order, each in the order: shape, letter,
-    integers, argument count, range, duplicate; then each letter, in
+    The rows may come in any order.  They are read in file order, and the
+    first faulty one is reported, with the first check it fails of: shape,
+    letter, integers, argument count, range, duplicate.  Then each letter, in
     alphabet order, must have all of its size^arity rows.
     """
     cells: dict[str, tuple[int, dict[int, int]]] = {
         letter.name: (letter.arity, {}) for letter in alphabet.letters
     }
     for number, row in doc.take("op"):
-        if len(row) < 3 or row[-2] != "->":
-            _fail(number, "expected `op NAME e1 .. en -> e`")
-        name = row[0]
-        entry = cells.get(name)
-        if entry is None:
-            _fail(number, f"unknown letter {name!r}")
-        arity, table = entry
-        values = [_int(number, x, "carrier element") for x in row[1:-2]]
-        value = _int(number, row[-1], "carrier element")
-        if len(values) != arity:
-            _fail(number, f"{name} takes {arity} arguments")
-        if not all(0 <= x < size for x in (*values, value)):
-            _fail(number, "element out of carrier range")
-        index = 0
-        for x in values:
-            index = index * size + x
-        if index in table:
-            _fail(number, f"duplicate op row for {name} {tuple(values)}")
-        table[index] = value
+        try:  # every check at once; _op_row_fault words the first one failed
+            arity, table = cells[row[0]]
+            if len(row) != arity + 3 or row[-2] != "->":
+                raise ValueError
+            index = 0
+            for x in row[1:-2]:
+                x = int(x)
+                if not 0 <= x < size:
+                    raise ValueError
+                index = index * size + x
+            value = int(row[-1])
+            if not 0 <= value < size or index in table:
+                raise ValueError
+            table[index] = value
+        except (LookupError, ValueError):
+            _op_row_fault(number, row, cells, size)
     out: dict[str, tuple[int, ...]] = {}
     for letter in alphabet.letters:
         table = cells[letter.name][1]
@@ -294,18 +315,15 @@ def _algebra_rows(algebra: FiniteAlgebra, letter_keyword: str) -> list[str]:
     if algebra.element_names is not None:
         out.append("names " + " ".join(algebra.element_names) + "\n")
     numbers = [str(e) for e in range(algebra.size)]
-    arguments: dict[int, list[str]] = {}  # per arity: each " e1 .. en", in table order
+    values = [f"{e}\n" for e in numbers]
+    arguments = [[" -> "]]  # by arity: each " e1 .. en -> ", in table order
     for letter in algebra.alphabet.letters:
-        texts = arguments.get(letter.arity)
-        if texts is None:
-            texts = arguments[letter.arity] = [
-                " ".join(("",) + args)
-                for args in itertools.product(numbers, repeat=letter.arity)
-            ]
+        while len(arguments) <= letter.arity:
+            arguments.append([f" {e}{args}" for e in numbers for args in arguments[-1]])
         head = f"op {letter.name}"
         out += [
-            f"{head}{args} -> {value}\n"
-            for args, value in zip(texts, algebra.tables[letter.name])
+            f"{head}{args}{values[value]}"
+            for args, value in zip(arguments[letter.arity], algebra.tables[letter.name])
         ]
     return out
 

@@ -13,7 +13,14 @@ from test_folds import UNCALLED_STATE, UNCALLED_STATE_INPUT
 
 import treelab
 from treelab import cli, oracle
-from treelab.automata import Dbta, FiniteAlgebra, accepts, complement, with_constants
+from treelab.automata import (
+    Dbta,
+    FiniteAlgebra,
+    accepts,
+    boolean_combine,
+    complement,
+    with_constants,
+)
 from treelab.cascade import cascade_flatten, ctl_compile, ctl_parse
 from treelab.cli import (
     Workspace,
@@ -853,6 +860,25 @@ def test_op_row_checks_in_order(row, message):
     with pytest.raises(ParseError) as caught:
         load_dbta(OP_ROWS.format(row + "\n"))
     assert str(caught.value) == message
+
+
+def test_a_saved_file_never_reaches_the_op_row_diagnosis(capsys, tmp_path, monkeypatch):
+    # `_parse_ops` reads a well-formed row in its loop; `_op_row_fault` only explains a bad one
+    def diagnosis(number, *_):
+        pytest.fail(f"line {number} of a saved file reached the op-row diagnosis")
+
+    monkeypatch.setattr(cli, "_op_row_fault", diagnosis)
+    corpus = dict(CORPUS)
+    pair = boolean_combine("union", corpus["l_pott_redundant"], corpus["l_pott_redundant"])
+    product = boolean_combine("intersection", pair, corpus["l_pott"])
+    assert product.algebra.size >= 100
+    for name, dbta in [*CORPUS, ("product", product)]:
+        path = tmp_path / f"{name}.dbta"
+        path.write_text(save_dbta(dbta), encoding="utf-8")
+        assert run(capsys, "minimize", "--lang", str(path))[0] == 0
+    path = tmp_path / "dup.matrix"
+    path.write_text(save_matrix(dtop_to_matrix_hom(HOM_DUP, K_POTT.algebra)), encoding="utf-8")
+    assert run(capsys, "matrix", "to-dtops", "--matrix", str(path))[0] == 0
 
 
 def test_a_seed_that_is_no_integer_is_a_parse_error(capsys, monkeypatch):

@@ -9,12 +9,14 @@ exit 0, 2 or 3, never in a traceback.
 
 import contextlib
 import io
+import itertools
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelab import cli
 from treelab.automata import Dbta, FiniteAlgebra, with_constants
 from treelab.cli import (
     load_alphabet,
@@ -30,6 +32,7 @@ from treelab.cli import (
     save_matrix,
 )
 from treelab.errors import ParseError
+from treelab.fixtures import CORPUS
 from treelab.paths import Dtta
 from treelab.transduce import Dtop, MatrixHom
 from treelab.trees import (
@@ -104,9 +107,9 @@ def test_alphabet_files_round_trip(alphabet):
 
 
 @st.composite
-def algebras(draw):
-    alphabet = draw(alphabets(max_arity=2, max_letters=3))
-    size = draw(st.integers(1, 3))
+def algebras(draw, max_size=3, max_arity=2):
+    alphabet = draw(alphabets(max_arity=max_arity, max_letters=3))
+    size = draw(st.integers(1, max_size))
     tables = {
         letter.name: tuple(draw(st.lists(
             st.integers(0, size - 1), min_size=size**letter.arity, max_size=size**letter.arity
@@ -118,8 +121,8 @@ def algebras(draw):
 
 
 @st.composite
-def dbtas(draw, named):
-    algebra = draw(algebras())
+def dbtas(draw, named, bases=algebras()):
+    algebra = draw(bases)
     names = st.lists(NAMES, min_size=algebra.size, max_size=algebra.size, unique=True)
     named_algebra = FiniteAlgebra(
         algebra.alphabet, algebra.size, algebra.tables, tuple(draw(names)) if named else None
@@ -178,8 +181,8 @@ def test_dtop_files_round_trip(dtop):
 
 
 @st.composite
-def matrix_homs(draw):
-    base, inputs = draw(algebras()), draw(alphabets(max_arity=2, max_letters=3))
+def matrix_homs(draw, bases=algebras()):
+    base, inputs = draw(bases), draw(alphabets(max_arity=2, max_letters=3))
     extended = with_constants(base).alphabet
     width = draw(st.integers(1, 2))
     tuples = {
@@ -268,3 +271,182 @@ def test_mutated_files_end_in_an_exit_code(kind, tmp_path_factory):
         assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
 
     check()
+
+
+# --- the op-row reader and the algebra writer against the forms they replaced --------
+#
+# ``row_by_row_doc`` and ``row_by_row_ops`` are the earlier readers of a file's
+# lines and of its `op` rows: every row went through each check in turn, and
+# every field through ``cli._int``.  ``formatted_algebra_rows`` is the earlier
+# writer of an algebra block, which formatted every entry.  All are kept as
+# references.
+
+
+def row_by_row_doc(doc, text, kind, keywords):
+    doc.rows = {}
+    for number, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            doc.rows.setdefault(fields[0], []).append((number, fields[1:]))
+    unknown = doc.rows.keys() - set(keywords)
+    if unknown:
+        raise ParseError(f"unexpected keyword {sorted(unknown)[0]!r} in {kind} file")
+
+
+def row_by_row_ops(doc, alphabet, size):
+    cells = {letter.name: (letter.arity, {}) for letter in alphabet.letters}
+    for number, row in doc.take("op"):
+        if len(row) < 3 or row[-2] != "->":
+            cli._fail(number, "expected `op NAME e1 .. en -> e`")
+        name = row[0]
+        entry = cells.get(name)
+        if entry is None:
+            cli._fail(number, f"unknown letter {name!r}")
+        arity, table = entry
+        values = [cli._int(number, x, "carrier element") for x in row[1:-2]]
+        value = cli._int(number, row[-1], "carrier element")
+        if len(values) != arity:
+            cli._fail(number, f"{name} takes {arity} arguments")
+        if not all(0 <= x < size for x in (*values, value)):
+            cli._fail(number, "element out of carrier range")
+        index = 0
+        for x in values:
+            index = index * size + x
+        if index in table:
+            cli._fail(number, f"duplicate op row for {name} {tuple(values)}")
+        table[index] = value
+    out = {}
+    for letter in alphabet.letters:
+        table = cells[letter.name][1]
+        expected = size**letter.arity
+        if len(table) != expected:
+            raise ParseError(
+                f"letter {letter.name} needs {expected} op rows, found {len(table)}"
+            )
+        out[letter.name] = tuple(map(table.__getitem__, range(expected)))
+    return out
+
+
+def formatted_algebra_rows(algebra, letter_keyword):
+    out = [save_alphabet(algebra.alphabet, letter_keyword), f"carrier {algebra.size}\n"]
+    if algebra.element_names is not None:
+        out.append("names " + " ".join(algebra.element_names) + "\n")
+    numbers = [str(e) for e in range(algebra.size)]
+    arguments = {}
+    for letter in algebra.alphabet.letters:
+        texts = arguments.get(letter.arity)
+        if texts is None:
+            texts = arguments[letter.arity] = [
+                " ".join(("",) + args)
+                for args in itertools.product(numbers, repeat=letter.arity)
+            ]
+        head = f"op {letter.name}"
+        out += [
+            f"{head}{args} -> {value}\n"
+            for args, value in zip(texts, algebra.tables[letter.name])
+        ]
+    return out
+
+
+def read_or_refuse(load, text):
+    """``load(text)``, or the text of the ParseError that it raises."""
+    try:
+        return load(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def read_row_by_row(load, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli._Doc, "__init__", row_by_row_doc)
+        patch.setattr(cli, "_parse_ops", row_by_row_ops)
+        return read_or_refuse(load, text)
+
+
+# besides TOKENS, fields that `int` reads, though no save writes them
+OP_TOKENS = TOKENS | st.sampled_from(["+1", "1_0", "00", "-0", "\u0663", str(10**9 + 7)])
+
+
+@st.composite
+def op_row_edits(draw, text):
+    """The text with its `op` rows shuffled, then up to three of them dropped,
+    doubled, given one field drawn from OP_TOKENS, or given the letter of
+    another `op` row."""
+    lines = text.splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith("op ")]
+    rows = draw(st.permutations([lines[i] for i in at]))
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        how = draw(st.sampled_from(["drop", "double", "replace", "rename"]))
+        if how == "drop":
+            del rows[i]
+        elif how == "double":
+            rows.insert(i, rows[i])
+        else:
+            fields = rows[i].split()
+            if how == "rename":  # a letter that may take another number of arguments
+                fields[1] = draw(st.sampled_from(rows)).split()[1]
+            else:
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(OP_TOKENS)
+            rows[i] = " ".join(fields) + "\n"
+    lines[at[0] : at[-1] + 1] = rows
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("kind, load, examples", [
+    ("dbta", load_dbta, 150), ("matrix", load_matrix, 30),
+])
+def test_op_rows_read_as_the_row_by_row_reader_reads_them(kind, load, examples):
+    values, save, _ = FORMATS[kind]
+
+    @settings(max_examples=examples)
+    @given(values.flatmap(lambda value: op_row_edits(save(value))))
+    def check(text):
+        assert read_or_refuse(load, text) == read_row_by_row(load, text)
+
+    check()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("op g 1 -> 2\nop a 0\n", "line 5: element out of carrier range"),
+    ("op a 0\nop g 1 -> 2\n", "line 5: expected `op NAME e1 .. en -> e`"),
+])
+def test_the_earlier_of_two_faulty_op_rows_is_reported(rows, message):
+    # line 6's fault comes first among a row's checks in the first case
+    text = f"letter g 1\nletter a 0\ncarrier 2\nop g 0 -> 1\n{rows}accept 0\n"
+    assert read_or_refuse(load_dbta, text) == f"ParseError: {message}"
+    assert read_row_by_row(load_dbta, text) == f"ParseError: {message}"
+
+
+def identity_matrix(algebra):
+    """The width-1 matrix form whose tuple for each letter is that letter."""
+    def term(letter):
+        return Term(letter.arity, Tree(letter, tuple(map(Var, range(1, letter.arity + 1)))))
+
+    return MatrixHom(algebra, algebra.alphabet, 1, {
+        letter.name: (term(letter),) for letter in algebra.alphabet.letters
+    })
+
+
+LARGER = algebras(max_size=5, max_arity=3)
+SAVES = {
+    "dbta": (dbtas(False, LARGER) | dbtas(True, LARGER), save_dbta, lambda dbta: dbta),
+    "matrix": (matrix_homs(LARGER), save_matrix, lambda dbta: identity_matrix(dbta.algebra)),
+}
+
+
+@pytest.mark.parametrize("kind", SAVES)
+def test_saves_are_the_bytes_the_formatted_writer_wrote(kind):
+    values, save, from_corpus = SAVES[kind]
+
+    def assert_same_bytes(value):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_algebra_rows", formatted_algebra_rows)
+            expected = save(value)
+        assert save(value) == expected
+
+    settings(max_examples=25)(given(values)(assert_same_bytes))()
+    for _, dbta in CORPUS:
+        assert_same_bytes(from_corpus(dbta))

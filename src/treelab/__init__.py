@@ -66,7 +66,6 @@ from .transduce import (
     dtop_preimage,
     dtop_to_matrix_hom,
     dtop_word,
-    matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,
 )
@@ -76,7 +75,6 @@ from .cascade import (
     Layer,
     SemiPoly,
     annotate,
-    cascade_eval,
     cascade_flatten,
     ctl_compile,
     ctl_eval,

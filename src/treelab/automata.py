@@ -8,7 +8,8 @@ the entry for (e1,...,en) sits at index e1*m^(n-1) + ... + en.
 Constructions find values with one of two kernels: ``reach``, a semi-naive
 closure by generations, and ``_settle``, which settles least trees in Knuth
 order.  ``build`` is ``reach`` followed by a fill of the tables over the
-reached values; ``tabulate`` fills them over a whole carrier.
+reached values, which it returns as a DBTA; ``tabulate`` fills them over a
+whole carrier.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, CapExceededError
-from .trees import Letter, RankedAlphabet, Step, Term, Tree, Var, fold, require_letters
+from .trees import Letter, RankedAlphabet, Term, Tree, Var, preorder, require_letters
 
 # Default bound on the carriers and state sets that constructions build.
 DEFAULT_CARRIER_CAP = 4096
@@ -85,21 +86,35 @@ def _require_same_alphabet(a: RankedAlphabet, b: RankedAlphabet) -> None:
 
 
 def evaluate(algebra: FiniteAlgebra, tree: Tree | list[Letter]) -> int:
-    """The value of a tree or its preorder word: a fold (see ``trees.fold``)
-    whose step for a letter is one lookup in its table, the common arities 1
-    and 2 indexing it without a loop."""
-    size = algebra.size
-
-    def compile(letter: Letter) -> Step:
+    """The value of a tree or its preorder word: one pass over the reversed
+    word with one stack of values (see ``trees.preorder``), so depth is
+    unbounded.  Each letter's step, one lookup in its table, is made once per
+    call: a constant's value is made once and shared, and the common arities
+    1 and 2 index the table without a loop.  A label not in the algebra's
+    alphabet raises AlphabetMismatchError for the first such label in the
+    word."""
+    size, steps = algebra.size, {}
+    for letter in algebra.alphabet.letters:
         table = algebra.tables[letter.name]
-        if letter.arity == 1:
-            return lambda pop: table[pop()]
-        if letter.arity == 2:
-            return lambda pop: table[pop() * size + pop()]  # the first child's value first
-        weights = [size**i for i in range(letter.arity - 1, -1, -1)]  # the first child's first
-        return lambda pop: table[sum([pop() * weight for weight in weights])]
-
-    return fold(tree, algebra.alphabet, "letter {} not in the algebra's alphabet", compile)
+        if not letter.arity:
+            step = lambda pop, value=table[0]: value
+        elif letter.arity == 1:
+            step = lambda pop, table=table: table[pop()]
+        elif letter.arity == 2:  # the first child's value first
+            step = lambda pop, table=table: table[pop() * size + pop()]
+        else:
+            weights = [size**i for i in range(letter.arity - 1, -1, -1)]  # the first child's first
+            step = lambda pop, table=table, ws=weights: table[sum([pop() * w for w in ws])]
+        steps[letter.name] = (letter, step)
+    word = [node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree
+    stack: list[int] = []  # a node's first child's value on top
+    pop, push = stack.pop, stack.append
+    for label in reversed(word):
+        letter, step = steps.get(label.name, (None, None))
+        if letter is not label and letter != label:
+            require_letters(word, algebra.alphabet, "letter {} not in the algebra's alphabet")
+        push(step(pop))
+    return stack[0]
 
 
 def corpus_values(
@@ -302,9 +317,11 @@ def build(
     step: Callable[[str, tuple], Hashable],
     cap: int,
     what: str,
+    accept: Callable[[Hashable], bool],
     name: Callable[[Hashable], str] | None = None,
-) -> tuple[tuple, FiniteAlgebra]:
-    """The values that trees reach under ``step``, and the algebra they form.
+) -> tuple[tuple, Dbta]:
+    """The values that trees reach under ``step``, and the DBTA they form,
+    accepting the values that meet ``accept``.
 
     ``reach`` steps each argument tuple over the reached values once; the
     results fill the tables.  Elements are numbered in the sorted order of
@@ -312,7 +329,7 @@ def build(
     lists the values in that order.  ``name`` gives element names for display.
     Reaching more than ``cap`` values raises CapExceededError("<what> exceeds
     <cap>").  Over an alphabet without constants no tree exists: the result
-    is no values and a one-element dead algebra.
+    is no values and a one-element dead algebra that accepts nothing.
     """
     results: dict[str, dict[tuple, Hashable]] = {letter.name: {} for letter in alphabet.letters}
 
@@ -324,7 +341,8 @@ def build(
     if closure.capped:
         raise CapExceededError(f"{what} exceeds {cap}", what, len(closure.values), cap)
     if not closure.values:
-        return (), FiniteAlgebra(alphabet, 1, {letter.name: (0,) for letter in alphabet.letters})
+        dead = FiniteAlgebra(alphabet, 1, {letter.name: (0,) for letter in alphabet.letters})
+        return (), Dbta(dead, frozenset())
     values = tuple(sorted(closure.values))
     index = {value: i for i, value in enumerate(values)}
     tables = {}
@@ -332,7 +350,8 @@ def build(
         rows = map(results[letter.name].__getitem__, itertools.product(values, repeat=letter.arity))
         tables[letter.name] = tuple(map(index.__getitem__, rows))
     names = None if name is None else tuple(map(name, values))
-    return values, FiniteAlgebra(alphabet, len(values), tables, names)
+    accepting = frozenset(i for i, value in enumerate(values) if accept(value))
+    return values, Dbta(FiniteAlgebra(alphabet, len(values), tables, names), accepting)
 
 
 def _settle(
@@ -420,17 +439,11 @@ def is_empty(dbta: Dbta) -> Tree | None:
     return _settle(dbta.alphabet, dbta.algebra.op, dbta.accepting.__contains__)[0]
 
 
-def product_witness(d1: Dbta, d2: Dbta, accept: Callable[[bool, bool], bool]) -> Tree | None:
-    """The least tree t with accept(t in L(d1), t in L(d2)), or None.
-
-    Least means fewest nodes, then least rendering (see ``_settle``).  Pairs
-    (x, y) are stepped through both tables directly and explored only as far
-    as they are reached; no product table is built.
-    """
-    _require_same_alphabet(d1.alphabet, d2.alphabet)
-    tables1, tables2 = d1.algebra.tables, d2.algebra.tables
-    n1, n2 = d1.algebra.size, d2.algebra.size
-    acc1, acc2 = d1.accepting, d2.accepting
+def _pair_step(a: FiniteAlgebra, b: FiniteAlgebra) -> Callable[[str, tuple], tuple[int, int]]:
+    """A letter's step on pairs (x, y) of values of ``a`` and ``b``: the pair
+    of its values in both, each table indexed directly; no product table is
+    built."""
+    tables1, tables2, n1, n2 = a.tables, b.tables, a.size, b.size
 
     def step(name: str, args: tuple) -> tuple[int, int]:
         i = j = 0
@@ -439,6 +452,19 @@ def product_witness(d1: Dbta, d2: Dbta, accept: Callable[[bool, bool], bool]) ->
             j = j * n2 + y
         return (tables1[name][i], tables2[name][j])
 
+    return step
+
+
+def product_witness(d1: Dbta, d2: Dbta, accept: Callable[[bool, bool], bool]) -> Tree | None:
+    """The least tree t with accept(t in L(d1), t in L(d2)), or None.
+
+    Least means fewest nodes, then least rendering (see ``_settle``).  Pairs
+    (x, y) are stepped by ``_pair_step`` and explored only as far as they are
+    reached.
+    """
+    _require_same_alphabet(d1.alphabet, d2.alphabet)
+    acc1, acc2 = d1.accepting, d2.accepting
+    step = _pair_step(d1.algebra, d2.algebra)
     return _settle(d1.alphabet, step, lambda pair: accept(pair[0] in acc1, pair[1] in acc2))[0]
 
 
@@ -478,11 +504,11 @@ def reachable(dbta: Dbta) -> ReachableResult:
     algebra = dbta.algebra
     name = None if algebra.element_names is None else algebra.element_names.__getitem__
     elements, restricted = build(
-        algebra.alphabet, algebra.op, algebra.size, "reachable carrier", name
+        algebra.alphabet, algebra.op, algebra.size, "reachable carrier",
+        dbta.accepting.__contains__, name,
     )
     old_to_new = {old: new for new, old in enumerate(elements)}
-    accepting = frozenset(old_to_new[e] for e in dbta.accepting if e in old_to_new)
-    return ReachableResult(frozenset(elements), Dbta(restricted, accepting), old_to_new)
+    return ReachableResult(frozenset(elements), restricted, old_to_new)
 
 
 def eval_term_in_algebra(algebra: FiniteAlgebra, term: Term, env: Sequence[int]) -> int:

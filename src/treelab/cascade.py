@@ -33,9 +33,7 @@ from typing import Mapping, Sequence, Union
 
 from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, corpus_values, tabulate
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
-from .trees import (
-    _NAME_CHARS, Letter, RankedAlphabet, Step, Tree, children_first, fold, require_letters, tree_at,
-)
+from .trees import _NAME_CHARS, Letter, RankedAlphabet, Tree, children_first, require_letters, tree_at
 
 DEFAULT_WIDTH_CAP = 16
 
@@ -112,9 +110,8 @@ def nest(
         bits = tuple(int(inner[i] in lang.accepting) for i, lang in enumerate(langs))
         return (*inner, top.algebra.op(ann_name(name, bits), [arg[-1] for arg in args]))
 
-    values, algebra = build(base, step, max_carrier, "nesting carrier")
-    accepting = frozenset(i for i, value in enumerate(values) if value[-1] in top.accepting)
-    return Dbta(algebra, accepting)
+    accept = lambda value: value[-1] in top.accepting
+    return build(base, step, max_carrier, "nesting carrier", accept)[1]
 
 
 # --- wreath product as sequential composition ---------------------------------
@@ -299,19 +296,6 @@ def _cascade_step(
     return tuple(bits)
 
 
-def cascade_eval(cascade: Cascade, tree: Tree) -> tuple[int, ...]:
-    """All layer bits at the root, concatenated in layer order: a fold (see
-    ``trees.fold``) by ``_cascade_step``, which ``cascade_flatten`` steps by
-    too."""
-
-    def compile(letter: Letter) -> Step:
-        name, arity = letter.name, range(letter.arity)
-        return lambda pop: _cascade_step(cascade, name, [pop() for _ in arity])
-
-    message = "letter {} not in the cascade alphabet"
-    return fold(tree, cascade.base_alphabet, message, compile)
-
-
 def cascade_flatten(cascade: Cascade, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
     """One DBTA over the base alphabet whose value is the root bit vector.
 
@@ -319,15 +303,15 @@ def cascade_flatten(cascade: Cascade, max_carrier: int = DEFAULT_CARRIER_CAP) ->
     closed under the step function), so the carrier stays small; acceptance
     reads the designated output bit.
     """
-    values, algebra = build(
+    flat = cascade.output_flat()
+    return build(
         cascade.base_alphabet,
         functools.partial(_cascade_step, cascade),
         max_carrier,
         "cascade carrier",
+        lambda value: value[flat] == 1,
         lambda value: "".join(map(str, value)),
-    )
-    flat = cascade.output_flat()
-    return Dbta(algebra, frozenset(i for i, value in enumerate(values) if value[flat] == 1))
+    )[1]
 
 
 # --- CTL ------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .automata import (
     DEFAULT_CARRIER_CAP,
     Dbta,
     FiniteAlgebra,
+    _pair_step,
     build,
     complement,
     product_witness,
@@ -195,12 +196,10 @@ def dtta_to_dbta(dtta: Dtta, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
             )
         return value
 
-    values, algebra = build(
-        dtta.alphabet, step, max_carrier, "subset carrier",
+    return build(
+        dtta.alphabet, step, max_carrier, "subset carrier", lambda subset: dtta.initial in subset,
         lambda subset: "{" + ",".join(map(str, subset)) + "}",
-    )
-    accepting = frozenset(i for i, subset in enumerate(values) if dtta.initial in subset)
-    return Dbta(algebra, accepting)
+    )[1]
 
 
 def mixes(dbta: Dbta, max_states: int = DEFAULT_CARRIER_CAP) -> Dbta:
@@ -262,10 +261,6 @@ def mix_elements(
     """mix_A(B): reachable elements whose some witness tree is a path mix of
     trees with values in B."""
     closure = mixes(Dbta(algebra, frozenset(elements)), max_states)
-    other = closure.algebra
-
-    def step(name: str, args: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-        return (algebra.op(name, [x for x, _ in args]), other.op(name, [y for _, y in args]))
-
-    pairs = reach(algebra.alphabet, step, algebra.size * other.size).values
+    step = _pair_step(algebra, closure.algebra)
+    pairs = reach(algebra.alphabet, step, algebra.size * closure.algebra.size).values
     return frozenset(e for e, s in pairs if s in closure.accepting)

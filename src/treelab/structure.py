@@ -308,7 +308,9 @@ def strongly_abelian_check(
     IncompatiblePartitionError when the partition is not a congruence.  Per
     arity, ``reach`` generates the bounded polynomials in the order of
     ``generate_polynomials`` only up to the first table with a violation, and
-    reports its first (left, then right, then tail, lexicographically)."""
+    reports its first (left, then right, then tail, lexicographically).  More
+    than ``max_functions`` tables of one arity before a violation raise
+    CapExceededError: the depth bound was not reached."""
     if arity_bound < 1 or depth_bound < 1:
         raise ValueError("bounds must be >= 1")
     if not is_compatible(algebra, congruence):
@@ -334,8 +336,13 @@ def strongly_abelian_check(
                             return True
             return False
 
-        if _polynomials(algebra, arity, max_functions, depth_bound, violated).hit is not None:
+        closure = _polynomials(algebra, arity, max_functions, depth_bound, violated)
+        if closure.hit is not None:
             return AbelianVerdict(violations[0], arity_bound, depth_bound)
+        if len(closure.values) > max_functions:
+            stage, reached = f"arity-{arity} polynomial generation", len(closure.values)
+            message = f"{stage} hit its cap: {reached} tables, cap {max_functions}"
+            raise CapExceededError(message, stage, reached, max_functions)
     return AbelianVerdict(None, arity_bound, depth_bound)
 
 

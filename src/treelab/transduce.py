@@ -9,7 +9,7 @@ A tree homomorphism, a letter-to-term substitution, is a one-state DTOP:
 ``Dtop(source, target, 1, 1, {(name, 1): term})``, where (1, j) is x_j.
 ``dtop_word`` runs a DTOP top-down over a tree's preorder word and writes
 the output's word, running only the states asked for; ``dtop_apply`` builds
-the tree of that word.  ``matrix_hom_eval`` is a fold (see ``trees.fold``).
+the tree of that word.
 
 Matrix powers are never materialized as operation sets; a MatrixHom is the
 finite presentation (one tuple of polynomials per letter) of a homomorphism
@@ -18,15 +18,15 @@ term over ``automata.with_constants(base)``: the base letters plus a constant
 ``@e`` for each element e.  So it is an ordinary ``Term``, evaluated by
 ``eval_term_in_algebra``, and a DTOP rule over that alphabet is one verbatim.
 
-Preimages are flattens: ``_flatten`` serves ``matrix_power_language`` and
-``dtop_preimage``.
+Preimages are flattens: ``matrix_power_language`` and ``dtop_preimage`` each
+``build`` the tuples that trees reach under ``_tuple_step``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .automata import (
     DEFAULT_CARRIER_CAP,
@@ -40,13 +40,11 @@ from .errors import AlphabetMismatchError, CapExceededError
 from .trees import (
     Letter,
     RankedAlphabet,
-    Step,
     Term,
     Tree,
     Var,
     VarLetter,
     children_first,
-    fold,
     preorder,
     require_letters,
     tree_of,
@@ -217,18 +215,6 @@ def _state_tuples(dtop: Dtop) -> dict[str, tuple[Term, ...]]:
     return {x.name: tuple(dtop.rules[x.name, q] for q in states) for x in dtop.input_alphabet.letters}
 
 
-def _flatten(
-    alphabet: RankedAlphabet, algebra: FiniteAlgebra, tuples: Mapping[str, tuple[Term, ...]],
-    accept: Callable[[tuple[int, ...]], bool], max_carrier: int, stage: str,
-) -> Dbta:
-    """The DBTA of the tuples that trees reach under ``_tuple_step``, numbered
-    in their lexicographic order (the order of the full power of ``algebra``,
-    restricted); the cap bounds that reached carrier."""
-    step = functools.partial(_tuple_step, algebra, tuples)
-    values, flat = build(alphabet, step, max_carrier, stage)
-    return Dbta(flat, frozenset(i for i, value in enumerate(values) if accept(value)))
-
-
 def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
     """DBTA for the inverse image of a recognized language under a DTOP.
 
@@ -241,10 +227,9 @@ def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP
     if dtop.output_alphabet != dbta.alphabet:
         raise AlphabetMismatchError("automaton must read the transducer's output alphabet")
     initial, accepting = dtop.initial - 1, dbta.accepting
-    return _flatten(
-        dtop.input_alphabet, dbta.algebra, _state_tuples(dtop),
-        lambda m: m[initial] in accepting, max_carrier, "preimage carrier",
-    )
+    step = functools.partial(_tuple_step, dbta.algebra, _state_tuples(dtop))
+    accept = lambda m: m[initial] in accepting
+    return build(dtop.input_alphabet, step, max_carrier, "preimage carrier", accept)[1]
 
 
 # --- matrix homomorphisms ------------------------------------------------------
@@ -289,17 +274,6 @@ class MatrixHom:
                 )
 
 
-def matrix_hom_eval(mh: MatrixHom, tree: Tree) -> tuple[int, ...]:
-    """Bottom-up tuple semantics: a fold (see ``trees.fold``) by
-    ``_tuple_step``, which ``matrix_power_language`` steps by too."""
-
-    def compile(letter: Letter) -> Step:
-        name, arity = letter.name, range(letter.arity)
-        return lambda pop: _tuple_step(mh.extended, mh.tuples, name, [pop() for _ in arity])
-
-    return fold(tree, mh.alphabet, "letter {} not in the input alphabet", compile)
-
-
 def dtop_to_matrix_hom(dtop: Dtop, base: FiniteAlgebra) -> MatrixHom:
     """Second proof direction: a DTOP composed with an evaluation makes a
     matrix-power homomorphism; coordinate i is the state-i output evaluated,
@@ -330,12 +304,14 @@ def matrix_power_language(
     mh: MatrixHom, accepting: frozenset[tuple[int, ...]] | set[tuple[int, ...]],
     max_carrier: int = DEFAULT_CARRIER_CAP,
 ) -> Dbta:
-    """Flatten the matrix-power homomorphism into an ordinary DBTA (see
-    ``_flatten``).  An accepting tuple must lie in the width-th power of the
-    base; one that no tree reaches accepts nothing.
+    """Flatten the matrix-power homomorphism into an ordinary DBTA: the
+    tuples that trees reach under ``_tuple_step``, numbered in their
+    lexicographic order (the order of the full power of the base, restricted);
+    the cap bounds that reached carrier.  An accepting tuple must lie in the
+    width-th power of the base; one that no tree reaches accepts nothing.
     """
     for t in accepting:
         if len(t) != mh.width or any(not 0 <= e < mh.base.size for e in t):
             raise ValueError(f"accepting tuple {t} outside the base's width-{mh.width} power")
-    accept = accepting.__contains__
-    return _flatten(mh.alphabet, mh.extended, mh.tuples, accept, max_carrier, "flattened carrier")
+    step = functools.partial(_tuple_step, mh.extended, mh.tuples)
+    return build(mh.alphabet, step, max_carrier, "flattened carrier", accepting.__contains__)[1]

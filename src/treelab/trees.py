@@ -13,10 +13,9 @@ leaf, so every walk over trees (``preorder``, ``==``, ``hash``, ``repr``,
 A tree's preorder word, its labels in ``preorder`` (a ``Var``'s label is
 its ``VarLetter``), spells the tree.  ``parse_word`` reads it from a text
 without building the tree, ``tree_of`` builds the tree from it, and
-``render_tree`` writes either.  ``fold``, the one homomorphism out of the
-trees (per-letter steps made once per call, one stack of values), takes a
-tree or its word; ``automata.evaluate``, ``transduce.matrix_hom_eval`` and
-``cascade.cascade_eval`` run through it.  ``transduce.dtop_word`` writes a
+``render_tree`` writes either.  ``automata.evaluate``, the one fold of a
+tree into an algebra (per-letter steps made once per call, one stack of
+values), takes a tree or its word; ``transduce.dtop_word`` writes a
 transduction's word top-down instead.
 
 A node list, letters children first with each one's child positions, is the
@@ -30,7 +29,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
 
@@ -153,9 +152,9 @@ def preorder(tree: Tree) -> list[Tree]:
 
     Read reversed, the list is a postorder: every node comes after all of its
     descendants, with its children's subtrees from right to left.  A fold
-    that pushes each node's value on a stack in that order finds a node's
-    first child's value on top when it reaches the node, then the second's
-    below it, and so on.
+    (such as ``automata.evaluate``) that pushes each node's value on a stack
+    in that order finds a node's first child's value on top when it reaches
+    the node, then the second's below it, and so on.
     """
     out: list[Tree] = []
     stack = [tree]
@@ -165,40 +164,6 @@ def preorder(tree: Tree) -> list[Tree]:
         if node.children:
             stack += node.children[::-1]
     return out
-
-
-Step = Callable[[Callable[[], object]], object]  # pops its children's values, returns its own
-_NO_STEP = (None, None)
-
-
-def fold(
-    tree: Tree | list[Letter],
-    alphabet: RankedAlphabet,
-    message: str,
-    compile: Callable[[Letter], Step],
-):
-    """The value of a tree or its preorder word under the step
-    ``compile(letter)`` of each letter of ``alphabet``, made once per call (a
-    constant's value too): one pass over the reversed word with one stack of
-    values, so depth is unbounded.  A step is called with the stack's ``pop``
-    and pops its node's children's values, the first child's first.  A label
-    not in ``alphabet`` raises AlphabetMismatchError (``message.format(name)``)
-    for the first such label in the word."""
-    steps = {}
-    for letter in alphabet.letters:
-        step = compile(letter)
-        if not letter.arity:  # a constant's value is made once, and shared
-            step = lambda pop, value=step(None): value
-        steps[letter.name] = (letter, step)
-    word = [node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree
-    stack: list = []  # a node's first child's value on top
-    pop, push = stack.pop, stack.append
-    for label in reversed(word):
-        letter, step = steps.get(label.name, _NO_STEP)
-        if letter is not label and letter != label:
-            require_letters(word, alphabet, message)
-        push(step(pop))
-    return stack[0]
 
 
 def require_letters(
@@ -497,7 +462,8 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
 
 def parse_word(text: str, alphabet: RankedAlphabet) -> list[Letter]:
     """The preorder word of what ``parse_tree`` reads, with its checks and
-    ParseErrors, without building the tree: ``fold`` takes it for the tree."""
+    ParseErrors, without building the tree: ``automata.evaluate`` takes it for
+    the tree."""
     return _read(text, alphabet._by_name)
 
 
@@ -571,7 +537,7 @@ def tree_corpus(alphabet: RankedAlphabet, max_nodes: int) -> NodeList:
 
     Order: by node count, then root letter in alphabet order, then child size
     composition (lexicographic), then recursively the same order per child.
-    A fold over the list computes each distinct subtree once.
+    ``automata.corpus_values`` folds the list, each distinct subtree once.
 
     The trees are counted per size before any is listed; more than
     ``MAX_TREE_CORPUS`` raises CapExceededError (stage ``tree corpus``).

@@ -15,6 +15,7 @@ from treelab.automata import (
     accepts,
     are_equivalent,
     complement,
+    eval_term_in_algebra,
     evaluate,
     subset_counterexample,
 )
@@ -24,6 +25,7 @@ from treelab.cascade import (
     Lbl,
     Not,
     Or,
+    _cascade_step,
     annotate,
     annotated_alphabet,
     cascade_flatten,
@@ -34,6 +36,7 @@ from treelab.cascade import (
     sequential_compose,
     value_annotated_alphabet,
 )
+from treelab.errors import AlphabetMismatchError
 from treelab.fixtures import (
     ALG_LATTICE,
     ALG_POTT,
@@ -78,7 +81,6 @@ from treelab.transduce import (
     dtop_apply,
     dtop_preimage,
     dtop_to_matrix_hom,
-    matrix_hom_eval,
     matrix_hom_to_dtops,
 )
 from treelab.trees import (
@@ -122,6 +124,24 @@ def value_annotate(tree, h):
         return Tree(label, tuple(kid[0] for kid in kids)), value
 
     return go(tree)[0]
+
+
+def cascade_eval(cascade, tree):
+    """All layer bits at the root of a tree, concatenated in layer order: the
+    recursive reference for what ``cascade_flatten`` builds."""
+    if tree.label not in cascade.base_alphabet:
+        raise AlphabetMismatchError(f"letter {tree.label.name} not in the cascade alphabet")
+    child_bits = [cascade_eval(cascade, child) for child in tree.children]
+    return _cascade_step(cascade, tree.label.name, child_bits)
+
+
+def matrix_hom_eval(mh, tree):
+    """The tuple of a tree in the matrix power, each child's tuple laid out
+    flat: the recursive reference for what ``matrix_power_language`` builds."""
+    if tree.label not in mh.alphabet:
+        raise AlphabetMismatchError(f"letter {tree.label.name} not in the input alphabet")
+    flat = tuple(v for child in tree.children for v in matrix_hom_eval(mh, child))
+    return tuple(eval_term_in_algebra(mh.extended, t, flat) for t in mh.tuples[tree.label.name])
 
 
 def is_direction_sensitive(formula) -> bool:

@@ -28,7 +28,7 @@ from treelab.errors import CapExceededError
 from treelab.fixtures import ALG_POTT, L_POTT
 from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, path_nfa
-from treelab.structure import all_congruences, lattice_divides
+from treelab.structure import Congruence, all_congruences, lattice_divides, strongly_abelian_check
 from treelab.syntactic import divides
 from treelab.transduce import (
     Dtop,
@@ -197,20 +197,22 @@ def test_build_cap_and_dead_algebra():
     algebra = random_algebra(random.Random(1), FGAB, 4)
     reached = len(reachable_elements(algebra))
     assert reached > 1
-    values, built = build(FGAB, algebra.op, reached, "test carrier")
-    assert values == tuple(range(reached)) and built == algebra
+    odd = lambda value: value % 2 == 1
+    values, built = build(FGAB, algebra.op, reached, "test carrier", odd)
+    assert values == tuple(range(reached)) and built.algebra == algebra
+    assert built.accepting == frozenset(range(1, reached, 2))
     with pytest.raises(CapExceededError, match=f"^test carrier exceeds {reached - 1}$"):
-        build(FGAB, algebra.op, reached - 1, "test carrier")
-    values, algebra = build(FG, lambda name, args: 0, 1, "test carrier")
-    assert values == () and algebra.size == 1
+        build(FGAB, algebra.op, reached - 1, "test carrier", odd)
+    values, dead = build(FG, lambda name, args: 0, 1, "test carrier", lambda value: True)
+    assert values == () and dead.algebra.size == 1 and dead.accepting == frozenset()
 
 
 def test_cap_errors_name_stage_reached_and_cap():
-    # the fields beside an unchanged message, at seven of the eight raise sites
+    # the fields beside an unchanged message, at eight of the nine raise sites
     algebra = random_algebra(random.Random(1), FGAB, 4)
     reached = len(reachable_elements(algebra))
     with pytest.raises(CapExceededError) as caught:
-        build(FGAB, algebra.op, reached - 1, "test carrier")
+        build(FGAB, algebra.op, reached - 1, "test carrier", bool)
     error = caught.value
     assert str(error) == f"test carrier exceeds {reached - 1}"
     assert (error.stage, error.reached, error.cap) == ("test carrier", reached, reached - 1)
@@ -235,6 +237,14 @@ def test_cap_errors_name_stage_reached_and_cap():
     error = caught.value
     assert str(error) == "binary polynomial generation hit its cap"
     assert (error.stage, error.reached, error.cap) == ("binary polynomial generation", 6, 5)
+    # the binary polynomials of depth <= 3 are 27 tables, which a cap of 27 admits
+    identity = Congruence.identity(3)
+    assert strongly_abelian_check(ALG_POTT, identity, 2, 3, 27).passed_bounded
+    with pytest.raises(CapExceededError) as caught:
+        strongly_abelian_check(ALG_POTT, identity, 2, 3, 26)
+    error = caught.value
+    assert str(error) == "arity-2 polynomial generation hit its cap: 27 tables, cap 26"
+    assert (error.stage, error.reached, error.cap) == ("arity-2 polynomial generation", 27, 26)
     constants = RankedAlphabet.of(("a", 0))
     big, other = (FiniteAlgebra(constants, size, {"a": (0,)}) for size in (80, 60))
     with pytest.raises(CapExceededError) as caught:

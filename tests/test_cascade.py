@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import is_direction_sensitive, value_annotate
+from test_acceptance import cascade_eval, is_direction_sensitive, value_annotate
 
 from treelab.automata import Dbta, FiniteAlgebra, accepts, are_equivalent, evaluate
 from treelab.cascade import (
@@ -21,7 +21,6 @@ from treelab.cascade import (
     ann_name,
     annotate,
     annotated_alphabet,
-    cascade_eval,
     cascade_flatten,
     ctl_compile,
     ctl_eval,

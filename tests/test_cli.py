@@ -8,6 +8,7 @@ import time
 
 import pytest
 from test_acceptance import budget
+from test_automata import random_algebra
 from test_cascade import KEYWORD_NAMES
 from test_folds import UNCALLED_STATE, UNCALLED_STATE_INPUT
 
@@ -1011,6 +1012,19 @@ def test_strongly_abelian_check_stops_at_its_first_violation(capsys, tmp_path):
             capsys, "structure", "strongly-abelian", "--depth-bound", "4", "--lang", str(path)
         )
     assert (code, out, err) == (0, "violated arity 2 left 0,0 right 1,1 tail 0\n", "")
+
+
+def test_strongly_abelian_check_that_hits_its_table_cap_exits_3(capsys, tmp_path):
+    # the depth-3 binary polynomials number 234,374; generation stops at
+    # 20,001 of them with no violation found, so depth 3 was never reached
+    alphabet = RankedAlphabet.of(("f", 2), ("g", 1), ("a", 0))
+    path = tmp_path / "capped.dbta"
+    path.write_text(save_dbta(Dbta(random_algebra(random.Random(0), alphabet, 4), frozenset())))
+    code, out, err = run(
+        capsys, "structure", "strongly-abelian", "--congruence", "identity", "--lang", str(path)
+    )
+    message = "arity-2 polynomial generation hit its cap: 20001 tables, cap 20000"
+    assert (code, out, err) == (3, "", f"cap exceeded: {message}\n")
 
 
 def test_lattice_divides_with_polynomials_answers_in_seconds(capsys):

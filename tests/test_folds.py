@@ -4,13 +4,15 @@ recursion, a check that no function of the tree, automaton, transducer,
 path, oracle, structure, CLI or cascade modules calls itself, and one that no
 library or test module imports a name it never reads.
 
-The folds run through ``trees.fold``: one stack of values over the reversed
-``preorder(tree)``, with per-letter steps.  The ``recursive_*`` functions
-below are recursive forms of the same folds, kept as references: on random
-trees both must give equal results, and with letters outside the alphabet
-both must raise the same error.  ``dtop_apply`` is no fold: it builds the
-tree of the word that ``dtop_word`` writes top-down, and is held to its
-recursive form all the same.
+``automata.evaluate`` is the one fold of a tree: one stack of values over the
+reversed ``preorder(tree)``, with per-letter steps.  The ``recursive_*``
+functions below are recursive forms of the folds, kept as references: on
+random trees both must give equal results, and with letters outside the
+alphabet both must raise the same error.  ``dtop_apply`` is no fold: it
+builds the tree of the word that ``dtop_word`` writes top-down, and is held
+to its recursive form all the same.  The cascade and matrix-power semantics
+keep their one recursive reference each in ``test_acceptance``; deep trees
+reach them through ``cascade_flatten`` and ``matrix_power_language``.
 """
 
 import ast
@@ -36,16 +38,13 @@ from treelab.automata import (
     evaluate,
 )
 from treelab.cascade import (
-    _cascade_step,
     ann_name,
     annotate,
-    cascade_eval,
     cascade_flatten,
     ctl_compile,
     ctl_eval,
     ctl_parse,
     random_formula,
-    random_formula_corpus,
 )
 from treelab.errors import AlphabetMismatchError
 from treelab.fixtures import SIG_LINE, SIG_POTT_K
@@ -54,9 +53,8 @@ from treelab.transduce import (
     Dtop,
     MatrixHom,
     dtop_apply,
-    dtop_to_matrix_hom,
     dtop_word,
-    matrix_hom_eval,
+    matrix_power_language,
 )
 from treelab.trees import (
     Letter,
@@ -115,20 +113,6 @@ def recursive_render_tree(tree):
     if not tree.children:
         return tree.label.name
     return f"{tree.label.name}({','.join(recursive_render_tree(c) for c in tree.children)})"
-
-
-def recursive_cascade_eval(cascade, tree):
-    if tree.label not in cascade.base_alphabet:
-        raise AlphabetMismatchError(f"letter {tree.label.name} not in the cascade alphabet")
-    child_bits = [recursive_cascade_eval(cascade, child) for child in tree.children]
-    return _cascade_step(cascade, tree.label.name, child_bits)
-
-
-def recursive_matrix_hom_eval(mh, tree):
-    if tree.label not in mh.alphabet:
-        raise AlphabetMismatchError(f"letter {tree.label.name} not in the input alphabet")
-    flat = tuple(v for child in tree.children for v in recursive_matrix_hom_eval(mh, child))
-    return tuple(eval_term_in_algebra(mh.extended, t, flat) for t in mh.tuples[tree.label.name])
 
 
 def recursive_annotate(langs, tree):
@@ -249,14 +233,11 @@ def outcome(fn, *args):
 def test_folds_match_recursive_forms():
     rng = random.Random(23)
     more = random.Random(29)  # draws the models added later, leaving rng's stream as it was
-    cascades = [ctl_compile(formula, FGAB) for formula, _ in random_formula_corpus(23, FGAB, 10)]
     for trial in range(60):
         tree = random_tree(rng, FGAB, rng.randint(1, 200))
         algebra = random_algebra(rng, FGAB, rng.randint(1, 6))
         dtops = [random_dtop(rng, 1), random_dtop(rng, 2)]
         hom = random_hom(rng)
-        cascade = cascades[trial % len(cascades)]
-        matrix = dtop_to_matrix_hom(dtops[1], algebra)
         langs = []  # zero, one or two annotation languages
         for _ in range(trial % 3):
             size = more.randint(1, 4)
@@ -269,8 +250,6 @@ def test_folds_match_recursive_forms():
                 (dtop_apply, recursive_dtop_apply, dtops[0]),
                 (dtop_apply, recursive_dtop_apply, dtops[1]),
                 (dtop_apply, recursive_dtop_apply, hom),
-                (cascade_eval, recursive_cascade_eval, cascade),
-                (matrix_hom_eval, recursive_matrix_hom_eval, matrix),
                 (lambda ls, t: annotate(t, ls), recursive_annotate, langs),
             ]
             for fold, reference, model in pairs:
@@ -313,10 +292,6 @@ VARIABLE_LEAF_FOLDS = {
         ALGEBRA,
         "the algebra's alphabet",
     ),
-    "cascade_eval": (
-        cascade_eval, ctl_compile(ctl_parse("lbl(a)", FGAB), FGAB), "the cascade alphabet"
-    ),
-    "matrix_hom_eval": (matrix_hom_eval, dtop_to_matrix_hom(DTOP, ALGEBRA), "the input alphabet"),
 }
 
 
@@ -618,17 +593,17 @@ def test_deep_tree_folds(spine):
         "a": (Term(0, Tree(A)),),
         "b": (Term(0, Tree(B)),),
     })
-    assert matrix_hom_eval(mh, spine) == (values[-1],)
+    assert accepts(matrix_power_language(mh, {(values[-1],)}), spine)
     lang = Dbta(base, frozenset({0, 2}))
     bits = [int(value in lang.accepting) for value in values]
     assert render_tree(annotate(spine, [lang])) == "".join(
         f"g|{bits[k]}(" for k in range(DEPTH, 0, -1)
     ) + f"a|{bits[0]}" + ")" * DEPTH
-    cascade = ctl_compile(ctl_parse("DU[g.1 ; a]", FGAB), FGAB)
-    flat = cascade_flatten(cascade)
-    bits = cascade_eval(cascade, spine)
-    assert "".join(map(str, bits)) == flat.algebra.name_of(evaluate(flat.algebra, spine))
-    assert bits[cascade.output_flat()] == 1
+    flat = cascade_flatten(ctl_compile(ctl_parse("DU[g.1 ; a]", FGAB), FGAB))
+    state = flat.algebra.tables["a"][0]
+    for _ in range(DEPTH):
+        state = flat.algebra.tables["g"][state]
+    assert evaluate(flat.algebra, spine) == state and accepts(flat, spine)
 
 
 def test_deep_tree_ctl_eval(spine):

@@ -221,12 +221,10 @@ def scan_dtta_to_dbta(dtta):
             if all(successor in arg for successor, arg in zip(dtta.delta[(state, name)], args))
         )
 
-    values, algebra = build(
-        dtta.alphabet, step, 10**6, "subset carrier",
+    return build(
+        dtta.alphabet, step, 10**6, "subset carrier", lambda subset: dtta.initial in subset,
         lambda subset: "{" + ",".join(map(str, subset)) + "}",
-    )
-    accepting = frozenset(i for i, subset in enumerate(values) if dtta.initial in subset)
-    return Dbta(algebra, accepting)
+    )[1]
 
 
 @st.composite

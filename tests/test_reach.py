@@ -216,7 +216,7 @@ def test_build_steps_each_tuple_once():
             stepped[name, args] += 1
             return algebra.op(name, args)
 
-        values, _ = build(algebra.alphabet, counting, algebra.size, "test carrier")
+        values, _ = build(algebra.alphabet, counting, algebra.size, "test carrier", bool)
         assert set(stepped.values()) <= {1}
         assert set(stepped) == {
             (letter.name, args)
@@ -237,6 +237,6 @@ def test_reach_edge_cases():
     no_constants = RankedAlphabet.of(("f", 2), ("g", 1))
     closure = reach(no_constants, lambda name, args: 0, 1)
     assert closure.values == () and closure.rounds == 0 and not closure.capped
-    values, dead = build(no_constants, lambda name, args: 0, 1, "test carrier")
-    assert values == () and dead.size == 1
-    assert dead.tables == {"f": (0,), "g": (0,)}
+    values, dead = build(no_constants, lambda name, args: 0, 1, "test carrier", bool)
+    assert values == () and dead.algebra.size == 1
+    assert dead.algebra.tables == {"f": (0,), "g": (0,)}

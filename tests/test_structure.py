@@ -657,7 +657,9 @@ def test_pairs_match_one_closure_per_ordered_pair_where_capped(odd):
 
 def generated_then_scanned(algebra, congruence, arity_bound, depth_bound, max_functions):
     """The strongly abelian check as it was before it stopped at its answer:
-    all bounded polynomials first, then the first violation in their order."""
+    all bounded polynomials first, then the first violation in their order.
+    An arity whose tables pass the cap with no violation among them raises
+    CapExceededError: its depth bound was never reached."""
     size, classes = algebra.size, congruence.classes
     for arity in range(2, arity_bound + 1):
         pol = generate_polynomials(algebra, arity, max_functions, max_rounds=depth_bound)
@@ -673,12 +675,24 @@ def generated_then_scanned(algebra, congruence, arity_bound, depth_bound, max_fu
                         if f[(left[0],) + tail] != f[(right[0],) + tail]:
                             violation = AbelianViolation(table, arity, left, right, tail)
                             return AbelianVerdict(violation, arity_bound, depth_bound)
+        if len(pol.tables) > max_functions:
+            stage, reached = f"arity-{arity} polynomial generation", len(pol.tables)
+            message = f"{stage} hit its cap: {reached} tables, cap {max_functions}"
+            raise CapExceededError(message, stage, reached, max_functions)
     return AbelianVerdict(None, arity_bound, depth_bound)
+
+
+def abelian_outcome(check, algebra, congruence, bounds):
+    """The verdict, or the cap error's text and fields."""
+    try:
+        return check(algebra, congruence, *bounds)
+    except CapExceededError as error:
+        return str(error), error.stage, error.reached, error.cap
 
 
 # (arity bound, depth bound, max_functions): on the algebras below, each
 # setting caps some generation at its depth, and the 50-, 7- and 60-table
-# settings some at their table count
+# settings some at their table count, which raises CapExceededError
 ABELIAN_GRID = ((2, 1, 20000), (2, 2, 20000), (2, 3, 50), (3, 1, 20000), (2, 2, 7), (3, 2, 60))
 
 
@@ -691,10 +705,12 @@ def test_strongly_abelian_check_matches_generate_then_scan():
             algebra = random_algebra(rng, alphabet, size)
             for congruence in all_congruences(algebra):
                 for bounds in ABELIAN_GRID:
-                    verdict = strongly_abelian_check(algebra, congruence, *bounds)
-                    assert verdict == generated_then_scanned(algebra, congruence, *bounds)
-                    verdicts[verdict.passed_bounded] += 1
-    assert verdicts == {True: 54, False: 24}
+                    verdict = abelian_outcome(strongly_abelian_check, algebra, congruence, bounds)
+                    expected = abelian_outcome(generated_then_scanned, algebra, congruence, bounds)
+                    assert verdict == expected
+                    capped = isinstance(verdict, tuple)
+                    verdicts["capped" if capped else verdict.passed_bounded] += 1
+    assert verdicts == {True: 45, False: 24, "capped": 9}
 
 
 def worklist_congruences(algebra):

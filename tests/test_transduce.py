@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from test_acceptance import matrix_hom_eval
 
 from treelab import transduce
 from treelab.automata import (
@@ -40,7 +41,6 @@ from treelab.transduce import (
     dtop_preimage,
     dtop_to_matrix_hom,
     dtop_word,
-    matrix_hom_eval,
     matrix_hom_to_dtops,
     matrix_power_language,
 )

@@ -29,7 +29,7 @@ import operator
 import random
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .automata import DEFAULT_CARRIER_CAP, Dbta, FiniteAlgebra, build, corpus_values, tabulate
 from .errors import AlphabetMismatchError, CapExceededError, ParseError
@@ -245,7 +245,7 @@ class Layer:
                 if len(entry) != self.width:
                     raise ValueError(f"bad polynomial tuple for {letter.name}")
                 for poly in entry:
-                    if any(i >= self.width * letter.arity for i in poly.indices):
+                    if any(not 0 <= i < self.width * letter.arity for i in poly.indices):
                         raise ValueError(f"polynomial input out of range for {letter.name}")
 
     @property
@@ -281,19 +281,66 @@ class Cascade:
         return self.layers[layer_index].nbits + coord
 
 
-def _cascade_step(
-    cascade: Cascade, letter: str, child_bits: Sequence[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Bits of a node from its letter and its children's full bit vectors."""
-    bits: list[int] = []
-    for layer in cascade.layers:
-        row = 0
-        for read in layer.reads:
-            row = 2 * row + bits[read]
-        start = layer.nbits
-        args = [bit for child in child_bits for bit in child[start : start + layer.width]]
-        bits += [poly.eval(args) for poly in layer.table[letter][row]]
-    return tuple(bits)
+_READS_ZERO = lambda flat: (0,)  # a zero polynomial's getter: its bit is 0 whatever it reads
+
+
+def _conjunction(poly: SemiPoly, width: int, stride: int, start: int) -> Callable[[tuple], tuple]:
+    """The getter of the bits that ``poly`` ANDs in the children's
+    concatenated bit vectors, each ``stride`` long, for a layer of
+    ``width`` at flat coordinate ``start``: input i is child i // width,
+    coordinate i % width, at position (i // width) * stride + start + i % width.
+    The bit is 1 iff no bit read is 0 (``0 not in getter(flat)``), so a zero
+    polynomial reads a lone 0 and an empty conjunction reads nothing."""
+    if poly.zero:
+        return _READS_ZERO
+    positions = sorted((i // width) * stride + start + i % width for i in poly.indices)
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    # a slice, so that one position or none also reads a tuple
+    at = positions[0] if positions else 0
+    return operator.itemgetter(slice(at, at + len(positions)))
+
+
+def _cascade_steps(cascade: Cascade) -> Callable[[str, tuple], tuple[int, ...]]:
+    """The step of ``cascade_flatten``: the bits of a node from its letter and
+    its children's full bit vectors, concatenated as ``flat``.
+
+    Each letter's program is compiled once.  Per layer it holds the layer's
+    ``reads`` and one entry per row: a row of constant polynomials (zero, or
+    the empty conjunction) is its tuple of bits, and any other row is one
+    ``_conjunction`` getter per coordinate, which reads fixed positions of
+    ``flat``.  A step picks each layer's row by the node's own earlier bits,
+    first read most significant, as the layer's table does."""
+    stride = cascade.total_width
+    programs = {}
+    for letter in cascade.base_alphabet.letters:
+        program = []
+        for layer in cascade.layers:
+            rows: list[tuple[int, ...] | list] = []
+            for entry in layer.table[letter.name]:
+                if any(poly.indices for poly in entry):
+                    rows.append([_conjunction(p, layer.width, stride, layer.nbits) for p in entry])
+                else:
+                    rows.append(tuple([0 if poly.zero else 1 for poly in entry]))
+            program.append((layer.reads, rows))
+        programs[letter.name] = program
+
+    def step(name: str, args: tuple) -> tuple[int, ...]:
+        flat = sum(args, ())
+        bits: list[int] = []
+        for reads, rows in programs[name]:
+            row = 0
+            for read in reads:
+                row = 2 * row + bits[read]
+            entry = rows[row]
+            if entry.__class__ is tuple:
+                bits += entry
+            else:
+                for conjunction in entry:
+                    bits.append(1 - (0 in conjunction(flat)))
+        return tuple(bits)
+
+    return step
 
 
 def cascade_flatten(cascade: Cascade, max_carrier: int = DEFAULT_CARRIER_CAP) -> Dbta:
@@ -301,12 +348,15 @@ def cascade_flatten(cascade: Cascade, max_carrier: int = DEFAULT_CARRIER_CAP) ->
 
     Only tree-reachable bit vectors are materialized (the reachable set is
     closed under the step function), so the carrier stays small; acceptance
-    reads the designated output bit.
+    reads the designated output bit.  The step is compiled once per call by
+    ``_cascade_steps``: each polynomial becomes the fixed positions it ANDs
+    in the children's concatenated bit vectors, and each reached argument
+    tuple is stepped once.
     """
     flat = cascade.output_flat()
     return build(
         cascade.base_alphabet,
-        functools.partial(_cascade_step, cascade),
+        _cascade_steps(cascade),
         max_carrier,
         "cascade carrier",
         lambda value: value[flat] == 1,

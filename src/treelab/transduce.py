@@ -19,14 +19,18 @@ term over ``automata.with_constants(base)``: the base letters plus a constant
 ``eval_term_in_algebra``, and a DTOP rule over that alphabet is one verbatim.
 
 Preimages are flattens: ``matrix_power_language`` and ``dtop_preimage`` each
-``build`` the tuples that trees reach under ``_tuple_step``.
+``build`` the tuples that trees reach under the step ``_tuple_steps`` compiles
+once per call.  A coordinate reads only the flat slots (variables) its term
+names and is memoised on their values, unless it names every slot, so it is
+evaluated at most once per reached argument tuple and at most once per
+distinct reading of its slots.
 """
 
 from __future__ import annotations
 
-import functools
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 from .automata import (
     DEFAULT_CARRIER_CAP,
@@ -200,13 +204,48 @@ def dtop_apply(dtop: Dtop, tree: Tree | list[Letter]) -> Tree:
 # --- preimages are flattens ----------------------------------------------------
 
 
-def _tuple_step(
-    algebra: FiniteAlgebra, tuples: Mapping[str, tuple[Term, ...]], name: str, args: Sequence
-) -> tuple[int, ...]:
-    """The tuple of a node from its letter and its children's tuples: the
-    letter's terms evaluated in ``algebra``, variables laid out flat."""
-    flat = [v for value in args for v in value]
-    return tuple([eval_term_in_algebra(algebra, t, flat) for t in tuples[name]])
+_NO_SLOTS = operator.itemgetter(slice(0, 0))  # reads () from any flat tuple
+
+
+def _tuple_steps(
+    algebra: FiniteAlgebra, tuples: Mapping[str, tuple[Term, ...]]
+) -> Callable[[str, tuple], tuple[int, ...]]:
+    """The step of a preimage flatten: the tuple of a node from its letter
+    and its children's tuples laid out flat (slot i is variable i + 1), each
+    coordinate one of the letter's terms evaluated in ``algebra``.
+
+    A term that names every slot is evaluated on each step: ``build`` steps
+    an argument tuple once, so its readings never repeat.  Any other term is
+    memoised on the values of the slots it names, each entry evaluated the
+    first time its reading is asked for; one that names no slot is
+    evaluated once.  The memo holds at most one entry per step, so it needs
+    no cap of its own."""
+    programs = {}
+    for name, terms in tuples.items():
+        program = []
+        for term in terms:
+            slots = sorted({node.index - 1 for node in term.nodes if node.__class__ is Var})
+            if slots and len(slots) == term.nvars:
+                program.append((term, None, None))
+            else:
+                program.append((term, operator.itemgetter(*slots) if slots else _NO_SLOTS, {}))
+        programs[name] = program
+
+    def step(name: str, args: tuple) -> tuple[int, ...]:
+        flat = sum(args, ())
+        out = []
+        for term, reading, memo in programs[name]:
+            if memo is None:
+                out.append(eval_term_in_algebra(algebra, term, flat))
+                continue
+            key = reading(flat)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = eval_term_in_algebra(algebra, term, flat)
+            out.append(value)
+        return tuple(out)
+
+    return step
 
 
 def _state_tuples(dtop: Dtop) -> dict[str, tuple[Term, ...]]:
@@ -227,7 +266,7 @@ def dtop_preimage(dbta: Dbta, dtop: Dtop, max_carrier: int = DEFAULT_CARRIER_CAP
     if dtop.output_alphabet != dbta.alphabet:
         raise AlphabetMismatchError("automaton must read the transducer's output alphabet")
     initial, accepting = dtop.initial - 1, dbta.accepting
-    step = functools.partial(_tuple_step, dbta.algebra, _state_tuples(dtop))
+    step = _tuple_steps(dbta.algebra, _state_tuples(dtop))
     accept = lambda m: m[initial] in accepting
     return build(dtop.input_alphabet, step, max_carrier, "preimage carrier", accept)[1]
 
@@ -305,7 +344,7 @@ def matrix_power_language(
     max_carrier: int = DEFAULT_CARRIER_CAP,
 ) -> Dbta:
     """Flatten the matrix-power homomorphism into an ordinary DBTA: the
-    tuples that trees reach under ``_tuple_step``, numbered in their
+    tuples that trees reach under ``_tuple_steps``' step, numbered in their
     lexicographic order (the order of the full power of the base, restricted);
     the cap bounds that reached carrier.  An accepting tuple must lie in the
     width-th power of the base; one that no tree reaches accepts nothing.
@@ -313,5 +352,5 @@ def matrix_power_language(
     for t in accepting:
         if len(t) != mh.width or any(not 0 <= e < mh.base.size for e in t):
             raise ValueError(f"accepting tuple {t} outside the base's width-{mh.width} power")
-    step = functools.partial(_tuple_step, mh.extended, mh.tuples)
+    step = _tuple_steps(mh.extended, mh.tuples)
     return build(mh.alphabet, step, max_carrier, "flattened carrier", accepting.__contains__)[1]

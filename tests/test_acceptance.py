@@ -25,7 +25,6 @@ from treelab.cascade import (
     Lbl,
     Not,
     Or,
-    _cascade_step,
     annotate,
     annotated_alphabet,
     cascade_flatten,
@@ -126,13 +125,28 @@ def value_annotate(tree, h):
     return go(tree)[0]
 
 
+def cascade_step(cascade, letter, child_bits):
+    """Bits of a node from its letter and its children's full bit vectors:
+    each layer's row picked by the node's own earlier bits, and each
+    polynomial evaluated on the layer's coordinates of the children."""
+    bits = []
+    for layer in cascade.layers:
+        row = 0
+        for read in layer.reads:
+            row = 2 * row + bits[read]
+        start = layer.nbits
+        args = [bit for child in child_bits for bit in child[start : start + layer.width]]
+        bits += [poly.eval(args) for poly in layer.table[letter][row]]
+    return tuple(bits)
+
+
 def cascade_eval(cascade, tree):
     """All layer bits at the root of a tree, concatenated in layer order: the
     recursive reference for what ``cascade_flatten`` builds."""
     if tree.label not in cascade.base_alphabet:
         raise AlphabetMismatchError(f"letter {tree.label.name} not in the cascade alphabet")
     child_bits = [cascade_eval(cascade, child) for child in tree.children]
-    return _cascade_step(cascade, tree.label.name, child_bits)
+    return cascade_step(cascade, tree.label.name, child_bits)
 
 
 def matrix_hom_eval(mh, tree):

@@ -6,12 +6,15 @@ built reached elements only.  Restricting a reference to its reached part must
 give exactly the kernel-built automaton: same elements, numbering and tables.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
+from test_acceptance import cascade_step
 from test_automata import random_algebra
 
+from treelab import transduce
 from treelab.automata import (
     Dbta,
     FiniteAlgebra,
@@ -22,10 +25,21 @@ from treelab.automata import (
     reachable_elements,
     with_constants,
 )
-from treelab.cascade import ann_name, annotated_alphabet, ctl_compile, ctl_parse, nest
+from treelab.cascade import (
+    Cascade,
+    Layer,
+    SemiPoly,
+    ann_name,
+    annotated_alphabet,
+    cascade_flatten,
+    ctl_compile,
+    ctl_parse,
+    nest,
+    random_formula_corpus,
+)
 from treelab.cli import save_dbta
 from treelab.errors import CapExceededError
-from treelab.fixtures import ALG_POTT, L_POTT
+from treelab.fixtures import ALG_POTT, L_POTT, SIG_GCD, SIG_POTT
 from treelab.oracle import sweep_reachable
 from treelab.paths import determinize, path_nfa
 from treelab.structure import Congruence, all_congruences, lattice_divides, strongly_abelian_check
@@ -48,8 +62,9 @@ def random_dbta(rng, alphabet, size):
     return Dbta(random_algebra(rng, alphabet, size), accepting)
 
 
-def full_dbta(alphabet, carrier, step, accept):
-    """Every table cell over the full, lexicographically ordered carrier."""
+def full_dbta(alphabet, carrier, step, accept, name=None):
+    """Every table cell over the full, lexicographically ordered carrier;
+    ``name`` names the elements."""
     index = {value: i for i, value in enumerate(carrier)}
     tables = {
         letter.name: tuple(
@@ -58,7 +73,8 @@ def full_dbta(alphabet, carrier, step, accept):
         )
         for letter in alphabet.letters
     }
-    algebra = FiniteAlgebra(alphabet, len(carrier), tables)
+    names = None if name is None else tuple(map(name, carrier))
+    algebra = FiniteAlgebra(alphabet, len(carrier), tables, names)
     return Dbta(algebra, frozenset(i for i, value in enumerate(carrier) if accept(value)))
 
 
@@ -72,7 +88,9 @@ def naive_restriction(dbta, elements):
         )
         for letter in dbta.alphabet.letters
     }
-    algebra = FiniteAlgebra(dbta.alphabet, len(order), tables)
+    names = dbta.algebra.element_names
+    names = None if names is None else tuple(names[e] for e in order)
+    algebra = FiniteAlgebra(dbta.alphabet, len(order), tables, names)
     return Dbta(algebra, frozenset(old_to_new[e] for e in dbta.accepting if e in elements))
 
 
@@ -171,6 +189,136 @@ def test_matrix_power_language_is_restricted_full_fill():
         assert save_dbta(matrix_power_language(mh, accepting)) == restricted(full)
     with pytest.raises(ValueError):
         matrix_power_language(mh, {(size,) * width})
+
+
+def one_child_terms(rng, n, arity, draw):
+    """n terms over n * arity flat slots, each over the n slots of one child:
+    ``draw(k, depth)`` gives a body over x1..xk, shifted to that child's."""
+    return [
+        Term(n * arity, shift(draw(n if arity else 0, 2), n * rng.randrange(arity) if arity else 0))
+        for _ in range(n)
+    ]
+
+
+def shift(body, offset):
+    if isinstance(body, Var):
+        return Var(body.index + offset)
+    return Tree(body.label, tuple(shift(child, offset) for child in body.children))
+
+
+def assert_one_evaluation_per_reading(calls, reached, tuples):
+    """Each term, counted in ``calls`` by id, was evaluated at most once per
+    distinct reading of the slots it names over the argument tuples that
+    ``reach`` steps, which is fewer than once per step."""
+    bound, work = {}, 0
+    for letter in FGAB.letters:
+        combos = [sum(args, ()) for args in itertools.product(reached, repeat=letter.arity)]
+        work += len(combos) * len(tuples[letter.name])
+        for term in tuples[letter.name]:
+            slots = sorted({node.index - 1 for node in term.nodes if isinstance(node, Var)})
+            bound[id(term)] = len({tuple(flat[i] for i in slots) for flat in combos})
+    assert all(calls.get(key, 0) <= most for key, most in bound.items())
+    assert sum(calls.values()) <= sum(bound.values()) < work
+
+
+def test_flattens_evaluate_each_reading_once(monkeypatch):
+    # rules and coordinates that each read one child
+    calls = {}
+
+    def counted(algebra, term, env):
+        calls[id(term)] = calls.get(id(term), 0) + 1
+        return eval_term_in_algebra(algebra, term, env)
+
+    monkeypatch.setattr(transduce, "eval_term_in_algebra", counted)
+    rng = random.Random(13)
+    dbta = random_dbta(rng, FGAB, 4)
+    tuples = {
+        letter.name: tuple(one_child_terms(rng, 2, letter.arity, functools.partial(random_term, rng)))
+        for letter in FGAB.letters
+    }
+    rules = {(name, q): terms[q - 1] for name, terms in tuples.items() for q in (1, 2)}
+    dtop = Dtop(FGAB, FGAB, 2, 1, rules)
+    maps = list(itertools.product(range(4), repeat=2))
+
+    def step(name, combo):
+        return tuple(eval_term_in_algebra(dbta.algebra, t, sum(combo, ())) for t in tuples[name])
+
+    full = full_dbta(FGAB, maps, step, lambda m: m[0] in dbta.accepting)
+    assert save_dbta(dtop_preimage(dbta, dtop)) == restricted(full)
+    assert_one_evaluation_per_reading(calls, [maps[e] for e in sweep_reachable(full.algebra)], tuples)
+
+    calls.clear()
+    base = random_algebra(rng, FGAB, 3)
+    tuples = {
+        letter.name: tuple(one_child_terms(
+            rng, 2, letter.arity, lambda k, depth: random_poly(rng, k, 3, depth)
+        ))
+        for letter in FGAB.letters
+    }
+    mh = MatrixHom(base, FGAB, 2, tuples)
+    carrier = list(itertools.product(range(3), repeat=2))
+
+    def step(name, combo):
+        return tuple(eval_term_in_algebra(mh.extended, t, sum(combo, ())) for t in tuples[name])
+
+    full = full_dbta(FGAB, carrier, step, lambda t: t == (0, 0))
+    assert save_dbta(matrix_power_language(mh, {(0, 0)})) == restricted(full)
+    assert_one_evaluation_per_reading(
+        calls, [carrier[e] for e in sweep_reachable(full.algebra)], tuples
+    )
+
+
+def random_semipoly(rng, inputs):
+    draw = rng.random()
+    if draw < 0.2:
+        return SemiPoly.const(0)
+    if draw < 0.35:
+        return SemiPoly.const(1)
+    return SemiPoly(False, frozenset(i for i in range(inputs) if rng.random() < 0.5))
+
+
+def random_cascade(rng, base, total):
+    """Layers of width 1-3 up to ``total`` bits, each reading up to two
+    earlier bits, with zero, one and random conjunctions."""
+    layers, nbits = [], 0
+    while nbits < total:
+        width = rng.randint(1, min(3, total - nbits))
+        reads = tuple(rng.sample(range(nbits), min(nbits, rng.randint(0, 2))))
+        table = {
+            letter.name: tuple(
+                tuple(random_semipoly(rng, width * letter.arity) for _ in range(width))
+                for _ in range(1 << len(reads))
+            )
+            for letter in base.letters
+        }
+        layers.append(Layer(base, nbits, width, reads, table))
+        nbits += width
+    at = rng.randrange(len(layers))
+    return Cascade(base, tuple(layers), (at, rng.randrange(layers[at].width)))
+
+
+def test_cascade_flatten_is_restricted_full_fill():
+    # every 2^W bit vector stepped by the reference, then restricted: the same
+    # elements, numbering, tables, accepting set and element names
+    rng = random.Random(17)
+    unary = RankedAlphabet.of(("g", 1), ("h", 1), ("a", 0), ("b", 0))
+    cascades = [
+        cascade
+        for seed, alphabet in ((7, SIG_POTT), (8, SIG_GCD), (9, FGAB))
+        for _, cascade in random_formula_corpus(seed, alphabet, 16, 4, max_width=6)
+    ]
+    cascades += [random_cascade(rng, FGAB, rng.randint(1, 5)) for _ in range(12)]
+    cascades += [random_cascade(rng, unary, rng.randint(6, 8)) for _ in range(4)]
+    for cascade in cascades:
+        width, flat = cascade.total_width, cascade.output_flat()
+        full = full_dbta(
+            cascade.base_alphabet,
+            list(itertools.product((0, 1), repeat=width)),
+            lambda name, combo: cascade_step(cascade, name, combo),
+            lambda value: value[flat] == 1,
+            lambda value: "".join(map(str, value)),
+        )
+        assert save_dbta(cascade_flatten(cascade)) == restricted(full)
 
 
 def test_nest_is_restricted_full_fill():

@@ -539,6 +539,7 @@ def test_constant_layer_cascade():
 def test_layer_checks_its_table():
     ones = {l.name: ((SemiPoly.const(1),),) for l in SIG_GCD.letters}
     reads_c = {**ones, "c": ((SemiPoly(False, frozenset({0})),),)}
+    negative_g = {**ones, "g": ((SemiPoly(False, frozenset({-1})),),)}
     faults = [
         ((0, 0, (), ones), "layer width must be >= 1"),
         ((1, 1, (1,), ones), "layer reads a coordinate outside the earlier bits"),
@@ -546,6 +547,7 @@ def test_layer_checks_its_table():
         ((1, 1, (0,), ones), "bad polynomial table for g"),
         ((0, 2, (), ones), "bad polynomial tuple for g"),
         ((0, 1, (), reads_c), "polynomial input out of range for c"),
+        ((0, 1, (), negative_g), "polynomial input out of range for g"),
     ]
     for (nbits, width, reads, table), message in faults:
         with pytest.raises(ValueError, match=message):

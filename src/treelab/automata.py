@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, CapExceededError
-from .trees import Letter, RankedAlphabet, Term, Tree, Var, preorder, require_letters
+from .trees import NOT_A_WORD, Letter, RankedAlphabet, Term, Tree, Var, preorder, require_letters
 
 # Default bound on the carriers and state sets that constructions build.
 DEFAULT_CARRIER_CAP = 4096
@@ -88,33 +88,37 @@ def _require_same_alphabet(a: RankedAlphabet, b: RankedAlphabet) -> None:
 def evaluate(algebra: FiniteAlgebra, tree: Tree | list[Letter]) -> int:
     """The value of a tree or its preorder word: one pass over the reversed
     word with one stack of values (see ``trees.preorder``), so depth is
-    unbounded.  Each letter's step, one lookup in its table, is made once per
-    call: a constant's value is made once and shared, and the common arities
-    1 and 2 index the table without a loop.  A label not in the algebra's
-    alphabet raises AlphabetMismatchError for the first such label in the
-    word."""
-    size, steps = algebra.size, {}
+    unbounded.  Each node is one lookup in its letter's table on its arity's
+    branch: a constant's value is kept, and arities 1 and 2 index without a
+    loop.  A label not in the algebra's alphabet raises AlphabetMismatchError
+    for the first such label in the word, before a list that is no tree's
+    word raises ValueError (see ``trees.children_first``)."""
+    size, rows = algebra.size, {}
     for letter in algebra.alphabet.letters:
         table = algebra.tables[letter.name]
-        if not letter.arity:
-            step = lambda pop, value=table[0]: value
-        elif letter.arity == 1:
-            step = lambda pop, table=table: table[pop()]
-        elif letter.arity == 2:  # the first child's value first
-            step = lambda pop, table=table: table[pop() * size + pop()]
-        else:
-            weights = [size**i for i in range(letter.arity - 1, -1, -1)]  # the first child's first
-            step = lambda pop, table=table, ws=weights: table[sum([pop() * w for w in ws])]
-        steps[letter.name] = (letter, step)
+        rows[letter.name] = (letter, table if letter.arity else table[0])
     word = [node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree
     stack: list[int] = []  # a node's first child's value on top
     pop, push = stack.pop, stack.append
-    for label in reversed(word):
-        letter, step = steps.get(label.name, (None, None))
-        if letter is not label and letter != label:
-            require_letters(word, algebra.alphabet, "letter {} not in the algebra's alphabet")
-        push(step(pop))
-    return stack[0]
+    try:
+        for label in reversed(word):
+            letter, table = rows.get(label.name, (None, None))
+            if letter is not label and letter != label:
+                require_letters(word, algebra.alphabet, "letter {} not in the algebra's alphabet")
+            arity = letter.arity
+            if not arity:
+                push(table)  # the constant's value
+            elif arity == 1:
+                push(table[pop()])
+            elif arity == 2:  # the first child's value first
+                push(table[pop() * size + pop()])
+            else:  # the first child's value is the most significant digit
+                push(table[sum([pop() * size**i for i in range(arity - 1, -1, -1)])])
+        (value,) = stack  # ValueError unless one value is left
+    except (IndexError, ValueError):  # or a pop from the empty stack
+        require_letters(word, algebra.alphabet, "letter {} not in the algebra's alphabet")
+        raise ValueError(NOT_A_WORD) from None
+    return value
 
 
 def corpus_values(

@@ -145,12 +145,12 @@ def dtop_word(dtop: Dtop, tree: Tree | list[Letter]) -> list[Letter]:
             rows[key] = [([Var(n * (label.var.index - 1) + q).label], (), None) for q in states]
         else:
             require_letters(word, alphabet, "letter {} not in the input alphabet", variables=True)
+    letters, kids = children_first(word)  # a list that is no tree's word raises ValueError
     longest = max(
         len(head) + sum(len(item) for item in rest if item.__class__ is list)
         for row in rows.values() for head, rest, _ in row
     )
     cap = MAX_DTOP_OUTPUT + len(word) * longest
-    letters, kids = children_first(word)
     ends: dict[int, tuple[int, int]] = {}  # bare-variable pair, as v*n + q -> its chain's end
 
     def chain_end(q: int, v: int) -> tuple[int, int]:

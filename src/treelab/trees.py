@@ -12,11 +12,11 @@ leaf, so every walk over trees (``preorder``, ``==``, ``hash``, ``repr``,
 
 A tree's preorder word, its labels in ``preorder`` (a ``Var``'s label is
 its ``VarLetter``), spells the tree.  ``parse_word`` reads it from a text
-without building the tree, ``tree_of`` builds the tree from it, and
-``render_tree`` writes either.  ``automata.evaluate``, the one fold of a
-tree into an algebra (per-letter steps made once per call, one stack of
-values), takes a tree or its word; ``transduce.dtop_word`` writes a
-transduction's word top-down instead.
+(one loop turn per term, no tree built), ``tree_of`` builds the tree from
+it, and ``render_tree`` writes either.  ``automata.evaluate``, the one fold
+of a tree into an algebra (one stack of values, a branch per arity), takes
+a tree or its word; ``transduce.dtop_word`` writes a transduction's word
+top-down instead.  A list that is no tree's word raises ValueError there.
 
 A node list, letters children first with each one's child positions, is the
 other form: ``children_first`` gives a tree's, ``tree_corpus`` that of every
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
@@ -179,6 +180,7 @@ def require_letters(
 
 
 NodeList = tuple[list[Letter], list[tuple[int, ...]]]  # letters, children first; child positions
+NOT_A_WORD = "the list is no tree's preorder word"  # the ValueError of a malformed word
 
 
 def children_first(tree: Tree | list[Letter]) -> NodeList:
@@ -186,22 +188,29 @@ def children_first(tree: Tree | list[Letter]) -> NodeList:
     (children first), and the positions of each node's children in it, in
     child order.
 
-    Walking that list, the children of a node are the last entries of a
-    stack of the positions whose parent is still to come, its first child on
-    top, so only arities are read.
-    """
+    Walking that list, the children of a node are popped off a stack of the
+    positions whose parent is still to come, its first child on top, so only
+    arities are read.  A list that is no tree's word, which runs this stack
+    empty or leaves more than one root on it, raises ValueError."""
     letters = ([node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree)[::-1]
     pending: list[int] = []  # positions whose parent is still to come
     kids: list[tuple[int, ...]] = []
-    listed, pend = kids.append, pending.append
-    for k, letter in enumerate(letters):
-        arity = letter.arity
-        if arity:
-            listed(tuple(pending[: -arity - 1 : -1]))
-            del pending[-arity:]
-        else:
-            listed(())
-        pend(k)
+    listed, pend, pop = kids.append, pending.append, pending.pop
+    try:
+        for k, letter in enumerate(letters):
+            arity = letter.arity
+            if not arity:
+                listed(())
+            elif arity == 1:
+                listed((pop(),))
+            elif arity == 2:
+                listed((pop(), pop()))
+            else:
+                listed(tuple([pop() for _ in range(arity)]))
+            pend(k)
+        (_,) = pending  # ValueError unless one root is left
+    except (IndexError, ValueError):  # or a pop from the empty stack
+        raise ValueError(NOT_A_WORD) from None
     return letters, kids
 
 
@@ -367,86 +376,92 @@ def _read(text: str, names: Mapping[str, Letter]) -> list[Letter]:
     """The one reader of ``name`` and ``name(t1,...,tn)`` for the letters
     (a ``VarLetter`` for a variable) that ``names`` maps names to: the
     preorder word of the text.  A variable ends a term: no ``(`` may follow
-    it.  Open nodes wait on an explicit stack, so depth is unbounded.
-
-    A ParseError names the token it stopped at by position: where the token
-    starts, or the length of the text at its end.  A character that is not
-    a name character, whitespace or ``(),`` is reported first; see ``tokenize``.
-    """
+    it.  One iterator walks the tokens, a loop turn per term; an open node
+    is the int of the commas it still expects, checked at its ``)`` (the
+    innermost one's is ``left``, the others wait on a stack, so depth is
+    unbounded).  A ParseError names the token it stopped at (worked out only
+    then) by position: where the token starts, or the length of the text at
+    its end.  A character that is not a name character, whitespace or
+    ``(),`` is reported first; see ``tokenize``."""
     tokens = tokenize(text)
     tokens.append("")  # the end of the input
     if not names.keys().isdisjoint(_NOT_NAMES):
         names = {name: entry for name, entry in names.items() if name not in _NOT_NAMES}
-    word: list[Letter] = []
-    open_nodes: list[list] = []  # unfinished nodes: [letter, token index of its name, commas read]
-    i = 0
-    while True:
-        # a term starts at token i
-        name = tokens[i]
-        letter = names.get(name)
+    get, word, outer, left = names.get, [], [], None  # left is None outside every node
+    add, push, pop = word.append, outer.append, outer.pop
+    tokens_left = iter(tokens)
+    read = tokens_left.__next__
+    for name in tokens_left:  # a term starts here
+        letter = get(name)
         if letter is None:
-            if not name:
-                raise _error(text, i, "unexpected end of input")
-            if name in _NOT_NAMES:
-                raise _error(text, i, f"expected a name, got {name!r}")
-            raise _error(text, i, f"unknown letter {name!r}")
-        word.append(letter)
-        i += 1
-        token = tokens[i]
+            wanted = "expected a name, got" if name in _NOT_NAMES else "unknown letter"
+            raise _error(text, tokens, tokens_left, f"{wanted} {name!r}")
+        add(letter)
+        token = read()
         if token == "(" and letter.__class__ is not VarLetter:
-            open_nodes.append([letter, i - 1, 0])
-            i += 1
+            push(left)
+            left = letter.arity - 1
             continue
         if letter.arity:
-            raise _error(text, i - 1, f"arity mismatch: {name} expects {letter.arity}, got 0")
-        # the term is complete: a ',' starts its next sibling, and a ')'
-        # finishes its parent, which had a child more than it read commas
-        while open_nodes:
-            i += 1
+            message = f"arity mismatch: {name} expects {letter.arity}, got 0"
+            raise _error(text, tokens, tokens_left, message, 1)
+        # the term is complete: a ',' starts a sibling, a ')' ends the parent
+        while left is not None:
             if token == ",":
-                open_nodes[-1][2] += 1
+                left -= 1
                 break
             if token != ")":
-                if not token:
-                    raise _error(text, i - 1, "unexpected end of input")
-                raise _error(text, i - 1, f"expected ',' or ')', got {token!r}")
-            letter, at, commas = open_nodes.pop()
-            if commas + 1 != letter.arity:
-                message = f"arity mismatch: {letter.name} expects {letter.arity}, got {commas + 1}"
-                raise _error(text, at, message)
-            token = tokens[i]
+                raise _error(text, tokens, tokens_left, f"expected ',' or ')', got {token!r}")
+            if left:  # the parent is named before the '(' that this ')' closes
+                close, back, depth = len(tokens) - operator.length_hint(tokens_left) - 1, 1, 1
+                while depth:
+                    depth += {")": 1, "(": -1}.get(tokens[close - back], 0)
+                    back += 1
+                name, arity = tokens[close - back], names[tokens[close - back]].arity
+                message = f"arity mismatch: {name} expects {arity}, got {arity - left}"
+                raise _error(text, tokens, tokens_left, message, back)
+            left = pop()
+            token = read()
         else:
             if token:
-                raise _error(text, i, f"trailing input {token!r}")
+                raise _error(text, tokens, tokens_left, f"trailing input {token!r}")
             return word
 
 
 def tree_of(word: list[Letter]) -> Tree:
     """The tree, or term body, whose preorder word is ``word``: one pass over
     the reversed word with a stack of the subtrees built, a node's first
-    child on top."""
+    child on top, checked as in ``children_first``."""
     stack: list[Tree] = []
-    for letter in reversed(word):
-        arity = letter.arity
-        if arity:
-            node = Tree(letter, tuple(stack[: -arity - 1 : -1]))
-            del stack[-arity:]
-        else:
-            node = letter.var if letter.__class__ is VarLetter else Tree(letter)
-        stack.append(node)
-    return stack[0]
+    push, pop = stack.append, stack.pop
+    try:
+        for letter in reversed(word):
+            arity = letter.arity
+            if not arity:
+                push(letter.var if letter.__class__ is VarLetter else Tree(letter))
+            elif arity == 1:
+                push(Tree(letter, (pop(),)))
+            elif arity == 2:
+                push(Tree(letter, (pop(), pop())))
+            else:
+                push(Tree(letter, tuple([pop() for _ in range(arity)])))
+        (root,) = stack  # ValueError unless one tree is left
+    except (IndexError, ValueError):  # or a pop from the empty stack
+        raise ValueError(NOT_A_WORD) from None
+    return root
 
 
-def _error(text: str, token: int, message: str) -> ParseError:
-    """A ParseError at the start of token number ``token`` (the first
-    occurrence of its name past the token before), or at the end of the text."""
-    at = 0
-    for k, name in enumerate(tokenize(text)):
-        at = text.index(name, at)
-        if k == token:
-            return ParseError(message, at)
-        at += len(name)
-    return ParseError(message, len(text))
+def _error(
+    text: str, tokens: list[str], tokens_left: Iterator[str], message: str, back: int = 0
+) -> ParseError:
+    """A ParseError where the token ``back`` before the last one that ``tokens_left``
+    gave starts; at the end of the input, "unexpected end of input" there."""
+    token, at = len(tokens) - operator.length_hint(tokens_left) - 1 - back, 0
+    for name in tokens[:token]:
+        at = text.index(name, at) + len(name)
+    if tokens[token]:
+        return ParseError(message, text.index(tokens[token], at))
+    return ParseError("unexpected end of input", len(text))
 
 
 def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
@@ -488,10 +503,12 @@ def parse_term(
 def render_tree(tree: Tree | list[Letter]) -> str:
     """Canonical text of a tree or its preorder word; constants carry no
     parentheses.  parse o render = id.  Only the letters' arities are read,
-    so a word is written without building its tree."""
+    so a word is written without building its tree.  A list that is no
+    tree's word raises ValueError."""
     out: list[str] = []
     left: list[int] = []  # children still to render, per open node
-    for letter in [node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree:
+    letters = iter([node.label for node in preorder(tree)] if isinstance(tree, Tree) else tree)
+    for letter in letters:
         out.append(letter.name)
         if letter.arity:
             out.append("(")
@@ -504,7 +521,11 @@ def render_tree(tree: Tree | list[Letter]) -> str:
                 break
             left.pop()
             out.append(")")
-    return "".join(out)
+        else:  # the root is complete
+            if next(letters, None) is None:
+                return "".join(out)
+            break
+    raise ValueError(NOT_A_WORD)
 
 
 # --- bounded enumeration ----------------------------------------------------

@@ -5,7 +5,7 @@ path, oracle, structure, CLI or cascade modules calls itself, and one that no
 library or test module imports a name it never reads.
 
 ``automata.evaluate`` is the one fold of a tree: one stack of values over the
-reversed ``preorder(tree)``, with per-letter steps.  The ``recursive_*``
+reversed ``preorder(tree)``, one branch per arity.  The ``recursive_*``
 functions below are recursive forms of the folds, kept as references: on
 random trees both must give equal results, and with letters outside the
 alphabet both must raise the same error.  ``dtop_apply`` is no fold: it
@@ -26,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import budget
 from test_automata import random_algebra
-from test_transduce import SIG_FGA, fga
+from test_transduce import SIG_FGA, fga, identity_dtop
+from test_trees import child_positions
 
 import treelab
 from treelab.automata import (
@@ -47,7 +48,7 @@ from treelab.cascade import (
     random_formula,
 )
 from treelab.errors import AlphabetMismatchError
-from treelab.fixtures import SIG_LINE, SIG_POTT_K
+from treelab.fixtures import ALG_POTT, SIG_LINE, SIG_POTT, SIG_POTT_K
 from treelab.paths import Dtta, dtta_accepts
 from treelab.transduce import (
     Dtop,
@@ -57,6 +58,7 @@ from treelab.transduce import (
     matrix_power_language,
 )
 from treelab.trees import (
+    MAX_ARITY,
     Letter,
     RankedAlphabet,
     Term,
@@ -550,6 +552,53 @@ def test_a_word_folds_as_its_tree(alphabet, nodes, n_states, seed):
 
     body = linear_body(rng, alphabet, 3)
     assert dtop_apply(hom, [node.label for node in preorder(body)]) == image(body)
+
+
+WIDE = RankedAlphabet.of(("w", MAX_ARITY), ("h", 3), ("f", 2), ("g", 1), ("a", 0), ("b", 0))
+
+
+def test_wide_letters_fold_and_list_as_their_references():
+    # arities 3 and MAX_ARITY take the generic branch of evaluate, children_first and tree_of
+    rng = random.Random(37)
+    wide = set()
+    for _ in range(24):
+        tree = random_tree(rng, WIDE, rng.randint(1, 60))
+        word = [node.label for node in preorder(tree)]
+        wide.update(letter.name for letter in word if letter.arity >= 3)
+        algebra = random_algebra(rng, WIDE, rng.randint(2, 3))
+        assert evaluate(algebra, tree) == evaluate(algebra, word) == recursive_evaluate(algebra, tree)
+        positions = child_positions(preorder(tree)[::-1])  # no node is shared
+        assert children_first(tree)[1] == children_first(word)[1] == positions
+        assert tree_of(word) == tree
+    assert wide == {"w", "h"}
+
+
+F2, F1, F0 = SIG_POTT.letters
+NOT_WORDS = [[F2], [F0, F0], [F2, F0], []]  # each ends too soon or goes on past its root
+WORD_FUNCTIONS = {
+    "evaluate": lambda word: evaluate(ALG_POTT, word),
+    "children_first": children_first,
+    "dtop_word": lambda word: dtop_word(identity_dtop(SIG_POTT), word),
+    "ctl_eval": lambda word: ctl_eval(ctl_parse("lbl(f0)", SIG_POTT), word),
+    "tree_of": tree_of,
+    "render_tree": render_tree,
+}
+
+
+@pytest.mark.parametrize("name", WORD_FUNCTIONS)
+def test_a_list_that_is_no_trees_word_raises_value_error(name):
+    for word in NOT_WORDS:
+        with pytest.raises(ValueError, match="^the list is no tree's preorder word$"):
+            WORD_FUNCTIONS[name](word)
+
+
+def test_a_foreign_letter_is_reported_before_a_list_that_is_no_word():
+    # reversed, the word runs out at f2 before the fold reaches u
+    word = [Letter("u", 0), F2]
+    with pytest.raises(AlphabetMismatchError, match="^letter u not in the algebra's alphabet$"):
+        evaluate(ALG_POTT, word)
+    with pytest.raises(AlphabetMismatchError, match="^letter u not in the input alphabet$"):
+        dtop_word(identity_dtop(SIG_POTT), word)
 
 
 # --- trees too deep for recursion -----------------------------------------------------
